@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 from typing import IO, Sequence
 
-from .primes import gaussian_primes_in, is_gaussian_prime
+from .primes import gaussian_prime_pool, is_gaussian_prime
 from .zcore import (
     ZERO,
     GaussianInt,
@@ -246,9 +247,8 @@ def _pool_for(region: Region, parity_filter: Parity | None, bound: int):
     if got is not None and got[0] >= bound:
         return got[1], got[2]
     grown = max(bound, 2 * got[0] if got else 0, 512)
-    primes = gaussian_primes_in(region, grown, parity_filter)
-    pool = [(z.re, z.im, z.norm()) for z in primes]
-    index = {(p[0], p[1]): i for i, p in enumerate(pool)}
+    pool = gaussian_prime_pool(region, grown, parity_filter)
+    index = {(re, im): i for i, (re, im, _) in enumerate(pool)}
     _POOL_CACHE[key] = (grown, pool, index)
     return pool, index
 
@@ -466,6 +466,14 @@ def _scan_chunk(args) -> list:
     return out
 
 
+def _worker_count(jobs: int, chunks: int) -> int:
+    """Processes for a scan: no more than asked for, than there are CPUs,
+    or than there are chunks of work to hand out."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1, chunks)
+
+
 def scan_targets(
     targets: Sequence[GaussianInt],
     term_region: Region,
@@ -480,6 +488,7 @@ def scan_targets(
     Output is identical for any job count: targets are chunked in
     listed order and chunk results merged back in order.
     """
+    workers = _worker_count(jobs, len(targets))
     parity_name = None if parity_filter is None else parity_filter.name
     # warm the shared pool before forking so workers inherit it
     worst = 0
@@ -491,18 +500,18 @@ def scan_targets(
     if worst > 2:
         _pool_for(term_region, parity_filter, worst)
     pairs = [(z.re, z.im) for z in targets]
-    if jobs <= 1 or len(pairs) < 2:
+    if workers <= 1:
         chunks = [
             _scan_chunk((term_region.value, pairs, max_terms, policy.value, parity_name))
         ]
     else:
-        step = max(1, -(-len(pairs) // (jobs * 4)))
+        step = max(1, -(-len(pairs) // (workers * 4)))
         arg_list = [
             (term_region.value, pairs[i : i + step], max_terms, policy.value, parity_name)
             for i in range(0, len(pairs), step)
         ]
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx) as ex:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
             chunks = list(ex.map(_scan_chunk, arg_list))
     rows = []
     for chunk in chunks:
@@ -698,12 +707,14 @@ def extend_with_inert(
 ) -> tuple[Decomposition, GaussianInt]:
     """Split w as a bounded decomposition of a shifted target plus one
     inert prime. The shift is 3i when the imaginary part clears c0 + 3
-    and 3 otherwise, so the reduced target keeps its shape.
+    and 3i lies in the region, and 3 otherwise, so the reduced target
+    keeps its shape and the shift is itself a region prime.
 
     Raises ValueError when w sits outside the open first quadrant, is in
-    the wrong parity class for max_base_terms + 1 odd summands, or has
-    no component reaching c0 + 3; raises BaseCaseError when the bounded
-    search fails on the reduced target.
+    the wrong parity class for max_base_terms + 1 odd summands, has no
+    component reaching c0 + 3, or the region holds neither 3i nor 3;
+    raises BaseCaseError when the bounded search fails on the reduced
+    target.
     """
     if not in_region(w, Region.OPEN_QUADRANT):
         raise ValueError(f"{w} must have positive real and imaginary parts")
@@ -713,7 +724,11 @@ def extend_with_inert(
         )
     if max(w.re, w.im) < c0 + 3:
         raise ValueError(f"{w} needs a component of at least {c0 + 3}")
-    shift = GaussianInt(0, 3) if w.im >= c0 + 3 else GaussianInt(3, 0)
+    shift = GaussianInt(0, 3)
+    if w.im < c0 + 3 or not in_region(shift, region):
+        shift = GaussianInt(3, 0)
+    if not in_region(shift, region):
+        raise ValueError(f"neither 3i nor 3 lies in {region.value}")
     base = find_decomposition(w - shift, region, max_base_terms, policy, parity_filter)
     if base is None:
         raise BaseCaseError(f"no {max_base_terms}-term split for {w - shift}")
@@ -752,9 +767,9 @@ def four_term_decompose(
             summands = base.summands() + [shift]
             summands.sort(key=GaussianInt.key, reverse=True)
             terms = tuple(sector_form(s) for s in summands)
-            return Decomposition(z, terms, region, policy, Parity.ODD), (
-                "shift-3i" if shift.im else "shift-3"
-            )
+            chain = Decomposition(z, terms, region, policy, Parity.ODD)
+            verify_decomposition(chain)
+            return chain, "shift-3i" if shift.im else "shift-3"
     dec = find_decomposition(z, region, 4, policy)
     if dec is None:
         return None

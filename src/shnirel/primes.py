@@ -6,9 +6,11 @@ from __future__ import annotations
 import os
 import struct
 from enum import Enum
+from itertools import compress
 from math import isqrt
+from operator import lt
 
-from .zcore import GaussianInt, Parity, Region, in_region
+from .zcore import REGION_ROWS, GaussianInt, Parity, Region
 
 # Witness set is deterministic for every n below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -43,6 +45,19 @@ def is_rational_prime(n: int) -> bool:
     return True
 
 
+def _sieve_flags(limit: int) -> bytearray:
+    """Eratosthenes over 0..limit (limit >= 2): flags[n] is 1 exactly
+    when n is prime."""
+    flags = bytearray([1]) * (limit + 1)
+    flags[0] = flags[1] = 0
+    flags[4::2] = bytes(len(range(4, limit + 1, 2)))
+    for p in range(3, isqrt(limit) + 1, 2):
+        if flags[p]:
+            start = p * p
+            flags[start :: 2 * p] = bytes(len(range(start, limit + 1, 2 * p)))
+    return flags
+
+
 class PrimeTable:
     """Sieved primes up to a limit, with mod-4 residue views."""
 
@@ -63,16 +78,10 @@ class PrimeTable:
     def sieve(cls, limit: int) -> "PrimeTable":
         if limit < 2:
             raise ValueError("limit must be at least 2")
-        flags = bytearray([1]) * (limit + 1)
-        flags[0] = flags[1] = 0
-        for p in range(2, isqrt(limit) + 1):
-            if flags[p]:
-                step = p
-                start = p * p
-                flags[start :: step] = bytearray(len(range(start, limit + 1, step)))
+        flags = _sieve_flags(limit)
         table = cls.__new__(cls)
         table.limit = limit
-        table.primes = [i for i in range(2, limit + 1) if flags[i]]
+        table.primes = list(compress(range(limit + 1), flags))
         table._flags = flags
         table._mod4 = {}
         return table
@@ -108,6 +117,12 @@ class PrimeTable:
         if len(body) % 8 or not body:
             raise ValueError(f"{path}: truncated prime cache")
         primes = list(struct.unpack(f"<{len(body) // 8}Q", body))
+        if primes[0] != 2 or not all(map(lt, primes, primes[1:])):
+            raise ValueError(f"{path}: cached primes do not ascend from 2")
+        # A fixed, evenly spaced sample of at most 64 entries plus the last.
+        sample = primes[:: -(-len(primes) // 64)] + primes[-1:]
+        if not all(map(is_rational_prime, sample)):
+            raise ValueError(f"{path}: prime cache holds a composite")
         # Coverage can only be claimed up to the largest stored prime.
         return cls(primes[-1], primes)
 
@@ -183,57 +198,71 @@ def classify_gaussian_prime(z: GaussianInt) -> PrimeClass:
     return PrimeClass.INERT
 
 
+def gaussian_prime_pool(
+    region: Region,
+    norm_bound: int,
+    parity_filter: Parity | None = None,
+    table: PrimeTable | None = None,
+) -> list[tuple[int, int, int]]:
+    """All Gaussian primes in the region with norm below norm_bound, as
+    (re, im, norm) triples sorted by (norm, re, im).
+
+    One sweep over the region's lattice rows reads primality off the
+    rational sieve flags: z is a Gaussian prime exactly when its norm is
+    a prime, or the square of a prime q = 3 mod 4 (only the associates of
+    q have that norm). The only even primes are those of norm 2.
+    """
+    if norm_bound < 2:
+        raise ValueError("norm_bound must be at least 2")
+    limit = norm_bound - 1
+    if parity_filter is Parity.EVEN:
+        limit = min(limit, 2)
+    if limit < 2:
+        return []
+    if table is not None and table.limit >= limit:
+        prime_norm = table._flags[: limit + 1]
+    else:
+        prime_norm = _sieve_flags(limit)
+    for q in range(3, isqrt(limit) + 1, 4):
+        if prime_norm[q]:
+            prime_norm[q * q] = 1
+    re_min, im_lo, im_hi = REGION_ROWS[region]
+    step = 1 if parity_filter is None else 2
+    odd = parity_filter is Parity.ODD
+    found: list[tuple[int, int, int]] = []
+    for re in range(re_min, isqrt(limit) + 1):
+        rr = re * re
+        reach = isqrt(limit - rr)
+        lo = max(im_lo(re), -reach)
+        hi = reach if im_hi is None else min(im_hi(re), reach)
+        if step == 2 and (re + lo) % 2 != odd:
+            lo += 1
+        found += [
+            (rr + im * im, re, im)
+            for im in range(lo, hi + 1, step)
+            if prime_norm[rr + im * im]
+        ]
+    found.sort()
+    return [(re, im, n) for n, re, im in found]
+
+
 def gaussian_primes_in(
     region: Region,
     norm_bound: int,
     parity_filter: Parity | None = None,
     table: PrimeTable | None = None,
 ) -> list[GaussianInt]:
-    """All Gaussian primes in the region with norm below norm_bound,
-    sorted by (norm, re, im)."""
-    if norm_bound < 2:
-        raise ValueError("norm_bound must be at least 2")
-    out: list[GaussianInt] = []
-
-    def keep(z: GaussianInt) -> None:
-        if in_region(z, region):
-            out.append(z)
-
-    if norm_bound > 2 and parity_filter is not Parity.ODD:
-        for z in (GaussianInt(1, 1), GaussianInt(-1, 1), GaussianInt(-1, -1), GaussianInt(1, -1)):
-            keep(z)
-
-    limit = norm_bound - 1
-    if parity_filter is not Parity.EVEN and limit >= 3:
-        if table is None or table.limit < limit:
-            table = PrimeTable.sieve(limit)
-        for p in table.residue_class(1):
-            if p > limit:
-                break
-            a, b = two_squares(p)
-            for zr, zi in (
-                (a, b), (-a, b), (a, -b), (-a, -b),
-                (b, a), (-b, a), (b, -a), (-b, -a),
-            ):
-                keep(GaussianInt(zr, zi))
-        top = isqrt(limit)
-        for q in table.residue_class(3):
-            if q > top:
-                break
-            for zr, zi in ((q, 0), (-q, 0), (0, q), (0, -q)):
-                keep(GaussianInt(zr, zi))
-
-    out.sort(key=GaussianInt.key)
-    return out
+    """gaussian_prime_pool as GaussianInt values, same order."""
+    pool = gaussian_prime_pool(region, norm_bound, parity_filter, table)
+    return [GaussianInt(re, im) for re, im, _ in pool]
 
 
 def sector_gap_stats(norm_bound: int, table: PrimeTable | None = None) -> tuple[int, int]:
     """(count, min re-im) over odd sector primes with norm below norm_bound."""
-    primes = gaussian_primes_in(Region.PRIME_SECTOR, norm_bound, Parity.ODD, table)
-    if not primes:
+    pool = gaussian_prime_pool(Region.PRIME_SECTOR, norm_bound, Parity.ODD, table)
+    if not pool:
         raise ValueError("no odd sector primes below bound")
-    gap = min(p.re - p.im for p in primes)
-    return (len(primes), gap)
+    return (len(pool), min(re - im for re, im, _ in pool))
 
 
 __all__ = [
@@ -243,6 +272,7 @@ __all__ = [
     "PrimeTable",
     "classify_gaussian_prime",
     "ensure_table",
+    "gaussian_prime_pool",
     "gaussian_primes_in",
     "is_gaussian_prime",
     "is_rational_prime",

@@ -174,6 +174,21 @@ def in_region(z: GaussianInt, region: Region) -> bool:
     raise ValueError(f"unknown region {region!r}")
 
 
+# The same regions as lattice rows: (least re, lowest im in row re,
+# highest im in row re or None when the row is unbounded above). Every
+# region lies in re >= 0, so sweeping re upward from the least value
+# visits each member once.
+REGION_ROWS = {
+    Region.SECTOR: (1, lambda r: 1 - r, lambda r: r),
+    Region.QUADRANT: (1, lambda r: 0, None),
+    Region.OPEN_QUADRANT: (1, lambda r: 1, None),
+    Region.OCTANT: (0, lambda r: 0, lambda r: r),
+    Region.PRIME_SECTOR: (1, lambda r: 1 - r, lambda r: r),
+    Region.PRIME_QUADRANT: (0, lambda r: 0, None),
+    Region.PRIME_HALF: (0, lambda r: 1 - r, None),
+}
+
+
 def associates(z: GaussianInt) -> tuple[GaussianInt, GaussianInt, GaussianInt, GaussianInt]:
     """The four unit multiples of z, in the order z, iz, -z, -iz."""
     return (z, z.times_i(), -z, (-z).times_i())

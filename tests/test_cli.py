@@ -100,6 +100,16 @@ class TestDecompose:
         assert [t["summand"] for t in data["terms"]] == ["19+14i", "3i"]
         assert err == "terms: 2, route: shift-3i"
 
+    def test_chain_witness_stays_in_gammapi(self, capsys):
+        code, out, err = run(
+            capsys, "decompose", "--z", "28,6", "--chain", "--format", "json"
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["region"] == "gammapi"
+        assert [t["summand"] for t in data["terms"]] == ["25+6i", "3"]
+        assert err == "terms: 2, route: shift-3"
+
     def test_chain_gate_exits_two(self, capsys):
         code, _, err = run(capsys, "decompose", "--z", "3", "--chain")
         assert code == 2
@@ -179,6 +189,16 @@ class TestScan:
         )
         assert code == 0
         assert err == "targets: 28, exceptions: 0"
+
+    def test_jobs_below_one_exit_two(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "--targets", "a", "--re", "1..5", "--im", "1..5",
+            "--primes", "kpi", "--jobs", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "jobs must be at least 1" in err
+        assert "Traceback" not in err
 
     def test_jobs_are_byte_identical(self, capsys, tmp_path):
         outs = []

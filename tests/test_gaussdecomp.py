@@ -3,6 +3,7 @@ reports, the diagonal obstruction, and the shift-by-inert chains."""
 
 import io
 import json
+import os
 from itertools import combinations_with_replacement
 
 import pytest
@@ -20,6 +21,7 @@ from shnirel import (
     extend_with_inert,
     find_decomposition,
     four_term_decompose,
+    gaussian_prime_pool,
     gaussian_primes_in,
     obstruction_line_report,
     region_targets,
@@ -29,7 +31,10 @@ from shnirel import (
     verify_decomposition,
     verify_diagonal_obstruction,
 )
+from shnirel import gaussdecomp
 from shnirel.gaussdecomp import (
+    _pool_for,
+    _worker_count,
     write_decomposition_csv,
     write_decomposition_json,
     write_obstruction_csv,
@@ -434,6 +439,51 @@ class TestDiagonalObstruction:
         assert find_decomposition(GaussianInt(6, -5), SPI, 3) is None
 
 
+class TestWorkerCount:
+    def test_clamped_to_cpus_and_chunks(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _worker_count(1, 100) == 1
+        assert _worker_count(2, 100) == 2
+        assert _worker_count(1000, 100) == 2
+        assert _worker_count(8, 1) == 1
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _worker_count(4, 100) == 1
+
+    def test_rejects_fewer_than_one(self):
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                _worker_count(jobs, 10)
+
+
+class TestPoolCache:
+    def test_grows_by_doubling_and_serves_smaller_bounds(self, monkeypatch):
+        cache = {}
+        built = []
+
+        def counting_pool(region, bound, parity_filter):
+            built.append(bound)
+            return gaussian_prime_pool(region, bound, parity_filter)
+
+        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", cache)
+        monkeypatch.setattr(gaussdecomp, "gaussian_prime_pool", counting_pool)
+        pool, index = _pool_for(KPI, Parity.ODD, 100)
+        assert built == [512]  # never fewer than 512
+        assert pool == gaussian_prime_pool(KPI, 512, Parity.ODD)
+        assert index == {(re, im): i for i, (re, im, _) in enumerate(pool)}
+        again, again_index = _pool_for(KPI, Parity.ODD, 300)
+        assert again is pool and again_index is index
+        assert built == [512]
+        _pool_for(KPI, Parity.ODD, 600)
+        assert built == [512, 1024]  # doubles past a small overshoot
+        _pool_for(KPI, Parity.ODD, 5000)
+        assert built == [512, 1024, 5000]  # jumps straight to a large bound
+        _pool_for(KPI, None, 100)
+        assert built == [512, 1024, 5000, 512]  # keyed by parity too
+        assert cache[(KPI, Parity.ODD)][0] == 5000
+
+
 class TestExtendWithInert:
     def test_imaginary_shift_branch(self):
         base, shift = extend_with_inert(GaussianInt(19, 17))
@@ -512,6 +562,36 @@ class TestFourTermDecompose:
                 verify_decomposition(dec)
                 assert dec.target == z
                 assert dec.k <= 4
+
+    def test_shift_stays_in_the_term_region(self):
+        # 3i is not in gammapi (re > 0 there), so the real shift is used
+        dec, route = four_term_decompose(GaussianInt(28, 6), GPI)
+        assert route == "shift-3"
+        assert summand_strs(dec) == ["25+6i", "3"]
+        base, shift = extend_with_inert(GaussianInt(28, 6), GPI)
+        assert shift == GaussianInt(3, 0)
+        assert summand_strs(base) == ["25+6i"]
+
+    def test_region_without_an_inert_shift(self):
+        with pytest.raises(ValueError, match="neither 3i nor 3"):
+            extend_with_inert(GaussianInt(19, 17), Region.OPEN_QUADRANT)
+
+    @pytest.mark.parametrize("region", [KPI, GPI, SPI])
+    def test_even_chains_verify_in_every_prime_region(self, region):
+        routes = set()
+        for re in range(1, 31):
+            for im in range(1, 31):
+                z = GaussianInt(re, im)
+                if (re + im) % 2 or max(re, im) <= 4:
+                    continue
+                got = four_term_decompose(z, region)
+                if got is None:
+                    continue
+                dec, route = got
+                verify_decomposition(dec)
+                assert dec.target == z
+                routes.add(route)
+        assert routes & {"shift-3i", "shift-3"}
 
     def test_gate(self):
         with pytest.raises(ValueError, match="positive real and imaginary"):

@@ -2,6 +2,8 @@
 sieve caching and the two-squares constructor."""
 
 import os
+import struct
+from math import isqrt
 
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from shnirel import (
     Region,
     classify_gaussian_prime,
     ensure_table,
+    gaussian_prime_pool,
     gaussian_primes_in,
     in_region,
     is_gaussian_prime,
@@ -24,6 +27,7 @@ from shnirel import (
     two_squares,
 )
 from shnirel.primes import CACHE_MAGIC
+from shnirel.zcore import REGION_ROWS
 
 
 class TestIsRationalPrime:
@@ -144,6 +148,52 @@ class TestCacheFile:
         table = ensure_table(50, path)
         assert table.primes[0] == 2
         assert PrimeTable.load(path).primes == table.primes
+
+    def write_primes(self, path, primes):
+        with open(path, "wb") as fh:
+            fh.write(CACHE_MAGIC + struct.pack(f"<{len(primes)}Q", *primes))
+
+    def test_composite_rejected(self, tmp_path):
+        path = str(tmp_path / "composite.bin")
+        primes = PrimeTable.sieve(100).primes
+        # 51 = 3 * 17 keeps the list ascending between 47 and 53
+        self.write_primes(path, [51 if p == 53 else p for p in primes])
+        with pytest.raises(ValueError, match="composite"):
+            PrimeTable.load(path)
+
+    def test_swapped_order_rejected(self, tmp_path):
+        path = str(tmp_path / "swapped.bin")
+        primes = PrimeTable.sieve(100).primes
+        primes[5], primes[6] = primes[6], primes[5]
+        self.write_primes(path, primes)
+        with pytest.raises(ValueError, match="ascend"):
+            PrimeTable.load(path)
+
+    def test_must_start_at_two(self, tmp_path):
+        path = str(tmp_path / "late.bin")
+        self.write_primes(path, PrimeTable.sieve(100).primes[1:])
+        with pytest.raises(ValueError, match="ascend"):
+            PrimeTable.load(path)
+
+    def test_large_cache_spot_check_catches_sampled_composite(self, tmp_path):
+        path = str(tmp_path / "big.bin")
+        primes = PrimeTable.sieve(20000).primes
+        primes[-1] += 2  # 19997 + 2 = 19999 = 7 * 2857, still ascending
+        self.write_primes(path, primes)
+        with pytest.raises(ValueError, match="composite"):
+            PrimeTable.load(path)
+
+    def test_ensure_table_recovers_from_bad_caches(self, tmp_path):
+        want = PrimeTable.sieve(100).primes
+        composite = [51 if p == 53 else p for p in want]
+        swapped = list(want)
+        swapped[5], swapped[6] = swapped[6], swapped[5]
+        for name, stored in (("composite", composite), ("swapped", swapped)):
+            path = str(tmp_path / f"{name}.bin")
+            self.write_primes(path, stored)
+            table = ensure_table(97, path)
+            assert table.primes == want, name
+            assert PrimeTable.load(path).primes == want, name
 
     def test_ensure_table_without_cache_path(self):
         assert ensure_table(30).primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -272,6 +322,69 @@ class TestGaussianPrimesIn:
         table = PrimeTable.sieve(1000)
         with_table = gaussian_primes_in(Region.OCTANT, 600, None, table)
         assert with_table == gaussian_primes_in(Region.OCTANT, 600)
+
+
+BOUNDS = (2, 3, 4, 10, 50, 1000, 2000)
+
+
+@pytest.fixture(scope="module")
+def divisor_checked_lattice():
+    """Every lattice point of norm below the largest bound that the
+    divisor sweep calls prime, sorted by (norm, re, im)."""
+    top = max(BOUNDS)
+    edge = isqrt(top)
+    out = [
+        (re * re + im * im, re, im)
+        for re in range(-edge, edge + 1)
+        for im in range(-edge, edge + 1)
+        if re * re + im * im < top and gaussian_prime_by_division(re, im)
+    ]
+    out.sort()
+    return out
+
+
+class TestGaussianPrimePool:
+    @pytest.mark.parametrize("region", list(Region))
+    @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN, None])
+    def test_matches_divisor_oracle(self, region, parity, divisor_checked_lattice):
+        for bound in BOUNDS:
+            want = [
+                (re, im, n)
+                for n, re, im in divisor_checked_lattice
+                if n < bound
+                and in_region(GaussianInt(re, im), region)
+                and (
+                    parity is None
+                    or ((re + im) % 2 == 1) == (parity is Parity.ODD)
+                )
+            ]
+            assert gaussian_prime_pool(region, bound, parity) == want, bound
+
+    def test_leaves_a_shared_table_unchanged(self):
+        want = gaussian_prime_pool(Region.PRIME_QUADRANT, 900)
+        table = PrimeTable.sieve(899)
+        assert gaussian_prime_pool(Region.PRIME_QUADRANT, 900, None, table) == want
+        # the pool marks q*q for inert q in its own copy of the flags only
+        assert not table.is_prime(9)
+        assert table.primes == PrimeTable.sieve(899).primes
+        short = PrimeTable.sieve(50)
+        assert gaussian_prime_pool(Region.PRIME_QUADRANT, 900, None, short) == want
+
+    def test_rejects_tiny_bound(self):
+        with pytest.raises(ValueError):
+            gaussian_prime_pool(Region.SECTOR, 1)
+
+
+class TestRegionRows:
+    @pytest.mark.parametrize("region", list(Region))
+    def test_rows_agree_with_in_region(self, region):
+        re_min, im_lo, im_hi = REGION_ROWS[region]
+        for re in range(-30, 31):
+            for im in range(-30, 31):
+                in_rows = re >= re_min and im_lo(re) <= im and (
+                    im_hi is None or im <= im_hi(re)
+                )
+                assert in_rows == in_region(GaussianInt(re, im), region), (re, im)
 
 
 class TestSectorGapStats:
