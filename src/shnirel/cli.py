@@ -45,8 +45,9 @@ from .ratdecomp import (
     SearchExhausted,
     hypothesis_scan,
     residue34_chain,
+    write_hypothesis_csv,
 )
-from .zcore import GaussianInt, Region
+from .zcore import GaussianInt, Region, in_region
 
 FORMATS = ("md", "csv", "json")
 PRIME_REGIONS = (
@@ -75,7 +76,10 @@ def _summary(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _emit(args, renderers: dict) -> None:
+def _emit(args, renderers: dict[str, Callable[[IO[str]], None]]) -> None:
+    """Write the payload with the renderer for args.format. Renderers
+    take the file and build their payload only when called, so the
+    formats not asked for cost nothing."""
     render = renderers[args.format]
     if args.out:
         with open(args.out, "w") as fh:
@@ -84,20 +88,14 @@ def _emit(args, renderers: dict) -> None:
         render(sys.stdout)
 
 
-def _json_writer(obj) -> Callable[[IO[str]], None]:
-    def write(fh: IO[str]) -> None:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-    return write
+def _write_json(obj, fh: IO[str]) -> None:
+    json.dump(obj, fh, sort_keys=True, indent=2)
+    fh.write("\n")
 
 
-def _lines_writer(lines: list[str]) -> Callable[[IO[str]], None]:
-    def write(fh: IO[str]) -> None:
-        for line in lines:
-            fh.write(line + "\n")
-
-    return write
+def _write_lines(lines: list[str], fh: IO[str]) -> None:
+    for line in lines:
+        fh.write(line + "\n")
 
 
 def _matrix_md(matrix) -> list[str]:
@@ -155,16 +153,33 @@ def _obstruction_md(report) -> list[str]:
     return lines
 
 
-def _hypothesis_md(report) -> list[str]:
+def _hypothesis_md(report) -> str:
     spec = report.spec
     exc = ", ".join(str(n) for n in report.exceptions) or "none"
-    return [
+    return (
         f"hypothesis {spec.index} (n = {spec.residue} mod 4, k = {spec.k}) "
         f"over [{report.lo}, {report.hi}]: "
         f"{len(report.rows)} targets, exceptions: {exc}, "
         f"max exception: {report.max_exception}, "
         f"c0 candidate: {report.c0_candidate}"
+    )
+
+
+def _regen_md(report) -> list[str]:
+    lines = [
+        f"{report.total} rows, {report.total - len(report.failures)} regenerated, "
+        f"{report.matches} match the stored witnesses"
     ]
+    for row in report.failures:
+        lines.append(f"failed: {row.target}")
+    return lines
+
+
+def _validation_md(validation) -> list[str]:
+    lines = [f"{validation.total} rows, {len(validation.failures)} failures"]
+    for i, reason in validation.failures:
+        lines.append(f"row {i}: {reason}")
+    return lines
 
 
 def cmd_sieve(args) -> int:
@@ -182,26 +197,28 @@ def cmd_sieve(args) -> int:
         _emit(
             args,
             {
-                "md": _lines_writer([str(p) for p in primes]),
-                "csv": _lines_writer(["n"] + [str(p) for p in primes]),
-                "json": _json_writer(primes),
+                "md": lambda fh: _write_lines([str(p) for p in primes], fh),
+                "csv": lambda fh: _write_lines(["n"] + [str(p) for p in primes], fh),
+                "json": lambda fh: _write_json(primes, fh),
             },
         )
     else:
         _emit(
             args,
             {
-                "md": _lines_writer(
+                "md": lambda fh: _write_lines(
                     [
                         f"{summary['count']} primes up to {args.limit}"
                         + (f" (mod 4 = {args.mod4})" if args.mod4 is not None else "")
                         + (f", cache {args.cache}" if args.cache else "")
-                    ]
+                    ],
+                    fh,
                 ),
-                "csv": _lines_writer(
-                    ["limit,count,largest", f"{args.limit},{summary['count']},{summary['largest']}"]
+                "csv": lambda fh: _write_lines(
+                    ["limit,count,largest", f"{args.limit},{summary['count']},{summary['largest']}"],
+                    fh,
                 ),
-                "json": _json_writer(summary),
+                "json": lambda fh: _write_json(summary, fh),
             },
         )
     _summary(f"primes: {summary['count']} up to {args.limit}")
@@ -215,17 +232,23 @@ def cmd_decompose(args) -> int:
     if args.chain:
         got = four_term_decompose(z, region, policy=policy)
         if got is None:
-            _summary(f"{z}: no split into at most four primes; counterexample candidate")
+            if in_region(z, region):
+                _summary(f"{z}: no split into at most four primes; counterexample candidate")
+            else:
+                _summary(
+                    f"{z}: outside the {region.value} cone, which holds every sum of "
+                    f"its primes; geometric obstruction"
+                )
             return 1
         dec, route = got
-        payload = dec.to_json_dict()
-        payload["route"] = route
         _emit(
             args,
             {
-                "md": _lines_writer(_decomposition_md(dec) + [f"route: {route}"]),
+                "md": lambda fh: _write_lines(
+                    _decomposition_md(dec) + [f"route: {route}"], fh
+                ),
                 "csv": lambda fh: write_decomposition_csv(dec, fh),
-                "json": _json_writer(payload),
+                "json": lambda fh: _write_json(dict(dec.to_json_dict(), route=route), fh),
             },
         )
         _summary(f"terms: {dec.k}, route: {route}")
@@ -239,9 +262,9 @@ def cmd_decompose(args) -> int:
     _emit(
         args,
         {
-            "md": _lines_writer(_decomposition_md(dec)),
+            "md": lambda fh: _write_lines(_decomposition_md(dec), fh),
             "csv": lambda fh: write_decomposition_csv(dec, fh),
-            "json": _json_writer(dec.to_json_dict()),
+            "json": lambda fh: _write_json(dec.to_json_dict(), fh),
         },
     )
     note = " (single: the target itself is prime)" if dec.k == 1 else ""
@@ -254,7 +277,7 @@ def _emit_matrix(args, matrix) -> int:
     _emit(
         args,
         {
-            "md": _lines_writer(_matrix_md(matrix)),
+            "md": lambda fh: _write_lines(_matrix_md(matrix), fh),
             "csv": lambda fh: write_matrix_csv(matrix, fh),
             "json": lambda fh: write_matrix_json(matrix, fh),
         },
@@ -291,7 +314,7 @@ def cmd_scan(args) -> int:
     _emit(
         args,
         {
-            "md": _lines_writer(_scan_md(report)),
+            "md": lambda fh: _write_lines(_scan_md(report), fh),
             "csv": lambda fh: write_scan_csv(report, fh),
             "json": lambda fh: write_scan_json(report, fh),
         },
@@ -305,7 +328,7 @@ def cmd_obstruction(args) -> int:
     _emit(
         args,
         {
-            "md": _lines_writer(_obstruction_md(report)),
+            "md": lambda fh: _write_lines(_obstruction_md(report), fh),
             "csv": lambda fh: write_obstruction_csv(report, fh),
             "json": lambda fh: write_obstruction_json(report, fh),
         },
@@ -320,23 +343,12 @@ def cmd_obstruction(args) -> int:
 def cmd_hypotheses(args) -> int:
     indices = [args.index] if args.index is not None else sorted(HYPOTHESES)
     reports = [hypothesis_scan(i, 1, args.upper) for i in indices]
-
-    def csv_writer(fh: IO[str]) -> None:
-        fh.write("n,residue,k,witness\n")
-        for report in reports:
-            for n, wit in report.rows:
-                cell = "EMPTY" if wit is None else "+".join(str(p) for p in wit)
-                fh.write(f"{n},{report.spec.residue},{report.spec.k},{cell}\n")
-
-    md_lines: list[str] = []
-    for report in reports:
-        md_lines.extend(_hypothesis_md(report))
     _emit(
         args,
         {
-            "md": _lines_writer(md_lines),
-            "csv": csv_writer,
-            "json": _json_writer([r.to_json_dict() for r in reports]),
+            "md": lambda fh: _write_lines([_hypothesis_md(r) for r in reports], fh),
+            "csv": lambda fh: write_hypothesis_csv(reports, fh),
+            "json": lambda fh: _write_json([r.to_json_dict() for r in reports], fh),
         },
     )
     _summary(
@@ -349,18 +361,24 @@ def cmd_hypotheses(args) -> int:
 
 def cmd_thm130(args) -> int:
     result = residue34_chain(args.n, args.c0 + 9)
-    terms = "+".join(str(t) for t in result.terms)
     _emit(
         args,
         {
-            "md": _lines_writer(
+            "md": lambda fh: _write_lines(
                 [
                     f"{result.n} = {' + '.join(str(t) for t in result.terms)} "
                     f"(m={result.m})"
-                ]
+                ],
+                fh,
             ),
-            "csv": _lines_writer(["n,m,witness", f"{result.n},{result.m},{terms}"]),
-            "json": _json_writer(result.to_json_dict()),
+            "csv": lambda fh: _write_lines(
+                [
+                    "n,m,witness",
+                    f"{result.n},{result.m},{'+'.join(str(t) for t in result.terms)}",
+                ],
+                fh,
+            ),
+            "json": lambda fh: _write_json(result.to_json_dict(), fh),
         },
     )
     _summary(f"{result.n}: {result.m} primes of the form 4t+3")
@@ -371,12 +389,6 @@ def cmd_tables(args) -> int:
     rows = golden_mod.load_golden()
     if args.regenerate:
         report = golden_mod.regenerate_tables(rows)
-        lines = [
-            f"{report.total} rows, {report.total - len(report.failures)} regenerated, "
-            f"{report.matches} match the stored witnesses"
-        ]
-        for row in report.failures:
-            lines.append(f"failed: {row.target}")
 
         def csv_writer(fh: IO[str]) -> None:
             fh.write("target,stored,regenerated\n")
@@ -390,9 +402,9 @@ def cmd_tables(args) -> int:
         _emit(
             args,
             {
-                "md": _lines_writer(lines),
+                "md": lambda fh: _write_lines(_regen_md(report), fh),
                 "csv": csv_writer,
-                "json": _json_writer(report.to_json_dict()),
+                "json": lambda fh: _write_json(report.to_json_dict(), fh),
             },
         )
         _summary(
@@ -402,9 +414,6 @@ def cmd_tables(args) -> int:
         return 0 if report.ok else 1
     validation = golden_mod.validate_golden(rows)
     typos = sum(1 for row in rows if row.note)
-    lines = [f"{validation.total} rows, {len(validation.failures)} failures"]
-    for i, reason in validation.failures:
-        lines.append(f"row {i}: {reason}")
 
     def csv_writer(fh: IO[str]) -> None:
         fh.write("row,reason\n")
@@ -414,9 +423,9 @@ def cmd_tables(args) -> int:
     _emit(
         args,
         {
-            "md": _lines_writer(lines),
+            "md": lambda fh: _write_lines(_validation_md(validation), fh),
             "csv": csv_writer,
-            "json": _json_writer(validation.to_json_dict()),
+            "json": lambda fh: _write_json(validation.to_json_dict(), fh),
         },
     )
     _summary(

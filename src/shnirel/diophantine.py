@@ -204,97 +204,13 @@ def solve_square_columns(a: int, b: int, max_terms: int = 6) -> SolutionMatrix:
     return SolutionMatrix.from_columns(SystemKind.SQUARE_COLUMNS, cols, None)
 
 
-def _prime_targets(n: int, k: int, pool: list[int], members: set[int]):
-    """Smallest non-decreasing k-tuple of pool primes summing to n."""
-    out: list[int] = []
-
-    def rec(rest: int, terms: int, lo: int) -> bool:
-        if terms == 1:
-            if (not out or rest >= out[-1]) and rest in members:
-                out.append(rest)
-                return True
-            return False
-        for i in range(lo, len(pool)):
-            p = pool[i]
-            if p * terms > rest:
-                break
-            out.append(p)
-            if rec(rest - p, terms - 1, i):
-                return True
-            out.pop()
-        return False
-
-    return tuple(out) if rec(n, k, 0) else None
-
-
-def _brute_gaussian(a: int, b: int, max_columns: int) -> SolutionMatrix | None:
-    pool = [
-        z
-        for z in gaussian_primes_in(
-            Region.PRIME_QUADRANT, a * a + b * b + 1, Parity.ODD
-        )
-        if z.re <= a and z.im <= b
-    ]
-    index = {(z.re, z.im): i for i, z in enumerate(pool)}
-    acc: list[GaussianInt] = []
-
-    def rec(ra: int, rb: int, terms: int, lo: int) -> bool:
-        if terms == 1:
-            i = index.get((ra, rb))
-            if i is not None and i >= lo:
-                acc.append(pool[i])
-                return True
-            return False
-        if 3 * terms > ra + rb:
-            return False
-        cap = ra * ra + rb * rb
-        for i in range(lo, len(pool)):
-            z = pool[i]
-            if z.norm() > cap:
-                break
-            if z.re > ra or z.im > rb:
-                continue
-            acc.append(z)
-            if rec(ra - z.re, rb - z.im, terms - 1, i):
-                return True
-            acc.pop()
-        return False
-
-    for k in range(1, max_columns + 1):
-        if k % 2 != (a + b) % 2:
-            continue
-        acc.clear()
-        if rec(a, b, k, 0):
-            cols = [(z.norm(), z.re, z.im) for z in acc]
-            return SolutionMatrix.from_columns(SystemKind.SQUARE_COLUMNS, cols, None)
-    return None
-
-
 def brute_force_matrix(
     a: int, b: int, kind: SystemKind, max_columns: int = 6
 ) -> SolutionMatrix | None:
     """Exhaustive reference search, independent of the closed-form
-    solvers, for cross-checking on small inputs."""
-    if a + b > BRUTE_FORCE_LIMIT:
-        raise BoundExceeded(f"exhaustive search is guarded at a + b <= {BRUTE_FORCE_LIMIT}")
-    if a < 0 or b < 0 or a + b == 0:
-        raise ValueError("need nonnegative a, b, not both zero")
-    if kind is SystemKind.SQUARE_COLUMNS:
-        return _brute_gaussian(a, b, max_columns)
-    n = a + b
-    table = PrimeTable.sieve(max(n, 8))
-    pool = [p for p in table.primes if p % 2]
-    members = set(pool)
-    widths = [4] if kind is SystemKind.FOUR_COLUMNS else range(1, max_columns + 1)
-    for k in widths:
-        if n % 2 != k % 2 or n < 3 * k:
-            continue
-        targets = _prime_targets(n, k, pool, members)
-        if targets is None:
-            continue
-        cols = _fill_second_row(tuple(reversed(targets)), b)
-        return SolutionMatrix.from_columns(kind, cols, None)
-    return None
+    solvers, for cross-checking on small inputs: the first matrix
+    brute_force_matrices yields, or None."""
+    return next(brute_force_matrices(a, b, kind, max_columns), None)
 
 
 def _prime_target_tuples(n: int, k: int, pool: list[int], members: set[int]):

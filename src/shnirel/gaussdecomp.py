@@ -118,122 +118,38 @@ def verify_decomposition(dec: Decomposition) -> None:
         raise ValueError(f"terms sum to {total}, not {dec.target}")
 
 
-def _geometric_cap(z: GaussianInt, region: Region) -> int:
+def _term_cap(cone, re: int, im: int, terms: int) -> tuple[int, int, int] | None:
+    """Bounds on one of `terms` cone members summing to re + im*i.
+
+    With rows n1.p >= c1 and n2.p >= c2, the other members take at least
+    (terms - 1) * c from each row, so every candidate p satisfies
+    c1 <= n1.p <= u and c2 <= n2.p <= v. Returns (u, v, cap), cap being
+    the largest norm over the corners of that parallelogram, or None when
+    it is empty. A corner n1.p = s, n2.p = t is p = (b2 s - b1 t,
+    a1 t - a2 s) / det, so norm * det^2 is exact in integers.
+    """
+    (a1, b1, c1), (a2, b2, c2) = cone
+    u = a1 * re + b1 * im - (terms - 1) * c1
+    v = a2 * re + b2 * im - (terms - 1) * c2
+    if u < c1 or v < c2:
+        return None
+    best = 0
+    for s, t in ((c1, c2), (c1, v), (u, c2), (u, v)):
+        x, y = b2 * s - b1 * t, a1 * t - a2 * s
+        if x * x + y * y > best:
+            best = x * x + y * y
+    return u, v, best // (a1 * b2 - a2 * b1) ** 2
+
+
+def _pool_bound(z: GaussianInt, region: Region, policy: NormPolicy) -> int:
     """Exclusive norm bound on any term of a sum of two or more region
-    members equal to z. Derived from componentwise monotonicity: every
-    region here forces re >= 0 (re >= 1 off the axes), so co-terms eat
-    real part, and the listed shapes bound the imaginary part."""
-    r, i = z.re, z.im
-    if region is Region.PRIME_QUADRANT:
-        return r * r + i * i if r >= 0 and i >= 0 else 0
-    if region is Region.SECTOR or region is Region.PRIME_SECTOR:
-        m = r - 1
-        return 2 * m * m + 1 if m > 0 else 0
-    if region is Region.QUADRANT:
-        m = r - 1
-        return m * m + i * i + 1 if m > 0 and i >= 0 else 0
-    if region is Region.OPEN_QUADRANT:
-        mr, mi = r - 1, i - 1
-        return mr * mr + mi * mi + 1 if mr > 0 and mi > 0 else 0
-    if region is Region.OCTANT:
-        m = r - 1
-        return 2 * m * m + 1 if m > 0 and i >= 0 else 0
-    if region is Region.PRIME_HALF:
-        if r < 0:
-            return 0
-        w = abs(i) + r
-        return r * r + w * w + 1
-    raise ValueError(f"unknown region {region!r}")
-
-
-# Per-node search rules. pair_cap gives the largest norm any of `terms`
-# region members summing to (re, im) may have, or -1 when the residual
-# is unreachable; fits says whether a candidate can be one of them.
-
-
-def _cap_kpi(re: int, im: int, terms: int) -> int:
-    if re < 0 or im < 0 or re + im < terms:
-        return -1
-    return re * re + im * im
-
-
-def _fits_kpi(pre: int, pim: int, re: int, im: int, terms: int) -> bool:
-    return pre <= re and pim <= im
-
-
-def _cap_sector(re: int, im: int, terms: int) -> int:
-    m = re - (terms - 1)
-    if m < 1:
-        return -1
-    return 2 * m * m
-
-
-def _fits_sector(pre: int, pim: int, re: int, im: int, terms: int) -> bool:
-    if pre > re - (terms - 1):
-        return False
-    rr, ri = re - pre, im - pim
-    # remaining sector members keep |im| bounded by their real parts
-    return -rr <= ri <= rr
-
-
-def _cap_quadrant(re: int, im: int, terms: int) -> int:
-    if im < 0:
-        return -1
-    m = re - (terms - 1)
-    if m < 1:
-        return -1
-    return m * m + im * im
-
-
-def _fits_quadrant(pre: int, pim: int, re: int, im: int, terms: int) -> bool:
-    return pre <= re - (terms - 1) and pim <= im
-
-
-def _cap_open_quadrant(re: int, im: int, terms: int) -> int:
-    mr = re - (terms - 1)
-    mi = im - (terms - 1)
-    if mr < 1 or mi < 1:
-        return -1
-    return mr * mr + mi * mi
-
-
-def _fits_open_quadrant(pre: int, pim: int, re: int, im: int, terms: int) -> bool:
-    return pre <= re - (terms - 1) and pim <= im - (terms - 1)
-
-
-def _cap_octant(re: int, im: int, terms: int) -> int:
-    if im < 0 or im > re:
-        return -1
-    m = re - (terms - 1)
-    if m < 1:
-        return -1
-    return 2 * m * m
-
-
-def _fits_octant(pre: int, pim: int, re: int, im: int, terms: int) -> bool:
-    return pre <= re - (terms - 1) and pim <= im and im - pim <= re - pre
-
-
-def _cap_spi(re: int, im: int, terms: int) -> int:
-    if re < 0 or re + im < terms:
-        return -1
-    w = abs(im) + re
-    return re * re + w * w
-
-
-def _fits_spi(pre: int, pim: int, re: int, im: int, terms: int) -> bool:
-    return pre <= re and pre + pim <= re + im - (terms - 1)
-
-
-_RULES = {
-    Region.PRIME_QUADRANT: (_cap_kpi, _fits_kpi),
-    Region.SECTOR: (_cap_sector, _fits_sector),
-    Region.PRIME_SECTOR: (_cap_sector, _fits_sector),
-    Region.QUADRANT: (_cap_quadrant, _fits_quadrant),
-    Region.OPEN_QUADRANT: (_cap_open_quadrant, _fits_open_quadrant),
-    Region.OCTANT: (_cap_octant, _fits_octant),
-    Region.PRIME_HALF: (_cap_spi, _fits_spi),
-}
+    members equal to z. Each row's c is at least 0, so more terms only
+    shrink the parallelogram of two."""
+    got = _term_cap(region.cone, z.re, z.im, 2)
+    bound = 0 if got is None else got[2] + 1
+    if policy is NormPolicy.STRICT_LESS:
+        bound = min(bound, z.norm())
+    return bound
 
 
 # (region, parity) -> (bound, pool, index); pools hold (re, im, norm)
@@ -259,12 +175,12 @@ def _dfs(
     k: int,
     pool: list,
     index: dict,
-    region: Region,
+    cone,
     cap: int,
 ) -> tuple[int, ...] | None:
     """Indices of the lexicographically first non-decreasing k-tuple of
     pool entries summing to the target, all norms below cap."""
-    pair_cap, fits = _RULES[region]
+    (a1, b1, _), (a2, b2, _) = cone
     acc: list[int] = []
 
     def rec(re: int, im: int, terms: int, lo: int) -> bool:
@@ -274,14 +190,17 @@ def _dfs(
                 acc.append(i)
                 return True
             return False
-        stop = pair_cap(re, im, terms)
+        got = _term_cap(cone, re, im, terms)
+        if got is None:
+            return False
+        u, v, stop = got
         if stop > cap - 1:
             stop = cap - 1
         for i in range(lo, len(pool)):
             pre, pim, pn = pool[i]
             if pn > stop:
                 break
-            if not fits(pre, pim, re, im, terms):
+            if a1 * pre + b1 * pim > u or a2 * pre + b2 * pim > v:
                 continue
             acc.append(i)
             if rec(re - pre, im - pim, terms - 1, i):
@@ -323,9 +242,7 @@ def find_decomposition(
         return Decomposition(z, (sector_form(z),), region, policy, parity_filter)
     if max_terms == 1:
         return None
-    cap = _geometric_cap(z, region)
-    if policy is NormPolicy.STRICT_LESS:
-        cap = min(cap, z.norm())
+    cap = _pool_bound(z, region, policy)
     if cap <= 2:
         return None
     pool, index = _pool_for(region, parity_filter, cap)
@@ -334,7 +251,7 @@ def find_decomposition(
             continue
         if parity_filter is Parity.EVEN and parity_of(z) is Parity.ODD:
             break
-        got = _dfs(z.re, z.im, k, pool, index, region, cap)
+        got = _dfs(z.re, z.im, k, pool, index, region.cone, cap)
         if got is not None:
             summands = [GaussianInt(pool[i][0], pool[i][1]) for i in got]
             summands.sort(key=GaussianInt.key, reverse=True)
@@ -352,14 +269,12 @@ def region_targets(
     top = isqrt(norm_bound)
     out = []
     for re in range(-top, top + 1):
-        rr = re * re
-        for im in range(-top, top + 1):
-            n = rr + im * im
-            if n == 0 or n > norm_bound:
+        reach = isqrt(norm_bound - re * re)
+        lo, hi = region.im_span(re, -reach, reach)
+        for im in range(lo, hi + 1):
+            if re == 0 and im == 0:
                 continue
             z = GaussianInt(re, im)
-            if not in_region(z, region):
-                continue
             if parity_filter is not None and parity_of(z) is not parity_filter:
                 continue
             out.append(z)
@@ -385,14 +300,13 @@ def box_targets(
         raise ValueError("empty component range")
     out = []
     for re in range(re_lo, re_hi + 1):
-        for im in range(im_lo, im_hi + 1):
+        lo, hi = region.im_span(re, im_lo, im_hi)
+        for im in range(lo, hi + 1):
             if re == 0 and im == 0:
                 continue
             if max(re, im) < min_max_component:
                 continue
-            z = GaussianInt(re, im)
-            if in_region(z, region):
-                out.append(z)
+            out.append(GaussianInt(re, im))
     out.sort(key=GaussianInt.key)
     return out
 
@@ -491,12 +405,7 @@ def scan_targets(
     workers = _worker_count(jobs, len(targets))
     parity_name = None if parity_filter is None else parity_filter.name
     # warm the shared pool before forking so workers inherit it
-    worst = 0
-    for z in targets:
-        c = _geometric_cap(z, term_region)
-        if policy is NormPolicy.STRICT_LESS:
-            c = min(c, z.norm())
-        worst = max(worst, c)
+    worst = max((_pool_bound(z, term_region, policy) for z in targets), default=0)
     if worst > 2:
         _pool_for(term_region, parity_filter, worst)
     pairs = [(z.re, z.im) for z in targets]
@@ -618,20 +527,24 @@ def verify_diagonal_obstruction(bound: int, max_terms: int = 6) -> ObstructionRe
     """Enumerate every sum of up to max_terms odd sector primes with real
     part at most bound and record the smallest re - im per term count.
 
-    The pool comes straight from the primality predicate on the lattice,
-    and the sweep never assumes the inequality it is checking: sums are
-    dropped only when their real part passes the bound, and real parts
-    grow monotonically, so no qualifying sum is lost.
+    The pool is every odd sector prime with real part at most bound (so
+    norm at most 2 * bound^2), read off the sieve and sorted by (re, im)
+    so the sweep can stop at the first prime that leaves no room. The
+    sweep never assumes the inequality it is checking: sums are dropped
+    only when their real part passes the bound, and real parts grow
+    monotonically, so no qualifying sum is lost.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    pool: list[tuple[int, int]] = []
-    for re in range(1, bound + 1):
-        for im in range(-re + 1, re + 1):
-            if (re + im) % 2 and is_gaussian_prime(GaussianInt(re, im)):
-                pool.append((re, im))
+    pool = sorted(
+        (re, im)
+        for re, im, _ in gaussian_prime_pool(
+            Region.PRIME_SECTOR, 2 * bound * bound + 1, Parity.ODD
+        )
+        if re <= bound
+    )
     levels: list[tuple[int, int, int]] = []
     violations: list[tuple[int, GaussianInt]] = []
     current: set[tuple[int, int]] = set(pool)

@@ -10,7 +10,7 @@ from itertools import compress
 from math import isqrt
 from operator import lt
 
-from .zcore import REGION_ROWS, GaussianInt, Parity, Region
+from .zcore import GaussianInt, Parity, Region
 
 # Witness set is deterministic for every n below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -223,18 +223,17 @@ def gaussian_prime_pool(
         prime_norm = table._flags[: limit + 1]
     else:
         prime_norm = _sieve_flags(limit)
-    for q in range(3, isqrt(limit) + 1, 4):
+    top = isqrt(limit)
+    for q in range(3, top + 1, 4):
         if prime_norm[q]:
             prime_norm[q * q] = 1
-    re_min, im_lo, im_hi = REGION_ROWS[region]
     step = 1 if parity_filter is None else 2
     odd = parity_filter is Parity.ODD
     found: list[tuple[int, int, int]] = []
-    for re in range(re_min, isqrt(limit) + 1):
+    for re in range(-top, top + 1):
         rr = re * re
         reach = isqrt(limit - rr)
-        lo = max(im_lo(re), -reach)
-        hi = reach if im_hi is None else min(im_hi(re), reach)
+        lo, hi = region.im_span(re, -reach, reach)
         if step == 2 and (re + lo) % 2 != odd:
             lo += 1
         found += [

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Sequence
 
 from .primes import PrimeTable
 
@@ -202,11 +202,13 @@ def hypothesis_scan(index: int, lo: int, hi: int) -> HypothesisReport:
     return HypothesisReport(spec, lo, hi, tuple(rows), tuple(exceptions))
 
 
-def write_hypothesis_csv(report: HypothesisReport, fh: IO[str]) -> None:
+def write_hypothesis_csv(reports: Sequence[HypothesisReport], fh: IO[str]) -> None:
+    """One header, then the rows of every report in the order given."""
     fh.write("n,residue,k,witness\n")
-    for n, wit in report.rows:
-        cell = "EMPTY" if wit is None else "+".join(str(p) for p in wit)
-        fh.write(f"{n},{report.spec.residue},{report.spec.k},{cell}\n")
+    for report in reports:
+        for n, wit in report.rows:
+            cell = "EMPTY" if wit is None else "+".join(str(p) for p in wit)
+            fh.write(f"{n},{report.spec.residue},{report.spec.k},{cell}\n")
 
 
 def write_hypothesis_json(report: HypothesisReport, fh: IO[str]) -> None:

@@ -114,14 +114,6 @@ ONE = GaussianInt(1, 0)
 IMAG = GaussianInt(0, 1)
 
 
-def add(x: GaussianInt, y: GaussianInt) -> GaussianInt:
-    return x + y
-
-
-def norm(z: GaussianInt) -> int:
-    return z.norm()
-
-
 def parity(z: GaussianInt) -> Parity:
     # z is divisible by 1+i exactly when re+im is even
     return Parity.ODD if (z.re + z.im) % 2 else Parity.EVEN
@@ -146,47 +138,44 @@ class Region(Enum):
     PRIME_SECTOR    same predicate as SECTOR; one associate per prime class
     PRIME_QUADRANT  re >= 0 and im >= 0
     PRIME_HALF      re >= 0 and im > -re
+
+    Each region is stored once, as its cone: two rows (a, b, c), each
+    meaning a*re + b*im >= c. Every c is at least 0, so a sum of k
+    members is a member whose rows reach at least k*c.
     """
 
-    SECTOR = "sector"
-    QUADRANT = "quadrant"
-    OPEN_QUADRANT = "a"
-    OCTANT = "octant"
-    PRIME_SECTOR = "gammapi"
-    PRIME_QUADRANT = "kpi"
-    PRIME_HALF = "spi"
+    SECTOR = ("sector", (1, 1, 1), (1, -1, 0))
+    QUADRANT = ("quadrant", (1, 0, 1), (0, 1, 0))
+    OPEN_QUADRANT = ("a", (1, 0, 1), (0, 1, 1))
+    OCTANT = ("octant", (0, 1, 0), (1, -1, 0))
+    PRIME_SECTOR = ("gammapi", (1, 1, 1), (1, -1, 0))
+    PRIME_QUADRANT = ("kpi", (1, 0, 0), (0, 1, 0))
+    PRIME_HALF = ("spi", (1, 0, 0), (1, 1, 1))
+
+    def __new__(cls, value: str, row1: tuple, row2: tuple) -> "Region":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.cone = (row1, row2)
+        return member
+
+    def im_span(self, re: int, lo: int, hi: int) -> tuple[int, int]:
+        """The part of the lattice row re, lo <= im <= hi, inside the
+        region, as (lowest im, highest im); empty when lowest > highest."""
+        for a, b, c in self.cone:
+            rest = c - a * re  # the row reads b*im >= rest
+            if b > 0:
+                lo = max(lo, -(-rest // b))
+            elif b < 0:
+                hi = min(hi, rest // b)
+            elif rest > 0:
+                return lo, lo - 1
+        return lo, hi
 
 
 def in_region(z: GaussianInt, region: Region) -> bool:
+    (a1, b1, c1), (a2, b2, c2) = region.cone
     r, i = z.re, z.im
-    if region is Region.SECTOR or region is Region.PRIME_SECTOR:
-        return r > 0 and -r < i <= r
-    if region is Region.QUADRANT:
-        return r > 0 and i >= 0
-    if region is Region.OPEN_QUADRANT:
-        return r > 0 and i > 0
-    if region is Region.OCTANT:
-        return 0 <= i <= r
-    if region is Region.PRIME_QUADRANT:
-        return r >= 0 and i >= 0
-    if region is Region.PRIME_HALF:
-        return r >= 0 and i > -r
-    raise ValueError(f"unknown region {region!r}")
-
-
-# The same regions as lattice rows: (least re, lowest im in row re,
-# highest im in row re or None when the row is unbounded above). Every
-# region lies in re >= 0, so sweeping re upward from the least value
-# visits each member once.
-REGION_ROWS = {
-    Region.SECTOR: (1, lambda r: 1 - r, lambda r: r),
-    Region.QUADRANT: (1, lambda r: 0, None),
-    Region.OPEN_QUADRANT: (1, lambda r: 1, None),
-    Region.OCTANT: (0, lambda r: 0, lambda r: r),
-    Region.PRIME_SECTOR: (1, lambda r: 1 - r, lambda r: r),
-    Region.PRIME_QUADRANT: (0, lambda r: 0, None),
-    Region.PRIME_HALF: (0, lambda r: 1 - r, None),
-}
+    return a1 * r + b1 * i >= c1 and a2 * r + b2 * i >= c2
 
 
 def associates(z: GaussianInt) -> tuple[GaussianInt, GaussianInt, GaussianInt, GaussianInt]:

@@ -78,3 +78,16 @@ def min_split_into(n: int, k: int, pool: list[int]) -> tuple[int, ...] | None:
         return None
 
     return rec(n, k, 0, ())
+
+
+# The predicates of the Region docstring, written out literally and keyed
+# by CLI token, so region tests never lean on the library's cone rows.
+REGION_PREDICATES = {
+    "sector": lambda re, im: re > 0 and -re < im <= re,
+    "quadrant": lambda re, im: re > 0 and im >= 0,
+    "a": lambda re, im: re > 0 and im > 0,
+    "octant": lambda re, im: 0 <= im <= re,
+    "gammapi": lambda re, im: re > 0 and -re < im <= re,
+    "kpi": lambda re, im: re >= 0 and im >= 0,
+    "spi": lambda re, im: re >= 0 and im > -re,
+}

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: arguments, formats, exit codes."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -109,6 +110,14 @@ class TestDecompose:
         assert data["region"] == "gammapi"
         assert [t["summand"] for t in data["terms"]] == ["25+6i", "3"]
         assert err == "terms: 2, route: shift-3"
+
+    def test_chain_off_cone_is_a_geometric_obstruction(self, capsys):
+        # a sum of gammapi primes keeps re - im >= 0, so 5+7i is out of reach
+        code, out, err = run(capsys, "decompose", "--z", "5,7", "--chain")
+        assert code == 1
+        assert out == ""
+        assert "geometric obstruction" in err
+        assert "counterexample" not in err
 
     def test_chain_gate_exits_two(self, capsys):
         code, _, err = run(capsys, "decompose", "--z", "3", "--chain")
@@ -233,6 +242,55 @@ class TestScan:
             "--primes", "kpi",
         )
         assert code == 2
+
+
+# sha256 of the reports, recorded before the regions were derived from
+# their cone rows; the box holds targets on both sides of every cone.
+SCAN_DIGESTS = {
+    ("gammapi", False, "md"): "e84abbeef7a96f6b8961ba6a7f1e2bcb47753a05352fa02fb7fc23d0ca8fb7c5",
+    ("gammapi", False, "csv"): "cf542d7c084e1b75b01f7f822e368bd53c6fcfabcdfe2485f59bebe6ab077815",
+    ("gammapi", False, "json"): "6902ebda7972d85dd2ae353fa5f608de47f99a0da425dfcce31571f9fb5f6b73",
+    ("gammapi", True, "md"): "4cb1ac50887b8b19e656a89827d875a26e299f29880ef279f45605988e3b38e5",
+    ("gammapi", True, "csv"): "e69a4efd8d3410fe16d35315bce487d3fdb07f03da023360c465c8bdd028d0ac",
+    ("gammapi", True, "json"): "1222205d470d7316bdd972815c80a5a6b0e5c5a8448001e11cad6565f7b41ec7",
+    ("kpi", False, "md"): "d1b27697b606c5619005bd272c29913dc6e83dc8c446e2a1d0e03141d2a1ee2e",
+    ("kpi", False, "csv"): "a7c8485ff881ca3baeef14105bed8c98b32dce2606acc9f0f1a480e4ba807537",
+    ("kpi", False, "json"): "26693fe41d86dba574fc4b550d76c5c1086f0a90915b208dca46ea29b803b4ec",
+    ("kpi", True, "md"): "4620e2f13503815d1c0c97bcbd0744bf8b2073d37d6e54f4e6f77f913a469bee",
+    ("kpi", True, "csv"): "c608cdcb0e2ce2d367165a786a04854a876ae93d2370f18ebfbd1c898e74d9ce",
+    ("kpi", True, "json"): "8f5a8627438ef51c427349cf2232eb9a1942593c525d6ad6094a551e7eea804d",
+    ("spi", False, "md"): "585f1192c4c938d7c0bdbe1b16865247d949e2eddf331c7eb126cbe89c6e4d54",
+    ("spi", False, "csv"): "c71c7ad99ec2f96b5fdce3e51c7a706e0e947658bb49f023abfabf8e87253246",
+    ("spi", False, "json"): "1e648c23501cfd1e287cb819643d812529cd7044531696684de19654c532858d",
+    ("spi", True, "md"): "bdfce807bd2be3a7171cdc5b7c229fcccdf3300c2afefc4d701471938fdaf2cc",
+    ("spi", True, "csv"): "7d221998763391422210e1180ae3586f30d50a4b42f57b6d510310cc4d4dfc07",
+    ("spi", True, "json"): "0de693ab0264af03c1734ba0651aa89eec4410d731c97a68c497f1b227f01254",
+}
+OBSTRUCTION_DIGESTS = {
+    "md": "031fa899345bc4e3ef5a9e507403e01d14cf526da989fc4227835a217c5a9b2d",
+    "csv": "78025cd64541726d08a585d2ce5f85fc9a3908ee4d832f2d69e6232d5c601cef",
+    "json": "8543a65110da3167dc7ada2d84e45c51753ba0c434b3839d61b09690a6e4dc27",
+}
+
+
+class TestReportDigests:
+    def test_reports_are_byte_identical(self, capsys, tmp_path):
+        path = tmp_path / "report"
+        got = {}
+        for primes, strict, fmt in SCAN_DIGESTS:
+            argv = ["scan", "--targets", "spi", "--re=0..29", "--im=-14..15",
+                    "--primes", primes, "--format", fmt, "--out", str(path)]
+            code, _, _ = run(capsys, *(argv + ["--strict-norm"] * strict))
+            assert code == 1
+            got[primes, strict, fmt] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == SCAN_DIGESTS
+        got = {}
+        for fmt in OBSTRUCTION_DIGESTS:
+            code, _, _ = run(capsys, "obstruction", "--bound", "30",
+                             "--format", fmt, "--out", str(path))
+            assert code == 0
+            got[fmt] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == OBSTRUCTION_DIGESTS
 
 
 class TestObstruction:

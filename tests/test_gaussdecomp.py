@@ -8,6 +8,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from oracles import REGION_PREDICATES, gaussian_prime_by_division
+
 from shnirel import (
     BaseCaseError,
     Decomposition,
@@ -119,42 +121,65 @@ class TestFindDecomposition:
             find_decomposition(GaussianInt(5, 0), KPI, 0)
 
 
+def check_against_enumeration(region, policy, pool, targets):
+    """Exhaustive check of both minimality and witness choice.
+
+    The oracle walks combinations of the ascending prime pool, so the
+    first admissible tuple it files for a sum is the lexicographically
+    smallest non-decreasing one at the smallest k. The strict policy
+    admits a tuple only when its largest norm, the last, is below the
+    norm of the sum."""
+    pool = sorted(pool, key=GaussianInt.key)
+    targets = set(targets)
+    best = {}
+    for k in (1, 2, 3):
+        for combo in combinations_with_replacement(pool, k):
+            z = (sum(c.re for c in combo), sum(c.im for c in combo))
+            if z not in targets or z in best:
+                continue
+            if policy is NormPolicy.STRICT_LESS and combo[-1].norm() >= z[0] ** 2 + z[1] ** 2:
+                continue
+            best[z] = (k, combo)
+    for re, im in targets:
+        dec = find_decomposition(GaussianInt(re, im), region, 3, policy)
+        want = best.get((re, im))
+        if dec is None:
+            assert want is None, (re, im)
+            continue
+        assert want is not None, (re, im)
+        assert dec.k == want[0], (re, im)
+        assert sorted(dec.summands(), key=GaussianInt.key) == list(want[1]), (re, im)
+
+
 class TestCanonicalMinimality:
     def test_first_quadrant_box_matches_enumeration(self):
-        """Exhaustive check of both minimality and witness choice.
-
-        The oracle walks combinations of the ascending prime pool, so
-        the first tuple it files for a sum is the lexicographically
-        smallest non-decreasing one at the smallest k."""
         pool = [
             z
             for z in gaussian_primes_in(KPI, 1801, Parity.ODD)
             if z.re <= 30 and z.im <= 30
         ]
-        best = {}
-        for k in (1, 2, 3):
-            for combo in combinations_with_replacement(pool, k):
-                sre = sum(c.re for c in combo)
-                sim = sum(c.im for c in combo)
-                if sre > 30 or sim > 30:
-                    continue
-                best.setdefault((sre, sim), (k, combo))
-        for re in range(0, 31):
-            for im in range(0, 31):
-                if re == 0 and im == 0:
-                    continue
-                dec = find_decomposition(
-                    GaussianInt(re, im), KPI, 3, NormPolicy.NONE
-                )
-                want = best.get((re, im))
-                if dec is None:
-                    assert want is None, (re, im)
-                    continue
-                assert want is not None, (re, im)
-                assert dec.k == want[0], (re, im)
-                assert sorted(dec.summands(), key=GaussianInt.key) == sorted(
-                    want[1], key=GaussianInt.key
-                ), (re, im)
+        targets = [(re, im) for re in range(31) for im in range(31) if re or im]
+        check_against_enumeration(KPI, NormPolicy.NONE, pool, targets)
+
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    @pytest.mark.parametrize("region", list(Region))
+    def test_every_region_matches_enumeration(self, region, policy):
+        """Targets re in [-2, 12], im in [-12, 12]. Every region lies in
+        re >= 0 and holds the sums of its members, so a term p of a sum
+        equal to z has 0 <= p.re <= z.re, and each docstring predicate
+        then keeps p.im within [-12, 24]; the pool is every odd prime
+        there, proved by trial division."""
+        member = REGION_PREDICATES[region.value]
+        pool = [
+            GaussianInt(re, im)
+            for re in range(0, 13)
+            for im in range(-12, 25)
+            if (re + im) % 2 and member(re, im) and gaussian_prime_by_division(re, im)
+        ]
+        targets = [
+            (re, im) for re in range(-2, 13) for im in range(-12, 13) if re or im
+        ]
+        check_against_enumeration(region, policy, pool, targets)
 
 
 class TestSoundnessSweep:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import gaussian_prime_by_division, trial_prime
+from oracles import REGION_PREDICATES, gaussian_prime_by_division, trial_prime
 from shnirel import (
     GaussianInt,
     Parity,
@@ -20,14 +20,12 @@ from shnirel import (
     ensure_table,
     gaussian_prime_pool,
     gaussian_primes_in,
-    in_region,
     is_gaussian_prime,
     is_rational_prime,
     sector_gap_stats,
     two_squares,
 )
 from shnirel.primes import CACHE_MAGIC
-from shnirel.zcore import REGION_ROWS
 
 
 class TestIsRationalPrime:
@@ -270,9 +268,10 @@ def lattice_primes(region, norm_bound):
         for im in range(-edge, edge + 1):
             if re * re + im * im >= norm_bound:
                 continue
-            z = GaussianInt(re, im)
-            if in_region(z, region) and gaussian_prime_by_division(re, im):
-                out.append(z)
+            if REGION_PREDICATES[region.value](re, im) and gaussian_prime_by_division(
+                re, im
+            ):
+                out.append(GaussianInt(re, im))
     out.sort(key=GaussianInt.key)
     return out
 
@@ -352,7 +351,7 @@ class TestGaussianPrimePool:
                 (re, im, n)
                 for n, re, im in divisor_checked_lattice
                 if n < bound
-                and in_region(GaussianInt(re, im), region)
+                and REGION_PREDICATES[region.value](re, im)
                 and (
                     parity is None
                     or ((re + im) % 2 == 1) == (parity is Parity.ODD)
@@ -378,13 +377,14 @@ class TestGaussianPrimePool:
 class TestRegionRows:
     @pytest.mark.parametrize("region", list(Region))
     def test_rows_agree_with_in_region(self, region):
-        re_min, im_lo, im_hi = REGION_ROWS[region]
-        for re in range(-30, 31):
-            for im in range(-30, 31):
-                in_rows = re >= re_min and im_lo(re) <= im and (
-                    im_hi is None or im <= im_hi(re)
-                )
-                assert in_rows == in_region(GaussianInt(re, im), region), (re, im)
+        """Each lattice row derived from the cone holds exactly the
+        members the docstring predicate admits, inside any window."""
+        member = REGION_PREDICATES[region.value]
+        for lo, hi in ((-30, 30), (3, 7), (-9, -2)):
+            for re in range(-30, 31):
+                want = [im for im in range(lo, hi + 1) if member(re, im)]
+                first, last = region.im_span(re, lo, hi)
+                assert list(range(first, last + 1)) == want, (re, lo, hi)
 
 
 class TestSectorGapStats:

@@ -217,7 +217,7 @@ class TestHypothesisScan:
     def test_csv_writer(self):
         report = hypothesis_scan(1, 1, 20)
         buf = io.StringIO()
-        write_hypothesis_csv(report, buf)
+        write_hypothesis_csv([report], buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "n,residue,k,witness"
         assert lines[1] == "2,2,2,EMPTY"

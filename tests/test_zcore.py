@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import REGION_PREDICATES
 from shnirel.zcore import (
     COMPONENT_BOUND,
     GaussianInt,
@@ -139,6 +140,13 @@ class TestRegions:
         ]
         for region, (re, im), expected in cases:
             assert in_region(GaussianInt(re, im), region) is expected, (region, re, im)
+
+    @pytest.mark.parametrize("region", list(Region))
+    def test_cone_matches_docstring_predicate(self, region):
+        member = REGION_PREDICATES[region.value]
+        for re in range(-30, 31):
+            for im in range(-30, 31):
+                assert in_region(GaussianInt(re, im), region) is member(re, im), (re, im)
 
     def test_cli_names(self):
         assert Region("gammapi") is Region.PRIME_SECTOR
