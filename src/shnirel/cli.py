@@ -524,7 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
     obs = commands.add_parser(
         "obstruction", help="exhaustively confirm the diagonal gap of sector prime sums"
     )
-    obs.add_argument("--bound", type=int, required=True, help="largest real part to sweep")
+    obs.add_argument(
+        "--bound", type=int, required=True, help="largest real part to sweep, at most 500"
+    )
     obs.add_argument("--max-terms", type=int, default=6)
     _add_output_options(obs)
     obs.set_defaults(func=cmd_obstruction)

@@ -10,7 +10,6 @@ remainder.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -211,6 +210,91 @@ def _dfs(
     return tuple(acc) if rec(t_re, t_im, k, 0) else None
 
 
+def _single(
+    z: GaussianInt, region: Region, policy: NormPolicy, parity_filter: Parity | None
+) -> Decomposition | None:
+    """z as its own one-term decomposition, when the policy allows it and
+    z is a region prime of the filtered parity."""
+    if (
+        policy is not NormPolicy.STRICT_LESS
+        and in_region(z, region)
+        and (parity_filter is None or parity_of(z) is parity_filter)
+        and is_gaussian_prime(z)
+    ):
+        return Decomposition(z, (sector_form(z),), region, policy, parity_filter)
+    return None
+
+
+def _witness(
+    z: GaussianInt,
+    k: int,
+    region: Region,
+    policy: NormPolicy,
+    parity_filter: Parity | None,
+    cap: int,
+) -> Decomposition | None:
+    """The canonical k-term decomposition of z into pool primes of norm
+    below cap, or None."""
+    pool, index = _pool_for(region, parity_filter, cap)
+    got = _dfs(z.re, z.im, k, pool, index, region.cone, cap)
+    if got is None:
+        return None
+    summands = [GaussianInt(pool[i][0], pool[i][1]) for i in got]
+    summands.sort(key=GaussianInt.key, reverse=True)
+    terms = tuple(sector_form(s) for s in summands)
+    return Decomposition(z, terms, region, policy, parity_filter)
+
+
+def _sumsets(
+    points,
+    region: Region,
+    re_lo: int,
+    re_hi: int,
+    im_lo: int,
+    im_hi: int,
+    max_terms: int,
+) -> tuple[int, list[int]]:
+    """The k-fold sumsets, k = 1, 2, ..., max_terms, of the points
+    (re, im, ...) inside a window: rows re_lo..re_hi, each cut to
+    region.im_span(re, im_lo, im_hi).
+
+    Sums that leave the window are dropped, so a sum is kept exactly when
+    some order of its terms keeps every partial sum inside; callers pick
+    windows that hold every partial sum they ask about. Level k is one
+    int holding re + im*i at bit (re - re_lo) * width + im - im_lo, and
+    level k + 1 ORs level k shifted by re * width + im for every point.
+    Each row carries pad spare bits past im_hi, pad being the largest
+    |im| of a point: a shift by a point with im >= 0 lands in the row's
+    own spare bits at worst, one with im < 0 in the spare bits of the
+    row below, and the mask clears both. Returns (width, levels); the
+    levels stop at the first empty one.
+    """
+    spans = {re: region.im_span(re, im_lo, im_hi) for re in range(re_lo, re_hi + 1)}
+    inside = [
+        (re, im)
+        for re, im, *_ in points
+        if re in spans and spans[re][0] <= im <= spans[re][1]
+    ]
+    width = im_hi - im_lo + 1 + max((abs(im) for _, im in inside), default=0)
+    mask = level = 0
+    for re, (lo, hi) in spans.items():
+        if lo <= hi:
+            mask |= ((1 << (hi - lo + 1)) - 1) << ((re - re_lo) * width + lo - im_lo)
+    for re, im in inside:
+        level |= 1 << ((re - re_lo) * width + im - im_lo)
+    shifts = [re * width + im for re, im in inside]
+    levels: list[int] = []
+    while level:
+        levels.append(level)
+        if len(levels) == max_terms:
+            break
+        nxt = 0
+        for sh in shifts:
+            nxt |= level << sh if sh >= 0 else level >> -sh
+        level = nxt & mask
+    return width, levels
+
+
 def find_decomposition(
     z: GaussianInt,
     region: Region,
@@ -232,31 +316,23 @@ def find_decomposition(
         raise ValueError("target must be nonzero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    if (
-        include_single
-        and policy is not NormPolicy.STRICT_LESS
-        and in_region(z, region)
-        and (parity_filter is None or parity_of(z) is parity_filter)
-        and is_gaussian_prime(z)
-    ):
-        return Decomposition(z, (sector_form(z),), region, policy, parity_filter)
+    if include_single:
+        dec = _single(z, region, policy, parity_filter)
+        if dec is not None:
+            return dec
     if max_terms == 1:
         return None
     cap = _pool_bound(z, region, policy)
     if cap <= 2:
         return None
-    pool, index = _pool_for(region, parity_filter, cap)
     for k in range(2, max_terms + 1):
         if parity_filter is Parity.ODD and not congruent_mod_one_plus_i(z, k):
             continue
         if parity_filter is Parity.EVEN and parity_of(z) is Parity.ODD:
             break
-        got = _dfs(z.re, z.im, k, pool, index, region.cone, cap)
-        if got is not None:
-            summands = [GaussianInt(pool[i][0], pool[i][1]) for i in got]
-            summands.sort(key=GaussianInt.key, reverse=True)
-            terms = tuple(sector_form(s) for s in summands)
-            return Decomposition(z, terms, region, policy, parity_filter)
+        dec = _witness(z, k, region, policy, parity_filter, cap)
+        if dec is not None:
+            return dec
     return None
 
 
@@ -363,14 +439,104 @@ class ScanReport:
         }
 
 
+def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
+    """(re_lo, re_hi, im_lo, im_hi): the least box holding the targets
+    re + im*i and their parallelograms c1 <= n1.s <= u, c2 <= n2.s <= v,
+    given as parallel sequences of re, im, u and v.
+
+    A corner n1.s = s, n2.s = t sits at (b2 s - b1 t, a1 t - a2 s) / det.
+    Over the targets, the corners (c1, v) and (u, c2) move with v and u
+    alone, and the corner (u, v) is z minus the fixed corner (c1, c2), so
+    the extreme u, v, re and im give the extreme corners.
+    """
+    (a1, b1, c1), (a2, b2, c2) = cone
+    det = a1 * b2 - a2 * b1
+    corners = [(c1, c2), (c1, min(vs)), (c1, max(vs)), (min(us), c2), (max(us), c2)]
+    xs = [b2 * s - b1 * t for s, t in corners]
+    ys = [a1 * t - a2 * s for s, t in corners]
+    # the targets themselves (d = 0) and their corners (u, v)
+    xs += [r * det - d for r in (min(res), max(res)) for d in (0, xs[0])]
+    ys += [i * det - d for i in (min(ims), max(ims)) for d in (0, ys[0])]
+    if det < 0:
+        det, xs, ys = -det, [-x for x in xs], [-y for y in ys]
+    return -(-min(xs) // det), max(xs) // det, -(-min(ys) // det), max(ys) // det
+
+
+def _minimal_terms(
+    targets: Sequence[GaussianInt],
+    region: Region,
+    parity_filter: Parity | None,
+    max_terms: int,
+) -> list[tuple[int, int] | None]:
+    """For each target, (k, cap): the fewest terms k from 2 to max_terms
+    of a sum of region primes equal to it, with no norm cap, and the
+    target's _pool_bound; None when there is no such sum.
+
+    With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of such
+    a sum has n1.s >= c1 and n1.(z - s) >= c1 (so n1.s <= u, as in
+    _term_cap), and the same for n2: every term and partial sum lies in
+    the target's two-term parallelogram, and every term has norm below
+    _pool_bound. So the sumsets of the pool over one window holding each
+    target and its parallelogram decide every target exactly.
+    """
+    out: list[tuple[int, int] | None] = [None] * len(targets)
+    if max_terms < 2:
+        return out
+    live = []
+    for i, z in enumerate(targets):
+        got = _term_cap(region.cone, z.re, z.im, 2)
+        if got is not None:
+            live.append((i, z.re, z.im) + got)
+    if not live:
+        return out
+    _, res, ims, us, vs, caps = zip(*live)
+    pool, _ = _pool_for(region, parity_filter, max(caps) + 1)
+    re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
+    width, levels = _sumsets(pool, region, re_lo, re_hi, im_lo, im_hi, max_terms)
+    size = (re_hi - re_lo + 1) * width
+    todo = [(i, (re - re_lo) * width + im - im_lo, cap + 1) for i, re, im, _, _, cap in live]
+    for k, level in enumerate(levels[1:], 2):
+        bits = format(level, f"0{size}b")[::-1]
+        rest = []
+        for i, at, cap in todo:
+            if bits[at] == "1":
+                out[i] = (k, cap)
+            else:
+                rest.append((i, at, cap))
+        todo = rest
+    return out
+
+
+def _seed_pool(key, entry) -> None:
+    """Scan worker initializer: install the pool the parent warmed, so no
+    worker rebuilds it, whatever the start method."""
+    if entry is not None:
+        _POOL_CACHE[key] = entry
+
+
 def _scan_chunk(args) -> list:
-    region_value, pairs, max_terms, policy_value, parity_name = args
+    """Rows for (re, im, proof) targets. Under NormPolicy.NONE, proof is
+    _minimal_terms' (k, cap), or None when no sum of two or more terms
+    fits in max_terms, so only the one-term check and one search at k
+    run; under STRICT_LESS, proof is None and the full search runs."""
+    region_value, items, max_terms, policy_value, parity_name = args
     region = Region(region_value)
     policy = NormPolicy(policy_value)
     par = None if parity_name is None else Parity[parity_name]
     out = []
-    for re, im in pairs:
-        dec = find_decomposition(GaussianInt(re, im), region, max_terms, policy, par)
+    for re, im, proof in items:
+        z = GaussianInt(re, im)
+        if policy is NormPolicy.STRICT_LESS:
+            dec = find_decomposition(z, region, max_terms, policy, par)
+        else:
+            dec = _single(z, region, policy, par)
+            if dec is None and proof is not None:
+                k, cap = proof
+                dec = _witness(z, k, region, policy, par, cap)
+                if dec is None:
+                    raise RuntimeError(
+                        f"the sumset puts {z} at {k} terms but the search finds none"
+                    )
         if dec is None:
             out.append((re, im, None, None))
         else:
@@ -400,27 +566,42 @@ def scan_targets(
     """Attempt a decomposition for every listed target.
 
     Output is identical for any job count: targets are chunked in
-    listed order and chunk results merged back in order.
+    listed order and chunk results merged back in order. Under
+    NormPolicy.NONE the sumsets of the pool fix each target's fewest
+    terms first, and the search runs once, at that count, to build the
+    witness.
     """
+    if max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
+    if any(z.is_zero() for z in targets):
+        raise ValueError("target must be nonzero")
     workers = _worker_count(jobs, len(targets))
     parity_name = None if parity_filter is None else parity_filter.name
-    # warm the shared pool before forking so workers inherit it
-    worst = max((_pool_bound(z, term_region, policy) for z in targets), default=0)
-    if worst > 2:
-        _pool_for(term_region, parity_filter, worst)
-    pairs = [(z.re, z.im) for z in targets]
+    # warm the shared pool before the workers start; they get a copy
+    if policy is NormPolicy.NONE:
+        proofs = _minimal_terms(targets, term_region, parity_filter, max_terms)
+    else:
+        proofs = [None] * len(targets)
+        worst = max((_pool_bound(z, term_region, policy) for z in targets), default=0)
+        if worst > 2:
+            _pool_for(term_region, parity_filter, worst)
+    items = [(z.re, z.im, proof) for z, proof in zip(targets, proofs)]
     if workers <= 1:
         chunks = [
-            _scan_chunk((term_region.value, pairs, max_terms, policy.value, parity_name))
+            _scan_chunk((term_region.value, items, max_terms, policy.value, parity_name))
         ]
     else:
-        step = max(1, -(-len(pairs) // (workers * 4)))
+        step = max(1, -(-len(items) // (workers * 4)))
         arg_list = [
-            (term_region.value, pairs[i : i + step], max_terms, policy.value, parity_name)
-            for i in range(0, len(pairs), step)
+            (term_region.value, items[i : i + step], max_terms, policy.value, parity_name)
+            for i in range(0, len(items), step)
         ]
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
+        key = (term_region, parity_filter)
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_seed_pool,
+            initargs=(key, _POOL_CACHE.get(key)),
+        ) as ex:
             chunks = list(ex.map(_scan_chunk, arg_list))
     rows = []
     for chunk in chunks:
@@ -528,45 +709,46 @@ def verify_diagonal_obstruction(bound: int, max_terms: int = 6) -> ObstructionRe
     part at most bound and record the smallest re - im per term count.
 
     The pool is every odd sector prime with real part at most bound (so
-    norm at most 2 * bound^2), read off the sieve and sorted by (re, im)
-    so the sweep can stop at the first prime that leaves no room. The
-    sweep never assumes the inequality it is checking: sums are dropped
-    only when their real part passes the bound, and real parts grow
-    monotonically, so no qualifying sum is lost.
+    norm at most 2 * bound^2), read off the sieve. The sums of k primes
+    are the k-fold sumset over the window 1 <= re <= bound of the sector
+    cone, which holds every sum and partial sum with re <= bound, since
+    real parts only grow. Each level is read off its bit rows: the
+    popcount is the number of sums, and a row's highest set bit is its
+    largest im, so its smallest re - im. The sweep never assumes the
+    inequality it is checking. The bound is capped at 500, the box scans'
+    side cap, which keeps the sieve and the bit rows small.
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
+    if bound > 500:
+        raise ValueError("bound is capped at 500")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    pool = sorted(
-        (re, im)
-        for re, im, _ in gaussian_prime_pool(
-            Region.PRIME_SECTOR, 2 * bound * bound + 1, Parity.ODD
-        )
-        if re <= bound
-    )
+    pool = [
+        p
+        for p in gaussian_prime_pool(Region.PRIME_SECTOR, 2 * bound * bound + 1, Parity.ODD)
+        if p[0] <= bound
+    ]
+    im_lo = 1 - bound
+    width, sums = _sumsets(pool, Region.PRIME_SECTOR, 1, bound, im_lo, bound, max_terms)
     levels: list[tuple[int, int, int]] = []
     violations: list[tuple[int, GaussianInt]] = []
-    current: set[tuple[int, int]] = set(pool)
-    k = 1
-    while current:
-        gap = min(r - i for r, i in current)
-        levels.append((k, len(current), gap))
-        if gap < k:
-            for r, i in current:
-                if r - i < k:
-                    violations.append((k, GaussianInt(r, i)))
-        if k == max_terms:
-            break
-        nxt: set[tuple[int, int]] = set()
-        for r, i in current:
-            room = bound - r
-            for pr, pi in pool:
-                if pr > room:
-                    break
-                nxt.add((r + pr, i + pi))
-        current = nxt
-        k += 1
+    for k, level in enumerate(sums, 1):
+        bits = format(level, "b")[::-1]
+        gap = None
+        for re in range(1, bound + 1):
+            start = (re - 1) * width
+            top = bits.rfind("1", start, start + width)
+            if top < 0:
+                continue
+            if gap is None or re - (top - start + im_lo) < gap:
+                gap = re - (top - start + im_lo)
+            # bits from im = re - k + 1 up break the inequality
+            at = bits.find("1", start + max(0, re - k + 1 - im_lo), start + width)
+            while at >= 0:
+                violations.append((k, GaussianInt(re, at - start + im_lo)))
+                at = bits.find("1", at + 1, start + width)
+        levels.append((k, level.bit_count(), gap))
     violations.sort(key=lambda t: (t[0], t[1].key()))
     return ObstructionReport(bound, max_terms, tuple(levels), tuple(violations))
 

@@ -91,3 +91,39 @@ REGION_PREDICATES = {
     "kpi": lambda re, im: re >= 0 and im >= 0,
     "spi": lambda re, im: re >= 0 and im > -re,
 }
+
+
+def obstruction_sweep(points, bound: int, max_terms: int):
+    """The nested-set sweep over sums of up to max_terms of the points
+    (re, im) with real part at most bound: (levels, violations), levels
+    as (k, count, smallest re - im) and violations as (k, (re, im)) with
+    re - im < k, sorted by (k, norm, re, im).
+
+    Sums are dropped only when their real part passes the bound; with
+    positive real parts these grow monotonically, so none is lost.
+    """
+    pool = sorted((re, im) for re, im in points if re <= bound)
+    levels = []
+    violations = []
+    current = set(pool)
+    k = 1
+    while current:
+        gap = min(r - i for r, i in current)
+        levels.append((k, len(current), gap))
+        if gap < k:
+            for r, i in current:
+                if r - i < k:
+                    violations.append((k, (r, i)))
+        if k == max_terms:
+            break
+        nxt = set()
+        for r, i in current:
+            room = bound - r
+            for pr, pi in pool:
+                if pr > room:
+                    break
+                nxt.add((r + pr, i + pi))
+        current = nxt
+        k += 1
+    violations.sort(key=lambda t: (t[0], t[1][0] ** 2 + t[1][1] ** 2, t[1]))
+    return levels, violations

@@ -307,6 +307,13 @@ class TestObstruction:
         code, _, _ = run(capsys, "obstruction", "--bound", "1")
         assert code == 2
 
+    def test_huge_bound_exits_two(self, capsys):
+        for bound in ("501", "100000"):
+            code, out, err = run(capsys, "obstruction", "--bound", bound)
+            assert code == 2
+            assert out == ""
+            assert err == "bound is capped at 500"
+
 
 class TestHypotheses:
     def test_all_four_summary(self, capsys):

@@ -3,12 +3,15 @@ reports, the diagonal obstruction, and the shift-by-inert chains."""
 
 import io
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
 
-from oracles import REGION_PREDICATES, gaussian_prime_by_division
+from oracles import REGION_PREDICATES, gaussian_prime_by_division, obstruction_sweep
 
 from shnirel import (
     BaseCaseError,
@@ -36,6 +39,7 @@ from shnirel import (
 from shnirel import gaussdecomp
 from shnirel.gaussdecomp import (
     _pool_for,
+    _seed_pool,
     _worker_count,
     write_decomposition_csv,
     write_decomposition_json,
@@ -149,6 +153,18 @@ def check_against_enumeration(region, policy, pool, targets):
         assert want is not None, (re, im)
         assert dec.k == want[0], (re, im)
         assert sorted(dec.summands(), key=GaussianInt.key) == list(want[1]), (re, im)
+
+
+def scan_rows_by_search(targets, region, max_terms, parity_filter):
+    """Scan rows built from find_decomposition, target by target."""
+    rows = []
+    for z in targets:
+        dec = find_decomposition(z, region, max_terms, NormPolicy.NONE, parity_filter)
+        if dec is None:
+            rows.append((z, None, None))
+        else:
+            rows.append((z, dec.k, tuple(dec.summands())))
+    return tuple(rows)
 
 
 class TestCanonicalMinimality:
@@ -365,6 +381,71 @@ class TestScans:
         with pytest.raises(ValueError, match="capped at 500"):
             scan_box(KPI, (1, 10), (0, 500), KPI, 3)
 
+    @pytest.mark.parametrize("target_region", list(Region))
+    @pytest.mark.parametrize("term_region", [GPI, KPI, SPI])
+    def test_sumset_scan_matches_the_search(self, term_region, target_region):
+        """Under NONE the sumsets fix each k and the search runs once at
+        it; every row must equal find_decomposition's, exceptions too."""
+        targets = box_targets(target_region, (0, 16), (-8, 16))
+        for par in (Parity.ODD, Parity.EVEN, None):
+            report = scan_targets(targets, term_region, 3, NormPolicy.NONE, par)
+            assert report.rows == scan_rows_by_search(targets, term_region, 3, par)
+
+    @pytest.mark.parametrize("term_region", [GPI, KPI, SPI])
+    def test_sumset_scan_matches_the_search_at_four_terms(self, term_region):
+        targets = box_targets(Region.PRIME_HALF, (0, 16), (-8, 16))
+        report = scan_targets(targets, term_region, 4, NormPolicy.NONE, Parity.ODD)
+        assert report.rows == scan_rows_by_search(targets, term_region, 4, Parity.ODD)
+        # 12i and 16i need four odd primes from kpi or spi
+        if term_region is not GPI:
+            assert report.term_counts[4] >= 2
+
+    def test_sumset_scan_single_term_only(self):
+        targets = box_targets(Region.OPEN_QUADRANT, (1, 10), (1, 10))
+        report = scan_targets(targets, GPI, 1, NormPolicy.NONE, Parity.ODD)
+        assert report.rows == scan_rows_by_search(targets, GPI, 1, Parity.ODD)
+        assert set(report.term_counts) == {1}
+
+    def test_two_jobs_give_the_serial_rows(self):
+        targets = box_targets(Region.SECTOR, (1, 30), (-29, 30))
+        for policy in NormPolicy:
+            serial = scan_targets(targets, SPI, 3, policy, Parity.ODD)
+            pooled = scan_targets(targets, SPI, 3, policy, Parity.ODD, jobs=2)
+            assert serial.rows == pooled.rows
+
+    def test_spawned_workers_give_the_serial_rows(self, monkeypatch):
+        targets = box_targets(Region.OPEN_QUADRANT, (1, 24), (1, 24))
+        serial = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD)
+        spawn = multiprocessing.get_context("spawn")
+        monkeypatch.setattr(
+            gaussdecomp, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn)
+        )
+        for policy in NormPolicy:
+            pooled = scan_targets(targets, GPI, 3, policy, Parity.ODD, jobs=2)
+            if policy is NormPolicy.NONE:
+                assert pooled.rows == serial.rows
+            else:
+                assert pooled.rows == scan_targets(targets, GPI, 3, policy, Parity.ODD).rows
+
+    def test_seed_pool_installs_the_parent_pool(self, monkeypatch):
+        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        entry = (4096, [(2, 1, 5)], {(2, 1): 0})
+        _seed_pool((GPI, Parity.ODD), entry)
+        assert gaussdecomp._POOL_CACHE == {(GPI, Parity.ODD): entry}
+        _seed_pool((KPI, None), None)
+        assert (KPI, None) not in gaussdecomp._POOL_CACHE
+
+    def test_a_proven_k_without_a_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(gaussdecomp, "_dfs", lambda *args: None)
+        with pytest.raises(RuntimeError, match="the sumset puts 8 at 2 terms"):
+            scan_targets([GaussianInt(8, 0)], GPI, 3, NormPolicy.NONE, Parity.ODD)
+
+    def test_scan_rejects_zero_and_bad_width(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            scan_targets([GaussianInt(0, 0)], KPI, 3, NormPolicy.NONE)
+        with pytest.raises(ValueError, match="max_terms"):
+            scan_targets([GaussianInt(3, 0)], KPI, 0, NormPolicy.NONE)
+
     def test_jobs_do_not_change_output(self):
         kwargs = dict(policy=NormPolicy.NONE, parity_filter=Parity.ODD)
         serial = scan_box(Region.OPEN_QUADRANT, (1, 8), (1, 8), KPI, 3, **kwargs)
@@ -421,6 +502,58 @@ class TestDiagonalObstruction:
             verify_diagonal_obstruction(1)
         with pytest.raises(ValueError):
             verify_diagonal_obstruction(10, 0)
+
+    def test_bound_cap_comes_before_any_pool(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("pool built for a rejected bound")
+
+        monkeypatch.setattr(gaussdecomp, "gaussian_prime_pool", no_pool)
+        with pytest.raises(ValueError, match="capped at 500"):
+            verify_diagonal_obstruction(501)
+        with pytest.raises(ValueError, match="capped at 500"):
+            verify_diagonal_obstruction(100_000, 2)
+
+    def test_levels_and_violations_match_the_oracle(self):
+        """Every bound 2..60 and term count 1..6 against the nested-set
+        sweep, over odd sector primes proved by trial division. The
+        sweep's first m levels do not depend on its own max_terms, so it
+        runs once per bound, at six terms, and is cut to m."""
+        member = REGION_PREDICATES["gammapi"]
+        points = [
+            (re, im)
+            for re in range(1, 61)
+            for im in range(-60, 61)
+            if (re + im) % 2 and member(re, im) and gaussian_prime_by_division(re, im)
+        ]
+        for bound in range(2, 61):
+            levels, violations = obstruction_sweep(points, bound, 6)
+            for m in range(1, 7):
+                report = verify_diagonal_obstruction(bound, m)
+                assert list(report.levels) == levels[:m], (bound, m)
+                got = [(k, (z.re, z.im)) for k, z in report.violations]
+                assert got == [v for v in violations if v[0] <= m], (bound, m)
+
+    def test_violations_match_the_oracle(self, monkeypatch):
+        """Primes never reach re - im < k, so feed the sweep diagonal
+        points (re - im = 0) and one with re - im = 1 as well."""
+        extra = [(1, 1, 2), (3, 3, 18), (7, 6, 85)]
+
+        def with_diagonal(region, norm_bound, parity_filter):
+            return gaussian_prime_pool(region, norm_bound, parity_filter) + extra
+
+        monkeypatch.setattr(gaussdecomp, "gaussian_prime_pool", with_diagonal)
+        for bound in (2, 7, 12, 20):
+            points = [
+                (re, im)
+                for re, im, _ in with_diagonal(GPI, 2 * bound * bound + 1, Parity.ODD)
+            ]
+            for m in (1, 3, 5):
+                report = verify_diagonal_obstruction(bound, m)
+                levels, violations = obstruction_sweep(points, bound, m)
+                assert list(report.levels) == levels, (bound, m)
+                got = [(k, (z.re, z.im)) for k, z in report.violations]
+                assert got == violations, (bound, m)
+                assert got and not report.holds
 
     def test_writers(self):
         report = verify_diagonal_obstruction(20, 3)
