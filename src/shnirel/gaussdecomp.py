@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
+from operator import itemgetter
 from typing import IO, Sequence
 
 from .primes import gaussian_prime_pool, is_gaussian_prime
@@ -462,15 +464,29 @@ def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
     return -(-min(xs) // det), max(xs) // det, -(-min(ys) // det), max(ys) // det
 
 
+# Bit-ops the sumsets may spend per target, estimated as window bits x
+# pool points x (max_terms - 1). A shift-OR costs about 4 ns per 64-bit
+# word (2-core x86, Python 3.11), so this is about 8 us a target, below
+# the 20-55 us of a target's per-k search. The property the sumsets need
+# is targets that fill the window, which reaches from the cone's corner
+# to the targets: gammapi and kpi boxes of side 120-150 at the origin
+# come in at 0.07 of this, a 10 x 10 gammapi box at re 200 at 31 times
+# and a 2 x 2 box at re 2000 at 4 * 10^6 times, so those search target
+# by target.
+_SUMSET_OPS_PER_TARGET = 1 << 17
+
+
 def _minimal_terms(
     targets: Sequence[GaussianInt],
     region: Region,
     parity_filter: Parity | None,
     max_terms: int,
-) -> list[tuple[int, int] | None]:
+) -> list[tuple[int, int] | None] | None:
     """For each target, (k, cap): the fewest terms k from 2 to max_terms
     of a sum of region primes equal to it, with no norm cap, and the
-    target's _pool_bound; None when there is no such sum.
+    target's _pool_bound; None when there is no such sum. Returns None
+    instead of the list when the sumsets would cost more than
+    _SUMSET_OPS_PER_TARGET per target; the pool is warmed either way.
 
     With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of such
     a sum has n1.s >= c1 and n1.(z - s) >= c1 (so n1.s <= u, as in
@@ -491,7 +507,12 @@ def _minimal_terms(
         return out
     _, res, ims, us, vs, caps = zip(*live)
     pool, _ = _pool_for(region, parity_filter, max(caps) + 1)
+    pool = pool[: bisect_right(pool, max(caps), key=itemgetter(2))]
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
+    # each level shift-ORs the whole window once per point
+    ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * len(pool) * (max_terms - 1)
+    if ops > _SUMSET_OPS_PER_TARGET * len(targets):
+        return None
     width, levels = _sumsets(pool, region, re_lo, re_hi, im_lo, im_hi, max_terms)
     size = (re_hi - re_lo + 1) * width
     todo = [(i, (re - re_lo) * width + im - im_lo, cap + 1) for i, re, im, _, _, cap in live]
@@ -515,18 +536,18 @@ def _seed_pool(key, entry) -> None:
 
 
 def _scan_chunk(args) -> list:
-    """Rows for (re, im, proof) targets. Under NormPolicy.NONE, proof is
+    """Rows for (re, im, proof) targets. When decided, proof is
     _minimal_terms' (k, cap), or None when no sum of two or more terms
     fits in max_terms, so only the one-term check and one search at k
-    run; under STRICT_LESS, proof is None and the full search runs."""
-    region_value, items, max_terms, policy_value, parity_name = args
+    run; otherwise proof is None and the full search runs."""
+    items, region_value, max_terms, policy_value, parity_name, decided = args
     region = Region(region_value)
     policy = NormPolicy(policy_value)
     par = None if parity_name is None else Parity[parity_name]
     out = []
     for re, im, proof in items:
         z = GaussianInt(re, im)
-        if policy is NormPolicy.STRICT_LESS:
+        if not decided:
             dec = find_decomposition(z, region, max_terms, policy, par)
         else:
             dec = _single(z, region, policy, par)
@@ -569,7 +590,8 @@ def scan_targets(
     listed order and chunk results merged back in order. Under
     NormPolicy.NONE the sumsets of the pool fix each target's fewest
     terms first, and the search runs once, at that count, to build the
-    witness.
+    witness, unless the sumsets would cost more than searching each
+    target (a narrow box far from the cone's corner).
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -578,24 +600,22 @@ def scan_targets(
     workers = _worker_count(jobs, len(targets))
     parity_name = None if parity_filter is None else parity_filter.name
     # warm the shared pool before the workers start; they get a copy
+    proofs = None
     if policy is NormPolicy.NONE:
         proofs = _minimal_terms(targets, term_region, parity_filter, max_terms)
-    else:
+    decided = proofs is not None
+    if not decided:
         proofs = [None] * len(targets)
         worst = max((_pool_bound(z, term_region, policy) for z in targets), default=0)
         if worst > 2:
             _pool_for(term_region, parity_filter, worst)
     items = [(z.re, z.im, proof) for z, proof in zip(targets, proofs)]
+    common = (term_region.value, max_terms, policy.value, parity_name, decided)
     if workers <= 1:
-        chunks = [
-            _scan_chunk((term_region.value, items, max_terms, policy.value, parity_name))
-        ]
+        chunks = [_scan_chunk((items,) + common)]
     else:
         step = max(1, -(-len(items) // (workers * 4)))
-        arg_list = [
-            (term_region.value, items[i : i + step], max_terms, policy.value, parity_name)
-            for i in range(0, len(items), step)
-        ]
+        arg_list = [(items[i : i + step],) + common for i in range(0, len(items), step)]
         key = (term_region, parity_filter)
         with ProcessPoolExecutor(
             max_workers=workers,

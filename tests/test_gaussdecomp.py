@@ -406,12 +406,22 @@ class TestScans:
         assert report.rows == scan_rows_by_search(targets, GPI, 1, Parity.ODD)
         assert set(report.term_counts) == {1}
 
-    def test_two_jobs_give_the_serial_rows(self):
-        targets = box_targets(Region.SECTOR, (1, 30), (-29, 30))
-        for policy in NormPolicy:
-            serial = scan_targets(targets, SPI, 3, policy, Parity.ODD)
-            pooled = scan_targets(targets, SPI, 3, policy, Parity.ODD, jobs=2)
-            assert serial.rows == pooled.rows
+    def test_far_box_searches_each_target(self, monkeypatch):
+        """The window reaches from the cone's corner to the targets, so a
+        narrow box far out would fill little of it: the scan searches
+        target by target, with the same rows."""
+        targets = box_targets(Region.OPEN_QUADRANT, (300, 303), (1, 2))
+        dense = box_targets(Region.OPEN_QUADRANT, (1, 30), (1, 30))
+        assert gaussdecomp._minimal_terms(dense, GPI, Parity.ODD, 3) is not None
+        assert gaussdecomp._minimal_terms(targets, GPI, Parity.ODD, 3) is None
+
+        def no_sumsets(*args):
+            raise AssertionError("sumsets built for a far box")
+
+        monkeypatch.setattr(gaussdecomp, "_sumsets", no_sumsets)
+        for jobs in (1, 2):
+            report = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD, jobs=jobs)
+            assert report.rows == scan_rows_by_search(targets, GPI, 3, Parity.ODD)
 
     def test_spawned_workers_give_the_serial_rows(self, monkeypatch):
         targets = box_targets(Region.OPEN_QUADRANT, (1, 24), (1, 24))
@@ -446,11 +456,13 @@ class TestScans:
         with pytest.raises(ValueError, match="max_terms"):
             scan_targets([GaussianInt(3, 0)], KPI, 0, NormPolicy.NONE)
 
-    def test_jobs_do_not_change_output(self):
-        kwargs = dict(policy=NormPolicy.NONE, parity_filter=Parity.ODD)
-        serial = scan_box(Region.OPEN_QUADRANT, (1, 8), (1, 8), KPI, 3, **kwargs)
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    @pytest.mark.parametrize("term_region", [KPI, SPI])
+    def test_jobs_do_not_change_output(self, term_region, policy):
+        kwargs = dict(policy=policy, parity_filter=Parity.ODD)
+        serial = scan_box(Region.SECTOR, (1, 30), (-29, 30), term_region, 3, **kwargs)
         forked = scan_box(
-            Region.OPEN_QUADRANT, (1, 8), (1, 8), KPI, 3, jobs=3, **kwargs
+            Region.SECTOR, (1, 30), (-29, 30), term_region, 3, jobs=3, **kwargs
         )
         assert serial.rows == forked.rows
         a, b = io.StringIO(), io.StringIO()
