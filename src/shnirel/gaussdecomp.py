@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_right
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -19,7 +19,7 @@ from math import isqrt
 from operator import itemgetter
 from typing import IO, Sequence
 
-from .primes import gaussian_prime_pool, is_gaussian_prime
+from .primes import _SIEVE_CAP, gaussian_prime_pool, is_gaussian_prime
 from .zcore import (
     ZERO,
     GaussianInt,
@@ -142,15 +142,17 @@ def _term_cap(cone, re: int, im: int, terms: int) -> tuple[int, int, int] | None
     return u, v, best // (a1 * b2 - a2 * b1) ** 2
 
 
-def _pool_bound(z: GaussianInt, region: Region, policy: NormPolicy) -> int:
-    """Exclusive norm bound on any term of a sum of two or more region
-    members equal to z. Each row's c is at least 0, so more terms only
-    shrink the parallelogram of two."""
+def _pool_bound(z: GaussianInt, region: Region, policy: NormPolicy) -> tuple | None:
+    """(u, v, bound) for the terms of a sum of two or more region members
+    equal to z: every term p has n1.p <= u and n2.p <= v, as in _term_cap,
+    and the policy keeps its norm below bound. Each row's c is at least 0,
+    so more terms only shrink the parallelogram of two. None when no
+    prime fits, every prime having norm at least 2."""
     got = _term_cap(region.cone, z.re, z.im, 2)
-    bound = 0 if got is None else got[2] + 1
-    if policy is NormPolicy.STRICT_LESS:
-        bound = min(bound, z.norm())
-    return bound
+    if got is None:
+        return None
+    bound = got[2] + 1 if policy is NormPolicy.NONE else min(got[2] + 1, z.norm())
+    return (got[0], got[1], bound) if bound > 2 else None
 
 
 # (region, parity) -> (bound, pool, index); pools hold (re, im, norm)
@@ -163,7 +165,8 @@ def _pool_for(region: Region, parity_filter: Parity | None, bound: int):
     got = _POOL_CACHE.get(key)
     if got is not None and got[0] >= bound:
         return got[1], got[2]
-    grown = max(bound, 2 * got[0] if got else 0, 512)
+    # doubling, but never past the sieve cap for a bound within it
+    grown = max(bound, min(2 * got[0], _SIEVE_CAP) if got else 0, 512)
     pool = gaussian_prime_pool(region, grown, parity_filter)
     index = {(re, im): i for i, (re, im, _) in enumerate(pool)}
     _POOL_CACHE[key] = (grown, pool, index)
@@ -213,38 +216,44 @@ def _dfs(
 
 
 def _single(
-    z: GaussianInt, region: Region, policy: NormPolicy, parity_filter: Parity | None
-) -> Decomposition | None:
-    """z as its own one-term decomposition, when the policy allows it and
-    z is a region prime of the filtered parity."""
-    if (
-        policy is not NormPolicy.STRICT_LESS
-        and in_region(z, region)
-        and (parity_filter is None or parity_of(z) is parity_filter)
-        and is_gaussian_prime(z)
+    re: int, im: int, region: Region, policy: NormPolicy, parity_filter: Parity | None
+) -> bool:
+    """Whether re + im*i is its own one-term decomposition: the policy
+    allows it and it is a region prime of the filtered parity."""
+    if policy is NormPolicy.STRICT_LESS or (
+        parity_filter is not None and (re + im) % 2 != (parity_filter is Parity.ODD)
     ):
-        return Decomposition(z, (sector_form(z),), region, policy, parity_filter)
-    return None
+        return False
+    z = GaussianInt(re, im)
+    return in_region(z, region) and is_gaussian_prime(z)
 
 
-def _witness(
-    z: GaussianInt,
-    k: int,
-    region: Region,
-    policy: NormPolicy,
-    parity_filter: Parity | None,
-    cap: int,
-) -> Decomposition | None:
-    """The canonical k-term decomposition of z into pool primes of norm
-    below cap, or None."""
-    pool, index = _pool_for(region, parity_filter, cap)
-    got = _dfs(z.re, z.im, k, pool, index, region.cone, cap)
-    if got is None:
+def _search(
+    re: int, im: int, k_lo: int, max_terms: int,
+    region: Region, parity_filter: Parity | None, cap: int,
+) -> list[tuple[int, int, int]] | None:
+    """The canonical decomposition of re + im*i with the fewest terms k,
+    k_lo <= k <= max_terms, into region primes of the filtered parity and
+    norm below cap: its pool entries (re, im, norm), largest first, or
+    None.
+
+    Only term counts some sum can reach are searched: k odd terms sum to
+    the class of k modulo 1+i, and even terms to an even sum. The _dfs
+    indices ascend through the (norm, re, im)-sorted pool, so reversing
+    them lists the terms largest first.
+    """
+    step = 1
+    if parity_filter is Parity.ODD:
+        k_lo += (re + im - k_lo) % 2
+        step = 2
+    elif parity_filter is Parity.EVEN and (re + im) % 2:
         return None
-    summands = [GaussianInt(pool[i][0], pool[i][1]) for i in got]
-    summands.sort(key=GaussianInt.key, reverse=True)
-    terms = tuple(sector_form(s) for s in summands)
-    return Decomposition(z, terms, region, policy, parity_filter)
+    pool, index = _pool_for(region, parity_filter, cap)
+    for k in range(k_lo, max_terms + 1, step):
+        got = _dfs(re, im, k, pool, index, region.cone, cap)
+        if got is not None:
+            return [pool[i] for i in reversed(got)]
+    return None
 
 
 def _sumsets(
@@ -318,24 +327,16 @@ def find_decomposition(
         raise ValueError("target must be nonzero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    if include_single:
-        dec = _single(z, region, policy, parity_filter)
-        if dec is not None:
-            return dec
-    if max_terms == 1:
+    if include_single and _single(z.re, z.im, region, policy, parity_filter):
+        return Decomposition(z, (sector_form(z),), region, policy, parity_filter)
+    got = _pool_bound(z, region, policy)
+    if max_terms == 1 or got is None:
         return None
-    cap = _pool_bound(z, region, policy)
-    if cap <= 2:
+    found = _search(z.re, z.im, 2, max_terms, region, parity_filter, got[2])
+    if found is None:
         return None
-    for k in range(2, max_terms + 1):
-        if parity_filter is Parity.ODD and not congruent_mod_one_plus_i(z, k):
-            continue
-        if parity_filter is Parity.EVEN and parity_of(z) is Parity.ODD:
-            break
-        dec = _witness(z, k, region, policy, parity_filter, cap)
-        if dec is not None:
-            return dec
-    return None
+    terms = tuple(sector_form(GaussianInt(re, im)) for re, im, _ in found)
+    return Decomposition(z, terms, region, policy, parity_filter)
 
 
 def region_targets(
@@ -479,43 +480,51 @@ _SUMSET_OPS_PER_TARGET = 1 << 17
 def _minimal_terms(
     targets: Sequence[GaussianInt],
     region: Region,
+    policy: NormPolicy,
     parity_filter: Parity | None,
     max_terms: int,
-) -> list[tuple[int, int] | None] | None:
-    """For each target, (k, cap): the fewest terms k from 2 to max_terms
-    of a sum of region primes equal to it, with no norm cap, and the
-    target's _pool_bound; None when there is no such sum. Returns None
-    instead of the list when the sumsets would cost more than
-    _SUMSET_OPS_PER_TARGET per target; the pool is warmed either way.
+) -> tuple[list[tuple[int, int] | None], bool]:
+    """For each target, (k_lo, cap): cap is its _pool_bound norm bound,
+    and every sum of two or more region primes of norm below cap equal to
+    it has at least k_lo <= max_terms terms; None when no such sum fits
+    in max_terms. The flag says each k_lo is exact, not just a bound.
 
     With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of such
     a sum has n1.s >= c1 and n1.(z - s) >= c1 (so n1.s <= u, as in
     _term_cap), and the same for n2: every term and partial sum lies in
-    the target's two-term parallelogram, and every term has norm below
-    _pool_bound. So the sumsets of the pool over one window holding each
-    target and its parallelogram decide every target exactly.
+    the target's two-term parallelogram. So the sumsets of the pool cut
+    at the largest cap, over one window holding each target and its
+    parallelogram, put each target at the fewest terms of any sum with
+    no norm cap of its own. Under NormPolicy.NONE every term of such a
+    sum has norm below the target's cap already, so that k is exact.
+    Under STRICT_LESS every strict sum is also such a sum, so k is a
+    lower bound, and a target in no level has no strict sum.
+
+    When the sumsets would cost more than _SUMSET_OPS_PER_TARGET per
+    target, every k_lo is 2. The pool is warmed to the largest cap.
     """
     out: list[tuple[int, int] | None] = [None] * len(targets)
-    if max_terms < 2:
-        return out
     live = []
-    for i, z in enumerate(targets):
-        got = _term_cap(region.cone, z.re, z.im, 2)
-        if got is not None:
-            live.append((i, z.re, z.im) + got)
+    if max_terms >= 2:
+        for i, z in enumerate(targets):
+            got = _pool_bound(z, region, policy)
+            if got is not None:
+                live.append((i, z.re, z.im) + got)
     if not live:
-        return out
+        return out, False
     _, res, ims, us, vs, caps = zip(*live)
-    pool, _ = _pool_for(region, parity_filter, max(caps) + 1)
-    pool = pool[: bisect_right(pool, max(caps), key=itemgetter(2))]
+    pool, _ = _pool_for(region, parity_filter, max(caps))
+    pool = pool[: bisect_left(pool, max(caps), key=itemgetter(2))]
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
     # each level shift-ORs the whole window once per point
     ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * len(pool) * (max_terms - 1)
     if ops > _SUMSET_OPS_PER_TARGET * len(targets):
-        return None
+        for i, *_, cap in live:
+            out[i] = (2, cap)
+        return out, False
     width, levels = _sumsets(pool, region, re_lo, re_hi, im_lo, im_hi, max_terms)
     size = (re_hi - re_lo + 1) * width
-    todo = [(i, (re - re_lo) * width + im - im_lo, cap + 1) for i, re, im, _, _, cap in live]
+    todo = [(i, (re - re_lo) * width + im - im_lo, cap) for i, re, im, _, _, cap in live]
     for k, level in enumerate(levels[1:], 2):
         bits = format(level, f"0{size}b")[::-1]
         rest = []
@@ -525,7 +534,7 @@ def _minimal_terms(
             else:
                 rest.append((i, at, cap))
         todo = rest
-    return out
+    return out, policy is NormPolicy.NONE
 
 
 def _seed_pool(key, entry) -> None:
@@ -536,34 +545,18 @@ def _seed_pool(key, entry) -> None:
 
 
 def _scan_chunk(args) -> list:
-    """Rows for (re, im, proof) targets. When decided, proof is
-    _minimal_terms' (k, cap), or None when no sum of two or more terms
-    fits in max_terms, so only the one-term check and one search at k
-    run; otherwise proof is None and the full search runs."""
-    items, region_value, max_terms, policy_value, parity_name, decided = args
-    region = Region(region_value)
-    policy = NormPolicy(policy_value)
-    par = None if parity_name is None else Parity[parity_name]
+    """The witness, as pool entries largest first, or None, for each
+    (re, im, proof) target, proof being _minimal_terms' (k_lo, cap) or
+    None: the one-term check, then the search from k_lo up."""
+    items, region, max_terms, policy, par = args
     out = []
     for re, im, proof in items:
-        z = GaussianInt(re, im)
-        if not decided:
-            dec = find_decomposition(z, region, max_terms, policy, par)
+        if _single(re, im, region, policy, par):
+            out.append(((re, im, re * re + im * im),))
+        elif proof is None:
+            out.append(None)
         else:
-            dec = _single(z, region, policy, par)
-            if dec is None and proof is not None:
-                k, cap = proof
-                dec = _witness(z, k, region, policy, par, cap)
-                if dec is None:
-                    raise RuntimeError(
-                        f"the sumset puts {z} at {k} terms but the search finds none"
-                    )
-        if dec is None:
-            out.append((re, im, None, None))
-        else:
-            out.append(
-                (re, im, dec.k, tuple((s.re, s.im) for s in dec.summands()))
-            )
+            out.append(_search(re, im, proof[0], max_terms, region, par, proof[1]))
     return out
 
 
@@ -587,30 +580,21 @@ def scan_targets(
     """Attempt a decomposition for every listed target.
 
     Output is identical for any job count: targets are chunked in
-    listed order and chunk results merged back in order. Under
-    NormPolicy.NONE the sumsets of the pool fix each target's fewest
-    terms first, and the search runs once, at that count, to build the
-    witness, unless the sumsets would cost more than searching each
-    target (a narrow box far from the cone's corner).
+    listed order and chunk results merged back in order. The sumsets of
+    the pool give each target its least possible term count first, exact
+    under NormPolicy.NONE and a lower bound under STRICT_LESS, and the
+    search starts there, unless the sumsets would cost more than
+    searching from two terms (a narrow box far from the cone's corner).
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     if any(z.is_zero() for z in targets):
         raise ValueError("target must be nonzero")
     workers = _worker_count(jobs, len(targets))
-    parity_name = None if parity_filter is None else parity_filter.name
-    # warm the shared pool before the workers start; they get a copy
-    proofs = None
-    if policy is NormPolicy.NONE:
-        proofs = _minimal_terms(targets, term_region, parity_filter, max_terms)
-    decided = proofs is not None
-    if not decided:
-        proofs = [None] * len(targets)
-        worst = max((_pool_bound(z, term_region, policy) for z in targets), default=0)
-        if worst > 2:
-            _pool_for(term_region, parity_filter, worst)
+    # also warms the shared pool before the workers start; they get a copy
+    proofs, exact = _minimal_terms(targets, term_region, policy, parity_filter, max_terms)
     items = [(z.re, z.im, proof) for z, proof in zip(targets, proofs)]
-    common = (term_region.value, max_terms, policy.value, parity_name, decided)
+    common = (term_region, max_terms, policy, parity_filter)
     if workers <= 1:
         chunks = [_scan_chunk((items,) + common)]
     else:
@@ -624,15 +608,16 @@ def scan_targets(
         ) as ex:
             chunks = list(ex.map(_scan_chunk, arg_list))
     rows = []
-    for chunk in chunks:
-        for re, im, k, wit in chunk:
-            rows.append(
-                (
-                    GaussianInt(re, im),
-                    k,
-                    None if wit is None else tuple(GaussianInt(a, b) for a, b in wit),
-                )
+    wits = [wit for chunk in chunks for wit in chunk]
+    for z, proof, wit in zip(targets, proofs, wits):
+        k = None if wit is None else len(wit)
+        # a proven k must be met exactly, unless z is a prime itself
+        if exact and proof is not None and k not in (1, proof[0]):
+            raise RuntimeError(
+                f"the sumset puts {z} at {proof[0]} terms but the search finds none"
             )
+        terms = None if wit is None else tuple(GaussianInt(re, im) for re, im, _ in wit)
+        rows.append((z, k, terms))
     return ScanReport(
         term_region, target_desc, max_terms, policy, parity_filter, tuple(rows)
     )

@@ -45,9 +45,16 @@ def is_rational_prime(n: int) -> bool:
     return True
 
 
+# The largest sieve limit: a byte of flags per integer, and a listed table
+# several more per prime, keep a sieve within a few hundred MB.
+_SIEVE_CAP = 10**8
+
+
 def _sieve_flags(limit: int) -> bytearray:
-    """Eratosthenes over 0..limit (limit >= 2): flags[n] is 1 exactly
-    when n is prime."""
+    """Eratosthenes over 0..limit (2 <= limit <= _SIEVE_CAP): flags[n] is
+    1 exactly when n is prime."""
+    if limit > _SIEVE_CAP:
+        raise ValueError(f"sieve limit {limit} is above the cap of {_SIEVE_CAP}")
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     flags[4::2] = bytes(len(range(4, limit + 1, 2)))

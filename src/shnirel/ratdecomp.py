@@ -17,20 +17,16 @@ from .primes import PrimeTable
 
 _shared_table: PrimeTable | None = None
 _odd_pool: list[int] = []
-_odd_set: frozenset[int] = frozenset()
 _r34_pool: list[int] = []
-_r34_set: frozenset[int] = frozenset()
 
 
 def _grow(limit: int) -> None:
-    global _shared_table, _odd_pool, _odd_set, _r34_pool, _r34_set
+    global _shared_table, _odd_pool, _r34_pool
     if _shared_table is not None and _shared_table.limit >= limit:
         return
     _shared_table = PrimeTable.sieve(max(limit, 1 << 16))
     _odd_pool = _shared_table.primes[1:]
-    _odd_set = frozenset(_odd_pool)
     _r34_pool = _shared_table.residue_class(3)
-    _r34_set = frozenset(_r34_pool)
 
 
 class SearchExhausted(Exception):
@@ -41,18 +37,25 @@ class HypothesisViolation(Exception):
     """A split that scanned evidence guarantees failed to materialize."""
 
 
-def _k_smallest_split(
-    n: int, k: int, pool: list[int], members: frozenset[int]
-) -> tuple[int, ...] | None:
+def _k_smallest_split(n: int, k: int, pool: list[int]) -> tuple[int, ...] | None:
     """Lexicographically smallest non-decreasing k-tuple from pool summing
-    to n, repeats allowed, or None."""
+    to n, repeats allowed, or None.
+
+    The last term's membership is read off the shared table's sieve
+    flags, which mark every prime. That is exact because the callers fix
+    the residue, n = k (mod 2) for the odd primes and n = 3k (mod 4) for
+    the 3 mod 4 class, so the last term, n less k - 1 pool members, is
+    odd, or 3 mod 4, like the pool. It is checked only once it is at
+    least out[-1] >= 3 (n >= 3k when k = 1), so the index is in range.
+    """
+    flags = _shared_table._flags
     if k == 1:
-        return (n,) if n in members else None
+        return (n,) if flags[n] else None
     out: list[int] = []
 
     def rec(rest: int, terms: int, lo: int) -> bool:
         if terms == 1:
-            if rest >= out[-1] and rest in members:
+            if rest >= out[-1] and flags[rest]:
                 out.append(rest)
                 return True
             return False
@@ -81,7 +84,7 @@ def split_into_odd_primes(n: int, k: int) -> tuple[int, ...] | None:
     if k < 1 or n < 3 * k or n % 2 != k % 2:
         return None
     _grow(n)
-    asc = _k_smallest_split(n, k, _odd_pool, _odd_set)
+    asc = _k_smallest_split(n, k, _odd_pool)
     return None if asc is None else tuple(reversed(asc))
 
 
@@ -93,7 +96,7 @@ def split_into_residue34_primes(n: int, k: int) -> tuple[int, ...] | None:
     if k < 1 or n < 3 * k or (n - 3 * k) % 4 != 0:
         return None
     _grow(n)
-    asc = _k_smallest_split(n, k, _r34_pool, _r34_set)
+    asc = _k_smallest_split(n, k, _r34_pool)
     return None if asc is None else tuple(reversed(asc))
 
 

@@ -364,6 +364,24 @@ class TestThm130:
         assert code == 2
 
 
+class TestSieveCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hypotheses", "--upper", "1000000000"),
+            ("thm130", "--n", "10000000000"),
+            # two-term pool bound about 10^10
+            ("decompose", "--z", "100000,1"),
+            ("sieve", "--limit", "1000000000"),
+        ],
+    )
+    def test_oversized_sieve_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "is above the cap of 100000000" in err
+
+
 class TestTables:
     def test_validate_default(self, capsys):
         code, out, err = run(capsys, "tables")

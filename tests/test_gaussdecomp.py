@@ -36,7 +36,7 @@ from shnirel import (
     verify_decomposition,
     verify_diagonal_obstruction,
 )
-from shnirel import gaussdecomp
+from shnirel import gaussdecomp, primes
 from shnirel.gaussdecomp import (
     _pool_for,
     _seed_pool,
@@ -155,11 +155,11 @@ def check_against_enumeration(region, policy, pool, targets):
         assert sorted(dec.summands(), key=GaussianInt.key) == list(want[1]), (re, im)
 
 
-def scan_rows_by_search(targets, region, max_terms, parity_filter):
+def scan_rows_by_search(targets, region, max_terms, parity_filter, policy=NormPolicy.NONE):
     """Scan rows built from find_decomposition, target by target."""
     rows = []
     for z in targets:
-        dec = find_decomposition(z, region, max_terms, NormPolicy.NONE, parity_filter)
+        dec = find_decomposition(z, region, max_terms, policy, parity_filter)
         if dec is None:
             rows.append((z, None, None))
         else:
@@ -384,12 +384,35 @@ class TestScans:
     @pytest.mark.parametrize("target_region", list(Region))
     @pytest.mark.parametrize("term_region", [GPI, KPI, SPI])
     def test_sumset_scan_matches_the_search(self, term_region, target_region):
-        """Under NONE the sumsets fix each k and the search runs once at
-        it; every row must equal find_decomposition's, exceptions too."""
+        """The sumsets give each target its least k, exact under NONE and
+        a lower bound under STRICT_LESS, and the search starts there;
+        every row must equal find_decomposition's, exceptions too."""
         targets = box_targets(target_region, (0, 16), (-8, 16))
-        for par in (Parity.ODD, Parity.EVEN, None):
-            report = scan_targets(targets, term_region, 3, NormPolicy.NONE, par)
-            assert report.rows == scan_rows_by_search(targets, term_region, 3, par)
+        for policy in NormPolicy:
+            for par in (Parity.ODD, Parity.EVEN, None):
+                report = scan_targets(targets, term_region, 3, policy, par)
+                expected = scan_rows_by_search(targets, term_region, 3, par, policy)
+                assert report.rows == expected, (policy, par)
+
+    def test_strict_sumset_k_is_a_lower_bound(self):
+        """2+2i = 3i + (2-i) in spi, but 3i has norm 9 against the target's
+        8. Beside 7, whose strict cap is 49, the sumsets still put 2+2i at
+        two terms under the strict policy; the search from there finds no
+        strict sum, so the row is an exception."""
+        z = GaussianInt(2, 2)
+        targets = [z, GaussianInt(7, 0)]
+        proofs, exact = gaussdecomp._minimal_terms(
+            targets, SPI, NormPolicy.STRICT_LESS, Parity.ODD, 3
+        )
+        assert proofs == [(2, 8), (3, 49)]
+        assert not exact
+        strict = scan_targets(targets, SPI, 3, NormPolicy.STRICT_LESS, Parity.ODD)
+        assert strict.rows[0] == (z, None, None)
+        assert strict.rows == scan_rows_by_search(
+            targets, SPI, 3, Parity.ODD, NormPolicy.STRICT_LESS
+        )
+        none = scan_targets(targets, SPI, 3, NormPolicy.NONE, Parity.ODD)
+        assert none.rows[0] == (z, 2, (GaussianInt(0, 3), GaussianInt(2, -1)))
 
     @pytest.mark.parametrize("term_region", [GPI, KPI, SPI])
     def test_sumset_scan_matches_the_search_at_four_terms(self, term_region):
@@ -412,8 +435,8 @@ class TestScans:
         target by target, with the same rows."""
         targets = box_targets(Region.OPEN_QUADRANT, (300, 303), (1, 2))
         dense = box_targets(Region.OPEN_QUADRANT, (1, 30), (1, 30))
-        assert gaussdecomp._minimal_terms(dense, GPI, Parity.ODD, 3) is not None
-        assert gaussdecomp._minimal_terms(targets, GPI, Parity.ODD, 3) is None
+        assert gaussdecomp._minimal_terms(dense, GPI, NormPolicy.NONE, Parity.ODD, 3)[1]
+        assert not gaussdecomp._minimal_terms(targets, GPI, NormPolicy.NONE, Parity.ODD, 3)[1]
 
         def no_sumsets(*args):
             raise AssertionError("sumsets built for a far box")
@@ -652,6 +675,23 @@ class TestPoolCache:
         _pool_for(KPI, None, 100)
         assert built == [512, 1024, 5000, 512]  # keyed by parity too
         assert cache[(KPI, Parity.ODD)][0] == 5000
+
+    def test_doubling_stops_at_the_sieve_cap(self, monkeypatch):
+        built = []
+
+        def counting_pool(region, bound, parity_filter):
+            built.append(bound)
+            return gaussian_prime_pool(region, bound, parity_filter)
+
+        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        monkeypatch.setattr(gaussdecomp, "gaussian_prime_pool", counting_pool)
+        monkeypatch.setattr(gaussdecomp, "_SIEVE_CAP", 1500)
+        monkeypatch.setattr(primes, "_SIEVE_CAP", 1500)
+        _pool_for(KPI, Parity.ODD, 1000)
+        _pool_for(KPI, Parity.ODD, 1200)
+        assert built == [1000, 1500]  # doubling would ask for 2000
+        with pytest.raises(ValueError, match="sieve limit 1599 is above the cap of 1500"):
+            _pool_for(KPI, Parity.ODD, 1600)
 
 
 class TestExtendWithInert:

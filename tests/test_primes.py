@@ -25,6 +25,7 @@ from shnirel import (
     sector_gap_stats,
     two_squares,
 )
+from shnirel import primes
 from shnirel.primes import CACHE_MAGIC
 
 
@@ -87,6 +88,17 @@ class TestPrimeTable:
             PrimeTable.sieve(1)
         with pytest.raises(ValueError):
             PrimeTable(1, [])
+
+    def test_sieve_cap_refuses_before_allocating(self, monkeypatch):
+        with pytest.raises(ValueError, match="above the cap"):
+            primes._sieve_flags(primes._SIEVE_CAP + 1)
+        monkeypatch.setattr(primes, "_SIEVE_CAP", 1000)
+        assert PrimeTable.sieve(1000).primes[-1] == 997
+        with pytest.raises(ValueError, match="sieve limit 1001 is above the cap of 1000"):
+            PrimeTable.sieve(1001)
+        assert gaussian_prime_pool(Region.PRIME_QUADRANT, 1001)[-1][2] == 997
+        with pytest.raises(ValueError, match="sieve limit 1001 is above the cap"):
+            gaussian_prime_pool(Region.PRIME_QUADRANT, 1002)
 
 
 class TestCacheFile:
