@@ -18,7 +18,6 @@ from typing import IO, Callable
 
 from . import golden as golden_mod
 from .diophantine import (
-    BoundExceeded,
     solve_four_columns,
     solve_min_columns,
     solve_square_columns,
@@ -43,7 +42,7 @@ from .ratdecomp import (
     HYPOTHESES,
     HypothesisViolation,
     SearchExhausted,
-    hypothesis_scan,
+    hypothesis_scans,
     residue34_chain,
     write_hypothesis_csv,
 )
@@ -342,7 +341,7 @@ def cmd_obstruction(args) -> int:
 
 def cmd_hypotheses(args) -> int:
     indices = [args.index] if args.index is not None else sorted(HYPOTHESES)
-    reports = [hypothesis_scan(i, 1, args.upper) for i in indices]
+    reports = hypothesis_scans(indices, 1, args.upper)
     _emit(
         args,
         {
@@ -566,7 +565,7 @@ def entry(argv: list[str] | None = None) -> int:
     except (SearchExhausted, HypothesisViolation, BaseCaseError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValueError, BoundExceeded, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
 

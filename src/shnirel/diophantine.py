@@ -6,8 +6,7 @@ Three flavors are covered, named after their command-line tokens: thm1
 fixes four columns with odd prime targets, thm2 uses the fewest odd
 prime targets, and conj1 replaces the column-sum constraint with a
 square-sum one, so each column is a Gaussian prime in the closed first
-quadrant and its target is the norm. A bounded exhaustive search backs
-all three for cross-checking.
+quadrant and its target is the norm.
 """
 
 from __future__ import annotations
@@ -18,20 +17,9 @@ from enum import Enum
 from typing import IO
 
 from .gaussdecomp import NormPolicy, find_decomposition
-from .primes import (
-    PrimeTable,
-    gaussian_primes_in,
-    is_gaussian_prime,
-    is_rational_prime,
-)
+from .primes import is_gaussian_prime, is_rational_prime
 from .ratdecomp import SearchExhausted, four_odd_primes, min_odd_prime_terms
-from .zcore import GaussianInt, Parity, Region, in_region
-
-BRUTE_FORCE_LIMIT = 200
-
-
-class BoundExceeded(Exception):
-    """Inputs past the exhaustive-search guard."""
+from .zcore import GaussianInt, Region, in_region
 
 
 class SystemKind(Enum):
@@ -204,140 +192,9 @@ def solve_square_columns(a: int, b: int, max_terms: int = 6) -> SolutionMatrix:
     return SolutionMatrix.from_columns(SystemKind.SQUARE_COLUMNS, cols, None)
 
 
-def brute_force_matrix(
-    a: int, b: int, kind: SystemKind, max_columns: int = 6
-) -> SolutionMatrix | None:
-    """Exhaustive reference search, independent of the closed-form
-    solvers, for cross-checking on small inputs: the first matrix
-    brute_force_matrices yields, or None."""
-    return next(brute_force_matrices(a, b, kind, max_columns), None)
-
-
-def _prime_target_tuples(n: int, k: int, pool: list[int], members: set[int]):
-    """All non-decreasing k-tuples of pool primes summing to n,
-    ascending lexicographic order."""
-
-    def rec(rest: int, terms: int, lo: int, acc: tuple[int, ...]):
-        if terms == 1:
-            if rest in members and (not acc or rest >= acc[-1]):
-                yield acc + (rest,)
-            return
-        for i in range(lo, len(pool)):
-            p = pool[i]
-            if p * terms > rest:
-                break
-            yield from rec(rest - p, terms - 1, i, acc + (p,))
-
-    yield from rec(n, k, 0, ())
-
-
-def _second_row_fills(targets_desc: tuple[int, ...], b: int):
-    """All ways to spread b over the columns with 0 <= x2_j <= t_j.
-
-    Columns run in descending target order; within a run of equal
-    targets x2 must not decrease, so each column multiset shows up
-    exactly once.
-    """
-    width = len(targets_desc)
-    suffix = [0] * (width + 1)
-    for j in range(width - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + targets_desc[j]
-
-    def rec(j: int, brem: int, acc: tuple[int, ...]):
-        t = targets_desc[j]
-        lo = max(0, brem - suffix[j + 1])
-        if j > 0 and t == targets_desc[j - 1]:
-            lo = max(lo, acc[-1])
-        if j == width - 1:
-            if lo <= brem <= t:
-                yield acc + (brem,)
-            return
-        for x in range(lo, min(t, brem) + 1):
-            yield from rec(j + 1, brem - x, acc + (x,))
-
-    yield from rec(0, b, ())
-
-
-def _gaussian_all(a: int, b: int, max_columns: int):
-    pool = [
-        z
-        for z in gaussian_primes_in(
-            Region.PRIME_QUADRANT, a * a + b * b + 1, Parity.ODD
-        )
-        if z.re <= a and z.im <= b
-    ]
-    index = {(z.re, z.im): i for i, z in enumerate(pool)}
-
-    def rec(ra: int, rb: int, terms: int, lo: int, acc: tuple):
-        if terms == 1:
-            i = index.get((ra, rb))
-            if i is not None and i >= lo:
-                yield acc + (pool[i],)
-            return
-        if 3 * terms > ra + rb:
-            return
-        cap = ra * ra + rb * rb
-        for i in range(lo, len(pool)):
-            z = pool[i]
-            if z.norm() > cap:
-                break
-            if z.re > ra or z.im > rb:
-                continue
-            yield from rec(ra - z.re, rb - z.im, terms - 1, i, acc + (z,))
-
-    for k in range(1, max_columns + 1):
-        if k % 2 != (a + b) % 2:
-            continue
-        found = False
-        for terms in rec(a, b, k, 0, ()):
-            found = True
-            cols = [(z.norm(), z.re, z.im) for z in terms]
-            yield SolutionMatrix.from_columns(SystemKind.SQUARE_COLUMNS, cols, None)
-        if found:
-            return
-
-
-def brute_force_matrices(a: int, b: int, kind: SystemKind, max_columns: int = 6):
-    """Yield every solution matrix the brute-force search admits.
-
-    Four-column systems enumerate all width-4 matrices; the other
-    kinds enumerate every matrix at the smallest feasible width.
-    Order is deterministic, so membership checks against solver
-    output terminate early in the common case.
-    """
-    if a + b > BRUTE_FORCE_LIMIT:
-        raise BoundExceeded(f"exhaustive search is guarded at a + b <= {BRUTE_FORCE_LIMIT}")
-    if a < 0 or b < 0 or a + b == 0:
-        raise ValueError("need nonnegative a, b, not both zero")
-    if kind is SystemKind.SQUARE_COLUMNS:
-        yield from _gaussian_all(a, b, max_columns)
-        return
-    n = a + b
-    table = PrimeTable.sieve(max(n, 8))
-    pool = [p for p in table.primes if p % 2]
-    members = set(pool)
-    widths = [4] if kind is SystemKind.FOUR_COLUMNS else range(1, max_columns + 1)
-    for k in widths:
-        if n % 2 != k % 2 or n < 3 * k:
-            continue
-        found = False
-        for targets in _prime_target_tuples(n, k, pool, members):
-            desc = tuple(reversed(targets))
-            for x2 in _second_row_fills(desc, b):
-                found = True
-                cols = [(t, t - x, x) for t, x in zip(desc, x2)]
-                yield SolutionMatrix.from_columns(kind, cols, None)
-        if found and kind is not SystemKind.FOUR_COLUMNS:
-            return
-
-
 __all__ = [
-    "BRUTE_FORCE_LIMIT",
-    "BoundExceeded",
     "SolutionMatrix",
     "SystemKind",
-    "brute_force_matrices",
-    "brute_force_matrix",
     "solve_four_columns",
     "solve_min_columns",
     "solve_square_columns",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
@@ -342,9 +341,12 @@ def find_decomposition(
 def region_targets(
     region: Region, norm_bound: int, parity_filter: Parity | None = None
 ) -> list[GaussianInt]:
-    """Region members with norm in [1, norm_bound], canonical order."""
+    """Region members with norm in [1, norm_bound], canonical order. The
+    bound is capped at 500**2, as scan_box caps its sides at 500."""
     if norm_bound < 1:
         raise ValueError("norm_bound must be at least 1")
+    if norm_bound > 500**2:
+        raise ValueError("norm_bound is capped at 250000")
     top = isqrt(norm_bound)
     out = []
     for re in range(-top, top + 1):
@@ -598,6 +600,9 @@ def scan_targets(
     if workers <= 1:
         chunks = [_scan_chunk((items,) + common)]
     else:
+        # imported here, so runs without workers skip its import cost
+        from concurrent.futures import ProcessPoolExecutor
+
         step = max(1, -(-len(items) // (workers * 4)))
         arg_list = [(items[i : i + step],) + common for i in range(0, len(items), step)]
         key = (term_region, parity_filter)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import struct
+from bisect import bisect_left, bisect_right
 from enum import Enum
 from itertools import compress
 from math import isqrt
@@ -65,6 +66,25 @@ def _sieve_flags(limit: int) -> bytearray:
     return flags
 
 
+# A loaded cache must list exactly the primes a segmented sieve finds in
+# windows at eight evenly spaced starts and at the end of its range; like
+# the composite sample, this catches a skipped prime only where it looks.
+_WINDOWS = 8
+_WINDOW_WIDTH = 2048
+
+
+def _window_primes(lo: int, hi: int) -> list[int]:
+    """Primes in [lo, hi] by a segmented sieve over its own small primes."""
+    flags = bytearray([1]) * (hi - lo + 1)
+    for n in range(lo, min(hi, 1) + 1):
+        flags[n - lo] = 0
+    base = _sieve_flags(max(isqrt(hi), 2))
+    for p in compress(range(len(base)), base):
+        start = max(p * p, -(-lo // p) * p)
+        flags[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
+    return list(compress(range(lo, hi + 1), flags))
+
+
 class PrimeTable:
     """Sieved primes up to a limit, with mod-4 residue views."""
 
@@ -73,6 +93,8 @@ class PrimeTable:
     def __init__(self, limit: int, primes: list[int]):
         if limit < 2:
             raise ValueError("limit must be at least 2")
+        if limit > _SIEVE_CAP:
+            raise ValueError(f"sieve limit {limit} is above the cap of {_SIEVE_CAP}")
         self.limit = limit
         self.primes = primes
         flags = bytearray(limit + 1)
@@ -130,6 +152,13 @@ class PrimeTable:
         sample = primes[:: -(-len(primes) // 64)] + primes[-1:]
         if not all(map(is_rational_prime, sample)):
             raise ValueError(f"{path}: prime cache holds a composite")
+        top = primes[-1]
+        starts = {top * j // _WINDOWS for j in range(_WINDOWS)} | {top - _WINDOW_WIDTH}
+        for lo in sorted(max(a, 0) for a in starts):
+            hi = min(lo + _WINDOW_WIDTH, top)
+            stored = primes[bisect_left(primes, lo) : bisect_right(primes, hi)]
+            if stored != _window_primes(lo, hi):
+                raise ValueError(f"{path}: prime cache misses or adds primes in [{lo}, {hi}]")
         # Coverage can only be claimed up to the largest stored prime.
         return cls(primes[-1], primes)
 

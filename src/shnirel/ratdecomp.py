@@ -37,41 +37,33 @@ class HypothesisViolation(Exception):
     """A split that scanned evidence guarantees failed to materialize."""
 
 
-def _k_smallest_split(n: int, k: int, pool: list[int]) -> tuple[int, ...] | None:
-    """Lexicographically smallest non-decreasing k-tuple from pool summing
-    to n, repeats allowed, or None.
+def _first_split(n: int, k: int, pool: list[int], levels: list[dict]) -> tuple | None:
+    """The lexicographically first non-decreasing k-term sum of n from the
+    ascending pool, repeats allowed, largest term first, or None.
 
-    The last term's membership is read off the shared table's sieve
-    flags, which mark every prime. That is exact because the callers fix
-    the residue, n = k (mod 2) for the odd primes and n = 3k (mod 4) for
-    the 3 mod 4 class, so the last term, n less k - 1 pool members, is
-    odd, or 3 mod 4, like the pool. It is checked only once it is at
-    least out[-1] >= 3 (n >= 3k when k = 1), so the index is in range.
+    First-term lemma: it is the first pool prime p that leaves n - p a
+    (k-1)-term sum (any term q of a sum leaves n - q one), plus the first
+    such sum of n - p (a term q < p there would have come first). So nothing
+    backtracks, and p * k > n ends the scan. levels[k - 1] memoizes k-term
+    results. Level 1 reads the sieve flags, exactly: callers fix n = k mod 2
+    (odd pool) or n = 3k mod 4 (3 mod 4 pool), which taking off pool primes
+    keeps, so the last term is in the pool's class.
     """
-    flags = _shared_table._flags
     if k == 1:
-        return (n,) if flags[n] else None
-    out: list[int] = []
-
-    def rec(rest: int, terms: int, lo: int) -> bool:
-        if terms == 1:
-            if rest >= out[-1] and flags[rest]:
-                out.append(rest)
-                return True
-            return False
-        for idx in range(lo, len(pool)):
-            p = pool[idx]
-            if p * terms > rest:
-                break
-            out.append(p)
-            if rec(rest - p, terms - 1, idx):
-                return True
-            out.pop()
-        return False
-
-    if rec(n, k, 0):
-        return tuple(out)
-    return None
+        return (n,) if _shared_table._flags[n] else None
+    memo = levels[k - 1]
+    if n in memo:
+        return memo[n]
+    wit = None
+    for p in pool:
+        if p * k > n:
+            break
+        rest = _first_split(n - p, k - 1, pool, levels)
+        if rest is not None:
+            wit = rest + (p,)
+            break
+    memo[n] = wit
+    return wit
 
 
 def split_into_odd_primes(n: int, k: int) -> tuple[int, ...] | None:
@@ -84,8 +76,7 @@ def split_into_odd_primes(n: int, k: int) -> tuple[int, ...] | None:
     if k < 1 or n < 3 * k or n % 2 != k % 2:
         return None
     _grow(n)
-    asc = _k_smallest_split(n, k, _odd_pool)
-    return None if asc is None else tuple(reversed(asc))
+    return _first_split(n, k, _odd_pool, [{} for _ in range(k)])
 
 
 def split_into_residue34_primes(n: int, k: int) -> tuple[int, ...] | None:
@@ -96,8 +87,7 @@ def split_into_residue34_primes(n: int, k: int) -> tuple[int, ...] | None:
     if k < 1 or n < 3 * k or (n - 3 * k) % 4 != 0:
         return None
     _grow(n)
-    asc = _k_smallest_split(n, k, _r34_pool)
-    return None if asc is None else tuple(reversed(asc))
+    return _first_split(n, k, _r34_pool, [{} for _ in range(k)])
 
 
 def goldbach_pair(n: int) -> tuple[int, int]:
@@ -139,12 +129,8 @@ class HypothesisSpec:
     k: int
 
 
-HYPOTHESES: dict[int, HypothesisSpec] = {
-    1: HypothesisSpec(1, 2, 2),
-    2: HypothesisSpec(2, 1, 3),
-    3: HypothesisSpec(3, 0, 4),
-    4: HypothesisSpec(4, 3, 5),
-}
+# H_i takes k = i + 1 terms, so it covers n = 3k (mod 4).
+HYPOTHESES = {i: HypothesisSpec(i, 3 * (i + 1) % 4, i + 1) for i in range(1, 5)}
 
 
 @dataclass(frozen=True)
@@ -186,32 +172,45 @@ class HypothesisReport:
         }
 
 
-def hypothesis_scan(index: int, lo: int, hi: int) -> HypothesisReport:
-    """Try the index-th residue-class split on every matching n in [lo, hi]."""
-    spec = HYPOTHESES.get(index)
-    if spec is None:
+def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[HypothesisReport]:
+    """One HypothesisReport per listed index, in order, over [lo, hi].
+
+    H_k covers n = 3k mod 4 and a 3 mod 4 prime off n lands in H_(k-1)'s
+    class, so the scans share one memo: a row is read off the level below,
+    mostly at n - 3. A finished scan drops the levels below it; a miss refills.
+    """
+    if any(index not in HYPOTHESES for index in indices):
         raise ValueError(f"hypothesis index must be one of {sorted(HYPOTHESES)}")
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
-    start = lo + (spec.residue - lo) % 4
-    rows: list[tuple[int, tuple[int, ...] | None]] = []
-    exceptions: list[int] = []
     _grow(hi)
-    for n in range(start, hi + 1, 4):
-        wit = split_into_residue34_primes(n, spec.k)
-        rows.append((n, wit))
-        if wit is None:
-            exceptions.append(n)
-    return HypothesisReport(spec, lo, hi, tuple(rows), tuple(exceptions))
+    levels: list[dict] = [{} for _ in range(max(h.k for h in HYPOTHESES.values()))]
+    reports = {}
+    for index in sorted(set(indices)):  # k ascends with the index
+        spec = HYPOTHESES[index]
+        ns = range(lo + (spec.residue - lo) % 4, hi + 1, 4)
+        rows = tuple((n, _first_split(n, spec.k, _r34_pool, levels)) for n in ns)
+        exceptions = tuple(n for n, wit in rows if wit is None)
+        reports[index] = HypothesisReport(spec, lo, hi, rows, exceptions)
+        for level in levels[: spec.k - 1]:
+            level.clear()
+    return [reports[index] for index in indices]
+
+
+def hypothesis_scan(index: int, lo: int, hi: int) -> HypothesisReport:
+    """Try the index-th residue-class split on every matching n in [lo, hi]."""
+    return hypothesis_scans([index], lo, hi)[0]
 
 
 def write_hypothesis_csv(reports: Sequence[HypothesisReport], fh: IO[str]) -> None:
     """One header, then the rows of every report in the order given."""
     fh.write("n,residue,k,witness\n")
     for report in reports:
-        for n, wit in report.rows:
-            cell = "EMPTY" if wit is None else "+".join(str(p) for p in wit)
-            fh.write(f"{n},{report.spec.residue},{report.spec.k},{cell}\n")
+        prefix = f",{report.spec.residue},{report.spec.k},"
+        fh.writelines(
+            f"{n}{prefix}{'EMPTY' if w is None else '+'.join(map(str, w))}\n"
+            for n, w in report.rows
+        )
 
 
 def write_hypothesis_json(report: HypothesisReport, fh: IO[str]) -> None:
@@ -287,6 +286,7 @@ __all__ = [
     "four_odd_primes",
     "goldbach_pair",
     "hypothesis_scan",
+    "hypothesis_scans",
     "min_odd_prime_terms",
     "residue34_chain",
     "split_into_odd_primes",

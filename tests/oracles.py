@@ -2,10 +2,13 @@
 
 Everything here is deliberately naive: trial division, full divisor
 sweeps, tuple enumeration. Slow but obviously correct, so library
-outputs can be judged against them.
+outputs can be judged against them. Only the matrix type the solvers
+return is taken from the library.
 """
 
 from math import isqrt
+
+from shnirel.diophantine import SolutionMatrix, SystemKind
 
 
 def trial_prime(n: int) -> bool:
@@ -127,3 +130,134 @@ def obstruction_sweep(points, bound: int, max_terms: int):
         k += 1
     violations.sort(key=lambda t: (t[0], t[1][0] ** 2 + t[1][1] ** 2, t[1]))
     return levels, violations
+
+
+# The exhaustive matrix search the diophantine solvers are judged against.
+BRUTE_FORCE_LIMIT = 200
+
+
+class BoundExceeded(Exception):
+    """Inputs past the exhaustive-search guard."""
+
+
+def brute_force_matrix(a: int, b: int, kind: SystemKind, max_columns: int = 6):
+    """The first matrix brute_force_matrices yields, or None."""
+    return next(brute_force_matrices(a, b, kind, max_columns), None)
+
+
+def _prime_target_tuples(n: int, k: int, pool: list[int], members: set[int]):
+    """All non-decreasing k-tuples of pool primes summing to n,
+    ascending lexicographic order."""
+
+    def rec(rest: int, terms: int, lo: int, acc: tuple[int, ...]):
+        if terms == 1:
+            if rest in members and (not acc or rest >= acc[-1]):
+                yield acc + (rest,)
+            return
+        for i in range(lo, len(pool)):
+            p = pool[i]
+            if p * terms > rest:
+                break
+            yield from rec(rest - p, terms - 1, i, acc + (p,))
+
+    yield from rec(n, k, 0, ())
+
+
+def _second_row_fills(targets_desc: tuple[int, ...], b: int):
+    """All ways to spread b over the columns with 0 <= x2_j <= t_j.
+
+    Columns run in descending target order; within a run of equal
+    targets x2 must not decrease, so each column multiset shows up
+    exactly once.
+    """
+    width = len(targets_desc)
+    suffix = [0] * (width + 1)
+    for j in range(width - 1, -1, -1):
+        suffix[j] = suffix[j + 1] + targets_desc[j]
+
+    def rec(j: int, brem: int, acc: tuple[int, ...]):
+        t = targets_desc[j]
+        lo = max(0, brem - suffix[j + 1])
+        if j > 0 and t == targets_desc[j - 1]:
+            lo = max(lo, acc[-1])
+        if j == width - 1:
+            if lo <= brem <= t:
+                yield acc + (brem,)
+            return
+        for x in range(lo, min(t, brem) + 1):
+            yield from rec(j + 1, brem - x, acc + (x,))
+
+    yield from rec(0, b, ())
+
+
+def _gaussian_all(a: int, b: int, max_columns: int):
+    """Every matrix of odd Gaussian prime columns in the closed first
+    quadrant (kpi) at the fewest columns that admit one; the pool is
+    sorted by (norm, re, im), primality by divisor sweep."""
+    pool = sorted(
+        (re * re + im * im, re, im)
+        for re in range(a + 1)
+        for im in range(b + 1)
+        if (re + im) % 2 and gaussian_prime_by_division(re, im)
+    )
+    index = {(re, im): i for i, (_, re, im) in enumerate(pool)}
+
+    def rec(ra: int, rb: int, terms: int, lo: int, acc: tuple):
+        if terms == 1:
+            i = index.get((ra, rb))
+            if i is not None and i >= lo:
+                yield acc + (pool[i],)
+            return
+        if 3 * terms > ra + rb:
+            return
+        cap = ra * ra + rb * rb
+        for i in range(lo, len(pool)):
+            norm, re, im = pool[i]
+            if norm > cap:
+                break
+            if re > ra or im > rb:
+                continue
+            yield from rec(ra - re, rb - im, terms - 1, i, acc + (pool[i],))
+
+    for k in range(1, max_columns + 1):
+        if k % 2 != (a + b) % 2:
+            continue
+        found = False
+        for terms in rec(a, b, k, 0, ()):
+            found = True
+            yield SolutionMatrix.from_columns(SystemKind.SQUARE_COLUMNS, list(terms), None)
+        if found:
+            return
+
+
+def brute_force_matrices(a: int, b: int, kind: SystemKind, max_columns: int = 6):
+    """Yield every solution matrix the brute-force search admits.
+
+    Four-column systems enumerate all width-4 matrices; the other
+    kinds enumerate every matrix at the smallest feasible width.
+    Order is deterministic, so membership checks against solver
+    output terminate early in the common case.
+    """
+    if a + b > BRUTE_FORCE_LIMIT:
+        raise BoundExceeded(f"exhaustive search is guarded at a + b <= {BRUTE_FORCE_LIMIT}")
+    if a < 0 or b < 0 or a + b == 0:
+        raise ValueError("need nonnegative a, b, not both zero")
+    if kind is SystemKind.SQUARE_COLUMNS:
+        yield from _gaussian_all(a, b, max_columns)
+        return
+    n = a + b
+    pool = odd_primes_upto(n)
+    members = set(pool)
+    widths = [4] if kind is SystemKind.FOUR_COLUMNS else range(1, max_columns + 1)
+    for k in widths:
+        if n % 2 != k % 2 or n < 3 * k:
+            continue
+        found = False
+        for targets in _prime_target_tuples(n, k, pool, members):
+            desc = tuple(reversed(targets))
+            for x2 in _second_row_fills(desc, b):
+                found = True
+                cols = [(t, t - x, x) for t, x in zip(desc, x2)]
+                yield SolutionMatrix.from_columns(kind, cols, None)
+        if found and kind is not SystemKind.FOUR_COLUMNS:
+            return

@@ -16,7 +16,6 @@ from shnirel import (
     Parity,
     Region,
     SystemKind,
-    brute_force_matrices,
     hypothesis_scan,
     is_gaussian_prime,
     load_golden,
@@ -32,7 +31,7 @@ from shnirel import (
 from shnirel.gaussdecomp import write_scan_csv, write_scan_json
 from shnirel.ratdecomp import CHAIN_THRESHOLD
 
-from oracles import gaussian_prime_by_division, trial_prime
+from oracles import brute_force_matrices, gaussian_prime_by_division, trial_prime
 
 
 def _report(num: int, ok: bool, elapsed: float, budget: float, detail: str) -> None:

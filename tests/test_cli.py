@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 
 from oracles import trial_prime
 from shnirel.cli import entry, parse_gaussian, parse_range
+from shnirel.primes import CACHE_MAGIC
 from shnirel.zcore import GaussianInt
 
 
@@ -17,6 +19,18 @@ def run(capsys, *argv):
     code = entry(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err.strip()
+
+
+class TestStartup:
+    def test_import_leaves_the_process_pool_out(self):
+        code = (
+            "import sys, shnirel.cli; "
+            "print('concurrent.futures.process' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "False\n"
 
 
 class TestParsers:
@@ -53,6 +67,16 @@ class TestSieve:
         code, _, _ = run(capsys, "sieve", "--limit", "500", "--cache", str(cache))
         assert code == 0
         assert cache.exists()
+
+    def test_cache_that_skips_primes_is_resieved(self, capsys, tmp_path):
+        cache = tmp_path / "gappy.bin"
+        cache.write_bytes(CACHE_MAGIC + struct.pack("<3Q", 2, 3, 1000003))
+        code, out, err = run(
+            capsys, "sieve", "--limit", "100", "--cache", str(cache), "--list"
+        )
+        assert code == 0
+        assert [int(p) for p in out.split()] == [p for p in range(101) if trial_prime(p)]
+        assert err == "primes: 25 up to 100"
 
     def test_cache_file_via_environment(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env.bin"
@@ -291,6 +315,28 @@ class TestReportDigests:
             assert code == 0
             got[fmt] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert got == OBSTRUCTION_DIGESTS
+
+
+# sha256 of the hypothesis reports, recorded before the scans shared one
+# memo of levels.
+HYPOTHESIS_DIGESTS = {
+    (None, "md"): "f5d0f1d223cb992737281704069f33b1e01953a4c00980a5c084e91d06cce0d1",
+    (None, "csv"): "fe6846313726cb22a3c2c5727d6df4feccdf26b322fc01412861cc1772c31ce0",
+    (None, "json"): "4b0e8950d4d69bdaa0cfdbce8b85fb1215c423191a21d5cc49afb5dc80f7ca08",
+    ("4", "csv"): "93b434caa101172fd0819f2c39c8d22b378df40008afac8037ad4df2e2a1125a",
+}
+
+
+class TestHypothesisDigests:
+    def test_reports_are_byte_identical(self, capsys, tmp_path):
+        path = tmp_path / "report"
+        got = {}
+        for index, fmt in HYPOTHESIS_DIGESTS:
+            argv = ["hypotheses", "--upper", "20000", "--format", fmt, "--out", str(path)]
+            code, _, _ = run(capsys, *(argv + (["--index", index] if index else [])))
+            assert code == 1
+            got[index, fmt] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert got == HYPOTHESIS_DIGESTS
 
 
 class TestObstruction:

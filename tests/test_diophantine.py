@@ -5,14 +5,16 @@ import json
 
 import pytest
 
-from oracles import trial_prime
-from shnirel import (
+from oracles import (
     BoundExceeded,
+    brute_force_matrices,
+    brute_force_matrix,
+    trial_prime,
+)
+from shnirel import (
     SearchExhausted,
     SolutionMatrix,
     SystemKind,
-    brute_force_matrices,
-    brute_force_matrix,
     four_odd_primes,
     min_odd_prime_terms,
     solve_four_columns,

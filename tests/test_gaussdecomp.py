@@ -3,6 +3,7 @@ reports, the diagonal obstruction, and the shift-by-inert chains."""
 
 import io
 import json
+import concurrent.futures
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -318,6 +319,21 @@ class TestTargetEnumeration:
         with pytest.raises(ValueError):
             region_targets(KPI, 0)
 
+    def test_region_targets_cap_fires_before_any_allocation(self, monkeypatch):
+        def allocating(*args):
+            raise AssertionError("region_targets started building")
+
+        monkeypatch.setattr(gaussdecomp, "isqrt", allocating)
+        monkeypatch.setattr(gaussdecomp, "GaussianInt", allocating)
+        for bound in (500**2 + 1, 10**30):
+            with pytest.raises(ValueError, match="norm_bound is capped at 250000"):
+                region_targets(KPI, bound)
+            with pytest.raises(ValueError, match="norm_bound is capped at 250000"):
+                scan_representability(KPI, bound, 3)
+        # at the cap itself the enumeration goes ahead
+        with pytest.raises(AssertionError, match="started building"):
+            region_targets(KPI, 500**2)
+
     def test_box_targets_with_component_floor(self):
         got = box_targets(Region.OPEN_QUADRANT, (1, 3), (1, 3), 3)
         assert [str(z) for z in got] == ["1+3i", "3+i", "2+3i", "3+2i", "3+3i"]
@@ -450,8 +466,9 @@ class TestScans:
         targets = box_targets(Region.OPEN_QUADRANT, (1, 24), (1, 24))
         serial = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD)
         spawn = multiprocessing.get_context("spawn")
+        # scan_targets imports the pool class from concurrent.futures when it needs it
         monkeypatch.setattr(
-            gaussdecomp, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn)
+            concurrent.futures, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn)
         )
         for policy in NormPolicy:
             pooled = scan_targets(targets, GPI, 3, policy, Parity.ODD, jobs=2)

@@ -205,6 +205,37 @@ class TestCacheFile:
             assert table.primes == want, name
             assert PrimeTable.load(path).primes == want, name
 
+    def test_cache_that_skips_primes_rejected(self, tmp_path):
+        path = str(tmp_path / "gappy.bin")
+        self.write_primes(path, [2, 3, 1000003])
+        with pytest.raises(ValueError, match=r"misses or adds primes in \[0, 2048\]"):
+            PrimeTable.load(path)
+        assert ensure_table(100, path).primes == PrimeTable.sieve(100).primes
+        assert PrimeTable.load(path).limit == 97
+
+    def test_cache_missing_a_middle_prime_rejected(self, tmp_path):
+        path = str(tmp_path / "middle.bin")
+        want = PrimeTable.sieve(20000).primes
+        # 10007 is the first prime of the window starting at 19997 // 2
+        assert min(p for p in want if p >= want[-1] // 2) == 10007
+        self.write_primes(path, [p for p in want if p != 10007])
+        with pytest.raises(ValueError, match="misses or adds primes"):
+            PrimeTable.load(path)
+        assert ensure_table(19997, path).primes == want
+        assert PrimeTable.load(path).primes == want
+
+    def test_table_limit_is_capped(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "past.bin")
+        self.write_primes(path, PrimeTable.sieve(1100).primes)
+        monkeypatch.setattr(primes, "_SIEVE_CAP", 1000)
+        assert PrimeTable(1000, [2]).limit == 1000
+        with pytest.raises(ValueError, match="sieve limit 1001 is above the cap"):
+            PrimeTable(1001, [2])
+        # a cache past the cap would size its flags past it: re-sieve instead
+        with pytest.raises(ValueError, match="sieve limit 1097 is above the cap of 1000"):
+            PrimeTable.load(path)
+        assert ensure_table(100, path).primes == PrimeTable.sieve(100).primes
+
     def test_ensure_table_without_cache_path(self):
         assert ensure_table(30).primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 

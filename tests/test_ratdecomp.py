@@ -14,6 +14,7 @@ from shnirel import (
     four_odd_primes,
     goldbach_pair,
     hypothesis_scan,
+    hypothesis_scans,
     min_odd_prime_terms,
     residue34_chain,
     split_into_odd_primes,
@@ -236,6 +237,36 @@ class TestHypothesisScan:
         by_n = {row["n"]: row["witness"] for row in data["rows"]}
         assert by_n[4] is None
         assert by_n[12] == [3, 3, 3, 3]
+
+
+class TestHypothesisLevels:
+    @pytest.mark.parametrize("lo", [1, 2, 3, 101])
+    def test_rows_match_enumeration_oracle(self, lo):
+        hi = 600
+        pool = [p for p in odd_primes_upto(hi) if p % 4 == 3]
+        for index, spec in HYPOTHESES.items():
+            report = hypothesis_scan(index, lo, hi)
+            want = []
+            for n in range(lo, hi + 1):
+                if n % 4 == spec.residue:
+                    asc = min_split_into(n, spec.k, pool)
+                    want.append((n, None if asc is None else tuple(reversed(asc))))
+            assert report.rows == tuple(want), (index, lo)
+            assert report.exceptions == tuple(n for n, w in want if w is None)
+
+    @pytest.mark.parametrize("lo", [1, 101])
+    def test_shared_memo_equals_single_scans(self, lo):
+        together = hypothesis_scans([1, 2, 3, 4], lo, 3000)
+        assert together == [hypothesis_scan(i, lo, 3000) for i in (1, 2, 3, 4)]
+        # reports come back in the order asked, whatever order the levels fill
+        assert hypothesis_scans([4, 2, 4], lo, 3000) == [
+            together[3], together[1], together[3],
+        ]
+
+    def test_bad_index_rejected_before_scanning(self):
+        with pytest.raises(ValueError, match="hypothesis index"):
+            hypothesis_scans([1, 5], 1, 10)
+        assert hypothesis_scans([], 1, 10) == []
 
 
 class TestResidue34Chain:
