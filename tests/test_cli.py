@@ -339,6 +339,63 @@ class TestHypothesisDigests:
         assert got == HYPOTHESIS_DIGESTS
 
 
+# (exit code, sha256 of the --out file) of every other reporting
+# subcommand, recorded before the renderers moved onto the report types.
+COMMAND_DIGESTS = {
+    ("sieve --limit 100", "md"): (0, "9abd78fa17a46c579c38a05c49f3eabe6571a75a0ec75c79c9a4c158c51fc1c2"),
+    ("sieve --limit 100", "csv"): (0, "d72e095b5cea4044dfee6582ece943406590947f4248e7c6b11695c693ceb0f0"),
+    ("sieve --limit 100", "json"): (0, "d143e9fcba7670f09ccfd8cb03a247ba9e272c5c7bbbb3c3352898433bd3bbe4"),
+    ("sieve --limit 100 --list --mod4 3", "md"): (0, "c2986361d08eb156dea24e467a50e09aade14790a3623a6f3f37327102a8443f"),
+    ("sieve --limit 100 --list --mod4 3", "csv"): (0, "7f5de227016e75d4aad305e124a644cb59f089c2d0d305f30df3a411196461a8"),
+    ("sieve --limit 100 --list --mod4 3", "json"): (0, "688476dc3dd7b845f64c23da36d43a5a2aa3cd357d60b62df87d376bd9245328"),
+    ("decompose --z 13,4 --primes kpi", "md"): (0, "defc5b5b10199caa5b828728ca02e9e9df34a72002635809e712622d91d295ec"),
+    ("decompose --z 13,4 --primes kpi", "csv"): (0, "74eaf231a723eb54c852d4e04c437f0a762b234485ca9dfc87122f33799b0c0d"),
+    ("decompose --z 13,4 --primes kpi", "json"): (0, "97abf5e54211f9f92539c9ca78350753b8750c21971f5d1c0f29c3ece61a4985"),
+    ("decompose --z 19,16 --primes kpi --strict-norm", "md"): (0, "5a34e03efedac41a022413329f0d129efcb72921003a88fe7ceb2375a1c8daca"),
+    ("decompose --z 19,16 --primes kpi --strict-norm", "csv"): (0, "977ae645824c2cdbd6b5da4ce779276fcb9e8ef32f323b1811fc8c7586de2974"),
+    ("decompose --z 19,16 --primes kpi --strict-norm", "json"): (0, "b11ab395093b587115c02f8b791d61b650234e288d3cc507c97648a3e609eecf"),
+    ("decompose --z 19,17 --primes kpi --chain", "md"): (0, "4643100502f8146b36ec8756fbb71066a3d49146e49729a49772cd33b2ebc261"),
+    ("decompose --z 19,17 --primes kpi --chain", "csv"): (0, "4f691a3bc6929f8898c6980d717d5608c76d79c5ee3594d69ee64b67f3941ded"),
+    ("decompose --z 19,17 --primes kpi --chain", "json"): (0, "e8b4dc73210279104c3b2e23b9979a461475958f8b5f07191de48f197fcbcd23"),
+    ("decompose --z 5,4 --primes kpi", "md"): (0, "108af1d6c739603936536aad5c2b407dbf8a026a2bfc6677244c59f2117f5878"),
+    ("decompose --z 5,4 --primes kpi", "csv"): (0, "fd25d77b017fcca89d2815bcf249c55c840b5815ee910d818e95a901e5589ced"),
+    ("decompose --z 5,4 --primes kpi", "json"): (0, "5e3efc93a4a7d0b120a829e77bba42b58328eed2758f0dbdf6030df1e9953d18"),
+    ("solve-thm1 --a 11 --b 3", "md"): (0, "57f831d811ba98b223b508c95befa1fdc613d5e4f0689c38aaa59726572a4924"),
+    ("solve-thm1 --a 11 --b 3", "csv"): (0, "dc5b0b910afdc384fbe906f93199550e2ad68adb920f441846336a8b511e334c"),
+    ("solve-thm1 --a 11 --b 3", "json"): (0, "61ab53d25d1bcdfbe6c3649fd0be34730d76a39173695a69bb57d38259661fc8"),
+    ("solve-thm2 --a 9 --b 5", "md"): (0, "60a8848e597b6583300632221ec684e82fc3efa6169983ca03c8727b0d45d0d2"),
+    ("solve-thm2 --a 9 --b 5", "csv"): (0, "aa528fc52f1ec41af6a24b86b1c64cbbc2f06530b399e89476d624dfa27d842a"),
+    ("solve-thm2 --a 9 --b 5", "json"): (0, "8e2f649a5fc75bf5c40108c43bd3506ba2ca831d57cb06aca2257614a466acb4"),
+    ("solve-conj1 --a 7 --b 4 --kmax 3", "md"): (0, "8a14214a5a33eabdd39723f0a65560f2c02686ec2098d30cb548f35ace0b4a70"),
+    ("solve-conj1 --a 7 --b 4 --kmax 3", "csv"): (0, "82c7418526c5887ef63029a72a214a1bf973794187ae5c09708151b76341f961"),
+    ("solve-conj1 --a 7 --b 4 --kmax 3", "json"): (0, "12a3d7724c9688616fdbb290fa9bb3fdc560040f5579016c445d1bb1b16f722b"),
+    ("thm130 --n 30", "md"): (0, "6fbf151835146bca8931a0c071c99c7f8c40e988aac59d2348709e8db59b0c77"),
+    ("thm130 --n 30", "csv"): (0, "ae7c8832fc2ed391c55a953519315131505ceb81f4646c871a1a8b43e0e3ada9"),
+    ("thm130 --n 30", "json"): (0, "3907864203258920b3f9d26e2375abcf5a59940c76bdf5dce0b3148f9f7004e7"),
+    ("tables --validate", "md"): (0, "24c859b7de0e36a602733f2235aa5c26d7b705ae30f7531e93638bd77ea755c6"),
+    ("tables --validate", "csv"): (0, "0ccac89692d1599fb47b5b5c1b9f42bdcba3a0c2e1306917508cd9b9273e6aab"),
+    ("tables --validate", "json"): (0, "d562d1526478cfc4458eca92327d7a2cb1d9fb00137dd97c0bf43ca1a86479a3"),
+    ("tables --regenerate", "md"): (0, "222d92e5f07a90dfc3205c4e4c48d5d2874a80e34d9f88dff9c8438be29e5901"),
+    ("tables --regenerate", "csv"): (0, "5c8b3f35e9fa379f9636c4927b2c61cf2cd9a9cb511e1844798b18f67f2e0288"),
+    ("tables --regenerate", "json"): (0, "659dd066cc0cf5334a0c9f4a8ce7fea97899ae257667762480c1bfd40808b033"),
+}
+
+
+class TestCommandDigests:
+    def test_reports_are_byte_identical(self, capsys, tmp_path, monkeypatch):
+        # the sieve summary names the cache file
+        monkeypatch.delenv("SHNIREL_CACHE", raising=False)
+        path = tmp_path / "report"
+        got = {}
+        for command, fmt in COMMAND_DIGESTS:
+            argv = command.split() + ["--format", fmt, "--out", str(path)]
+            path.unlink(missing_ok=True)
+            code, out, _ = run(capsys, *argv)
+            assert out == ""
+            got[command, fmt] = (code, hashlib.sha256(path.read_bytes()).hexdigest())
+        assert got == COMMAND_DIGESTS
+
+
 class TestObstruction:
     def test_holds(self, capsys):
         code, out, err = run(
