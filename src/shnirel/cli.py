@@ -11,44 +11,35 @@ failures), 2 for unusable arguments.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import IO, Callable
+from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
 from . import golden as golden_mod
-from .diophantine import (
-    solve_four_columns,
-    solve_min_columns,
-    solve_square_columns,
-    write_matrix_csv,
-    write_matrix_json,
-)
+from .diophantine import solve_four_columns, solve_min_columns, solve_square_columns
 from .gaussdecomp import (
     BaseCaseError,
+    Decomposition,
     NormPolicy,
     find_decomposition,
     four_term_decompose,
     scan_box,
     verify_diagonal_obstruction,
-    write_decomposition_csv,
-    write_obstruction_csv,
-    write_obstruction_json,
-    write_scan_csv,
-    write_scan_json,
 )
 from .primes import CACHE_ENV, ensure_table
 from .ratdecomp import (
     HYPOTHESES,
+    HypothesisReports,
     HypothesisViolation,
     SearchExhausted,
     hypothesis_scans,
     residue34_chain,
-    write_hypothesis_csv,
 )
+from .report import FORMATS, Report
 from .zcore import GaussianInt, Region, in_region
 
-FORMATS = ("md", "csv", "json")
 PRIME_REGIONS = (
     Region.PRIME_SECTOR.value,
     Region.PRIME_QUADRANT.value,
@@ -75,152 +66,76 @@ def _summary(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _emit(args, renderers: dict[str, Callable[[IO[str]], None]]) -> None:
-    """Write the payload with the renderer for args.format. Renderers
-    take the file and build their payload only when called, so the
-    formats not asked for cost nothing."""
-    render = renderers[args.format]
+def _emit(args, report: Report) -> None:
+    """Write the report in args.format to args.out, or to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
-            render(fh)
+            report.write(fh, args.format)
     else:
-        render(sys.stdout)
+        report.write(sys.stdout, args.format)
 
 
-def _write_json(obj, fh: IO[str]) -> None:
-    json.dump(obj, fh, sort_keys=True, indent=2)
-    fh.write("\n")
+@dataclass(frozen=True)
+class SieveReport(Report):
+    """The primes up to limit themselves when listing, else their count."""
+
+    limit: int
+    primes: tuple[int, ...]
+    cache: str | None
+    mod4: int | None
+    listing: bool
+
+    @property
+    def largest(self) -> int | None:
+        return self.primes[-1] if self.primes else None
+
+    def to_json_dict(self) -> dict | list[int]:
+        if self.listing:
+            return list(self.primes)
+        return {
+            "limit": self.limit,
+            "count": len(self.primes),
+            "largest": self.largest,
+            "cache": self.cache,
+            "mod4": self.mod4,
+        }
+
+    def md_lines(self) -> Iterable[str]:
+        if self.listing:
+            return (f"{p}\n" for p in self.primes)
+        mod4 = "" if self.mod4 is None else f" (mod 4 = {self.mod4})"
+        cache = f", cache {self.cache}" if self.cache else ""
+        return [f"{len(self.primes)} primes up to {self.limit}{mod4}{cache}\n"]
+
+    def csv_lines(self) -> Iterable[str]:
+        if self.listing:
+            return chain(["n\n"], (f"{p}\n" for p in self.primes))
+        return ["limit,count,largest\n", f"{self.limit},{len(self.primes)},{self.largest}\n"]
 
 
-def _write_lines(lines: list[str], fh: IO[str]) -> None:
-    for line in lines:
-        fh.write(line + "\n")
+@dataclass(frozen=True)
+class RoutedDecomposition(Report):
+    """A --chain decomposition and the route that found it."""
 
+    dec: Decomposition
+    route: str
 
-def _matrix_md(matrix) -> list[str]:
-    head = f"kind {matrix.kind.value}"
-    if matrix.case is not None:
-        head += f", case {matrix.case}"
-    head += f": a={matrix.a}, b={matrix.b}, k={matrix.k}"
-    lines = [head, "", "| target | x1 | x2 |", "|---|---|---|"]
-    for t, x1, x2 in matrix.columns():
-        lines.append(f"| {t} | {x1} | {x2} |")
-    return lines
+    def to_json_dict(self) -> dict:
+        return dict(self.dec.to_json_dict(), route=self.route)
 
+    def md_lines(self) -> Iterable[str]:
+        return chain(self.dec.md_lines(), [f"route: {self.route}\n"])
 
-def _decomposition_md(dec) -> list[str]:
-    lines = [
-        f"{dec.target} = {dec}",
-        f"k={dec.k} region={dec.region.value} policy={dec.policy.value}",
-        "",
-        "| summand | norm | unit | sector |",
-        "|---|---|---|---|",
-    ]
-    for g, u in dec.terms:
-        lines.append(f"| {u.apply(g)} | {g.norm()} | {u.label} | {g} |")
-    return lines
-
-
-def _scan_md(report) -> list[str]:
-    exceptions = report.exceptions
-    lines = [
-        f"targets {report.target_desc}, primes {report.term_region.value}, "
-        f"max terms {report.max_terms}, policy {report.policy.value}: "
-        f"{len(report.rows)} targets, {len(exceptions)} unrepresentable",
-        "",
-        "| z | norm | k | witness |",
-        "|---|---|---|---|",
-    ]
-    for z, k, wit in report.rows:
-        cell = "EMPTY" if wit is None else " + ".join(f"({s})" for s in wit)
-        lines.append(f"| {z} | {z.norm()} | {'' if k is None else k} | {cell} |")
-    return lines
-
-
-def _obstruction_md(report) -> list[str]:
-    lines = [
-        f"bound {report.bound}, up to {report.max_terms} terms: "
-        + ("inequality holds" if report.holds else "VIOLATED"),
-        "",
-        "| k | count | min re-im |",
-        "|---|---|---|",
-    ]
-    for k, c, g in report.levels:
-        lines.append(f"| {k} | {c} | {g} |")
-    for k, z in report.violations:
-        lines.append(f"violation at k={k}: {z}")
-    return lines
-
-
-def _hypothesis_md(report) -> str:
-    spec = report.spec
-    exc = ", ".join(str(n) for n in report.exceptions) or "none"
-    return (
-        f"hypothesis {spec.index} (n = {spec.residue} mod 4, k = {spec.k}) "
-        f"over [{report.lo}, {report.hi}]: "
-        f"{len(report.rows)} targets, exceptions: {exc}, "
-        f"max exception: {report.max_exception}, "
-        f"c0 candidate: {report.c0_candidate}"
-    )
-
-
-def _regen_md(report) -> list[str]:
-    lines = [
-        f"{report.total} rows, {report.total - len(report.failures)} regenerated, "
-        f"{report.matches} match the stored witnesses"
-    ]
-    for row in report.failures:
-        lines.append(f"failed: {row.target}")
-    return lines
-
-
-def _validation_md(validation) -> list[str]:
-    lines = [f"{validation.total} rows, {len(validation.failures)} failures"]
-    for i, reason in validation.failures:
-        lines.append(f"row {i}: {reason}")
-    return lines
+    def csv_lines(self) -> Iterable[str]:
+        return self.dec.csv_lines()
 
 
 def cmd_sieve(args) -> int:
     table = ensure_table(args.limit, args.cache)
     primes = table.primes if args.mod4 is None else table.residue_class(args.mod4)
-    primes = [p for p in primes if p <= args.limit]
-    summary = {
-        "limit": args.limit,
-        "count": len(primes),
-        "largest": primes[-1] if primes else None,
-        "cache": args.cache,
-        "mod4": args.mod4,
-    }
-    if args.list:
-        _emit(
-            args,
-            {
-                "md": lambda fh: _write_lines([str(p) for p in primes], fh),
-                "csv": lambda fh: _write_lines(["n"] + [str(p) for p in primes], fh),
-                "json": lambda fh: _write_json(primes, fh),
-            },
-        )
-    else:
-        _emit(
-            args,
-            {
-                "md": lambda fh: _write_lines(
-                    [
-                        f"{summary['count']} primes up to {args.limit}"
-                        + (f" (mod 4 = {args.mod4})" if args.mod4 is not None else "")
-                        + (f", cache {args.cache}" if args.cache else "")
-                    ],
-                    fh,
-                ),
-                "csv": lambda fh: _write_lines(
-                    ["limit,count,largest", f"{args.limit},{summary['count']},{summary['largest']}"],
-                    fh,
-                ),
-                "json": lambda fh: _write_json(summary, fh),
-            },
-        )
-    _summary(f"primes: {summary['count']} up to {args.limit}")
+    primes = tuple(p for p in primes if p <= args.limit)
+    _emit(args, SieveReport(args.limit, primes, args.cache, args.mod4, args.list))
+    _summary(f"primes: {len(primes)} up to {args.limit}")
     return 0
 
 
@@ -240,16 +155,7 @@ def cmd_decompose(args) -> int:
                 )
             return 1
         dec, route = got
-        _emit(
-            args,
-            {
-                "md": lambda fh: _write_lines(
-                    _decomposition_md(dec) + [f"route: {route}"], fh
-                ),
-                "csv": lambda fh: write_decomposition_csv(dec, fh),
-                "json": lambda fh: _write_json(dict(dec.to_json_dict(), route=route), fh),
-            },
-        )
+        _emit(args, RoutedDecomposition(dec, route))
         _summary(f"terms: {dec.k}, route: {route}")
         return 0
     dec = find_decomposition(
@@ -258,14 +164,7 @@ def cmd_decompose(args) -> int:
     if dec is None:
         _summary(f"{z}: no decomposition into at most {args.max_terms} terms")
         return 1
-    _emit(
-        args,
-        {
-            "md": lambda fh: _write_lines(_decomposition_md(dec), fh),
-            "csv": lambda fh: write_decomposition_csv(dec, fh),
-            "json": lambda fh: _write_json(dec.to_json_dict(), fh),
-        },
-    )
+    _emit(args, dec)
     note = " (single: the target itself is prime)" if dec.k == 1 else ""
     _summary(f"terms: {dec.k}{note}")
     return 0
@@ -273,14 +172,7 @@ def cmd_decompose(args) -> int:
 
 def _emit_matrix(args, matrix) -> int:
     matrix.validate()
-    _emit(
-        args,
-        {
-            "md": lambda fh: _write_lines(_matrix_md(matrix), fh),
-            "csv": lambda fh: write_matrix_csv(matrix, fh),
-            "json": lambda fh: write_matrix_json(matrix, fh),
-        },
-    )
+    _emit(args, matrix)
     case = "" if matrix.case is None else f", case {matrix.case}"
     _summary(f"columns: {matrix.k}{case}")
     return 0
@@ -310,28 +202,14 @@ def cmd_scan(args) -> int:
         min_max_component=args.min_max_component,
         jobs=args.jobs,
     )
-    _emit(
-        args,
-        {
-            "md": lambda fh: _write_lines(_scan_md(report), fh),
-            "csv": lambda fh: write_scan_csv(report, fh),
-            "json": lambda fh: write_scan_json(report, fh),
-        },
-    )
+    _emit(args, report)
     _summary(f"targets: {len(report.rows)}, exceptions: {len(report.exceptions)}")
     return 1 if report.exceptions else 0
 
 
 def cmd_obstruction(args) -> int:
     report = verify_diagonal_obstruction(args.bound, args.max_terms)
-    _emit(
-        args,
-        {
-            "md": lambda fh: _write_lines(_obstruction_md(report), fh),
-            "csv": lambda fh: write_obstruction_csv(report, fh),
-            "json": lambda fh: write_obstruction_json(report, fh),
-        },
-    )
+    _emit(args, report)
     _summary(
         f"bound {report.bound}: "
         + ("inequality holds" if report.holds else f"{len(report.violations)} violations")
@@ -342,14 +220,7 @@ def cmd_obstruction(args) -> int:
 def cmd_hypotheses(args) -> int:
     indices = [args.index] if args.index is not None else sorted(HYPOTHESES)
     reports = hypothesis_scans(indices, 1, args.upper)
-    _emit(
-        args,
-        {
-            "md": lambda fh: _write_lines([_hypothesis_md(r) for r in reports], fh),
-            "csv": lambda fh: write_hypothesis_csv(reports, fh),
-            "json": lambda fh: _write_json([r.to_json_dict() for r in reports], fh),
-        },
-    )
+    _emit(args, HypothesisReports(tuple(reports)))
     _summary(
         "; ".join(
             f"hypothesis {r.spec.index}: c0 candidate {r.c0_candidate}" for r in reports
@@ -360,26 +231,7 @@ def cmd_hypotheses(args) -> int:
 
 def cmd_thm130(args) -> int:
     result = residue34_chain(args.n, args.c0 + 9)
-    _emit(
-        args,
-        {
-            "md": lambda fh: _write_lines(
-                [
-                    f"{result.n} = {' + '.join(str(t) for t in result.terms)} "
-                    f"(m={result.m})"
-                ],
-                fh,
-            ),
-            "csv": lambda fh: _write_lines(
-                [
-                    "n,m,witness",
-                    f"{result.n},{result.m},{'+'.join(str(t) for t in result.terms)}",
-                ],
-                fh,
-            ),
-            "json": lambda fh: _write_json(result.to_json_dict(), fh),
-        },
-    )
+    _emit(args, result)
     _summary(f"{result.n}: {result.m} primes of the form 4t+3")
     return 0
 
@@ -388,24 +240,7 @@ def cmd_tables(args) -> int:
     rows = golden_mod.load_golden()
     if args.regenerate:
         report = golden_mod.regenerate_tables(rows)
-
-        def csv_writer(fh: IO[str]) -> None:
-            fh.write("target,stored,regenerated\n")
-            for row, dec in report.results:
-                stored = "+".join(f"({s})" for s in row.summands())
-                regen = (
-                    "" if dec is None else "+".join(f"({s})" for s in dec.summands())
-                )
-                fh.write(f"{row.target},{stored},{regen}\n")
-
-        _emit(
-            args,
-            {
-                "md": lambda fh: _write_lines(_regen_md(report), fh),
-                "csv": csv_writer,
-                "json": lambda fh: _write_json(report.to_json_dict(), fh),
-            },
-        )
+        _emit(args, report)
         _summary(
             f"rows: {report.total}, regenerated: {report.total - len(report.failures)}, "
             f"failures: {len(report.failures)}"
@@ -413,20 +248,7 @@ def cmd_tables(args) -> int:
         return 0 if report.ok else 1
     validation = golden_mod.validate_golden(rows)
     typos = sum(1 for row in rows if row.note)
-
-    def csv_writer(fh: IO[str]) -> None:
-        fh.write("row,reason\n")
-        for i, reason in validation.failures:
-            fh.write(f"{i},{reason}\n")
-
-    _emit(
-        args,
-        {
-            "md": lambda fh: _write_lines(_validation_md(validation), fh),
-            "csv": csv_writer,
-            "json": lambda fh: _write_json(validation.to_json_dict(), fh),
-        },
-    )
+    _emit(args, validation)
     _summary(
         f"rows: {validation.total - len(validation.failures)} passed, "
         f"{len(validation.failures)} failed, {typos} annotated typos"

@@ -11,14 +11,14 @@ quadrant and its target is the norm.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO
+from typing import Iterator
 
 from .gaussdecomp import NormPolicy, find_decomposition
 from .primes import is_gaussian_prime, is_rational_prime
 from .ratdecomp import SearchExhausted, four_odd_primes, min_odd_prime_terms
+from .report import Report
 from .zcore import GaussianInt, Region, in_region
 
 
@@ -29,7 +29,7 @@ class SystemKind(Enum):
 
 
 @dataclass(frozen=True)
-class SolutionMatrix:
+class SolutionMatrix(Report):
     """A solved system: column j satisfies row_a[j] + row_b[j] = targets[j]
     (or a square sum for the conj1 kind), rows sum to a and b.
 
@@ -112,16 +112,17 @@ class SolutionMatrix:
             ],
         }
 
+    def md_lines(self) -> Iterator[str]:
+        case = "" if self.case is None else f", case {self.case}"
+        yield f"kind {self.kind.value}{case}: a={self.a}, b={self.b}, k={self.k}\n"
+        yield "\n| target | x1 | x2 |\n|---|---|---|\n"
+        for t, x1, x2 in self.columns():
+            yield f"| {t} | {x1} | {x2} |\n"
 
-def write_matrix_csv(matrix: SolutionMatrix, fh: IO[str]) -> None:
-    fh.write("target,x1,x2\n")
-    for t, x1, x2 in matrix.columns():
-        fh.write(f"{t},{x1},{x2}\n")
-
-
-def write_matrix_json(matrix: SolutionMatrix, fh: IO[str]) -> None:
-    json.dump(matrix.to_json_dict(), fh, sort_keys=True, indent=2)
-    fh.write("\n")
+    def csv_lines(self) -> Iterator[str]:
+        yield "target,x1,x2\n"
+        for t, x1, x2 in self.columns():
+            yield f"{t},{x1},{x2}\n"
 
 
 def solve_four_columns(a: int, b: int) -> SolutionMatrix:
@@ -198,6 +199,4 @@ __all__ = [
     "solve_four_columns",
     "solve_min_columns",
     "solve_square_columns",
-    "write_matrix_csv",
-    "write_matrix_json",
 ]

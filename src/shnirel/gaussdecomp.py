@@ -9,16 +9,16 @@ remainder.
 
 from __future__ import annotations
 
-import json
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 from operator import itemgetter
-from typing import IO, Sequence
+from typing import Iterator, Sequence
 
 from .primes import _SIEVE_CAP, gaussian_prime_pool, is_gaussian_prime
+from .report import Report
 from .zcore import (
     ZERO,
     GaussianInt,
@@ -40,7 +40,7 @@ class NormPolicy(Enum):
 
 
 @dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Report):
     """A target written as a sum of Gaussian primes from one region.
 
     Each term is stored as (sector prime, unit); the actual summand is
@@ -60,13 +60,6 @@ class Decomposition:
 
     def summands(self) -> list[GaussianInt]:
         return [u.apply(g) for g, u in self.terms]
-
-    def appendix_terms(self) -> list[str]:
-        """Unit-times-sector-prime strings like 'i*(6-i)'."""
-        out = []
-        for g, u in self.terms:
-            out.append(f"({g})" if u is Unit.ONE else f"{u.label}*({g})")
-        return out
 
     def __str__(self) -> str:
         return " + ".join(f"({s})" for s in self.summands())
@@ -93,6 +86,19 @@ class Decomposition:
                 for g, u in self.terms
             ],
         }
+
+    def md_lines(self) -> Iterator[str]:
+        yield f"{self.target} = {self}\n"
+        yield f"k={self.k} region={self.region.value} policy={self.policy.value}\n"
+        yield "\n| summand | norm | unit | sector |\n|---|---|---|---|\n"
+        for g, u in self.terms:
+            yield f"| {u.apply(g)} | {g.norm()} | {u.label} | {g} |\n"
+
+    def csv_lines(self) -> Iterator[str]:
+        yield "summand,re,im,norm,unit,sector\n"
+        for g, u in self.terms:
+            s = u.apply(g)
+            yield f"{s},{s.re},{s.im},{g.norm()},{u.label},{g}\n"
 
 
 def verify_decomposition(dec: Decomposition) -> None:
@@ -393,7 +399,7 @@ def box_targets(
 
 
 @dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Report):
     """Representability of every target in some enumerated set.
 
     term_region constrains the primes used as summands; target_desc
@@ -442,6 +448,23 @@ class ScanReport:
             ],
             "exceptions": [str(z) for z in self.exceptions],
         }
+
+    def md_lines(self) -> Iterator[str]:
+        yield (
+            f"targets {self.target_desc}, primes {self.term_region.value}, "
+            f"max terms {self.max_terms}, policy {self.policy.value}: "
+            f"{len(self.rows)} targets, {len(self.exceptions)} unrepresentable\n"
+        )
+        yield "\n| z | norm | k | witness |\n|---|---|---|---|\n"
+        for z, k, wit in self.rows:
+            cell = "EMPTY" if wit is None else " + ".join(f"({s})" for s in wit)
+            yield f"| {z} | {z.norm()} | {'' if k is None else k} | {cell} |\n"
+
+    def csv_lines(self) -> Iterator[str]:
+        yield "z,norm,k,witness\n"
+        for z, k, wit in self.rows:
+            cell = "EMPTY" if wit is None else "+".join(f"({s})" for s in wit)
+            yield f"{z},{z.norm()},{'' if k is None else k},{cell}\n"
 
 
 def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
@@ -675,20 +698,8 @@ def scan_box(
     )
 
 
-def write_scan_csv(report: ScanReport, fh: IO[str]) -> None:
-    fh.write("z,norm,k,witness\n")
-    for z, k, wit in report.rows:
-        cell = "EMPTY" if wit is None else "+".join(f"({s})" for s in wit)
-        fh.write(f"{z},{z.norm()},{'' if k is None else k},{cell}\n")
-
-
-def write_scan_json(report: ScanReport, fh: IO[str]) -> None:
-    json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-    fh.write("\n")
-
-
 @dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Report):
     """Exhaustive evidence that k-term sums of odd sector primes keep
     re - im at or above k. Violations would refute the obstruction, so
     unlike a scan report, an empty exception list is the good outcome."""
@@ -712,6 +723,20 @@ class ObstructionReport:
             "violations": [{"k": k, "z": str(z)} for k, z in self.violations],
             "holds": self.holds,
         }
+
+    def md_lines(self) -> Iterator[str]:
+        verdict = "inequality holds" if self.holds else "VIOLATED"
+        yield f"bound {self.bound}, up to {self.max_terms} terms: {verdict}\n"
+        yield "\n| k | count | min re-im |\n|---|---|---|\n"
+        for k, c, g in self.levels:
+            yield f"| {k} | {c} | {g} |\n"
+        for k, z in self.violations:
+            yield f"violation at k={k}: {z}\n"
+
+    def csv_lines(self) -> Iterator[str]:
+        yield "k,count,min_gap\n"
+        for k, c, g in self.levels:
+            yield f"{k},{c},{g}\n"
 
 
 def verify_diagonal_obstruction(bound: int, max_terms: int = 6) -> ObstructionReport:
@@ -761,17 +786,6 @@ def verify_diagonal_obstruction(bound: int, max_terms: int = 6) -> ObstructionRe
         levels.append((k, level.bit_count(), gap))
     violations.sort(key=lambda t: (t[0], t[1].key()))
     return ObstructionReport(bound, max_terms, tuple(levels), tuple(violations))
-
-
-def write_obstruction_csv(report: ObstructionReport, fh: IO[str]) -> None:
-    fh.write("k,count,min_gap\n")
-    for k, c, g in report.levels:
-        fh.write(f"{k},{c},{g}\n")
-
-
-def write_obstruction_json(report: ObstructionReport, fh: IO[str]) -> None:
-    json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-    fh.write("\n")
 
 
 def obstruction_line_report(bound: int, max_terms: int = 6) -> ScanReport:
@@ -881,18 +895,6 @@ def four_term_decompose(
     return dec, "fallback"
 
 
-def write_decomposition_csv(dec: Decomposition, fh: IO[str]) -> None:
-    fh.write("summand,re,im,norm,unit,sector\n")
-    for g, u in dec.terms:
-        s = u.apply(g)
-        fh.write(f"{s},{s.re},{s.im},{g.norm()},{u.label},{g}\n")
-
-
-def write_decomposition_json(dec: Decomposition, fh: IO[str]) -> None:
-    json.dump(dec.to_json_dict(), fh, sort_keys=True, indent=2)
-    fh.write("\n")
-
-
 __all__ = [
     "BaseCaseError",
     "Decomposition",
@@ -910,10 +912,4 @@ __all__ = [
     "scan_targets",
     "verify_decomposition",
     "verify_diagonal_obstruction",
-    "write_decomposition_csv",
-    "write_decomposition_json",
-    "write_obstruction_csv",
-    "write_obstruction_json",
-    "write_scan_csv",
-    "write_scan_json",
 ]

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO
+from typing import IO, Iterator
 
 from .gaussdecomp import (
     Decomposition,
@@ -24,6 +23,7 @@ from .gaussdecomp import (
     find_decomposition,
     verify_decomposition,
 )
+from .report import Report
 from .zcore import GaussianInt, Parity, Region, Unit, in_region
 from .zcore import parity as parity_of
 
@@ -85,7 +85,7 @@ def load_golden() -> tuple[GoldenRow, ...]:
 
 
 @dataclass(frozen=True)
-class GoldenValidation:
+class GoldenValidation(Report):
     total: int
     failures: tuple[tuple[int, str], ...]
 
@@ -99,6 +99,16 @@ class GoldenValidation:
             "ok": self.ok,
             "failures": [{"row": i, "reason": msg} for i, msg in self.failures],
         }
+
+    def md_lines(self) -> Iterator[str]:
+        yield f"{self.total} rows, {len(self.failures)} failures\n"
+        for i, reason in self.failures:
+            yield f"row {i}: {reason}\n"
+
+    def csv_lines(self) -> Iterator[str]:
+        yield "row,reason\n"
+        for i, reason in self.failures:
+            yield f"{i},{reason}\n"
 
 
 def validate_golden(rows: tuple[GoldenRow, ...] | None = None) -> GoldenValidation:
@@ -123,7 +133,7 @@ def validate_golden(rows: tuple[GoldenRow, ...] | None = None) -> GoldenValidati
 
 
 @dataclass(frozen=True)
-class RegenReport:
+class RegenReport(Report):
     """Outcome of re-deriving each row with the region searcher."""
 
     results: tuple[tuple[GoldenRow, Decomposition | None], ...]
@@ -166,6 +176,21 @@ class RegenReport:
             ],
         }
 
+    def md_lines(self) -> Iterator[str]:
+        yield (
+            f"{self.total} rows, {self.total - len(self.failures)} regenerated, "
+            f"{self.matches} match the stored witnesses\n"
+        )
+        for row in self.failures:
+            yield f"failed: {row.target}\n"
+
+    def csv_lines(self) -> Iterator[str]:
+        yield "target,stored,regenerated\n"
+        for row, dec in self.results:
+            stored = "+".join(f"({s})" for s in row.summands())
+            regen = "" if dec is None else "+".join(f"({s})" for s in dec.summands())
+            yield f"{row.target},{stored},{regen}\n"
+
 
 def regenerate_tables(rows: tuple[GoldenRow, ...] | None = None) -> RegenReport:
     """Re-derive every row's decomposition under the same constraints:
@@ -206,37 +231,6 @@ def write_golden_csv(rows: tuple[GoldenRow, ...], fh: IO[str]) -> None:
         fh.write(",".join(cells) + "\n")
 
 
-def write_golden_md(rows: tuple[GoldenRow, ...], fh: IO[str]) -> None:
-    fh.write("| table | z | terms | form | note |\n")
-    fh.write("|---|---|---|---|---|\n")
-    for row in rows:
-        dec = row.to_decomposition()
-        terms = " + ".join(dec.appendix_terms())
-        fh.write(
-            f"| {row.table} | {row.target} | {terms} | {row.form} | {row.note} |\n"
-        )
-
-
-def write_golden_json(rows: tuple[GoldenRow, ...], fh: IO[str]) -> None:
-    payload = [
-        {
-            "table": row.table,
-            "z": str(row.target),
-            "re": row.target.re,
-            "im": row.target.im,
-            "terms": [
-                {"sector": str(g), "unit": u.label, "summand": str(u.apply(g))}
-                for g, u in row.terms
-            ],
-            "form": row.form,
-            "note": row.note,
-        }
-        for row in rows
-    ]
-    json.dump(payload, fh, sort_keys=True, indent=2)
-    fh.write("\n")
-
-
 __all__ = [
     "DATA_RESOURCE",
     "GoldenRow",
@@ -246,6 +240,4 @@ __all__ = [
     "regenerate_tables",
     "validate_golden",
     "write_golden_csv",
-    "write_golden_json",
-    "write_golden_md",
 ]

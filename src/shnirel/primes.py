@@ -281,17 +281,6 @@ def gaussian_prime_pool(
     return [(re, im, n) for n, re, im in found]
 
 
-def gaussian_primes_in(
-    region: Region,
-    norm_bound: int,
-    parity_filter: Parity | None = None,
-    table: PrimeTable | None = None,
-) -> list[GaussianInt]:
-    """gaussian_prime_pool as GaussianInt values, same order."""
-    pool = gaussian_prime_pool(region, norm_bound, parity_filter, table)
-    return [GaussianInt(re, im) for re, im, _ in pool]
-
-
 def sector_gap_stats(norm_bound: int, table: PrimeTable | None = None) -> tuple[int, int]:
     """(count, min re-im) over odd sector primes with norm below norm_bound."""
     pool = gaussian_prime_pool(Region.PRIME_SECTOR, norm_bound, Parity.ODD, table)
@@ -308,7 +297,6 @@ __all__ = [
     "classify_gaussian_prime",
     "ensure_table",
     "gaussian_prime_pool",
-    "gaussian_primes_in",
     "is_gaussian_prime",
     "is_rational_prime",
     "sector_gap_stats",

@@ -9,11 +9,12 @@ from the 3 mod 4 class.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import IO, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 from .primes import PrimeTable
+from .report import Report
 
 _shared_table: PrimeTable | None = None
 _odd_pool: list[int] = []
@@ -112,6 +113,8 @@ def four_odd_primes(n: int) -> tuple[int, int, int, int]:
 
 def min_odd_prime_terms(n: int, max_terms: int = 8) -> tuple[int, tuple[int, ...]]:
     """Fewest odd primes summing to n, with the canonical witness."""
+    if max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
     for k in range(1, max_terms + 1):
         got = split_into_odd_primes(n, k)
         if got is not None:
@@ -133,8 +136,11 @@ class HypothesisSpec:
 HYPOTHESES = {i: HypothesisSpec(i, 3 * (i + 1) % 4, i + 1) for i in range(1, 5)}
 
 
+_HYPOTHESIS_CSV_HEAD = "n,residue,k,witness\n"
+
+
 @dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(Report):
     """Scan outcome for one residue-class claim over [lo, hi]."""
 
     spec: HypothesisSpec
@@ -171,6 +177,44 @@ class HypothesisReport:
             "c0_candidate": self.c0_candidate,
         }
 
+    def md_lines(self) -> list[str]:
+        spec = self.spec
+        exc = ", ".join(str(n) for n in self.exceptions) or "none"
+        return [
+            f"hypothesis {spec.index} (n = {spec.residue} mod 4, k = {spec.k}) "
+            f"over [{self.lo}, {self.hi}]: {len(self.rows)} targets, "
+            f"exceptions: {exc}, max exception: {self.max_exception}, "
+            f"c0 candidate: {self.c0_candidate}\n"
+        ]
+
+    def csv_lines(self) -> Iterable[str]:
+        return chain([_HYPOTHESIS_CSV_HEAD], self._csv_rows())
+
+    def _csv_rows(self) -> Iterator[str]:
+        # one generator per row: the full-range scans write millions of them
+        prefix = f",{self.spec.residue},{self.spec.k},"
+        return (
+            f"{n}{prefix}{'EMPTY' if w is None else '+'.join(map(str, w))}\n"
+            for n, w in self.rows
+        )
+
+
+@dataclass(frozen=True)
+class HypothesisReports(Report):
+    """Several scans as one payload: a JSON list, one md line per scan,
+    and one CSV header over the rows of every scan in order."""
+
+    reports: tuple[HypothesisReport, ...]
+
+    def to_json_dict(self) -> list[dict]:
+        return [r.to_json_dict() for r in self.reports]
+
+    def md_lines(self) -> Iterable[str]:
+        return chain.from_iterable(r.md_lines() for r in self.reports)
+
+    def csv_lines(self) -> Iterable[str]:
+        return chain([_HYPOTHESIS_CSV_HEAD], *(r._csv_rows() for r in self.reports))
+
 
 def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[HypothesisReport]:
     """One HypothesisReport per listed index, in order, over [lo, hi].
@@ -202,22 +246,6 @@ def hypothesis_scan(index: int, lo: int, hi: int) -> HypothesisReport:
     return hypothesis_scans([index], lo, hi)[0]
 
 
-def write_hypothesis_csv(reports: Sequence[HypothesisReport], fh: IO[str]) -> None:
-    """One header, then the rows of every report in the order given."""
-    fh.write("n,residue,k,witness\n")
-    for report in reports:
-        prefix = f",{report.spec.residue},{report.spec.k},"
-        fh.writelines(
-            f"{n}{prefix}{'EMPTY' if w is None else '+'.join(map(str, w))}\n"
-            for n, w in report.rows
-        )
-
-
-def write_hypothesis_json(report: HypothesisReport, fh: IO[str]) -> None:
-    json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-    fh.write("\n")
-
-
 # How many copies of 3 shift n down to the residue the three-term split
 # covers, keyed by n mod 4.
 _EXTRA_THREES = {1: 0, 0: 1, 3: 2, 2: 3}
@@ -227,7 +255,7 @@ CHAIN_MAX_TERMS = 6
 
 
 @dataclass(frozen=True)
-class ChainResult:
+class ChainResult(Report):
     """n written as three to six primes congruent to 3 mod 4: a three-term
     core plus up to three copies of 3."""
 
@@ -251,6 +279,12 @@ class ChainResult:
             "terms": list(self.terms),
             "m": self.m,
         }
+
+    def md_lines(self) -> list[str]:
+        return [f"{self.n} = {' + '.join(map(str, self.terms))} (m={self.m})\n"]
+
+    def csv_lines(self) -> list[str]:
+        return ["n,m,witness\n", f"{self.n},{self.m},{'+'.join(map(str, self.terms))}\n"]
 
 
 def residue34_chain(n: int, threshold: int = CHAIN_THRESHOLD) -> ChainResult:
@@ -280,6 +314,7 @@ __all__ = [
     "ChainResult",
     "HYPOTHESES",
     "HypothesisReport",
+    "HypothesisReports",
     "HypothesisSpec",
     "HypothesisViolation",
     "SearchExhausted",
@@ -291,6 +326,4 @@ __all__ = [
     "residue34_chain",
     "split_into_odd_primes",
     "split_into_residue34_primes",
-    "write_hypothesis_csv",
-    "write_hypothesis_json",
 ]

@@ -28,7 +28,6 @@ from shnirel import (
     validate_golden,
     verify_diagonal_obstruction,
 )
-from shnirel.gaussdecomp import write_scan_csv, write_scan_json
 from shnirel.ratdecomp import CHAIN_THRESHOLD
 
 from oracles import brute_force_matrices, gaussian_prime_by_division, trial_prime
@@ -355,9 +354,9 @@ def test_criterion_10_determinism():
                 jobs=jobs,
             )
             csv_fh = io.StringIO()
-            write_scan_csv(report, csv_fh)
+            report.write(csv_fh, "csv")
             json_fh = io.StringIO()
-            write_scan_json(report, json_fh)
+            report.write(json_fh, "json")
             outputs.append((csv_fh.getvalue(), json_fh.getvalue()))
         scans_stable = scans_stable and outputs[0] == outputs[1]
     elapsed = time.perf_counter() - t0

@@ -189,6 +189,15 @@ class TestSolvers:
         code, _, _ = run(capsys, "solve-thm2", "--a", "1", "--b", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("kmax", ["0", "-1"])
+    def test_thm2_kmax_below_one_exits_two(self, capsys, kmax):
+        code, out, err = run(
+            capsys, "solve-thm2", "--a", "9", "--b", "5", "--kmax", kmax
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "max_terms must be at least 1"
+
     def test_conj1_csv(self, capsys):
         code, out, _ = run(
             capsys, "solve-conj1", "--a", "7", "--b", "4", "--kmax", "3",

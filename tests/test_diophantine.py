@@ -21,7 +21,6 @@ from shnirel import (
     solve_min_columns,
     solve_square_columns,
 )
-from shnirel.diophantine import write_matrix_csv, write_matrix_json
 
 
 class TestSolveFourColumns:
@@ -276,10 +275,10 @@ class TestSolutionMatrix:
     def test_writers(self):
         matrix = solve_min_columns(9, 5)
         buf = io.StringIO()
-        write_matrix_csv(matrix, buf)
+        matrix.write(buf, "csv")
         assert buf.getvalue() == "target,x1,x2\n11,9,2\n3,0,3\n"
         buf = io.StringIO()
-        write_matrix_json(matrix, buf)
+        matrix.write(buf, "json")
         assert json.loads(buf.getvalue())["columns"][0] == {
             "target": 11, "x1": 9, "x2": 2,
         }

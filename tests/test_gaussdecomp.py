@@ -28,7 +28,6 @@ from shnirel import (
     find_decomposition,
     four_term_decompose,
     gaussian_prime_pool,
-    gaussian_primes_in,
     obstruction_line_report,
     region_targets,
     scan_box,
@@ -38,17 +37,7 @@ from shnirel import (
     verify_diagonal_obstruction,
 )
 from shnirel import gaussdecomp, primes
-from shnirel.gaussdecomp import (
-    _pool_for,
-    _seed_pool,
-    _worker_count,
-    write_decomposition_csv,
-    write_decomposition_json,
-    write_obstruction_csv,
-    write_obstruction_json,
-    write_scan_csv,
-    write_scan_json,
-)
+from shnirel.gaussdecomp import _pool_for, _seed_pool, _worker_count
 
 KPI = Region.PRIME_QUADRANT
 GPI = Region.PRIME_SECTOR
@@ -171,9 +160,9 @@ def scan_rows_by_search(targets, region, max_terms, parity_filter, policy=NormPo
 class TestCanonicalMinimality:
     def test_first_quadrant_box_matches_enumeration(self):
         pool = [
-            z
-            for z in gaussian_primes_in(KPI, 1801, Parity.ODD)
-            if z.re <= 30 and z.im <= 30
+            GaussianInt(re, im)
+            for re, im, _ in gaussian_prime_pool(KPI, 1801, Parity.ODD)
+            if re <= 30 and im <= 30
         ]
         targets = [(re, im) for re in range(31) for im in range(31) if re or im]
         check_against_enumeration(KPI, NormPolicy.NONE, pool, targets)
@@ -506,8 +495,8 @@ class TestScans:
         )
         assert serial.rows == forked.rows
         a, b = io.StringIO(), io.StringIO()
-        write_scan_json(serial, a)
-        write_scan_json(forked, b)
+        serial.write(a, "json")
+        forked.write(b, "json")
         assert a.getvalue() == b.getvalue()
 
     def test_scan_csv(self):
@@ -516,7 +505,7 @@ class TestScans:
             NormPolicy.NONE, Parity.ODD,
         )
         buf = io.StringIO()
-        write_scan_csv(report, buf)
+        report.write(buf, "csv")
         lines = buf.getvalue().splitlines()
         assert lines[0] == "z,norm,k,witness"
         assert lines[1] == "1+i,2,,EMPTY"
@@ -610,10 +599,10 @@ class TestDiagonalObstruction:
     def test_writers(self):
         report = verify_diagonal_obstruction(20, 3)
         buf = io.StringIO()
-        write_obstruction_csv(report, buf)
+        report.write(buf, "csv")
         assert buf.getvalue() == "k,count,min_gap\n1,102,1\n2,187,2\n3,165,3\n"
         buf = io.StringIO()
-        write_obstruction_json(report, buf)
+        report.write(buf, "json")
         data = json.loads(buf.getvalue())
         assert data["holds"] is True
         assert data["levels"][1] == {"k": 2, "count": 187, "min_gap": 2}
@@ -834,10 +823,6 @@ class TestDecompositionObject:
         dec = find_decomposition(GaussianInt(19, 16), KPI, 3)
         assert str(dec) == "(17+12i) + (1+2i) + (1+2i)"
 
-    def test_appendix_terms_show_units(self):
-        dec = find_decomposition(GaussianInt(6, 6), SPI, 2)
-        assert dec.appendix_terms() == ["(5+4i)", "i*(2-i)"]
-
     def test_json_dict(self):
         dec = find_decomposition(GaussianInt(6, 6), SPI, 2)
         data = dec.to_json_dict()
@@ -857,17 +842,24 @@ class TestDecompositionObject:
     def test_csv_writer(self):
         dec = find_decomposition(GaussianInt(6, 6), SPI, 2)
         buf = io.StringIO()
-        write_decomposition_csv(dec, buf)
+        dec.write(buf, "csv")
         assert buf.getvalue().splitlines() == [
             "summand,re,im,norm,unit,sector",
             "5+4i,5,4,41,1,5+4i",
             "1+2i,1,2,5,i,2-i",
         ]
 
+    def test_write_rejects_unknown_format(self):
+        dec = find_decomposition(GaussianInt(8, 0), GPI, 2)
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="format must be one of md, csv, json"):
+            dec.write(buf, "xml")
+        assert buf.getvalue() == ""
+
     def test_json_writer_roundtrip(self):
         dec = find_decomposition(GaussianInt(8, 0), GPI, 2)
         buf = io.StringIO()
-        write_decomposition_json(dec, buf)
+        dec.write(buf, "json")
         data = json.loads(buf.getvalue())
         assert data["norm"] == 64
         assert [t["summand"] for t in data["terms"]] == ["6+i", "2-i"]

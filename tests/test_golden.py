@@ -1,7 +1,6 @@
 """The packaged reference tables: layout, validation, regeneration."""
 
 import io
-import json
 from collections import Counter
 from dataclasses import replace
 
@@ -14,12 +13,7 @@ from shnirel import (
     validate_golden,
     verify_decomposition,
 )
-from shnirel.golden import (
-    _parse_rows,
-    write_golden_csv,
-    write_golden_json,
-    write_golden_md,
-)
+from shnirel.golden import _parse_rows, write_golden_csv
 from shnirel.zcore import Parity
 
 
@@ -149,19 +143,3 @@ class TestWriters:
         buf = io.StringIO()
         write_golden_csv(golden_rows, buf)
         assert _parse_rows(buf.getvalue()) == golden_rows
-
-    def test_md_layout(self, golden_rows):
-        buf = io.StringIO()
-        write_golden_md(golden_rows, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "| table | z | terms | form | note |"
-        assert len(lines) == 104
-        assert "| 36+2i |" in "\n".join(lines)
-
-    def test_json_layout(self, golden_rows):
-        buf = io.StringIO()
-        write_golden_json(golden_rows, buf)
-        data = json.loads(buf.getvalue())
-        assert len(data) == 102
-        first = data[0]
-        assert set(first) == {"table", "z", "re", "im", "terms", "form", "note"}

@@ -19,7 +19,6 @@ from shnirel import (
     classify_gaussian_prime,
     ensure_table,
     gaussian_prime_pool,
-    gaussian_primes_in,
     is_gaussian_prime,
     is_rational_prime,
     sector_gap_stats,
@@ -319,51 +318,57 @@ def lattice_primes(region, norm_bound):
     return out
 
 
-class TestGaussianPrimesIn:
+def pool_points(region, norm_bound, parity_filter=None, table=None):
+    """gaussian_prime_pool's triples as GaussianInt values, same order."""
+    pool = gaussian_prime_pool(region, norm_bound, parity_filter, table)
+    return [GaussianInt(re, im) for re, im, _ in pool]
+
+
+class TestPoolPoints:
     @pytest.mark.parametrize("region", list(Region))
     def test_matches_lattice_walk(self, region):
-        got = gaussian_primes_in(region, 500)
+        got = pool_points(region, 500)
         assert got == lattice_primes(region, 500)
 
     def test_sorted_and_distinct(self):
-        got = gaussian_primes_in(Region.PRIME_HALF, 800)
+        got = pool_points(Region.PRIME_HALF, 800)
         keys = [z.key() for z in got]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
     def test_norm_bound_is_strict(self):
         # 3+2i has norm 13, so a bound of 13 must exclude it
-        below = gaussian_primes_in(Region.PRIME_QUADRANT, 13)
-        at = gaussian_primes_in(Region.PRIME_QUADRANT, 14)
+        below = pool_points(Region.PRIME_QUADRANT, 13)
+        at = pool_points(Region.PRIME_QUADRANT, 14)
         assert GaussianInt(3, 2) not in below
         assert GaussianInt(3, 2) in at
 
     def test_small_quadrant_listing(self):
-        got = gaussian_primes_in(Region.PRIME_QUADRANT, 20)
+        got = pool_points(Region.PRIME_QUADRANT, 20)
         assert [str(z) for z in got] == [
             "1+i", "1+2i", "2+i", "3i", "3", "2+3i", "3+2i", "1+4i", "4+i",
         ]
 
     def test_parity_filters(self):
-        odd = gaussian_primes_in(Region.PRIME_QUADRANT, 50, Parity.ODD)
+        odd = pool_points(Region.PRIME_QUADRANT, 50, Parity.ODD)
         assert all((z.re + z.im) % 2 for z in odd)
         assert GaussianInt(1, 1) not in odd
-        even = gaussian_primes_in(Region.PRIME_QUADRANT, 50, Parity.EVEN)
+        even = pool_points(Region.PRIME_QUADRANT, 50, Parity.EVEN)
         assert even == [GaussianInt(1, 1)]
 
     def test_sector_holds_one_ramified_associate(self):
-        got = gaussian_primes_in(Region.SECTOR, 3)
+        got = pool_points(Region.SECTOR, 3)
         assert got == [GaussianInt(1, 1)]
-        assert gaussian_primes_in(Region.SECTOR, 2) == []
+        assert pool_points(Region.SECTOR, 2) == []
 
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
-            gaussian_primes_in(Region.SECTOR, 1)
+            pool_points(Region.SECTOR, 1)
 
     def test_accepts_preloaded_table(self):
         table = PrimeTable.sieve(1000)
-        with_table = gaussian_primes_in(Region.OCTANT, 600, None, table)
-        assert with_table == gaussian_primes_in(Region.OCTANT, 600)
+        with_table = pool_points(Region.OCTANT, 600, None, table)
+        assert with_table == pool_points(Region.OCTANT, 600)
 
 
 BOUNDS = (2, 3, 4, 10, 50, 1000, 2000)
@@ -437,7 +442,7 @@ class TestSectorGapStats:
     def test_gap_one_is_attained_by_ramified_neighbour(self):
         count, gap = sector_gap_stats(100)
         assert gap == 1
-        primes = gaussian_primes_in(Region.PRIME_SECTOR, 100, Parity.ODD)
+        primes = pool_points(Region.PRIME_SECTOR, 100, Parity.ODD)
         assert len(primes) == count
         assert any(p.re - p.im == 1 for p in primes)
 

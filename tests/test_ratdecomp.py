@@ -20,12 +20,7 @@ from shnirel import (
     split_into_odd_primes,
     split_into_residue34_primes,
 )
-from shnirel.ratdecomp import (
-    CHAIN_MAX_TERMS,
-    CHAIN_THRESHOLD,
-    write_hypothesis_csv,
-    write_hypothesis_json,
-)
+from shnirel.ratdecomp import CHAIN_MAX_TERMS, CHAIN_THRESHOLD, HypothesisReports
 
 
 class TestSplitIntoOddPrimes:
@@ -160,6 +155,12 @@ class TestMinOddPrimeTerms:
         with pytest.raises(SearchExhausted):
             min_odd_prime_terms(1)
 
+    def test_no_terms_allowed_is_a_bad_argument(self):
+        # an unusable bound is not the data saying no
+        for max_terms in (0, -1):
+            with pytest.raises(ValueError, match="max_terms must be at least 1"):
+                min_odd_prime_terms(10, max_terms)
+
 
 class TestHypothesisScan:
     def test_spec_table(self):
@@ -218,16 +219,36 @@ class TestHypothesisScan:
     def test_csv_writer(self):
         report = hypothesis_scan(1, 1, 20)
         buf = io.StringIO()
-        write_hypothesis_csv([report], buf)
+        report.write(buf, "csv")
         lines = buf.getvalue().splitlines()
         assert lines[0] == "n,residue,k,witness"
         assert lines[1] == "2,2,2,EMPTY"
         assert lines[2] == "6,2,2,3+3"
 
+    def test_reports_share_one_csv_header(self):
+        reports = hypothesis_scans([2, 1], 1, 20)
+        buf = io.StringIO()
+        HypothesisReports(tuple(reports)).write(buf, "csv")
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == "n,residue,k,witness"
+        assert lines.count("n,residue,k,witness") == 1
+        rows = [line.split(",")[:3] for line in lines[1:]]
+        want = [[str(n), "1", "3"] for n in range(1, 21, 4)]
+        want += [[str(n), "2", "2"] for n in range(2, 21, 4)]
+        assert rows == want
+
+    def test_reports_json_is_a_list_in_order(self):
+        reports = hypothesis_scans([3, 1], 1, 40)
+        buf = io.StringIO()
+        HypothesisReports(tuple(reports)).write(buf, "json")
+        data = json.loads(buf.getvalue())
+        assert data == [r.to_json_dict() for r in reports]
+        assert [d["hypothesis"] for d in data] == [3, 1]
+
     def test_json_writer(self):
         report = hypothesis_scan(3, 1, 40)
         buf = io.StringIO()
-        write_hypothesis_json(report, buf)
+        report.write(buf, "json")
         data = json.loads(buf.getvalue())
         assert data["hypothesis"] == 3
         assert data["residue"] == 0
