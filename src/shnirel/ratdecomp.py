@@ -191,7 +191,7 @@ class HypothesisReport(Report):
         return chain([_HYPOTHESIS_CSV_HEAD], self._csv_rows())
 
     def _csv_rows(self) -> Iterator[str]:
-        # one generator per row: the full-range scans write millions of them
+        # no header: HypothesisReports chains the rows of several scans under one
         prefix = f",{self.spec.residue},{self.spec.k},"
         return (
             f"{n}{prefix}{'EMPTY' if w is None else '+'.join(map(str, w))}\n"

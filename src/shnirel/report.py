@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import IO
 
 FORMATS = ("md", "csv", "json")
@@ -15,6 +14,9 @@ class Report:
 
     def write(self, fh: IO[str], fmt: str) -> None:
         if fmt == "json":
+            # imported here, so md and csv runs skip its import cost
+            import json
+
             json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
         elif fmt == "md":

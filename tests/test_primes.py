@@ -324,7 +324,7 @@ def pool_points(region, norm_bound, parity_filter=None, table=None):
     return [GaussianInt(re, im) for re, im, _ in pool]
 
 
-class TestPoolPoints:
+class TestGaussianPrimesIn:
     @pytest.mark.parametrize("region", list(Region))
     def test_matches_lattice_walk(self, region):
         got = pool_points(region, 500)
