@@ -110,7 +110,8 @@ class SieveReport(Report):
     def csv_lines(self) -> Iterable[str]:
         if self.listing:
             return chain(["n\n"], (f"{p}\n" for p in self.primes))
-        return ["limit,count,largest\n", f"{self.limit},{len(self.primes)},{self.largest}\n"]
+        largest = "" if self.largest is None else self.largest
+        return ["limit,count,largest\n", f"{self.limit},{len(self.primes)},{largest}\n"]
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .primes import _SIEVE_CAP, gaussian_prime_pool, is_gaussian_prime
 from .report import Report
@@ -421,11 +422,7 @@ class ScanReport(Report):
     @property
     def term_counts(self) -> dict[int, int]:
         """How many targets resolved at each term count."""
-        out: dict[int, int] = {}
-        for _, k, _ in self.rows:
-            if k is not None:
-                out[k] = out.get(k, 0) + 1
-        return out
+        return dict(Counter(k for _, k, _ in self.rows if k is not None))
 
     def to_json_dict(self) -> dict:
         return {
@@ -498,7 +495,7 @@ def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
 # to the targets: gammapi and kpi boxes of side 120-150 at the origin
 # come in at 0.07 of this, a 10 x 10 gammapi box at re 200 at 31 times
 # and a 2 x 2 box at re 2000 at 4 * 10^6 times, so those search target
-# by target.
+# by target, as strict scans always do; uncapped ones walk the levels.
 _SUMSET_OPS_PER_TARGET = 1 << 17
 
 
@@ -508,11 +505,11 @@ def _minimal_terms(
     policy: NormPolicy,
     parity_filter: Parity | None,
     max_terms: int,
-) -> tuple[list[tuple[int, int] | None], bool]:
-    """For each target, (k_lo, cap): cap is its _pool_bound norm bound,
-    and every sum of two or more region primes of norm below cap equal to
-    it has at least k_lo <= max_terms terms; None when no such sum fits
-    in max_terms. The flag says each k_lo is exact, not just a bound.
+) -> tuple[list[tuple[int, int] | None], Callable | None]:
+    """(proofs, walk). A target's proof is (k_lo, cap): cap is its
+    _pool_bound norm bound, and every sum of two or more region primes of
+    norm below cap equal to it has at least k_lo <= max_terms terms; None
+    when no such sum fits in max_terms. walk is None unless k_lo is exact.
 
     With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of such
     a sum has n1.s >= c1 and n1.(z - s) >= c1 (so n1.s <= u, as in
@@ -525,20 +522,25 @@ def _minimal_terms(
     Under STRICT_LESS every strict sum is also such a sum, so k is a
     lower bound, and a target in no level has no strict sum.
 
+    Under NONE, walk(re, im, k) gives the canonical k-term witness, pool
+    entries largest first: the first pool entry p leaving z - p in level
+    k - 1 (any term q of a sum leaves z - q there), then the walk of z - p
+    from p on, down to a residual in the pool; or raises RuntimeError.
+
     When the sumsets would cost more than _SUMSET_OPS_PER_TARGET per
-    target, every k_lo is 2. The pool is warmed to the largest cap.
+    target, every k_lo is 2 and walk is None. The pool is warmed to the
+    largest cap.
     """
     out: list[tuple[int, int] | None] = [None] * len(targets)
-    live = []
-    if max_terms >= 2:
-        for i, z in enumerate(targets):
-            got = _pool_bound(z, region, policy)
-            if got is not None:
-                live.append((i, z.re, z.im) + got)
+    live = [
+        (i, z.re, z.im) + got
+        for i, z in enumerate(targets)
+        if max_terms >= 2 and (got := _pool_bound(z, region, policy)) is not None
+    ]
     if not live:
-        return out, False
+        return out, None
     _, res, ims, us, vs, caps = zip(*live)
-    pool, _ = _pool_for(region, parity_filter, max(caps))
+    pool, index = _pool_for(region, parity_filter, max(caps))
     pool = pool[: bisect_left(pool, max(caps), key=itemgetter(2))]
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
     # each level shift-ORs the whole window once per point
@@ -546,20 +548,36 @@ def _minimal_terms(
     if ops > _SUMSET_OPS_PER_TARGET * len(targets):
         for i, *_, cap in live:
             out[i] = (2, cap)
-        return out, False
+        return out, None
     width, levels = _sumsets(pool, region, re_lo, re_hi, im_lo, im_hi, max_terms)
-    size = (re_hi - re_lo + 1) * width
-    todo = [(i, (re - re_lo) * width + im - im_lo, cap) for i, re, im, _, _, cap in live]
-    for k, level in enumerate(levels[1:], 2):
-        bits = format(level, f"0{size}b")[::-1]
-        rest = []
-        for i, at, cap in todo:
-            if bits[at] == "1":
+    rows, span = re_hi - re_lo + 1, im_hi - im_lo + 1
+    strings = [format(level, f"0{rows * width}b")[::-1] for level in levels]
+    for i, re, im, *_, cap in live:
+        at = (re - re_lo) * width + im - im_lo
+        for k in range(2, len(strings) + 1):
+            if strings[k - 1][at] == "1":
                 out[i] = (k, cap)
+                break
+    if policy is not NormPolicy.NONE:
+        return out, None
+
+    def walk(re: int, im: int, k: int) -> list[tuple[int, int, int]]:
+        terms, lo, r, j = [], 0, re - re_lo, im - im_lo  # r, j: residual in the window
+        for bits in strings[k - 2 :: -1]:
+            for i in range(lo, len(pool)):
+                x, y = r - pool[i][0], j - pool[i][1]
+                if 0 <= x < rows and 0 <= y < span and bits[x * width + y] == "1":
+                    terms.append(pool[i])
+                    lo, r, j = i, x, y
+                    break
             else:
-                rest.append((i, at, cap))
-        todo = rest
-    return out, policy is NormPolicy.NONE
+                break
+        last = index.get((r + re_lo, j + im_lo), -1)
+        if len(terms) < k - 1 or last < lo:
+            raise RuntimeError(f"the walk for {GaussianInt(re, im)} fails at {k} terms")
+        return [pool[last]] + terms[::-1]
+
+    return out, walk
 
 
 def _seed_pool(key, entry) -> None:
@@ -569,10 +587,10 @@ def _seed_pool(key, entry) -> None:
         _POOL_CACHE[key] = entry
 
 
-def _scan_chunk(args) -> list:
+def _scan_chunk(args, walk: Callable | None = None) -> list:
     """The witness, as pool entries largest first, or None, for each
     (re, im, proof) target, proof being _minimal_terms' (k_lo, cap) or
-    None: the one-term check, then the search from k_lo up."""
+    None: the one-term check, then the walk if any, else the search."""
     items, region, max_terms, policy, par = args
     out = []
     for re, im, proof in items:
@@ -580,6 +598,8 @@ def _scan_chunk(args) -> list:
             out.append(((re, im, re * re + im * im),))
         elif proof is None:
             out.append(None)
+        elif walk is not None:
+            out.append(walk(re, im, proof[0]))
         else:
             out.append(_search(re, im, proof[0], max_terms, region, par, proof[1]))
     return out
@@ -604,12 +624,12 @@ def scan_targets(
 ) -> ScanReport:
     """Attempt a decomposition for every listed target.
 
-    Output is identical for any job count: targets are chunked in
-    listed order and chunk results merged back in order. The sumsets of
-    the pool give each target its least possible term count first, exact
-    under NormPolicy.NONE and a lower bound under STRICT_LESS, and the
-    search starts there, unless the sumsets would cost more than
-    searching from two terms (a narrow box far from the cone's corner).
+    The sumsets of the pool give each target its least possible term
+    count: exact under NormPolicy.NONE, where the witness is read off the
+    levels, and a lower bound under STRICT_LESS, where the search starts.
+    A scan whose sumsets would cost more than searching from two terms (a
+    narrow box far from the cone's corner) searches from two. Searches are
+    chunked in listed order, so output is identical for any job count.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -617,11 +637,11 @@ def scan_targets(
         raise ValueError("target must be nonzero")
     workers = _worker_count(jobs, len(targets))
     # also warms the shared pool before the workers start; they get a copy
-    proofs, exact = _minimal_terms(targets, term_region, policy, parity_filter, max_terms)
+    proofs, walk = _minimal_terms(targets, term_region, policy, parity_filter, max_terms)
     items = [(z.re, z.im, proof) for z, proof in zip(targets, proofs)]
     common = (term_region, max_terms, policy, parity_filter)
-    if workers <= 1:
-        chunks = [_scan_chunk((items,) + common)]
+    if workers <= 1 or walk is not None:
+        chunks = [_scan_chunk((items,) + common, walk)]
     else:
         # imported here, so runs without workers skip its import cost
         from concurrent.futures import ProcessPoolExecutor
@@ -636,19 +656,10 @@ def scan_targets(
         ) as ex:
             chunks = list(ex.map(_scan_chunk, arg_list))
     rows = []
-    wits = [wit for chunk in chunks for wit in chunk]
-    for z, proof, wit in zip(targets, proofs, wits):
-        k = None if wit is None else len(wit)
-        # a proven k must be met exactly, unless z is a prime itself
-        if exact and proof is not None and k not in (1, proof[0]):
-            raise RuntimeError(
-                f"the sumset puts {z} at {proof[0]} terms but the search finds none"
-            )
+    for z, wit in zip(targets, (wit for chunk in chunks for wit in chunk)):
         terms = None if wit is None else tuple(GaussianInt(re, im) for re, im, _ in wit)
-        rows.append((z, k, terms))
-    return ScanReport(
-        term_region, target_desc, max_terms, policy, parity_filter, tuple(rows)
-    )
+        rows.append((z, None if wit is None else len(wit), terms))
+    return ScanReport(term_region, target_desc, max_terms, policy, parity_filter, tuple(rows))
 
 
 def scan_representability(
@@ -665,9 +676,7 @@ def scan_representability(
     """
     targets = region_targets(region, norm_bound)
     desc = f"{region.value} norm 1..{norm_bound}"
-    return scan_targets(
-        targets, region, max_terms, policy, parity_filter, jobs, desc
-    )
+    return scan_targets(targets, region, max_terms, policy, parity_filter, jobs, desc)
 
 
 def scan_box(
@@ -693,9 +702,7 @@ def scan_box(
         f"{target_region.value} re {re_range[0]}..{re_range[1]}"
         f" im {im_range[0]}..{im_range[1]} maxc>={min_max_component}"
     )
-    return scan_targets(
-        targets, term_region, max_terms, policy, parity_filter, jobs, desc
-    )
+    return scan_targets(targets, term_region, max_terms, policy, parity_filter, jobs, desc)
 
 
 @dataclass(frozen=True)
@@ -759,11 +766,8 @@ def verify_diagonal_obstruction(bound: int, max_terms: int = 6) -> ObstructionRe
         raise ValueError("bound is capped at 500")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    pool = [
-        p
-        for p in gaussian_prime_pool(Region.PRIME_SECTOR, 2 * bound * bound + 1, Parity.ODD)
-        if p[0] <= bound
-    ]
+    # _sumsets drops the primes with re > bound, which lie outside its window
+    pool = gaussian_prime_pool(Region.PRIME_SECTOR, 2 * bound * bound + 1, Parity.ODD)
     im_lo = 1 - bound
     width, sums = _sumsets(pool, Region.PRIME_SECTOR, 1, bound, im_lo, bound, max_terms)
     levels: list[tuple[int, int, int]] = []
@@ -793,22 +797,18 @@ def obstruction_line_report(bound: int, max_terms: int = 6) -> ScanReport:
     of odd sector primes, no norm bound. Rows with k = 1 are targets
     that happen to be primes themselves; every other row must come back
     empty, which is the searching counterpart of the re - im >= k
-    invariant that verify_diagonal_obstruction checks by exhaustion.
+    invariant that verify_diagonal_obstruction checks by exhaustion. The
+    bound is capped at 500, as there.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    targets = []
-    for re in range(1, bound + 1):
-        targets.append(GaussianInt(re, re))
-        targets.append(GaussianInt(re, re - 1))
+    if bound > 500:
+        raise ValueError("bound is capped at 500")
+    targets = [GaussianInt(re, re - d) for re in range(1, bound + 1) for d in (0, 1)]
     targets.sort(key=GaussianInt.key)
+    desc = f"gammapi lines im=re and im=re-1, re 1..{bound}"
     return scan_targets(
-        targets,
-        Region.PRIME_SECTOR,
-        max_terms,
-        NormPolicy.NONE,
-        Parity.ODD,
-        target_desc=f"gammapi lines im=re and im=re-1, re 1..{bound}",
+        targets, Region.PRIME_SECTOR, max_terms, NormPolicy.NONE, Parity.ODD, target_desc=desc
     )
 
 

@@ -62,6 +62,13 @@ class TestSieve:
         got = [int(p) for p in lines[1:]]
         assert got == [p for p in range(2, 101) if trial_prime(p) and p % 4 == 3]
 
+    def test_empty_class_leaves_the_largest_cell_empty(self, capsys):
+        code, out, _ = run(capsys, "sieve", "--limit", "2", "--mod4", "1", "--format", "csv")
+        assert code == 0
+        assert out == "limit,count,largest\n2,0,\n"
+        code, out, _ = run(capsys, "sieve", "--limit", "2", "--mod4", "1", "--format", "json")
+        assert json.loads(out)["largest"] is None
+
     def test_cache_file_via_flag(self, capsys, tmp_path):
         cache = tmp_path / "primes.bin"
         code, _, _ = run(capsys, "sieve", "--limit", "500", "--cache", str(cache))

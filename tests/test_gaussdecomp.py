@@ -474,10 +474,49 @@ class TestScans:
         _seed_pool((KPI, None), None)
         assert (KPI, None) not in gaussdecomp._POOL_CACHE
 
-    def test_a_proven_k_without_a_witness_raises(self, monkeypatch):
-        monkeypatch.setattr(gaussdecomp, "_dfs", lambda *args: None)
-        with pytest.raises(RuntimeError, match="the sumset puts 8 at 2 terms"):
-            scan_targets([GaussianInt(8, 0)], GPI, 3, NormPolicy.NONE, Parity.ODD)
+    def test_levels_that_disagree_with_the_pool_raise(self, monkeypatch):
+        """9+9i sits on the blocked diagonal, so no two gammapi primes sum
+        to it. A level 2 that claims otherwise leaves the walk no first
+        term, and the scan raises instead of reporting k = 2."""
+        z = GaussianInt(9, 9)
+        assert scan_targets([z], GPI, 3, NormPolicy.NONE, Parity.ODD).rows == ((z, None, None),)
+        real = gaussdecomp._sumsets
+
+        def corrupted(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
+            width, levels = real(points, region, re_lo, re_hi, im_lo, im_hi, max_terms)
+            levels[1] |= 1 << ((z.re - re_lo) * width + z.im - im_lo)
+            return width, levels
+
+        monkeypatch.setattr(gaussdecomp, "_sumsets", corrupted)
+        with pytest.raises(RuntimeError, match=r"the walk for 9\+9i fails at 2 terms"):
+            scan_targets([z], GPI, 3, NormPolicy.NONE, Parity.ODD)
+
+    def test_uncapped_scans_walk_the_levels_without_workers(self, monkeypatch):
+        """Under NONE the witnesses come off the levels: no search and no
+        process pool, whatever jobs says. Strict scans still search, in
+        workers when asked."""
+        targets = box_targets(Region.OPEN_QUADRANT, (1, 24), (1, 24))
+        serial = {p: scan_targets(targets, GPI, 3, p, Parity.ODD).rows for p in NormPolicy}
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an uncapped scan searched or started workers")
+
+        with monkeypatch.context() as m:
+            m.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+            m.setattr(gaussdecomp, "_dfs", forbidden)
+            pooled = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD, jobs=2)
+        assert pooled.rows == serial[NormPolicy.NONE]
+        started = []
+
+        def counted(*args, **kwargs):
+            started.append(kwargs["max_workers"])
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
+        strict = scan_targets(targets, GPI, 3, NormPolicy.STRICT_LESS, Parity.ODD, jobs=2)
+        assert strict.rows == serial[NormPolicy.STRICT_LESS]
+        assert started == [2]
 
     def test_scan_rejects_zero_and_bad_width(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -623,6 +662,18 @@ class TestDiagonalObstruction:
     def test_line_report_guard(self):
         with pytest.raises(ValueError):
             obstruction_line_report(0)
+
+    def test_line_report_cap_fires_before_any_target(self, monkeypatch):
+        def allocating(*args):
+            raise AssertionError("obstruction_line_report started building")
+
+        monkeypatch.setattr(gaussdecomp, "GaussianInt", allocating)
+        for bound in (501, 10**30):
+            with pytest.raises(ValueError, match="bound is capped at 500"):
+                obstruction_line_report(bound)
+        # at the cap itself the targets get built
+        with pytest.raises(AssertionError, match="started building"):
+            obstruction_line_report(500)
 
     def test_diagonal_targets_all_fail_strict_sector_sums(self):
         targets = [GaussianInt(t, t) for t in range(1, 21)]
