@@ -192,6 +192,8 @@ def cmd_solve_conj1(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     policy = NormPolicy.STRICT_LESS if args.strict_norm else NormPolicy.NONE
     report = scan_box(
         Region(args.targets),
@@ -201,7 +203,6 @@ def cmd_scan(args) -> int:
         args.max_terms,
         policy,
         min_max_component=args.min_max_component,
-        jobs=args.jobs,
     )
     _emit(args, report)
     _summary(f"targets: {len(report.rows)}, exceptions: {len(report.exceptions)}")
@@ -339,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="skip targets whose larger component is below this",
     )
-    scan.add_argument("--jobs", type=int, default=1)
+    scan.add_argument(
+        "--jobs", type=int, default=1, help="at least 1; unused, scans run in one process"
+    )
     _add_output_options(scan)
     scan.set_defaults(func=cmd_scan)
 

@@ -1,15 +1,13 @@
 """Sums of Gaussian primes drawn from a planar region.
 
 The searcher finds the canonical minimal decomposition of a target into
-region primes, scans whole norm ranges (optionally across processes),
-confirms the diagonal-gap obstruction for sector sums exhaustively, and
-builds the bounded chains that shed one inert prime to reach an odd
-remainder.
+region primes, scans whole norm ranges, confirms the diagonal-gap
+obstruction for sector sums exhaustively, and builds the bounded chains
+that shed one inert prime to reach an odd remainder.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -580,46 +578,12 @@ def _minimal_terms(
     return out, walk
 
 
-def _seed_pool(key, entry) -> None:
-    """Scan worker initializer: install the pool the parent warmed, so no
-    worker rebuilds it, whatever the start method."""
-    if entry is not None:
-        _POOL_CACHE[key] = entry
-
-
-def _scan_chunk(args, walk: Callable | None = None) -> list:
-    """The witness, as pool entries largest first, or None, for each
-    (re, im, proof) target, proof being _minimal_terms' (k_lo, cap) or
-    None: the one-term check, then the walk if any, else the search."""
-    items, region, max_terms, policy, par = args
-    out = []
-    for re, im, proof in items:
-        if _single(re, im, region, policy, par):
-            out.append(((re, im, re * re + im * im),))
-        elif proof is None:
-            out.append(None)
-        elif walk is not None:
-            out.append(walk(re, im, proof[0]))
-        else:
-            out.append(_search(re, im, proof[0], max_terms, region, par, proof[1]))
-    return out
-
-
-def _worker_count(jobs: int, chunks: int) -> int:
-    """Processes for a scan: no more than asked for, than there are CPUs,
-    or than there are chunks of work to hand out."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1, chunks)
-
-
 def scan_targets(
     targets: Sequence[GaussianInt],
     term_region: Region,
     max_terms: int,
     policy: NormPolicy = NormPolicy.STRICT_LESS,
     parity_filter: Parity | None = Parity.ODD,
-    jobs: int = 1,
     target_desc: str = "explicit",
 ) -> ScanReport:
     """Attempt a decomposition for every listed target.
@@ -628,37 +592,32 @@ def scan_targets(
     count: exact under NormPolicy.NONE, where the witness is read off the
     levels, and a lower bound under STRICT_LESS, where the search starts.
     A scan whose sumsets would cost more than searching from two terms (a
-    narrow box far from the cone's corner) searches from two. Searches are
-    chunked in listed order, so output is identical for any job count.
+    narrow box far from the cone's corner) searches from two.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     if any(z.is_zero() for z in targets):
         raise ValueError("target must be nonzero")
-    workers = _worker_count(jobs, len(targets))
-    # also warms the shared pool before the workers start; they get a copy
     proofs, walk = _minimal_terms(targets, term_region, policy, parity_filter, max_terms)
-    items = [(z.re, z.im, proof) for z, proof in zip(targets, proofs)]
-    common = (term_region, max_terms, policy, parity_filter)
-    if workers <= 1 or walk is not None:
-        chunks = [_scan_chunk((items,) + common, walk)]
-    else:
-        # imported here, so runs without workers skip its import cost
-        from concurrent.futures import ProcessPoolExecutor
-
-        step = max(1, -(-len(items) // (workers * 4)))
-        arg_list = [(items[i : i + step],) + common for i in range(0, len(items), step)]
-        key = (term_region, parity_filter)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_seed_pool,
-            initargs=(key, _POOL_CACHE.get(key)),
-        ) as ex:
-            chunks = list(ex.map(_scan_chunk, arg_list))
+    made: dict = {}  # pool entry -> its GaussianInt, built once per call
     rows = []
-    for z, wit in zip(targets, (wit for chunk in chunks for wit in chunk)):
-        terms = None if wit is None else tuple(GaussianInt(re, im) for re, im, _ in wit)
-        rows.append((z, None if wit is None else len(wit), terms))
+    for z, proof in zip(targets, proofs):
+        if _single(z.re, z.im, term_region, policy, parity_filter):
+            rows.append((z, 1, (z,)))
+            continue
+        if proof is None:
+            wit = None
+        elif walk is not None:
+            wit = walk(z.re, z.im, proof[0])
+        else:
+            wit = _search(z.re, z.im, proof[0], max_terms, term_region, parity_filter, proof[1])
+        if wit is None:
+            rows.append((z, None, None))
+            continue
+        for p in wit:
+            if p not in made:
+                made[p] = GaussianInt(p[0], p[1])
+        rows.append((z, len(wit), tuple(made[p] for p in wit)))
     return ScanReport(term_region, target_desc, max_terms, policy, parity_filter, tuple(rows))
 
 
@@ -668,7 +627,6 @@ def scan_representability(
     max_terms: int,
     policy: NormPolicy = NormPolicy.STRICT_LESS,
     parity_filter: Parity | None = Parity.ODD,
-    jobs: int = 1,
 ) -> ScanReport:
     """Scan every region member with norm up to norm_bound, drawing
     summands from the same region. Targets are not parity filtered;
@@ -676,7 +634,7 @@ def scan_representability(
     """
     targets = region_targets(region, norm_bound)
     desc = f"{region.value} norm 1..{norm_bound}"
-    return scan_targets(targets, region, max_terms, policy, parity_filter, jobs, desc)
+    return scan_targets(targets, region, max_terms, policy, parity_filter, desc)
 
 
 def scan_box(
@@ -688,7 +646,6 @@ def scan_box(
     policy: NormPolicy = NormPolicy.STRICT_LESS,
     parity_filter: Parity | None = Parity.ODD,
     min_max_component: int = 0,
-    jobs: int = 1,
 ) -> ScanReport:
     """Scan a component box of one region for decompositions into
     primes of another. This is the shape every conjecture scan takes:
@@ -702,7 +659,7 @@ def scan_box(
         f"{target_region.value} re {re_range[0]}..{re_range[1]}"
         f" im {im_range[0]}..{im_range[1]} maxc>={min_max_component}"
     )
-    return scan_targets(targets, term_region, max_terms, policy, parity_filter, jobs, desc)
+    return scan_targets(targets, term_region, max_terms, policy, parity_filter, desc)
 
 
 @dataclass(frozen=True)

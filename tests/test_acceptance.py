@@ -5,7 +5,6 @@ pass/fail line with the measured runtime against a pinned budget.
 Run with `pytest tests/test_acceptance.py -v` (add -s for the lines).
 """
 
-import io
 import json
 import time
 from math import isqrt
@@ -28,6 +27,7 @@ from shnirel import (
     validate_golden,
     verify_diagonal_obstruction,
 )
+from shnirel.cli import entry
 from shnirel.ratdecomp import CHAIN_THRESHOLD
 
 from oracles import brute_force_matrices, gaussian_prime_by_division, trial_prime
@@ -295,7 +295,7 @@ def test_criterion_09_gaussian_primality_equivalence():
     )
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(tmp_path):
     t0 = time.perf_counter()
 
     # Golden validation, regeneration, and the solver sweep have no
@@ -320,44 +320,29 @@ def test_criterion_10_determinism():
         )
     serial_stable = renders[0] == renders[1]
 
+    # The scan command accepts --jobs and runs in one process at any
+    # value; the reports must not move with it.
     scans_stable = True
     scan_specs = (
-        (
-            Region.OPEN_QUADRANT,
-            (1, 50),
-            (1, 50),
-            Region.PRIME_QUADRANT,
-            NormPolicy.NONE,
-            7,
-        ),
-        (
-            Region.SECTOR,
-            (1, 50),
-            (0, 50),
-            Region.PRIME_HALF,
-            NormPolicy.STRICT_LESS,
-            6,
-        ),
+        ("a", "1..50", "1..50", "kpi", (), "7"),
+        ("sector", "1..50", "0..50", "spi", ("--strict-norm",), "6"),
     )
-    for target_region, re_rng, im_rng, term_region, policy, floor in scan_specs:
+    for targets, re_rng, im_rng, primes, strict, floor in scan_specs:
         outputs = []
-        for jobs in (1, 8):
-            report = scan_box(
-                target_region,
-                re_rng,
-                im_rng,
-                term_region,
-                3,
-                policy,
-                Parity.ODD,
-                min_max_component=floor,
-                jobs=jobs,
-            )
-            csv_fh = io.StringIO()
-            report.write(csv_fh, "csv")
-            json_fh = io.StringIO()
-            report.write(json_fh, "json")
-            outputs.append((csv_fh.getvalue(), json_fh.getvalue()))
+        for jobs in ("1", "8"):
+            rendered = []
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"scan-{targets}-{jobs}.{fmt}"
+                code = entry(
+                    [
+                        "scan", "--targets", targets, "--re", re_rng, "--im", im_rng,
+                        "--primes", primes, "--max-terms", "3", *strict,
+                        "--min-max-component", floor, "--jobs", jobs,
+                        "--format", fmt, "--out", str(out),
+                    ]
+                )
+                rendered.append((code, out.read_bytes()))
+            outputs.append(rendered)
         scans_stable = scans_stable and outputs[0] == outputs[1]
     elapsed = time.perf_counter() - t0
     ok = serial_stable and scans_stable
@@ -367,5 +352,5 @@ def test_criterion_10_determinism():
         elapsed,
         120.0,
         f"serial reruns byte-identical: {serial_stable}; "
-        f"scans with 1 vs 8 workers byte-identical: {scans_stable}",
+        f"scans at --jobs 1 vs 8 byte-identical: {scans_stable}",
     )

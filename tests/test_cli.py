@@ -1,5 +1,6 @@
 """End-to-end command line behavior: arguments, formats, exit codes."""
 
+import concurrent.futures
 import hashlib
 import json
 import shutil
@@ -267,6 +268,23 @@ class TestScan:
                 )
             )
         assert outs[0] == outs[1]
+
+    def test_strict_scan_jobs_start_no_process_pool(self, capsys, tmp_path, monkeypatch):
+        """A strict scan searches every target, in this process at any --jobs."""
+        argv = (
+            "scan", "--targets", "sector", "--re", "1..12", "--im=-11..12",
+            "--primes", "spi", "--strict-norm", "--format", "csv",
+        )
+        serial, pooled = tmp_path / "jobs1.csv", tmp_path / "jobs2.csv"
+        code, _, _ = run(capsys, *argv, "--jobs", "1", "--out", str(serial))
+        assert code in (0, 1)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a scan started a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
+        assert run(capsys, *argv, "--jobs", "2", "--out", str(pooled))[0] == code
+        assert pooled.read_bytes() == serial.read_bytes()
 
     def test_box_cap_exits_two(self, capsys):
         code, _, err = run(

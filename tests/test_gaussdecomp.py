@@ -3,11 +3,6 @@ reports, the diagonal obstruction, and the shift-by-inert chains."""
 
 import io
 import json
-import concurrent.futures
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
@@ -37,7 +32,7 @@ from shnirel import (
     verify_diagonal_obstruction,
 )
 from shnirel import gaussdecomp, primes
-from shnirel.gaussdecomp import _pool_for, _seed_pool, _worker_count
+from shnirel.gaussdecomp import _pool_for
 
 KPI = Region.PRIME_QUADRANT
 GPI = Region.PRIME_SECTOR
@@ -447,32 +442,8 @@ class TestScans:
             raise AssertionError("sumsets built for a far box")
 
         monkeypatch.setattr(gaussdecomp, "_sumsets", no_sumsets)
-        for jobs in (1, 2):
-            report = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD, jobs=jobs)
-            assert report.rows == scan_rows_by_search(targets, GPI, 3, Parity.ODD)
-
-    def test_spawned_workers_give_the_serial_rows(self, monkeypatch):
-        targets = box_targets(Region.OPEN_QUADRANT, (1, 24), (1, 24))
-        serial = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD)
-        spawn = multiprocessing.get_context("spawn")
-        # scan_targets imports the pool class from concurrent.futures when it needs it
-        monkeypatch.setattr(
-            concurrent.futures, "ProcessPoolExecutor", partial(ProcessPoolExecutor, mp_context=spawn)
-        )
-        for policy in NormPolicy:
-            pooled = scan_targets(targets, GPI, 3, policy, Parity.ODD, jobs=2)
-            if policy is NormPolicy.NONE:
-                assert pooled.rows == serial.rows
-            else:
-                assert pooled.rows == scan_targets(targets, GPI, 3, policy, Parity.ODD).rows
-
-    def test_seed_pool_installs_the_parent_pool(self, monkeypatch):
-        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-        entry = (4096, [(2, 1, 5)], {(2, 1): 0})
-        _seed_pool((GPI, Parity.ODD), entry)
-        assert gaussdecomp._POOL_CACHE == {(GPI, Parity.ODD): entry}
-        _seed_pool((KPI, None), None)
-        assert (KPI, None) not in gaussdecomp._POOL_CACHE
+        report = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD)
+        assert report.rows == scan_rows_by_search(targets, GPI, 3, Parity.ODD)
 
     def test_levels_that_disagree_with_the_pool_raise(self, monkeypatch):
         """9+9i sits on the blocked diagonal, so no two gammapi primes sum
@@ -491,52 +462,23 @@ class TestScans:
         with pytest.raises(RuntimeError, match=r"the walk for 9\+9i fails at 2 terms"):
             scan_targets([z], GPI, 3, NormPolicy.NONE, Parity.ODD)
 
-    def test_uncapped_scans_walk_the_levels_without_workers(self, monkeypatch):
-        """Under NONE the witnesses come off the levels: no search and no
-        process pool, whatever jobs says. Strict scans still search, in
-        workers when asked."""
+    def test_uncapped_scans_walk_the_levels_without_searching(self, monkeypatch):
+        """Under NONE the witnesses come off the levels: no search."""
         targets = box_targets(Region.OPEN_QUADRANT, (1, 24), (1, 24))
-        serial = {p: scan_targets(targets, GPI, 3, p, Parity.ODD).rows for p in NormPolicy}
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        searched = scan_rows_by_search(targets, GPI, 3, Parity.ODD)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("an uncapped scan searched or started workers")
+            raise AssertionError("an uncapped scan searched")
 
-        with monkeypatch.context() as m:
-            m.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
-            m.setattr(gaussdecomp, "_dfs", forbidden)
-            pooled = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD, jobs=2)
-        assert pooled.rows == serial[NormPolicy.NONE]
-        started = []
-
-        def counted(*args, **kwargs):
-            started.append(kwargs["max_workers"])
-            return ProcessPoolExecutor(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
-        strict = scan_targets(targets, GPI, 3, NormPolicy.STRICT_LESS, Parity.ODD, jobs=2)
-        assert strict.rows == serial[NormPolicy.STRICT_LESS]
-        assert started == [2]
+        monkeypatch.setattr(gaussdecomp, "_dfs", forbidden)
+        report = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD)
+        assert report.rows == searched
 
     def test_scan_rejects_zero_and_bad_width(self):
         with pytest.raises(ValueError, match="nonzero"):
             scan_targets([GaussianInt(0, 0)], KPI, 3, NormPolicy.NONE)
         with pytest.raises(ValueError, match="max_terms"):
             scan_targets([GaussianInt(3, 0)], KPI, 0, NormPolicy.NONE)
-
-    @pytest.mark.parametrize("policy", list(NormPolicy))
-    @pytest.mark.parametrize("term_region", [KPI, SPI])
-    def test_jobs_do_not_change_output(self, term_region, policy):
-        kwargs = dict(policy=policy, parity_filter=Parity.ODD)
-        serial = scan_box(Region.SECTOR, (1, 30), (-29, 30), term_region, 3, **kwargs)
-        forked = scan_box(
-            Region.SECTOR, (1, 30), (-29, 30), term_region, 3, jobs=3, **kwargs
-        )
-        assert serial.rows == forked.rows
-        a, b = io.StringIO(), io.StringIO()
-        serial.write(a, "json")
-        forked.write(b, "json")
-        assert a.getvalue() == b.getvalue()
 
     def test_scan_csv(self):
         report = scan_box(
@@ -687,24 +629,6 @@ class TestDiagonalObstruction:
             z = GaussianInt(t, -(t - 1))
             assert find_decomposition(z, SPI, 3) is None, t
         assert find_decomposition(GaussianInt(6, -5), SPI, 3) is None
-
-
-class TestWorkerCount:
-    def test_clamped_to_cpus_and_chunks(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert _worker_count(1, 100) == 1
-        assert _worker_count(2, 100) == 2
-        assert _worker_count(1000, 100) == 2
-        assert _worker_count(8, 1) == 1
-
-    def test_unknown_cpu_count_means_one(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _worker_count(4, 100) == 1
-
-    def test_rejects_fewer_than_one(self):
-        for jobs in (0, -1):
-            with pytest.raises(ValueError, match="jobs must be at least 1"):
-                _worker_count(jobs, 10)
 
 
 class TestPoolCache:
