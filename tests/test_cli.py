@@ -286,6 +286,29 @@ class TestScan:
         assert run(capsys, *argv, "--jobs", "2", "--out", str(pooled))[0] == code
         assert pooled.read_bytes() == serial.read_bytes()
 
+    @pytest.mark.parametrize("strict", [(), ("--strict-norm",)])
+    @pytest.mark.parametrize("primes", ["kpi", "spi"])
+    def test_jobs_do_not_change_output(self, capsys, tmp_path, primes, strict):
+        argv = (
+            "scan", "--targets", "sector", "--re", "1..30", "--im=-29..30",
+            "--primes", primes, *strict, "--format", "json",
+        )
+        serial, forked = tmp_path / "jobs1.json", tmp_path / "jobs3.json"
+        code, _, _ = run(capsys, *argv, "--jobs", "1", "--out", str(serial))
+        assert code in (0, 1)
+        assert run(capsys, *argv, "--jobs", "3", "--out", str(forked))[0] == code
+        assert forked.read_bytes() == serial.read_bytes()
+
+    def test_negative_jobs_exit_two(self, capsys):
+        code, out, err = run(
+            capsys, "scan", "--targets", "a", "--re", "1..5", "--im", "1..5",
+            "--primes", "kpi", "--jobs", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "jobs must be at least 1, got -1" in err
+        assert "Traceback" not in err
+
     def test_box_cap_exits_two(self, capsys):
         code, _, err = run(
             capsys, "scan", "--targets", "a", "--re", "0..500", "--im", "1..5",

@@ -1,6 +1,7 @@
 """The region-prime decomposition engine: canonical witnesses, scan
 reports, the diagonal obstruction, and the shift-by-inert chains."""
 
+import inspect
 import io
 import json
 from itertools import combinations_with_replacement
@@ -473,6 +474,27 @@ class TestScans:
         monkeypatch.setattr(gaussdecomp, "_dfs", forbidden)
         report = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD)
         assert report.rows == searched
+
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    def test_witness_terms_are_built_once_per_pool_entry(self, policy):
+        """A scan builds one GaussianInt per pool entry it uses: equal
+        witness terms in the report are the same object."""
+        targets = box_targets(Region.OPEN_QUADRANT, (1, 24), (1, 24))
+        report = scan_targets(targets, GPI, 3, policy, Parity.ODD)
+        built = {}
+        uses = 0
+        for _, k, wit in report.rows:
+            if k is None or k == 1:
+                continue
+            for term in wit:
+                assert built.setdefault(term, term) is term
+                uses += 1
+        assert uses > len(built)
+
+    @pytest.mark.parametrize("scan", [scan_targets, scan_box, scan_representability])
+    def test_scans_take_no_jobs(self, scan):
+        """Scans run in the calling process; no entry point takes a job count."""
+        assert "jobs" not in inspect.signature(scan).parameters
 
     def test_scan_rejects_zero_and_bad_width(self):
         with pytest.raises(ValueError, match="nonzero"):
