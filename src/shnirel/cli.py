@@ -391,7 +391,8 @@ def entry(argv: list[str] | None = None) -> int:
     except (SearchExhausted, HypothesisViolation, BaseCaseError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
+        # OSError: an --out or --cache path that cannot be opened
         print(str(exc), file=sys.stderr)
         return 2
 

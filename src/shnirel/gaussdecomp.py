@@ -444,6 +444,59 @@ class ScanReport(Report):
             "exceptions": [str(z) for z in self.exceptions],
         }
 
+    def json_lines(self) -> Iterator[str]:
+        """The bytes json.dump(to_json_dict(), sort_keys=True, indent=2)
+        writes, plus a newline, yielded row by row from a template.
+        json.dump's indented encoder is pure Python; to_json_dict stays
+        the oracle the tests compare these bytes to."""
+        from json.encoder import encode_basestring_ascii as quote
+
+        def block(items: list[str], pad: str, brackets: str = "[]") -> str:
+            if not items:
+                return brackets
+            sep = f",\n{pad}  "
+            return f"{brackets[0]}\n{pad}  {sep.join(items)}\n{pad}{brackets[1]}"
+
+        exceptions = [quote(str(z)) for z in self.exceptions]
+        parity = "null" if self.parity_filter is None else quote(self.parity_filter.name)
+        yield (
+            f'{{\n  "exceptions": {block(exceptions, "  ")},\n'
+            f'  "max_terms": {self.max_terms},\n  "parity": {parity},\n'
+            f'  "policy": {quote(self.policy.value)},\n'
+            f'  "primes": {quote(self.term_region.value)},\n  "rows": ['
+        )
+        # Witnesses repeat a few hundred pool entries: quote each once.
+        # Keyed by id, which is cheaper than GaussianInt's hash; the rows
+        # keep every term alive while this runs.
+        quoted: dict[int, str] = {}
+        sep = "\n"
+        for z, k, wit in self.rows:
+            if wit is None:
+                witness = "null"
+            else:
+                terms = []
+                for s in wit:
+                    q = quoted.get(id(s))
+                    if q is None:
+                        q = quoted[id(s)] = quote(str(s))
+                    terms.append(q)
+                witness = "[\n        " + ",\n        ".join(terms) + "\n      ]"
+            yield (
+                f'{sep}    {{\n      "im": {z.im},\n'
+                f'      "k": {"null" if k is None else k},\n'
+                f'      "norm": {z.norm()},\n      "re": {z.re},\n'
+                f'      "witness": {witness},\n      "z": {quote(str(z))}\n    }}'
+            )
+            sep = ",\n"
+        # json sorts the keys as strings: "10" before "2"
+        tally = sorted((str(k), c) for k, c in self.term_counts.items())
+        counts = block([f"{quote(k)}: {c}" for k, c in tally], "  ", "{}")
+        close = "\n  ]" if self.rows else "]"
+        yield (
+            f'{close},\n  "targets": {quote(self.target_desc)},\n'
+            f'  "term_counts": {counts}\n}}\n'
+        )
+
     def md_lines(self) -> Iterator[str]:
         yield (
             f"targets {self.target_desc}, primes {self.term_region.value}, "

@@ -134,7 +134,11 @@ class PrimeTable:
         with open(tmp, "wb") as fh:
             fh.write(CACHE_MAGIC)
             fh.write(payload)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError:
+            os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "PrimeTable":

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import IO
+from itertools import chain
+from typing import IO, Iterable
 
 FORMATS = ("md", "csv", "json")
 
@@ -12,13 +13,20 @@ class Report:
     JSON payload, and md_lines() and csv_lines(), iterables of lines
     that each end in a newline."""
 
+    def json_lines(self) -> Iterable[str]:
+        """The JSON text: to_json_dict() with sorted keys, indent 2 and a
+        final newline. A subclass may write the same bytes another way."""
+        # imported here, so md and csv runs skip its import cost
+        from json import JSONEncoder
+
+        # streamed in chunks, as json.dump writes them: json.dumps would
+        # hold every chunk of a large report at once
+        chunks = JSONEncoder(sort_keys=True, indent=2).iterencode(self.to_json_dict())
+        return chain(chunks, "\n")
+
     def write(self, fh: IO[str], fmt: str) -> None:
         if fmt == "json":
-            # imported here, so md and csv runs skip its import cost
-            import json
-
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.writelines(self.json_lines())
         elif fmt == "md":
             fh.writelines(self.md_lines())
         elif fmt == "csv":

@@ -12,6 +12,7 @@ import pytest
 
 from oracles import trial_prime
 from shnirel.cli import entry, parse_gaussian, parse_range
+from shnirel.gaussdecomp import ScanReport
 from shnirel.primes import CACHE_MAGIC
 from shnirel.zcore import GaussianInt
 
@@ -85,6 +86,14 @@ class TestSieve:
         assert code == 0
         assert [int(p) for p in out.split()] == [p for p in range(101) if trial_prime(p)]
         assert err == "primes: 25 up to 100"
+
+    def test_cache_directory_exits_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, "sieve", "--limit", "100", "--cache", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert "Is a directory" in err
+        assert "Traceback" not in err
+        assert not (tmp_path.parent / f"{tmp_path.name}.tmp").exists()
 
     def test_cache_file_via_environment(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "env.bin"
@@ -373,6 +382,23 @@ class TestReportDigests:
             got[fmt] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert got == OBSTRUCTION_DIGESTS
 
+    def test_scan_json_skips_the_dict(self, capsys, tmp_path, monkeypatch):
+        """Scans write JSON from their rows; to_json_dict is only the oracle."""
+
+        def forbidden(self):
+            raise AssertionError("a scan built its JSON dict")
+
+        monkeypatch.setattr(ScanReport, "to_json_dict", forbidden)
+        path = tmp_path / "report.json"
+        for (primes, strict, fmt), digest in SCAN_DIGESTS.items():
+            if fmt != "json":
+                continue
+            argv = ["scan", "--targets", "spi", "--re=0..29", "--im=-14..15",
+                    "--primes", primes, "--format", "json", "--out", str(path)]
+            code, _, _ = run(capsys, *(argv + ["--strict-norm"] * strict))
+            assert code == 1
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
 
 # sha256 of the hypothesis reports, recorded before the scans shared one
 # memo of levels.
@@ -578,6 +604,24 @@ class TestOutputPlumbing:
         assert out == ""
         data = json.loads(path.read_text())
         assert [t["summand"] for t in data["terms"]] == ["6+i", "2-i"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("thm130", "--n", "30"),
+            ("scan", "--targets", "a", "--re", "1..6", "--im", "1..6", "--primes", "kpi"),
+        ],
+    )
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, argv, where):
+        """Exit 1 means a negative outcome, so an --out that cannot be
+        opened is a usage error."""
+        out_path = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, *argv, "--format", "json", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert str(out_path) in err
+        assert "Traceback" not in err
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

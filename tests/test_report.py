@@ -1,0 +1,135 @@
+"""Report.write against its oracles, for every report type and format.
+
+JSON must be the bytes json.dumps(to_json_dict(), sort_keys=True,
+indent=2) gives, plus a newline, whether the type writes it from the
+dict or, like ScanReport, from a template. md and csv must be the
+type's md_lines() and csv_lines() joined, every line ending in a
+newline.
+"""
+
+import io
+import json
+
+import pytest
+
+from oracles import trial_prime
+from shnirel.cli import RoutedDecomposition, SieveReport
+from shnirel.diophantine import solve_four_columns, solve_min_columns, solve_square_columns
+from shnirel.gaussdecomp import (
+    NormPolicy,
+    ScanReport,
+    find_decomposition,
+    four_term_decompose,
+    obstruction_line_report,
+    scan_box,
+    verify_diagonal_obstruction,
+)
+from shnirel.golden import load_golden, regenerate_tables, validate_golden
+from shnirel.ratdecomp import HypothesisReports, hypothesis_scans, residue34_chain
+from shnirel.zcore import GaussianInt, Parity, Region
+
+A, SECTOR = Region.OPEN_QUADRANT, Region.SECTOR
+GPI, KPI, SPI = Region.PRIME_SECTOR, Region.PRIME_QUADRANT, Region.PRIME_HALF
+NONE, STRICT = NormPolicy.NONE, NormPolicy.STRICT_LESS
+
+
+def _hand_built_counts() -> ScanReport:
+    """term_counts keys 2 and 10, so "10" sorts before "2"; equal
+    witness terms that are distinct objects; a description that needs
+    escaping."""
+    ten = tuple(GaussianInt(2, 1) for _ in range(10))
+    return ScanReport(
+        KPI, 'hand "built" é\\', 10, STRICT, Parity.EVEN,
+        (
+            (GaussianInt(3, 2), 2, (GaussianInt(2, 1), GaussianInt(1, 1))),
+            (GaussianInt(20, 10), 10, ten),
+            (GaussianInt(1, 1), None, None),
+        ),
+    )
+
+
+SCANS = {
+    # EMPTY rows (k None) next to found ones
+    "kpi_with_exceptions": lambda: scan_box(A, (1, 6), (1, 6), KPI, 3, NONE),
+    "parity_none": lambda: scan_box(A, (1, 6), (1, 6), GPI, 3, NONE, parity_filter=None),
+    # negative im, both policies
+    "spi_sector": lambda: scan_box(SECTOR, (1, 10), (-9, 10), SPI, 3, NONE),
+    "spi_sector_strict": lambda: scan_box(SECTOR, (1, 10), (-9, 10), SPI, 3, STRICT),
+    # one-term rows: the targets on these lines that are prime
+    "prime_lines": lambda: obstruction_line_report(20),
+    "no_exceptions": lambda: scan_box(A, (1, 8), (1, 8), KPI, 3, NONE, min_max_component=7),
+    "no_rows": lambda: ScanReport(GPI, "empty", 3, NONE, Parity.ODD, ()),
+    "counts_2_and_10": _hand_built_counts,
+}
+
+
+def _primes(limit, mod4=None):
+    return tuple(p for p in range(limit + 1) if trial_prime(p) and mod4 in (None, p % 4))
+
+
+OTHERS = {
+    "decomposition": lambda: find_decomposition(GaussianInt(19, 16), GPI, 3),
+    "decomposition_parity_none": lambda: find_decomposition(
+        GaussianInt(13, 4), KPI, 3, NONE, parity_filter=None
+    ),
+    "routed_decomposition": lambda: RoutedDecomposition(
+        *four_term_decompose(GaussianInt(19, 17), KPI)
+    ),
+    "obstruction": lambda: verify_diagonal_obstruction(20, 3),
+    "matrix_four": lambda: solve_four_columns(11, 3),
+    "matrix_min": lambda: solve_min_columns(9, 5),
+    "matrix_square": lambda: solve_square_columns(7, 4, 3),
+    "hypothesis": lambda: hypothesis_scans([1], 1, 300)[0],
+    "hypotheses": lambda: HypothesisReports(tuple(hypothesis_scans([1, 4], 1, 300))),
+    "chain": lambda: residue34_chain(30),
+    "golden_validation": lambda: validate_golden(load_golden()[:4]),
+    "golden_regen": lambda: regenerate_tables(load_golden()[:4]),
+    "sieve_summary": lambda: SieveReport(100, _primes(100), None, None, False),
+    "sieve_listing": lambda: SieveReport(100, _primes(100, 3), None, 3, True),
+    "sieve_empty_class": lambda: SieveReport(2, (), "cache.bin", 1, False),
+}
+REPORTS = {**SCANS, **OTHERS}
+
+
+def _written(report, fmt: str) -> str:
+    buf = io.StringIO()
+    report.write(buf, fmt)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_json_is_the_dict_dumped(name):
+    report = REPORTS[name]()
+    want = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert _written(report, "json") == want
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv"])
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_md_and_csv_are_the_lines_joined(name, fmt):
+    report = REPORTS[name]()
+    lines = list(getattr(report, f"{fmt}_lines")())
+    assert lines and all(line.endswith("\n") for line in lines)
+    assert _written(report, fmt) == "".join(lines)
+
+
+def test_cases_cover_what_they_name():
+    reports = {name: build() for name, build in SCANS.items()}
+    assert any(k is None for _, k, _ in reports["kpi_with_exceptions"].rows)
+    assert reports["parity_none"].parity_filter is None
+    assert any(z.im < 0 for z, _, _ in reports["spi_sector"].rows)
+    assert 1 in {k for _, k, _ in reports["prime_lines"].rows}
+    assert reports["no_exceptions"].exceptions == ()
+    assert reports["counts_2_and_10"].term_counts == {2: 1, 10: 1}
+    assert list(reports["counts_2_and_10"].to_json_dict()["term_counts"]) == ["2", "10"]
+
+
+def test_scan_json_is_yielded_row_by_row():
+    report = SCANS["kpi_with_exceptions"]()
+    assert len(list(report.json_lines())) == len(report.rows) + 2
+
+
+def test_default_json_is_streamed_in_chunks():
+    """A large report is written in pieces, never held as one string."""
+    report = OTHERS["sieve_listing"]()
+    assert len(list(report.json_lines())) > len(report.primes)
