@@ -66,6 +66,16 @@ def _summary(line: str) -> None:
     print(line, file=sys.stderr)
 
 
+def _check_out(path: str) -> None:
+    """Raise OSError now, before any work, when path cannot be opened for
+    writing. Append mode leaves an existing file's bytes as they are, and
+    a file this check creates is removed again."""
+    existed = os.path.exists(path)
+    open(path, "a").close()
+    if not existed:
+        os.remove(path)
+
+
 def _emit(args, report: Report) -> None:
     """Write the report in args.format to args.out, or to stdout."""
     if args.out:
@@ -387,6 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
 def entry(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except (SearchExhausted, HypothesisViolation, BaseCaseError) as exc:
         print(str(exc), file=sys.stderr)

@@ -16,7 +16,7 @@ from math import isqrt
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .primes import _SIEVE_CAP, gaussian_prime_pool, is_gaussian_prime
+from .primes import _pool_and_flags, gaussian_prime_pool, is_gaussian_prime
 from .report import Report
 from .zcore import (
     ZERO,
@@ -146,35 +146,91 @@ def _term_cap(cone, re: int, im: int, terms: int) -> tuple[int, int, int] | None
     return u, v, best // (a1 * b2 - a2 * b1) ** 2
 
 
-def _pool_bound(z: GaussianInt, region: Region, policy: NormPolicy) -> tuple | None:
-    """(u, v, bound) for the terms of a sum of two or more region members
-    equal to z: every term p has n1.p <= u and n2.p <= v, as in _term_cap,
-    and the policy keeps its norm below bound. Each row's c is at least 0,
-    so more terms only shrink the parallelogram of two. None when no
-    prime fits, every prime having norm at least 2."""
-    got = _term_cap(region.cone, z.re, z.im, 2)
-    if got is None:
-        return None
-    bound = got[2] + 1 if policy is NormPolicy.NONE else min(got[2] + 1, z.norm())
-    return (got[0], got[1], bound) if bound > 2 else None
+def _bounds(targets: Sequence[GaussianInt], region: Region, policy: NormPolicy) -> list[tuple]:
+    """(i, re, im, u, v, cap) for the targets z = re + im*i = targets[i]
+    that two or more region primes might sum to: every term p of such a
+    sum has n1.p <= u and n2.p <= v, as in _term_cap, and the policy keeps
+    its norm below cap > 2 (every prime has norm at least 2). Each row's
+    c is at least 0, so more terms only shrink the parallelogram of two.
+
+    These are _term_cap's two-term corners, inline: (c1, c2) is fixed,
+    and (u, v) is z times det less that fixed corner.
+    """
+    (a1, b1, c1), (a2, b2, c2) = region.cone
+    det = a1 * b2 - a2 * b1
+    x0, y0 = b2 * c1 - b1 * c2, a1 * c2 - a2 * c1
+    strict = policy is NormPolicy.STRICT_LESS
+    out = []
+    for i, z in enumerate(targets):
+        re, im = z.re, z.im
+        u = a1 * re + b1 * im - c1
+        v = a2 * re + b2 * im - c2
+        if u < c1 or v < c2:
+            continue
+        x1, y1 = b2 * c1 - b1 * v, a1 * v - a2 * c1
+        x2, y2 = b2 * u - b1 * c2, a1 * c2 - a2 * u
+        x3, y3 = re * det - x0, im * det - y0
+        cap = max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3)
+        cap = cap // (det * det) + 1
+        if strict and cap > re * re + im * im:
+            cap = re * re + im * im
+        if cap > 2:
+            out.append((i, re, im, u, v, cap))
+    return out
 
 
-# (region, parity) -> (bound, pool, index); pools hold (re, im, norm)
-# triples ascending by (norm, re, im) and grow monotonically.
+# The largest pool norm bound. At 10^7 the spi pool, the widest, holds
+# about 1.0 M entries and peaks near 230 MiB while built (CPython 3.11,
+# x86-64); the sieve cap of 10^8 would allow ten times that.
+_POOL_CAP = 10**7
+
+# (region, parity) -> (bound, pool, flags); pools hold (re, im, norm)
+# triples ascending by (norm, re, im) and grow monotonically, and flags
+# are the prime-norm flags _pool_and_flags read them off.
 _POOL_CACHE: dict = {}
 
 
 def _pool_for(region: Region, parity_filter: Parity | None, bound: int):
+    """(pool, flags) for the region primes of the filtered parity, the
+    pool holding at least every one of norm below bound."""
+    if bound > _POOL_CAP:
+        raise ValueError(f"pool norm bound {bound} is above the cap of {_POOL_CAP}")
     key = (region, parity_filter)
     got = _POOL_CACHE.get(key)
     if got is not None and got[0] >= bound:
         return got[1], got[2]
-    # doubling, but never past the sieve cap for a bound within it
-    grown = max(bound, min(2 * got[0], _SIEVE_CAP) if got else 0, 512)
-    pool = gaussian_prime_pool(region, grown, parity_filter)
-    index = {(re, im): i for i, (re, im, _) in enumerate(pool)}
-    _POOL_CACHE[key] = (grown, pool, index)
-    return pool, index
+    # doubling, but never past the cap
+    grown = max(bound, min(2 * got[0], _POOL_CAP) if got else 0, 512)
+    pool, flags = _pool_and_flags(region, grown, parity_filter)
+    _POOL_CACHE[key] = (grown, pool, flags)
+    return pool, flags
+
+
+def _member(region: Region, parity_filter: Parity | None, flags) -> Callable:
+    """The membership test of the (region, parity_filter) pool read off
+    these flags: member(re, im, first, cap) is the pool entry (re, im,
+    norm) when re + im*i has its norm's flag set, meets both cone rows,
+    has the filtered parity and norm below cap, and comes no earlier than
+    the pool entry first in (norm, re, im) order; else None."""
+    (a1, b1, c1), (a2, b2, c2) = region.cone
+    top = len(flags)
+    anyp, odd = parity_filter is None, parity_filter is Parity.ODD
+
+    def member(re: int, im: int, first: tuple, cap: int) -> tuple[int, int, int] | None:
+        n = re * re + im * im
+        if (
+            n < cap
+            and n < top
+            and flags[n]
+            and a1 * re + b1 * im >= c1
+            and a2 * re + b2 * im >= c2
+            and (anyp or (re + im) % 2 == odd)
+            and (n, re, im) >= (first[2], first[0], first[1])
+        ):
+            return re, im, n
+        return None
+
+    return member
 
 
 def _dfs(
@@ -182,22 +238,16 @@ def _dfs(
     t_im: int,
     k: int,
     pool: list,
-    index: dict,
+    member: Callable,
     cone,
     cap: int,
-) -> tuple[int, ...] | None:
-    """Indices of the lexicographically first non-decreasing k-tuple of
-    pool entries summing to the target, all norms below cap."""
+) -> list[tuple[int, int, int]] | None:
+    """The lexicographically first non-decreasing k-tuple (k >= 2) of
+    pool entries summing to the target, all norms below cap, ascending."""
     (a1, b1, _), (a2, b2, _) = cone
-    acc: list[int] = []
+    acc: list[tuple[int, int, int]] = []
 
     def rec(re: int, im: int, terms: int, lo: int) -> bool:
-        if terms == 1:
-            i = index.get((re, im))
-            if i is not None and i >= lo and pool[i][2] < cap:
-                acc.append(i)
-                return True
-            return False
         got = _term_cap(cone, re, im, terms)
         if got is None:
             return False
@@ -205,46 +255,61 @@ def _dfs(
         if stop > cap - 1:
             stop = cap - 1
         for i in range(lo, len(pool)):
-            pre, pim, pn = pool[i]
+            p = pool[i]
+            pre, pim, pn = p
             if pn > stop:
                 break
             if a1 * pre + b1 * pim > u or a2 * pre + b2 * pim > v:
                 continue
-            acc.append(i)
+            if terms == 2:  # the residual is the last term, no earlier than p
+                last = member(re - pre, im - pim, p, cap)
+                if last is not None:
+                    acc.extend((p, last))
+                    return True
+                continue
+            acc.append(p)
             if rec(re - pre, im - pim, terms - 1, i):
                 return True
             acc.pop()
         return False
 
-    return tuple(acc) if rec(t_re, t_im, k, 0) else None
+    return acc if rec(t_re, t_im, k, 0) else None
 
 
 def _single(
-    re: int, im: int, region: Region, policy: NormPolicy, parity_filter: Parity | None
+    z: GaussianInt,
+    region: Region,
+    policy: NormPolicy,
+    parity_filter: Parity | None,
+    flags: bytes | bytearray = b"",
 ) -> bool:
-    """Whether re + im*i is its own one-term decomposition: the policy
-    allows it and it is a region prime of the filtered parity."""
+    """Whether z is its own one-term decomposition: the policy allows it
+    and it is a region prime of the filtered parity. Primality is read
+    off the prime-norm flags, or by Miller-Rabin past their end."""
     if policy is NormPolicy.STRICT_LESS or (
-        parity_filter is not None and (re + im) % 2 != (parity_filter is Parity.ODD)
+        parity_filter is not None and (z.re + z.im) % 2 != (parity_filter is Parity.ODD)
     ):
         return False
-    z = GaussianInt(re, im)
-    return in_region(z, region) and is_gaussian_prime(z)
+    if not in_region(z, region):
+        return False
+    n = z.re * z.re + z.im * z.im
+    return bool(flags[n]) if n < len(flags) else is_gaussian_prime(z)
 
 
 def _search(
     re: int, im: int, k_lo: int, max_terms: int,
     region: Region, parity_filter: Parity | None, cap: int,
+    pool: list, member: Callable,
 ) -> list[tuple[int, int, int]] | None:
     """The canonical decomposition of re + im*i with the fewest terms k,
-    k_lo <= k <= max_terms, into region primes of the filtered parity and
-    norm below cap: its pool entries (re, im, norm), largest first, or
-    None.
+    k_lo <= k <= max_terms (k_lo >= 2), into entries of the pool and its
+    membership test with norm below cap: its pool entries (re, im,
+    norm), largest first, or None.
 
     Only term counts some sum can reach are searched: k odd terms sum to
     the class of k modulo 1+i, and even terms to an even sum. The _dfs
-    indices ascend through the (norm, re, im)-sorted pool, so reversing
-    them lists the terms largest first.
+    entries ascend in (norm, re, im) order, so reversing them lists the
+    terms largest first.
     """
     step = 1
     if parity_filter is Parity.ODD:
@@ -252,11 +317,10 @@ def _search(
         step = 2
     elif parity_filter is Parity.EVEN and (re + im) % 2:
         return None
-    pool, index = _pool_for(region, parity_filter, cap)
     for k in range(k_lo, max_terms + 1, step):
-        got = _dfs(re, im, k, pool, index, region.cone, cap)
+        got = _dfs(re, im, k, pool, member, region.cone, cap)
         if got is not None:
-            return [pool[i] for i in reversed(got)]
+            return got[::-1]
     return None
 
 
@@ -331,12 +395,15 @@ def find_decomposition(
         raise ValueError("target must be nonzero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    if include_single and _single(z.re, z.im, region, policy, parity_filter):
+    if include_single and _single(z, region, policy, parity_filter):
         return Decomposition(z, (sector_form(z),), region, policy, parity_filter)
-    got = _pool_bound(z, region, policy)
-    if max_terms == 1 or got is None:
+    live = _bounds([z], region, policy)
+    if max_terms == 1 or not live:
         return None
-    found = _search(z.re, z.im, 2, max_terms, region, parity_filter, got[2])
+    cap = live[0][5]
+    pool, flags = _pool_for(region, parity_filter, cap)
+    member = _member(region, parity_filter, flags)
+    found = _search(z.re, z.im, 2, max_terms, region, parity_filter, cap, pool, member)
     if found is None:
         return None
     terms = tuple(sector_form(GaussianInt(re, im)) for re, im, _ in found)
@@ -353,19 +420,18 @@ def region_targets(
     if norm_bound > 500**2:
         raise ValueError("norm_bound is capped at 250000")
     top = isqrt(norm_bound)
-    out = []
+    step = 1 if parity_filter is None else 2
+    odd = parity_filter is Parity.ODD
+    out: list[tuple[int, int, int]] = []
     for re in range(-top, top + 1):
-        reach = isqrt(norm_bound - re * re)
+        rr = re * re
+        reach = isqrt(norm_bound - rr)
         lo, hi = region.im_span(re, -reach, reach)
-        for im in range(lo, hi + 1):
-            if re == 0 and im == 0:
-                continue
-            z = GaussianInt(re, im)
-            if parity_filter is not None and parity_of(z) is not parity_filter:
-                continue
-            out.append(z)
-    out.sort(key=GaussianInt.key)
-    return out
+        if step == 2 and (re + lo) % 2 != odd:
+            lo += 1
+        out += [(rr + im * im, re, im) for im in range(lo, hi + 1, step)]
+    out.sort()
+    return [GaussianInt(re, im) for n, re, im in out if n]
 
 
 def box_targets(
@@ -384,17 +450,15 @@ def box_targets(
     im_lo, im_hi = im_range
     if re_lo > re_hi or im_lo > im_hi:
         raise ValueError("empty component range")
-    out = []
+    out: list[tuple[int, int, int]] = []
     for re in range(re_lo, re_hi + 1):
         lo, hi = region.im_span(re, im_lo, im_hi)
-        for im in range(lo, hi + 1):
-            if re == 0 and im == 0:
-                continue
-            if max(re, im) < min_max_component:
-                continue
-            out.append(GaussianInt(re, im))
-    out.sort(key=GaussianInt.key)
-    return out
+        if re < min_max_component:
+            lo = max(lo, min_max_component)
+        rr = re * re
+        out += [(rr + im * im, re, im) for im in range(lo, hi + 1)]
+    out.sort()
+    return [GaussianInt(re, im) for n, re, im in out if n]
 
 
 @dataclass(frozen=True)
@@ -540,27 +604,32 @@ def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
 
 # Bit-ops the sumsets may spend per target, estimated as window bits x
 # pool points x (max_terms - 1). A shift-OR costs about 4 ns per 64-bit
-# word (2-core x86, Python 3.11), so this is about 8 us a target, below
-# the 20-55 us of a target's per-k search. The property the sumsets need
-# is targets that fill the window, which reaches from the cone's corner
-# to the targets: gammapi and kpi boxes of side 120-150 at the origin
-# come in at 0.07 of this, a 10 x 10 gammapi box at re 200 at 31 times
-# and a 2 x 2 box at re 2000 at 4 * 10^6 times, so those search target
-# by target, as strict scans always do; uncapped ones walk the levels.
+# word (2-core x86, Python 3.11), so this is about 8 us a target, near
+# the 6-15 us a target's _search takes on a warm pool (a strict spi box
+# at the origin, gammapi boxes at re 200 and 2000). The property the
+# sumsets need is targets that fill the window, which reaches from the
+# cone's corner to the targets: gammapi and kpi boxes of side 120-150 at
+# the origin come in at 0.07 of this, a 10 x 10 gammapi box at re 200 at
+# 31 times and a 2 x 2 box at re 2000 at 4 * 10^6 times, so those search
+# target by target, as strict scans always do; uncapped ones walk the
+# levels.
 _SUMSET_OPS_PER_TARGET = 1 << 17
 
 
 def _minimal_terms(
-    targets: Sequence[GaussianInt],
+    count: int,
+    live: list[tuple],
+    pool: list,
+    member: Callable,
     region: Region,
     policy: NormPolicy,
-    parity_filter: Parity | None,
     max_terms: int,
 ) -> tuple[list[tuple[int, int] | None], Callable | None]:
-    """(proofs, walk). A target's proof is (k_lo, cap): cap is its
-    _pool_bound norm bound, and every sum of two or more region primes of
-    norm below cap equal to it has at least k_lo <= max_terms terms; None
-    when no such sum fits in max_terms. walk is None unless k_lo is exact.
+    """(proofs, walk) for count targets, given the _bounds of the live
+    ones. A target's proof is (k_lo, cap): cap is its _bounds norm bound,
+    and every sum of two or more region primes of norm below cap equal to
+    it has at least k_lo <= max_terms terms; None when no such sum fits in
+    max_terms. walk is None unless k_lo is exact.
 
     With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of such
     a sum has n1.s >= c1 and n1.(z - s) >= c1 (so n1.s <= u, as in
@@ -579,24 +648,19 @@ def _minimal_terms(
     from p on, down to a residual in the pool; or raises RuntimeError.
 
     When the sumsets would cost more than _SUMSET_OPS_PER_TARGET per
-    target, every k_lo is 2 and walk is None. The pool is warmed to the
-    largest cap.
+    target, every k_lo is 2 and walk is None. The pool and its membership
+    test must reach the largest cap.
     """
-    out: list[tuple[int, int] | None] = [None] * len(targets)
-    live = [
-        (i, z.re, z.im) + got
-        for i, z in enumerate(targets)
-        if max_terms >= 2 and (got := _pool_bound(z, region, policy)) is not None
-    ]
+    out: list[tuple[int, int] | None] = [None] * count
     if not live:
         return out, None
     _, res, ims, us, vs, caps = zip(*live)
-    pool, index = _pool_for(region, parity_filter, max(caps))
-    pool = pool[: bisect_left(pool, max(caps), key=itemgetter(2))]
+    top = max(caps)
+    pool = pool[: bisect_left(pool, top, key=itemgetter(2))]
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
     # each level shift-ORs the whole window once per point
     ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * len(pool) * (max_terms - 1)
-    if ops > _SUMSET_OPS_PER_TARGET * len(targets):
+    if ops > _SUMSET_OPS_PER_TARGET * count:
         for i, *_, cap in live:
             out[i] = (2, cap)
         return out, None
@@ -623,10 +687,10 @@ def _minimal_terms(
                     break
             else:
                 break
-        last = index.get((r + re_lo, j + im_lo), -1)
-        if len(terms) < k - 1 or last < lo:
+        last = member(r + re_lo, j + im_lo, pool[lo], top)
+        if len(terms) < k - 1 or last is None:
             raise RuntimeError(f"the walk for {GaussianInt(re, im)} fails at {k} terms")
-        return [pool[last]] + terms[::-1]
+        return [last] + terms[::-1]
 
     return out, walk
 
@@ -651,11 +715,15 @@ def scan_targets(
         raise ValueError("max_terms must be at least 1")
     if any(z.is_zero() for z in targets):
         raise ValueError("target must be nonzero")
-    proofs, walk = _minimal_terms(targets, term_region, policy, parity_filter, max_terms)
+    live = _bounds(targets, term_region, policy) if max_terms >= 2 else []
+    pool, flags = _pool_for(term_region, parity_filter, max((t[5] for t in live), default=2))
+    member = _member(term_region, parity_filter, flags)
+    proofs, walk = _minimal_terms(len(targets), live, pool, member, term_region, policy, max_terms)
+    del live  # a tuple of six per target: free it before the rows grow
     made: dict = {}  # pool entry -> its GaussianInt, built once per call
     rows = []
     for z, proof in zip(targets, proofs):
-        if _single(z.re, z.im, term_region, policy, parity_filter):
+        if _single(z, term_region, policy, parity_filter, flags):
             rows.append((z, 1, (z,)))
             continue
         if proof is None:
@@ -663,7 +731,9 @@ def scan_targets(
         elif walk is not None:
             wit = walk(z.re, z.im, proof[0])
         else:
-            wit = _search(z.re, z.im, proof[0], max_terms, term_region, parity_filter, proof[1])
+            wit = _search(
+                z.re, z.im, proof[0], max_terms, term_region, parity_filter, proof[1], pool, member
+            )
         if wit is None:
             rows.append((z, None, None))
             continue

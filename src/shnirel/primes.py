@@ -1,12 +1,11 @@
-"""Rational prime sieving and testing plus Gaussian prime classification
-and region-filtered enumeration."""
+"""Rational prime sieving and testing plus Gaussian primality and
+region-filtered enumeration."""
 
 from __future__ import annotations
 
 import os
 import struct
 from bisect import bisect_left, bisect_right
-from enum import Enum
 from itertools import compress
 from math import isqrt
 from operator import lt
@@ -182,39 +181,6 @@ def ensure_table(limit: int, cache_path: str | None = None) -> PrimeTable:
     return table
 
 
-class PrimeClass(Enum):
-    RAMIFIED = "ramified"
-    SPLIT = "split"
-    INERT = "inert"
-
-
-def two_squares(p: int) -> tuple[int, int]:
-    """Write a prime p = 1 mod 4 as a*a + b*b with a > b >= 1.
-
-    Take x with x^2 = -1 mod p (a non-residue raised to (p-1)/4) and run
-    the Euclidean algorithm on (p, x); the first remainder at or below
-    sqrt(p) is one leg, and the other leg falls out of p - b^2.
-    """
-    if p % 4 != 1 or not is_rational_prime(p):
-        raise ValueError(f"{p} is not a prime congruent to 1 mod 4")
-    half = (p - 1) // 2
-    x = 0
-    c = 2
-    while True:
-        if pow(c, half, p) == p - 1:
-            x = pow(c, half // 2, p)
-            break
-        c += 1
-    a, b = p, x
-    s = isqrt(p)
-    while b > s:
-        a, b = b, a % b
-    other = isqrt(p - b * b)
-    if other * other + b * b != p:
-        raise AssertionError(f"two-squares failed for {p}")
-    return (max(b, other), min(b, other))
-
-
 def is_gaussian_prime(z: GaussianInt) -> bool:
     n = z.norm()
     if n <= 1:
@@ -227,17 +193,6 @@ def is_gaussian_prime(z: GaussianInt) -> bool:
     return False
 
 
-def classify_gaussian_prime(z: GaussianInt) -> PrimeClass:
-    if not is_gaussian_prime(z):
-        raise ValueError(f"{z} is not a Gaussian prime")
-    n = z.norm()
-    if n == 2:
-        return PrimeClass.RAMIFIED
-    if is_rational_prime(n):
-        return PrimeClass.SPLIT
-    return PrimeClass.INERT
-
-
 def gaussian_prime_pool(
     region: Region,
     norm_bound: int,
@@ -245,12 +200,24 @@ def gaussian_prime_pool(
     table: PrimeTable | None = None,
 ) -> list[tuple[int, int, int]]:
     """All Gaussian primes in the region with norm below norm_bound, as
-    (re, im, norm) triples sorted by (norm, re, im).
+    (re, im, norm) triples sorted by (norm, re, im)."""
+    return _pool_and_flags(region, norm_bound, parity_filter, table)[0]
 
-    One sweep over the region's lattice rows reads primality off the
-    rational sieve flags: z is a Gaussian prime exactly when its norm is
-    a prime, or the square of a prime q = 3 mod 4 (only the associates of
-    q have that norm). The only even primes are those of norm 2.
+
+def _pool_and_flags(
+    region: Region,
+    norm_bound: int,
+    parity_filter: Parity | None = None,
+    table: PrimeTable | None = None,
+) -> tuple[list[tuple[int, int, int]], bytearray]:
+    """(pool, flags): gaussian_prime_pool's list and the prime-norm flags
+    it was read off, flags[n] being 1 for 0 <= n < len(flags) exactly
+    when n is a prime or the square of a prime q = 3 mod 4.
+
+    One sweep over the region's lattice rows reads primality off those
+    flags: z is a Gaussian prime exactly when flags[norm(z)] is set (only
+    the associates of q have norm q^2). The only even primes are those of
+    norm 2, so under Parity.EVEN the flags stop there.
     """
     if norm_bound < 2:
         raise ValueError("norm_bound must be at least 2")
@@ -258,7 +225,7 @@ def gaussian_prime_pool(
     if parity_filter is Parity.EVEN:
         limit = min(limit, 2)
     if limit < 2:
-        return []
+        return [], bytearray(limit + 1)
     if table is not None and table.limit >= limit:
         prime_norm = table._flags[: limit + 1]
     else:
@@ -282,7 +249,7 @@ def gaussian_prime_pool(
             if prime_norm[rr + im * im]
         ]
     found.sort()
-    return [(re, im, n) for n, re, im in found]
+    return [(re, im, n) for n, re, im in found], prime_norm
 
 
 def sector_gap_stats(norm_bound: int, table: PrimeTable | None = None) -> tuple[int, int]:
@@ -296,13 +263,10 @@ def sector_gap_stats(norm_bound: int, table: PrimeTable | None = None) -> tuple[
 __all__ = [
     "CACHE_ENV",
     "CACHE_MAGIC",
-    "PrimeClass",
     "PrimeTable",
-    "classify_gaussian_prime",
     "ensure_table",
     "gaussian_prime_pool",
     "is_gaussian_prime",
     "is_rational_prime",
     "sector_gap_stats",
-    "two_squares",
 ]

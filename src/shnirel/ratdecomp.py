@@ -91,16 +91,6 @@ def split_into_residue34_primes(n: int, k: int) -> tuple[int, ...] | None:
     return _first_split(n, k, _r34_pool, [{} for _ in range(k)])
 
 
-def goldbach_pair(n: int) -> tuple[int, int]:
-    """Even n of at least 6 as p + q, both odd prime, smaller part minimal."""
-    if n % 2 or n < 6:
-        raise ValueError("goldbach_pair needs an even integer of at least 6")
-    got = split_into_odd_primes(n, 2)
-    if got is None:
-        raise SearchExhausted(f"no two-odd-prime split of {n}")
-    return (got[0], got[1])
-
-
 def four_odd_primes(n: int) -> tuple[int, int, int, int]:
     """Even n of at least 12 as a sum of four odd primes."""
     if n % 2 or n < 12:
@@ -251,7 +241,6 @@ def hypothesis_scan(index: int, lo: int, hi: int) -> HypothesisReport:
 _EXTRA_THREES = {1: 0, 0: 1, 3: 2, 2: 3}
 
 CHAIN_THRESHOLD = 18
-CHAIN_MAX_TERMS = 6
 
 
 @dataclass(frozen=True)
@@ -309,7 +298,6 @@ def residue34_chain(n: int, threshold: int = CHAIN_THRESHOLD) -> ChainResult:
 
 
 __all__ = [
-    "CHAIN_MAX_TERMS",
     "CHAIN_THRESHOLD",
     "ChainResult",
     "HYPOTHESES",
@@ -319,7 +307,6 @@ __all__ = [
     "HypothesisViolation",
     "SearchExhausted",
     "four_odd_primes",
-    "goldbach_pair",
     "hypothesis_scan",
     "hypothesis_scans",
     "min_odd_prime_terms",

@@ -23,9 +23,6 @@ class Unit(Enum):
     MINUS_ONE = 2
     MINUS_I = 3
 
-    def __mul__(self, other: "Unit") -> "Unit":
-        return Unit((self.value + other.value) % 4)
-
     def apply(self, z: "GaussianInt") -> "GaussianInt":
         k = self.value
         if k == 0:
@@ -69,20 +66,8 @@ class GaussianInt:
     def __sub__(self, other: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.re - other.re, self.im - other.im)
 
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
     def __neg__(self) -> "GaussianInt":
         return GaussianInt(-self.re, -self.im)
-
-    def times_i(self) -> "GaussianInt":
-        return GaussianInt(-self.im, self.re)
-
-    def conjugate(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
 
     def norm(self) -> int:
         return self.re * self.re + self.im * self.im
@@ -111,7 +96,6 @@ class GaussianInt:
 
 ZERO = GaussianInt(0, 0)
 ONE = GaussianInt(1, 0)
-IMAG = GaussianInt(0, 1)
 
 
 def parity(z: GaussianInt) -> Parity:
@@ -176,16 +160,6 @@ def in_region(z: GaussianInt, region: Region) -> bool:
     (a1, b1, c1), (a2, b2, c2) = region.cone
     r, i = z.re, z.im
     return a1 * r + b1 * i >= c1 and a2 * r + b2 * i >= c2
-
-
-def associates(z: GaussianInt) -> tuple[GaussianInt, GaussianInt, GaussianInt, GaussianInt]:
-    """The four unit multiples of z, in the order z, iz, -z, -iz."""
-    return (z, z.times_i(), -z, (-z).times_i())
-
-
-def sector_associate(z: GaussianInt) -> GaussianInt:
-    """The unique associate of a nonzero z lying in the sector."""
-    return sector_form(z)[0]
 
 
 def sector_form(z: GaussianInt) -> tuple[GaussianInt, Unit]:

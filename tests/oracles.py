@@ -96,6 +96,11 @@ REGION_PREDICATES = {
 }
 
 
+def associates(re: int, im: int) -> list[tuple[int, int]]:
+    """The four unit multiples of re + im*i: times 1, i, -1 and -i."""
+    return [(re, im), (-im, re), (-re, -im), (im, -re)]
+
+
 def obstruction_sweep(points, bound: int, max_terms: int):
     """The nested-set sweep over sums of up to max_terms of the points
     (re, im) with real part at most bound: (levels, violations), levels

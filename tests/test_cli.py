@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from oracles import trial_prime
+from shnirel import cli, gaussdecomp, primes
 from shnirel.cli import entry, parse_gaussian, parse_range
 from shnirel.gaussdecomp import ScanReport
 from shnirel.primes import CACHE_MAGIC
@@ -556,8 +557,6 @@ class TestSieveCap:
         [
             ("hypotheses", "--upper", "1000000000"),
             ("thm130", "--n", "10000000000"),
-            # two-term pool bound about 10^10
-            ("decompose", "--z", "100000,1"),
             ("sieve", "--limit", "1000000000"),
         ],
     )
@@ -566,6 +565,24 @@ class TestSieveCap:
         assert code == 2
         assert out == ""
         assert "is above the cap of 100000000" in err
+
+
+class TestPoolCap:
+    @pytest.mark.parametrize("z", ["9999,1", "100000,1"])
+    def test_oversized_pool_exits_two_before_building(self, capsys, monkeypatch, z):
+        """9999+i needs a kpi pool to norm 9.998 * 10^7, about 1.4 GB."""
+
+        def allocating(*args):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        monkeypatch.setattr(gaussdecomp, "_pool_and_flags", allocating)
+        monkeypatch.setattr(primes, "_sieve_flags", allocating)
+        code, out, err = run(capsys, "decompose", "--z", z, "--primes", "kpi")
+        assert code == 2
+        assert out == ""
+        assert "is above the cap of 10000000" in err
+        assert "Traceback" not in err
 
 
 class TestTables:
@@ -613,15 +630,34 @@ class TestOutputPlumbing:
         ],
     )
     @pytest.mark.parametrize("where", ["directory", "missing_parent"])
-    def test_unwritable_out_exits_two(self, capsys, tmp_path, argv, where):
+    def test_unwritable_out_exits_two(self, capsys, monkeypatch, tmp_path, argv, where):
         """Exit 1 means a negative outcome, so an --out that cannot be
-        opened is a usage error."""
+        opened is a usage error, found before the command runs."""
+
+        def never(args):
+            raise AssertionError("the command ran before --out was checked")
+
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", never)
         out_path = tmp_path if where == "directory" else tmp_path / "missing" / "r.json"
         code, out, err = run(capsys, *argv, "--format", "json", "--out", str(out_path))
         assert code == 2
         assert out == ""
         assert str(out_path) in err
         assert "Traceback" not in err
+
+    def test_failed_command_leaves_out_as_it_was(self, capsys, tmp_path):
+        """--out is checked without truncating it; a command that fails
+        leaves an existing file's bytes alone and creates no new file."""
+        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+        kept.write_text("old bytes\n")
+        for path in (kept, fresh):
+            code, out, err = run(
+                capsys, "decompose", "--z", "9999,1", "--primes", "kpi", "--out", str(path)
+            )
+            assert code == 2
+            assert "above the cap" in err
+        assert kept.read_text() == "old bytes\n"
+        assert not fresh.exists()
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,10 +5,11 @@ import inspect
 import io
 import json
 from itertools import combinations_with_replacement
+from math import isqrt
 
 import pytest
 
-from oracles import REGION_PREDICATES, gaussian_prime_by_division, obstruction_sweep
+from oracles import REGION_PREDICATES, gaussian_prime_by_division, obstruction_sweep, trial_prime
 
 from shnirel import (
     BaseCaseError,
@@ -24,6 +25,7 @@ from shnirel import (
     find_decomposition,
     four_term_decompose,
     gaussian_prime_pool,
+    is_gaussian_prime,
     obstruction_line_report,
     region_targets,
     scan_box,
@@ -34,6 +36,7 @@ from shnirel import (
 )
 from shnirel import gaussdecomp, primes
 from shnirel.gaussdecomp import _pool_for
+from shnirel.primes import _pool_and_flags
 
 KPI = Region.PRIME_QUADRANT
 GPI = Region.PRIME_SECTOR
@@ -299,6 +302,8 @@ class TestTargetEnumeration:
     def test_region_targets_parity(self):
         got = region_targets(KPI, 5, Parity.ODD)
         assert [str(z) for z in got] == ["i", "1", "1+2i", "2+i"]
+        got = region_targets(KPI, 5, Parity.EVEN)
+        assert [str(z) for z in got] == ["1+i", "2i", "2"]
 
     def test_region_targets_guard(self):
         with pytest.raises(ValueError):
@@ -395,19 +400,23 @@ class TestScans:
                 expected = scan_rows_by_search(targets, term_region, 3, par, policy)
                 assert report.rows == expected, (policy, par)
 
-    def test_strict_sumset_k_is_a_lower_bound(self):
+    def test_strict_sumset_k_is_a_lower_bound(self, monkeypatch):
         """2+2i = 3i + (2-i) in spi, but 3i has norm 9 against the target's
         8. Beside 7, whose strict cap is 49, the sumsets still put 2+2i at
         two terms under the strict policy; the search from there finds no
         strict sum, so the row is an exception."""
         z = GaussianInt(2, 2)
         targets = [z, GaussianInt(7, 0)]
-        proofs, exact = gaussdecomp._minimal_terms(
-            targets, SPI, NormPolicy.STRICT_LESS, Parity.ODD, 3
-        )
-        assert proofs == [(2, 8), (3, 49)]
-        assert not exact
+        searches = []
+        real = gaussdecomp._search
+
+        def spying(re, im, k_lo, max_terms, region, parity_filter, cap, pool, member):
+            searches.append((re, im, k_lo, cap))
+            return real(re, im, k_lo, max_terms, region, parity_filter, cap, pool, member)
+
+        monkeypatch.setattr(gaussdecomp, "_search", spying)
         strict = scan_targets(targets, SPI, 3, NormPolicy.STRICT_LESS, Parity.ODD)
+        assert searches == [(2, 2, 2, 8), (7, 0, 3, 49)]
         assert strict.rows[0] == (z, None, None)
         assert strict.rows == scan_rows_by_search(
             targets, SPI, 3, Parity.ODD, NormPolicy.STRICT_LESS
@@ -436,8 +445,16 @@ class TestScans:
         target by target, with the same rows."""
         targets = box_targets(Region.OPEN_QUADRANT, (300, 303), (1, 2))
         dense = box_targets(Region.OPEN_QUADRANT, (1, 30), (1, 30))
-        assert gaussdecomp._minimal_terms(dense, GPI, NormPolicy.NONE, Parity.ODD, 3)[1]
-        assert not gaussdecomp._minimal_terms(targets, GPI, NormPolicy.NONE, Parity.ODD, 3)[1]
+        built = []
+        real = gaussdecomp._sumsets
+
+        def counting(*args):
+            built.append(args[2:6])
+            return real(*args)
+
+        monkeypatch.setattr(gaussdecomp, "_sumsets", counting)
+        scan_targets(dense, GPI, 3, NormPolicy.NONE, Parity.ODD)
+        assert len(built) == 1
 
         def no_sumsets(*args):
             raise AssertionError("sumsets built for a far box")
@@ -660,16 +677,20 @@ class TestPoolCache:
 
         def counting_pool(region, bound, parity_filter):
             built.append(bound)
-            return gaussian_prime_pool(region, bound, parity_filter)
+            return _pool_and_flags(region, bound, parity_filter)
 
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", cache)
-        monkeypatch.setattr(gaussdecomp, "gaussian_prime_pool", counting_pool)
-        pool, index = _pool_for(KPI, Parity.ODD, 100)
+        monkeypatch.setattr(gaussdecomp, "_pool_and_flags", counting_pool)
+        pool, flags = _pool_for(KPI, Parity.ODD, 100)
         assert built == [512]  # never fewer than 512
         assert pool == gaussian_prime_pool(KPI, 512, Parity.ODD)
-        assert index == {(re, im): i for i, (re, im, _) in enumerate(pool)}
-        again, again_index = _pool_for(KPI, Parity.ODD, 300)
-        assert again is pool and again_index is index
+        assert len(flags) == 512
+        assert [n for n in range(512) if flags[n]] == [
+            n for n in range(512) if trial_prime(n) or prime_square_3mod4(n)
+        ]
+        assert cache[(KPI, Parity.ODD)] == (512, pool, flags)
+        again, again_flags = _pool_for(KPI, Parity.ODD, 300)
+        assert again is pool and again_flags is flags
         assert built == [512]
         _pool_for(KPI, Parity.ODD, 600)
         assert built == [512, 1024]  # doubles past a small overshoot
@@ -678,23 +699,132 @@ class TestPoolCache:
         _pool_for(KPI, None, 100)
         assert built == [512, 1024, 5000, 512]  # keyed by parity too
         assert cache[(KPI, Parity.ODD)][0] == 5000
+        assert len(cache[(KPI, Parity.ODD)][2]) == 5000
+        # even primes have norm 2, so the even pool's flags stop there
+        _, even_flags = _pool_for(KPI, Parity.EVEN, 100)
+        assert even_flags == bytearray([0, 0, 1])
 
-    def test_doubling_stops_at_the_sieve_cap(self, monkeypatch):
+    def test_doubling_stops_at_the_pool_cap(self, monkeypatch):
         built = []
 
         def counting_pool(region, bound, parity_filter):
             built.append(bound)
-            return gaussian_prime_pool(region, bound, parity_filter)
+            return _pool_and_flags(region, bound, parity_filter)
 
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-        monkeypatch.setattr(gaussdecomp, "gaussian_prime_pool", counting_pool)
-        monkeypatch.setattr(gaussdecomp, "_SIEVE_CAP", 1500)
-        monkeypatch.setattr(primes, "_SIEVE_CAP", 1500)
+        monkeypatch.setattr(gaussdecomp, "_pool_and_flags", counting_pool)
+        monkeypatch.setattr(gaussdecomp, "_POOL_CAP", 1500)
         _pool_for(KPI, Parity.ODD, 1000)
         _pool_for(KPI, Parity.ODD, 1200)
         assert built == [1000, 1500]  # doubling would ask for 2000
-        with pytest.raises(ValueError, match="sieve limit 1599 is above the cap of 1500"):
-            _pool_for(KPI, Parity.ODD, 1600)
+        with pytest.raises(ValueError, match="pool norm bound 1501 is above the cap of 1500"):
+            _pool_for(KPI, Parity.ODD, 1501)
+        assert built == [1000, 1500]
+
+    def test_cap_fires_before_any_sieve(self, monkeypatch):
+        def allocating(*args):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        monkeypatch.setattr(gaussdecomp, "_pool_and_flags", allocating)
+        monkeypatch.setattr(primes, "_sieve_flags", allocating)
+        with pytest.raises(ValueError, match="above the cap of 10000000"):
+            _pool_for(KPI, Parity.ODD, 10**7 + 1)
+        # 9999+i: a two-term pool bound of 9.998 * 10^7
+        with pytest.raises(ValueError, match="pool norm bound 99980003 is above the cap"):
+            find_decomposition(GaussianInt(9999, 1), KPI, 3, NormPolicy.NONE)
+
+
+def prime_square_3mod4(n):
+    q = isqrt(n)
+    return q * q == n and q % 4 == 3 and trial_prime(q)
+
+
+class TestPoolMembership:
+    """The flag test that stands in for a (re, im) -> index lookup."""
+
+    @pytest.mark.parametrize("parity_filter", [None, Parity.ODD, Parity.EVEN])
+    @pytest.mark.parametrize("region", list(Region))
+    def test_accepts_exactly_the_pool(self, region, parity_filter):
+        bound = 200
+        pool, flags = _pool_and_flags(region, bound, parity_filter)
+        member = gaussdecomp._member(region, parity_filter, flags)
+        first = (0, 0, 0)  # no earlier than anything
+        window = [(re, im) for re in range(-16, 17) for im in range(-16, 17)]
+        got = [member(re, im, first, bound) for re, im in window]
+        assert sorted(p for p in got if p) == sorted(pool)
+        assert all(member(*p[:2], first, bound) == p for p in pool)
+        # the cap bites on the norm, the first entry on (norm, re, im) order
+        for p in pool:
+            assert member(p[0], p[1], first, p[2]) is None
+            assert member(p[0], p[1], first, p[2] + 1) == p
+        for lo, q in enumerate(pool):
+            later = [p for p in pool if member(p[0], p[1], q, bound)]
+            assert later == pool[lo:]
+
+    def test_inert_axis_points_and_the_even_prime(self):
+        for region, points in (
+            (KPI, [(3, 0), (0, 3), (7, 0), (0, 7)]),
+            (SPI, [(3, 0), (0, 3), (7, 0), (0, 7)]),
+            (GPI, [(3, 0), (7, 0)]),
+        ):
+            _, flags = _pool_and_flags(region, 100, Parity.ODD)
+            member = gaussdecomp._member(region, Parity.ODD, flags)
+            for re, im in points:
+                assert member(re, im, (0, 0, 0), 100) == (re, im, re * re + im * im)
+            # 5 = (2+i)(2-i) and 9i = 3 * 3i share the norms of primes
+            assert member(5, 0, (0, 0, 0), 100) is None
+            assert member(0, 9, (0, 0, 0), 100) is None
+        _, flags = _pool_and_flags(KPI, 100, Parity.EVEN)
+        member = gaussdecomp._member(KPI, Parity.EVEN, flags)
+        assert member(1, 1, (0, 0, 0), 100) == (1, 1, 2)
+        assert member(3, 0, (0, 0, 0), 100) is None  # odd, and past the flags' end
+        _, flags = _pool_and_flags(KPI, 100, Parity.ODD)
+        member = gaussdecomp._member(KPI, Parity.ODD, flags)
+        assert member(1, 1, (0, 0, 0), 100) is None
+
+
+class TestSingle:
+    def test_matches_primality_past_the_flags(self):
+        """Inside the flags and past their end, _single agrees with
+        is_gaussian_prime and the region and parity filters."""
+        _, flags = _pool_and_flags(SPI, 60, None)
+        for region in (KPI, GPI, SPI):
+            for par in (None, Parity.ODD, Parity.EVEN):
+                for re in range(-12, 13):
+                    for im in range(-12, 13):
+                        z = GaussianInt(re, im)
+                        if z.is_zero():
+                            continue
+                        want = (
+                            REGION_PREDICATES[region.value](re, im)
+                            and is_gaussian_prime(z)
+                            and (par is None or (re + im) % 2 == (par is Parity.ODD))
+                        )
+                        got = gaussdecomp._single(z, region, NormPolicy.NONE, par, flags)
+                        assert got == want, (z, region, par)
+                        assert not gaussdecomp._single(z, region, NormPolicy.STRICT_LESS, par, flags)
+
+    def test_reads_the_flags_without_miller_rabin(self, monkeypatch):
+        calls = []
+        real = primes.is_rational_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        _, flags = _pool_and_flags(KPI, 1000, Parity.ODD)
+        monkeypatch.setattr(primes, "is_rational_prime", counting)
+        inside = [GaussianInt(re, im) for re in range(22) for im in range(22) if re or im]
+        assert [z for z in inside if gaussdecomp._single(z, KPI, NormPolicy.NONE, None, flags)]
+        assert calls == []
+        assert gaussdecomp._single(GaussianInt(31, 10), KPI, NormPolicy.NONE, None, flags)
+        assert calls  # norm 1061, past the flags' end
+        calls.clear()
+        # a kpi scan covers every target's norm with its pool's flags
+        report = scan_box(Region.OPEN_QUADRANT, (1, 30), (1, 30), KPI, 3, NormPolicy.NONE)
+        assert report.term_counts[1] > 0
+        assert calls == []
 
 
 class TestExtendWithInert:

@@ -1,5 +1,5 @@
 """Rational and Gaussian primality against independent oracles, plus
-sieve caching and the two-squares constructor."""
+sieve caching."""
 
 import os
 import struct
@@ -13,16 +13,13 @@ from oracles import REGION_PREDICATES, gaussian_prime_by_division, trial_prime
 from shnirel import (
     GaussianInt,
     Parity,
-    PrimeClass,
     PrimeTable,
     Region,
-    classify_gaussian_prime,
     ensure_table,
     gaussian_prime_pool,
     is_gaussian_prime,
     is_rational_prime,
     sector_gap_stats,
-    two_squares,
 )
 from shnirel import primes
 from shnirel.primes import CACHE_MAGIC
@@ -239,27 +236,6 @@ class TestCacheFile:
         assert ensure_table(30).primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-class TestTwoSquares:
-    def test_known_decompositions(self):
-        assert two_squares(5) == (2, 1)
-        assert two_squares(13) == (3, 2)
-        assert two_squares(97) == (9, 4)
-        assert two_squares(101) == (10, 1)
-
-    def test_every_one_mod_four_prime_below_2000(self):
-        for p in range(5, 2000, 4):
-            if not trial_prime(p):
-                continue
-            a, b = two_squares(p)
-            assert a * a + b * b == p
-            assert a > b >= 1
-
-    def test_rejects_wrong_residue_or_composite(self):
-        for bad in (2, 7, 9, 21, 1):
-            with pytest.raises(ValueError, match="1 mod 4"):
-                two_squares(bad)
-
-
 class TestGaussianPrimality:
     def test_sweep_matches_divisor_search(self):
         # every lattice point with norm at most 2000, all four quadrants
@@ -270,32 +246,17 @@ class TestGaussianPrimality:
                 got = is_gaussian_prime(GaussianInt(re, im))
                 assert got == gaussian_prime_by_division(re, im), (re, im)
 
-    def test_spot_classifications(self):
-        assert classify_gaussian_prime(GaussianInt(1, 1)) is PrimeClass.RAMIFIED
-        assert classify_gaussian_prime(GaussianInt(2, 1)) is PrimeClass.SPLIT
-        assert classify_gaussian_prime(GaussianInt(3, 0)) is PrimeClass.INERT
-        assert classify_gaussian_prime(GaussianInt(0, -7)) is PrimeClass.INERT
-
-    def test_classify_rejects_non_primes(self):
-        for z in (GaussianInt(0, 0), GaussianInt(1, 0), GaussianInt(5, 0), GaussianInt(2, 2)):
-            with pytest.raises(ValueError):
-                classify_gaussian_prime(z)
-
     def test_classes_match_norm_structure(self):
         for re in range(-20, 21):
             for im in range(-20, 21):
                 z = GaussianInt(re, im)
                 if not is_gaussian_prime(z):
                     continue
-                cls = classify_gaussian_prime(z)
                 n = z.norm()
-                if n == 2:
-                    assert cls is PrimeClass.RAMIFIED
-                elif is_rational_prime(n):
-                    assert cls is PrimeClass.SPLIT
+                if n != 2 and trial_prime(n):
                     assert n % 4 == 1
-                else:
-                    assert cls is PrimeClass.INERT
+                elif n != 2:
+                    # inert: an associate of a rational prime q = 3 mod 4
                     assert min(abs(re), abs(im)) == 0
                     assert (abs(re) + abs(im)) % 4 == 3
 

@@ -12,7 +12,6 @@ from shnirel import (
     HypothesisViolation,
     SearchExhausted,
     four_odd_primes,
-    goldbach_pair,
     hypothesis_scan,
     hypothesis_scans,
     min_odd_prime_terms,
@@ -20,7 +19,7 @@ from shnirel import (
     split_into_odd_primes,
     split_into_residue34_primes,
 )
-from shnirel.ratdecomp import CHAIN_MAX_TERMS, CHAIN_THRESHOLD, HypothesisReports
+from shnirel.ratdecomp import CHAIN_THRESHOLD, HypothesisReports
 
 
 class TestSplitIntoOddPrimes:
@@ -89,26 +88,6 @@ class TestSplitIntoResidue34Primes:
                 continue
             assert sum(got) == n + 1
             assert all(p % 4 == 3 and trial_prime(p) for p in got)
-
-
-class TestGoldbachPair:
-    def test_minimal_small_part(self):
-        assert goldbach_pair(42) == (37, 5)
-        assert goldbach_pair(6) == (3, 3)
-        assert goldbach_pair(10) == (7, 3)
-
-    def test_every_even_up_to_2000(self):
-        for n in range(6, 2001, 2):
-            p, q = goldbach_pair(n)
-            assert p + q == n
-            assert p >= q >= 3
-            assert trial_prime(p) and trial_prime(q)
-
-    def test_rejects_odd_or_tiny(self):
-        with pytest.raises(ValueError):
-            goldbach_pair(9)
-        with pytest.raises(ValueError):
-            goldbach_pair(4)
 
 
 class TestFourOddPrimes:
@@ -302,7 +281,7 @@ class TestResidue34Chain:
         for n in range(CHAIN_THRESHOLD, 1501):
             result = residue34_chain(n)
             assert sum(result.terms) == n
-            assert 3 <= result.m <= CHAIN_MAX_TERMS
+            assert 3 <= result.m <= 6
             assert all(p % 4 == 3 and trial_prime(p) for p in result.terms)
             assert len(result.base) == 3
             assert all(p == 3 for p in result.extras)
