@@ -40,7 +40,7 @@ class NormPolicy(Enum):
 
 @dataclass(frozen=True)
 class Decomposition(Report):
-    """A target written as a sum of Gaussian primes from one region.
+    """A target written as a sum of odd Gaussian primes from one region.
 
     Each term is stored as (sector prime, unit); the actual summand is
     unit * prime. Summands sit in descending (norm, re, im) order except
@@ -51,7 +51,6 @@ class Decomposition(Report):
     terms: tuple[tuple[GaussianInt, Unit], ...]
     region: Region
     policy: NormPolicy
-    parity_filter: Parity | None = Parity.ODD
 
     @property
     def k(self) -> int:
@@ -72,7 +71,7 @@ class Decomposition(Report):
             "k": self.k,
             "region": self.region.value,
             "policy": self.policy.value,
-            "parity": None if self.parity_filter is None else self.parity_filter.name,
+            "parity": "ODD",
             "terms": [
                 {
                     "summand": str(u.apply(g)),
@@ -114,8 +113,8 @@ def verify_decomposition(dec: Decomposition) -> None:
         s = u.apply(g)
         if not in_region(s, dec.region):
             raise ValueError(f"summand {s} lies outside {dec.region.value}")
-        if dec.parity_filter is not None and parity_of(s) is not dec.parity_filter:
-            raise ValueError(f"summand {s} breaks the parity filter")
+        if parity_of(s) is not Parity.ODD:
+            raise ValueError(f"summand {s} is not odd")
         if dec.policy is NormPolicy.STRICT_LESS and s.norm() >= target_norm:
             raise ValueError(f"summand {s} is not below the target norm")
         total = total + s
@@ -184,37 +183,34 @@ def _bounds(targets: Sequence[GaussianInt], region: Region, policy: NormPolicy) 
 # x86-64); the sieve cap of 10^8 would allow ten times that.
 _POOL_CAP = 10**7
 
-# (region, parity) -> (bound, pool, flags); pools hold (re, im, norm)
-# triples ascending by (norm, re, im) and grow monotonically, and flags
-# are the prime-norm flags _pool_and_flags read them off.
-_POOL_CACHE: dict = {}
+# region -> (bound, pool, flags), as _pool_and_flags returns them; pools
+# grow monotonically.
+_POOL_CACHE: dict[Region, tuple[int, list, bytearray]] = {}
 
 
-def _pool_for(region: Region, parity_filter: Parity | None, bound: int):
-    """(pool, flags) for the region primes of the filtered parity, the
-    pool holding at least every one of norm below bound."""
+def _pool_for(region: Region, bound: int):
+    """(pool, flags) for the region's odd primes, the pool holding at
+    least every one of norm below bound."""
     if bound > _POOL_CAP:
         raise ValueError(f"pool norm bound {bound} is above the cap of {_POOL_CAP}")
-    key = (region, parity_filter)
-    got = _POOL_CACHE.get(key)
+    got = _POOL_CACHE.get(region)
     if got is not None and got[0] >= bound:
         return got[1], got[2]
     # doubling, but never past the cap
     grown = max(bound, min(2 * got[0], _POOL_CAP) if got else 0, 512)
-    pool, flags = _pool_and_flags(region, grown, parity_filter)
-    _POOL_CACHE[key] = (grown, pool, flags)
+    pool, flags = _pool_and_flags(region, grown)
+    _POOL_CACHE[region] = (grown, pool, flags)
     return pool, flags
 
 
-def _member(region: Region, parity_filter: Parity | None, flags) -> Callable:
-    """The membership test of the (region, parity_filter) pool read off
-    these flags: member(re, im, first, cap) is the pool entry (re, im,
-    norm) when re + im*i has its norm's flag set, meets both cone rows,
-    has the filtered parity and norm below cap, and comes no earlier than
-    the pool entry first in (norm, re, im) order; else None."""
+def _member(region: Region, flags) -> Callable:
+    """The membership test of the region's pool read off these flags:
+    member(re, im, first, cap) is the pool entry (re, im, norm) when
+    re + im*i has its norm's flag set (so is an odd prime), meets both
+    cone rows, has norm below cap, and comes no earlier than the pool
+    entry first in (norm, re, im) order; else None."""
     (a1, b1, c1), (a2, b2, c2) = region.cone
     top = len(flags)
-    anyp, odd = parity_filter is None, parity_filter is Parity.ODD
 
     def member(re: int, im: int, first: tuple, cap: int) -> tuple[int, int, int] | None:
         n = re * re + im * im
@@ -224,7 +220,6 @@ def _member(region: Region, parity_filter: Parity | None, flags) -> Callable:
             and flags[n]
             and a1 * re + b1 * im >= c1
             and a2 * re + b2 * im >= c2
-            and (anyp or (re + im) % 2 == odd)
             and (n, re, im) >= (first[2], first[0], first[1])
         ):
             return re, im, n
@@ -277,18 +272,12 @@ def _dfs(
 
 
 def _single(
-    z: GaussianInt,
-    region: Region,
-    policy: NormPolicy,
-    parity_filter: Parity | None,
-    flags: bytes | bytearray = b"",
+    z: GaussianInt, region: Region, policy: NormPolicy, flags: bytes | bytearray = b""
 ) -> bool:
     """Whether z is its own one-term decomposition: the policy allows it
-    and it is a region prime of the filtered parity. Primality is read
-    off the prime-norm flags, or by Miller-Rabin past their end."""
-    if policy is NormPolicy.STRICT_LESS or (
-        parity_filter is not None and (z.re + z.im) % 2 != (parity_filter is Parity.ODD)
-    ):
+    and it is an odd region prime. Primality is read off the prime-norm
+    flags, or by Miller-Rabin past their end."""
+    if policy is NormPolicy.STRICT_LESS or not (z.re + z.im) % 2:
         return False
     if not in_region(z, region):
         return False
@@ -298,8 +287,7 @@ def _single(
 
 def _search(
     re: int, im: int, k_lo: int, max_terms: int,
-    region: Region, parity_filter: Parity | None, cap: int,
-    pool: list, member: Callable,
+    region: Region, cap: int, pool: list, member: Callable,
 ) -> list[tuple[int, int, int]] | None:
     """The canonical decomposition of re + im*i with the fewest terms k,
     k_lo <= k <= max_terms (k_lo >= 2), into entries of the pool and its
@@ -307,17 +295,11 @@ def _search(
     norm), largest first, or None.
 
     Only term counts some sum can reach are searched: k odd terms sum to
-    the class of k modulo 1+i, and even terms to an even sum. The _dfs
-    entries ascend in (norm, re, im) order, so reversing them lists the
-    terms largest first.
+    the class of k modulo 1+i. The _dfs entries ascend in (norm, re, im)
+    order, so reversing them lists the terms largest first.
     """
-    step = 1
-    if parity_filter is Parity.ODD:
-        k_lo += (re + im - k_lo) % 2
-        step = 2
-    elif parity_filter is Parity.EVEN and (re + im) % 2:
-        return None
-    for k in range(k_lo, max_terms + 1, step):
+    k_lo += (re + im - k_lo) % 2
+    for k in range(k_lo, max_terms + 1, 2):
         got = _dfs(re, im, k, pool, member, region.cone, cap)
         if got is not None:
             return got[::-1]
@@ -379,10 +361,9 @@ def find_decomposition(
     region: Region,
     max_terms: int,
     policy: NormPolicy = NormPolicy.STRICT_LESS,
-    parity_filter: Parity | None = Parity.ODD,
     include_single: bool = True,
 ) -> Decomposition | None:
-    """Minimal canonical decomposition of z into at most max_terms
+    """Minimal canonical decomposition of z into at most max_terms odd
     Gaussian primes lying in the region, or None.
 
     Among decompositions of the minimal length the witness is the
@@ -395,24 +376,22 @@ def find_decomposition(
         raise ValueError("target must be nonzero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    if include_single and _single(z, region, policy, parity_filter):
-        return Decomposition(z, (sector_form(z),), region, policy, parity_filter)
+    if include_single and _single(z, region, policy):
+        return Decomposition(z, (sector_form(z),), region, policy)
     live = _bounds([z], region, policy)
     if max_terms == 1 or not live:
         return None
     cap = live[0][5]
-    pool, flags = _pool_for(region, parity_filter, cap)
-    member = _member(region, parity_filter, flags)
-    found = _search(z.re, z.im, 2, max_terms, region, parity_filter, cap, pool, member)
+    pool, flags = _pool_for(region, cap)
+    member = _member(region, flags)
+    found = _search(z.re, z.im, 2, max_terms, region, cap, pool, member)
     if found is None:
         return None
     terms = tuple(sector_form(GaussianInt(re, im)) for re, im, _ in found)
-    return Decomposition(z, terms, region, policy, parity_filter)
+    return Decomposition(z, terms, region, policy)
 
 
-def region_targets(
-    region: Region, norm_bound: int, parity_filter: Parity | None = None
-) -> list[GaussianInt]:
+def region_targets(region: Region, norm_bound: int) -> list[GaussianInt]:
     """Region members with norm in [1, norm_bound], canonical order. The
     bound is capped at 500**2, as scan_box caps its sides at 500."""
     if norm_bound < 1:
@@ -420,16 +399,12 @@ def region_targets(
     if norm_bound > 500**2:
         raise ValueError("norm_bound is capped at 250000")
     top = isqrt(norm_bound)
-    step = 1 if parity_filter is None else 2
-    odd = parity_filter is Parity.ODD
     out: list[tuple[int, int, int]] = []
     for re in range(-top, top + 1):
         rr = re * re
         reach = isqrt(norm_bound - rr)
         lo, hi = region.im_span(re, -reach, reach)
-        if step == 2 and (re + lo) % 2 != odd:
-            lo += 1
-        out += [(rr + im * im, re, im) for im in range(lo, hi + 1, step)]
+        out += [(rr + im * im, re, im) for im in range(lo, hi + 1)]
     out.sort()
     return [GaussianInt(re, im) for n, re, im in out if n]
 
@@ -463,7 +438,8 @@ def box_targets(
 
 @dataclass(frozen=True)
 class ScanReport(Report):
-    """Representability of every target in some enumerated set.
+    """Representability of every target in some enumerated set as a sum
+    of odd primes.
 
     term_region constrains the primes used as summands; target_desc
     records how the target set was enumerated so reports from
@@ -474,7 +450,6 @@ class ScanReport(Report):
     target_desc: str
     max_terms: int
     policy: NormPolicy
-    parity_filter: Parity | None
     rows: tuple[tuple[GaussianInt, int | None, tuple[GaussianInt, ...] | None], ...]
 
     @property
@@ -493,7 +468,7 @@ class ScanReport(Report):
             "term_counts": {str(k): c for k, c in sorted(self.term_counts.items())},
             "max_terms": self.max_terms,
             "policy": self.policy.value,
-            "parity": None if self.parity_filter is None else self.parity_filter.name,
+            "parity": "ODD",
             "rows": [
                 {
                     "z": str(z),
@@ -522,10 +497,9 @@ class ScanReport(Report):
             return f"{brackets[0]}\n{pad}  {sep.join(items)}\n{pad}{brackets[1]}"
 
         exceptions = [quote(str(z)) for z in self.exceptions]
-        parity = "null" if self.parity_filter is None else quote(self.parity_filter.name)
         yield (
             f'{{\n  "exceptions": {block(exceptions, "  ")},\n'
-            f'  "max_terms": {self.max_terms},\n  "parity": {parity},\n'
+            f'  "max_terms": {self.max_terms},\n  "parity": "ODD",\n'
             f'  "policy": {quote(self.policy.value)},\n'
             f'  "primes": {quote(self.term_region.value)},\n  "rows": ['
         )
@@ -700,7 +674,6 @@ def scan_targets(
     term_region: Region,
     max_terms: int,
     policy: NormPolicy = NormPolicy.STRICT_LESS,
-    parity_filter: Parity | None = Parity.ODD,
     target_desc: str = "explicit",
 ) -> ScanReport:
     """Attempt a decomposition for every listed target.
@@ -716,14 +689,14 @@ def scan_targets(
     if any(z.is_zero() for z in targets):
         raise ValueError("target must be nonzero")
     live = _bounds(targets, term_region, policy) if max_terms >= 2 else []
-    pool, flags = _pool_for(term_region, parity_filter, max((t[5] for t in live), default=2))
-    member = _member(term_region, parity_filter, flags)
+    pool, flags = _pool_for(term_region, max((t[5] for t in live), default=2))
+    member = _member(term_region, flags)
     proofs, walk = _minimal_terms(len(targets), live, pool, member, term_region, policy, max_terms)
     del live  # a tuple of six per target: free it before the rows grow
     made: dict = {}  # pool entry -> its GaussianInt, built once per call
     rows = []
     for z, proof in zip(targets, proofs):
-        if _single(z, term_region, policy, parity_filter, flags):
+        if _single(z, term_region, policy, flags):
             rows.append((z, 1, (z,)))
             continue
         if proof is None:
@@ -731,9 +704,7 @@ def scan_targets(
         elif walk is not None:
             wit = walk(z.re, z.im, proof[0])
         else:
-            wit = _search(
-                z.re, z.im, proof[0], max_terms, term_region, parity_filter, proof[1], pool, member
-            )
+            wit = _search(z.re, z.im, proof[0], max_terms, term_region, proof[1], pool, member)
         if wit is None:
             rows.append((z, None, None))
             continue
@@ -741,7 +712,7 @@ def scan_targets(
             if p not in made:
                 made[p] = GaussianInt(p[0], p[1])
         rows.append((z, len(wit), tuple(made[p] for p in wit)))
-    return ScanReport(term_region, target_desc, max_terms, policy, parity_filter, tuple(rows))
+    return ScanReport(term_region, target_desc, max_terms, policy, tuple(rows))
 
 
 def scan_representability(
@@ -749,15 +720,13 @@ def scan_representability(
     norm_bound: int,
     max_terms: int,
     policy: NormPolicy = NormPolicy.STRICT_LESS,
-    parity_filter: Parity | None = Parity.ODD,
 ) -> ScanReport:
-    """Scan every region member with norm up to norm_bound, drawing
-    summands from the same region. Targets are not parity filtered;
-    the filter applies to summands only.
+    """Scan every region member with norm up to norm_bound, drawing odd
+    summands from the same region. Targets of either parity are scanned.
     """
     targets = region_targets(region, norm_bound)
     desc = f"{region.value} norm 1..{norm_bound}"
-    return scan_targets(targets, region, max_terms, policy, parity_filter, desc)
+    return scan_targets(targets, region, max_terms, policy, desc)
 
 
 def scan_box(
@@ -767,7 +736,6 @@ def scan_box(
     term_region: Region,
     max_terms: int,
     policy: NormPolicy = NormPolicy.STRICT_LESS,
-    parity_filter: Parity | None = Parity.ODD,
     min_max_component: int = 0,
 ) -> ScanReport:
     """Scan a component box of one region for decompositions into
@@ -782,7 +750,7 @@ def scan_box(
         f"{target_region.value} re {re_range[0]}..{re_range[1]}"
         f" im {im_range[0]}..{im_range[1]} maxc>={min_max_component}"
     )
-    return scan_targets(targets, term_region, max_terms, policy, parity_filter, desc)
+    return scan_targets(targets, term_region, max_terms, policy, desc)
 
 
 @dataclass(frozen=True)
@@ -847,7 +815,7 @@ def verify_diagonal_obstruction(bound: int, max_terms: int = 6) -> ObstructionRe
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     # _sumsets drops the primes with re > bound, which lie outside its window
-    pool = gaussian_prime_pool(Region.PRIME_SECTOR, 2 * bound * bound + 1, Parity.ODD)
+    pool = gaussian_prime_pool(Region.PRIME_SECTOR, 2 * bound * bound + 1)
     im_lo = 1 - bound
     width, sums = _sumsets(pool, Region.PRIME_SECTOR, 1, bound, im_lo, bound, max_terms)
     levels: list[tuple[int, int, int]] = []
@@ -887,9 +855,7 @@ def obstruction_line_report(bound: int, max_terms: int = 6) -> ScanReport:
     targets = [GaussianInt(re, re - d) for re in range(1, bound + 1) for d in (0, 1)]
     targets.sort(key=GaussianInt.key)
     desc = f"gammapi lines im=re and im=re-1, re 1..{bound}"
-    return scan_targets(
-        targets, Region.PRIME_SECTOR, max_terms, NormPolicy.NONE, Parity.ODD, target_desc=desc
-    )
+    return scan_targets(targets, Region.PRIME_SECTOR, max_terms, NormPolicy.NONE, desc)
 
 
 class BaseCaseError(Exception):
@@ -902,7 +868,6 @@ def extend_with_inert(
     max_base_terms: int = 3,
     c0: int = 4,
     policy: NormPolicy = NormPolicy.NONE,
-    parity_filter: Parity | None = Parity.ODD,
 ) -> tuple[Decomposition, GaussianInt]:
     """Split w as a bounded decomposition of a shifted target plus one
     inert prime. The shift is 3i when the imaginary part clears c0 + 3
@@ -928,7 +893,7 @@ def extend_with_inert(
         shift = GaussianInt(3, 0)
     if not in_region(shift, region):
         raise ValueError(f"neither 3i nor 3 lies in {region.value}")
-    base = find_decomposition(w - shift, region, max_base_terms, policy, parity_filter)
+    base = find_decomposition(w - shift, region, max_base_terms, policy)
     if base is None:
         raise BaseCaseError(f"no {max_base_terms}-term split for {w - shift}")
     return base, shift
@@ -966,7 +931,7 @@ def four_term_decompose(
             summands = base.summands() + [shift]
             summands.sort(key=GaussianInt.key, reverse=True)
             terms = tuple(sector_form(s) for s in summands)
-            chain = Decomposition(z, terms, region, policy, Parity.ODD)
+            chain = Decomposition(z, terms, region, policy)
             verify_decomposition(chain)
             return chain, "shift-3i" if shift.im else "shift-3"
     dec = find_decomposition(z, region, 4, policy)

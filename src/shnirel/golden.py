@@ -51,7 +51,6 @@ class GoldenRow:
             self.terms,
             Region.PRIME_HALF,
             NormPolicy.STRICT_LESS,
-            Parity.ODD,
         )
 
 
@@ -206,7 +205,6 @@ def regenerate_tables(rows: tuple[GoldenRow, ...] | None = None) -> RegenReport:
             Region.PRIME_HALF,
             row.k,
             NormPolicy.STRICT_LESS,
-            Parity.ODD,
         )
         if dec is not None:
             verify_decomposition(dec)

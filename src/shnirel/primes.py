@@ -10,7 +10,7 @@ from itertools import compress
 from math import isqrt
 from operator import lt
 
-from .zcore import GaussianInt, Parity, Region
+from .zcore import GaussianInt, Region
 
 # Witness set is deterministic for every n below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -193,68 +193,54 @@ def is_gaussian_prime(z: GaussianInt) -> bool:
     return False
 
 
-def gaussian_prime_pool(
-    region: Region,
-    norm_bound: int,
-    parity_filter: Parity | None = None,
-    table: PrimeTable | None = None,
-) -> list[tuple[int, int, int]]:
-    """All Gaussian primes in the region with norm below norm_bound, as
-    (re, im, norm) triples sorted by (norm, re, im)."""
-    return _pool_and_flags(region, norm_bound, parity_filter, table)[0]
+def gaussian_prime_pool(region: Region, norm_bound: int) -> list[tuple[int, int, int]]:
+    """All odd Gaussian primes in the region with norm below norm_bound,
+    as (re, im, norm) triples sorted by (norm, re, im)."""
+    return _pool_and_flags(region, norm_bound)[0]
 
 
 def _pool_and_flags(
-    region: Region,
-    norm_bound: int,
-    parity_filter: Parity | None = None,
-    table: PrimeTable | None = None,
+    region: Region, norm_bound: int
 ) -> tuple[list[tuple[int, int, int]], bytearray]:
     """(pool, flags): gaussian_prime_pool's list and the prime-norm flags
     it was read off, flags[n] being 1 for 0 <= n < len(flags) exactly
-    when n is a prime or the square of a prime q = 3 mod 4.
+    when n is an odd prime or the square of a prime q = 3 mod 4.
 
-    One sweep over the region's lattice rows reads primality off those
-    flags: z is a Gaussian prime exactly when flags[norm(z)] is set (only
-    the associates of q have norm q^2). The only even primes are those of
-    norm 2, so under Parity.EVEN the flags stop there.
+    One sweep over the region's odd lattice points (re + im odd) reads
+    primality off those flags: an odd z is a Gaussian prime exactly when
+    flags[norm(z)] is set (only the associates of q have norm q^2). The
+    only even primes are the associates of 1+i, of norm 2, so with
+    flags[2] clear a set flag means an odd prime at any point.
     """
     if norm_bound < 2:
         raise ValueError("norm_bound must be at least 2")
     limit = norm_bound - 1
-    if parity_filter is Parity.EVEN:
-        limit = min(limit, 2)
     if limit < 2:
         return [], bytearray(limit + 1)
-    if table is not None and table.limit >= limit:
-        prime_norm = table._flags[: limit + 1]
-    else:
-        prime_norm = _sieve_flags(limit)
+    prime_norm = _sieve_flags(limit)
+    prime_norm[2] = 0
     top = isqrt(limit)
     for q in range(3, top + 1, 4):
         if prime_norm[q]:
             prime_norm[q * q] = 1
-    step = 1 if parity_filter is None else 2
-    odd = parity_filter is Parity.ODD
     found: list[tuple[int, int, int]] = []
     for re in range(-top, top + 1):
         rr = re * re
         reach = isqrt(limit - rr)
         lo, hi = region.im_span(re, -reach, reach)
-        if step == 2 and (re + lo) % 2 != odd:
-            lo += 1
+        lo += (re + lo + 1) % 2
         found += [
             (rr + im * im, re, im)
-            for im in range(lo, hi + 1, step)
+            for im in range(lo, hi + 1, 2)
             if prime_norm[rr + im * im]
         ]
     found.sort()
     return [(re, im, n) for n, re, im in found], prime_norm
 
 
-def sector_gap_stats(norm_bound: int, table: PrimeTable | None = None) -> tuple[int, int]:
+def sector_gap_stats(norm_bound: int) -> tuple[int, int]:
     """(count, min re-im) over odd sector primes with norm below norm_bound."""
-    pool = gaussian_prime_pool(Region.PRIME_SECTOR, norm_bound, Parity.ODD, table)
+    pool = gaussian_prime_pool(Region.PRIME_SECTOR, norm_bound)
     if not pool:
         raise ValueError("no odd sector primes below bound")
     return (len(pool), min(re - im for re, im, _ in pool))

@@ -12,7 +12,6 @@ from math import isqrt
 from shnirel import (
     GaussianInt,
     NormPolicy,
-    Parity,
     Region,
     SystemKind,
     hypothesis_scan,
@@ -142,7 +141,6 @@ def test_criterion_04_open_quadrant_scan():
         Region.PRIME_QUADRANT,
         3,
         NormPolicy.NONE,
-        Parity.ODD,
         min_max_component=7,
     )
     elapsed = time.perf_counter() - t0
@@ -169,7 +167,6 @@ def test_criterion_05_sector_strict_scan():
         Region.PRIME_HALF,
         3,
         NormPolicy.STRICT_LESS,
-        Parity.ODD,
         min_max_component=6,
     )
     elapsed = time.perf_counter() - t0

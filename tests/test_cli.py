@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from oracles import trial_prime
-from shnirel import cli, gaussdecomp, primes
+from shnirel import cli, gaussdecomp, primes, ratdecomp
 from shnirel.cli import entry, parse_gaussian, parse_range
 from shnirel.gaussdecomp import ScanReport
 from shnirel.primes import CACHE_MAGIC
@@ -536,6 +536,21 @@ class TestHypotheses:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("upper", ["1000001", "1000000000"])
+    def test_upper_cap_exits_two_before_sieving(self, capsys, monkeypatch, upper):
+        """Every row keeps its witness, so --upper 10^6 peaks near 230 MiB:
+        a larger bound is refused before any sieve is built."""
+
+        def sieving(*args):
+            raise AssertionError("a sieve was built")
+
+        monkeypatch.setattr(ratdecomp, "_shared_table", None)
+        monkeypatch.setattr(primes.PrimeTable, "sieve", sieving)
+        code, out, err = run(capsys, "hypotheses", "--upper", upper)
+        assert code == 2
+        assert out == ""
+        assert err == f"scan bound {upper} is above the cap of 1000000"
+
 
 class TestThm130:
     def test_chain_csv(self, capsys):
@@ -555,7 +570,6 @@ class TestSieveCap:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("hypotheses", "--upper", "1000000000"),
             ("thm130", "--n", "10000000000"),
             ("sieve", "--limit", "1000000000"),
         ],

@@ -16,7 +16,6 @@ from shnirel import (
     Decomposition,
     GaussianInt,
     NormPolicy,
-    Parity,
     Region,
     Unit,
     box_targets,
@@ -86,12 +85,6 @@ class TestFindDecomposition:
         assert dec.k == 3
         assert all(s.norm() < 41 for s in dec.summands())
 
-    def test_even_parity_pool(self):
-        dec = find_decomposition(
-            GaussianInt(2, 2), KPI, 4, NormPolicy.NONE, Parity.EVEN
-        )
-        assert summand_strs(dec) == ["1+i", "1+i"]
-
     def test_unreachable_targets(self):
         assert find_decomposition(GaussianInt(1, 0), KPI, 3) is None
         assert find_decomposition(GaussianInt(2, 0), KPI, 3) is None
@@ -144,11 +137,11 @@ def check_against_enumeration(region, policy, pool, targets):
         assert sorted(dec.summands(), key=GaussianInt.key) == list(want[1]), (re, im)
 
 
-def scan_rows_by_search(targets, region, max_terms, parity_filter, policy=NormPolicy.NONE):
+def scan_rows_by_search(targets, region, max_terms, policy=NormPolicy.NONE):
     """Scan rows built from find_decomposition, target by target."""
     rows = []
     for z in targets:
-        dec = find_decomposition(z, region, max_terms, policy, parity_filter)
+        dec = find_decomposition(z, region, max_terms, policy)
         if dec is None:
             rows.append((z, None, None))
         else:
@@ -160,7 +153,7 @@ class TestCanonicalMinimality:
     def test_first_quadrant_box_matches_enumeration(self):
         pool = [
             GaussianInt(re, im)
-            for re, im, _ in gaussian_prime_pool(KPI, 1801, Parity.ODD)
+            for re, im, _ in gaussian_prime_pool(KPI, 1801)
             if re <= 30 and im <= 30
         ]
         targets = [(re, im) for re in range(31) for im in range(31) if re or im]
@@ -267,10 +260,21 @@ class TestVerifyDecomposition:
             verify_decomposition(bad)
 
     def test_rejects_parity_break(self):
+        """1+i is a kpi prime, but even: no decomposition may use it."""
         bad = Decomposition(
             GaussianInt(1, 1), ((GaussianInt(1, 1), Unit.ONE),), KPI, NormPolicy.NONE
         )
-        with pytest.raises(ValueError, match="parity"):
+        with pytest.raises(ValueError, match="summand 1\\+i is not odd"):
+            verify_decomposition(bad)
+        # 5+3i = (2+i) + (1+i) + (2+i) sums right, but its middle term is even
+        bad = Decomposition(
+            GaussianInt(5, 3),
+            ((GaussianInt(2, 1), Unit.ONE), (GaussianInt(1, 1), Unit.ONE),
+             (GaussianInt(2, 1), Unit.ONE)),
+            KPI,
+            NormPolicy.NONE,
+        )
+        with pytest.raises(ValueError, match="summand 1\\+i is not odd"):
             verify_decomposition(bad)
 
     def test_rejects_norm_at_target(self):
@@ -298,12 +302,6 @@ class TestTargetEnumeration:
     def test_region_targets_small(self):
         got = region_targets(KPI, 5)
         assert [str(z) for z in got] == ["i", "1", "1+i", "2i", "2", "1+2i", "2+i"]
-
-    def test_region_targets_parity(self):
-        got = region_targets(KPI, 5, Parity.ODD)
-        assert [str(z) for z in got] == ["i", "1", "1+2i", "2+i"]
-        got = region_targets(KPI, 5, Parity.EVEN)
-        assert [str(z) for z in got] == ["1+i", "2i", "2"]
 
     def test_region_targets_guard(self):
         with pytest.raises(ValueError):
@@ -366,7 +364,7 @@ class TestScans:
     def test_box_scan_shape(self):
         report = scan_box(
             Region.OPEN_QUADRANT, (1, 6), (1, 6), KPI, 3,
-            NormPolicy.NONE, Parity.ODD,
+            NormPolicy.NONE,
         )
         assert report.target_desc == "a re 1..6 im 1..6 maxc>=0"
         assert report.term_counts == {1: 14, 2: 14, 3: 2}
@@ -377,7 +375,7 @@ class TestScans:
     def test_box_scan_respects_component_floor(self):
         report = scan_box(
             Region.OPEN_QUADRANT, (1, 6), (1, 6), KPI, 3,
-            NormPolicy.NONE, Parity.ODD, min_max_component=5,
+            NormPolicy.NONE, min_max_component=5,
         )
         assert all(max(z.re, z.im) >= 5 for z, _, _ in report.rows)
 
@@ -395,10 +393,9 @@ class TestScans:
         every row must equal find_decomposition's, exceptions too."""
         targets = box_targets(target_region, (0, 16), (-8, 16))
         for policy in NormPolicy:
-            for par in (Parity.ODD, Parity.EVEN, None):
-                report = scan_targets(targets, term_region, 3, policy, par)
-                expected = scan_rows_by_search(targets, term_region, 3, par, policy)
-                assert report.rows == expected, (policy, par)
+            report = scan_targets(targets, term_region, 3, policy)
+            expected = scan_rows_by_search(targets, term_region, 3, policy)
+            assert report.rows == expected, policy
 
     def test_strict_sumset_k_is_a_lower_bound(self, monkeypatch):
         """2+2i = 3i + (2-i) in spi, but 3i has norm 9 against the target's
@@ -410,33 +407,31 @@ class TestScans:
         searches = []
         real = gaussdecomp._search
 
-        def spying(re, im, k_lo, max_terms, region, parity_filter, cap, pool, member):
+        def spying(re, im, k_lo, max_terms, region, cap, pool, member):
             searches.append((re, im, k_lo, cap))
-            return real(re, im, k_lo, max_terms, region, parity_filter, cap, pool, member)
+            return real(re, im, k_lo, max_terms, region, cap, pool, member)
 
         monkeypatch.setattr(gaussdecomp, "_search", spying)
-        strict = scan_targets(targets, SPI, 3, NormPolicy.STRICT_LESS, Parity.ODD)
+        strict = scan_targets(targets, SPI, 3, NormPolicy.STRICT_LESS)
         assert searches == [(2, 2, 2, 8), (7, 0, 3, 49)]
         assert strict.rows[0] == (z, None, None)
-        assert strict.rows == scan_rows_by_search(
-            targets, SPI, 3, Parity.ODD, NormPolicy.STRICT_LESS
-        )
-        none = scan_targets(targets, SPI, 3, NormPolicy.NONE, Parity.ODD)
+        assert strict.rows == scan_rows_by_search(targets, SPI, 3, NormPolicy.STRICT_LESS)
+        none = scan_targets(targets, SPI, 3, NormPolicy.NONE)
         assert none.rows[0] == (z, 2, (GaussianInt(0, 3), GaussianInt(2, -1)))
 
     @pytest.mark.parametrize("term_region", [GPI, KPI, SPI])
     def test_sumset_scan_matches_the_search_at_four_terms(self, term_region):
         targets = box_targets(Region.PRIME_HALF, (0, 16), (-8, 16))
-        report = scan_targets(targets, term_region, 4, NormPolicy.NONE, Parity.ODD)
-        assert report.rows == scan_rows_by_search(targets, term_region, 4, Parity.ODD)
+        report = scan_targets(targets, term_region, 4, NormPolicy.NONE)
+        assert report.rows == scan_rows_by_search(targets, term_region, 4)
         # 12i and 16i need four odd primes from kpi or spi
         if term_region is not GPI:
             assert report.term_counts[4] >= 2
 
     def test_sumset_scan_single_term_only(self):
         targets = box_targets(Region.OPEN_QUADRANT, (1, 10), (1, 10))
-        report = scan_targets(targets, GPI, 1, NormPolicy.NONE, Parity.ODD)
-        assert report.rows == scan_rows_by_search(targets, GPI, 1, Parity.ODD)
+        report = scan_targets(targets, GPI, 1, NormPolicy.NONE)
+        assert report.rows == scan_rows_by_search(targets, GPI, 1)
         assert set(report.term_counts) == {1}
 
     def test_far_box_searches_each_target(self, monkeypatch):
@@ -453,22 +448,22 @@ class TestScans:
             return real(*args)
 
         monkeypatch.setattr(gaussdecomp, "_sumsets", counting)
-        scan_targets(dense, GPI, 3, NormPolicy.NONE, Parity.ODD)
+        scan_targets(dense, GPI, 3, NormPolicy.NONE)
         assert len(built) == 1
 
         def no_sumsets(*args):
             raise AssertionError("sumsets built for a far box")
 
         monkeypatch.setattr(gaussdecomp, "_sumsets", no_sumsets)
-        report = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD)
-        assert report.rows == scan_rows_by_search(targets, GPI, 3, Parity.ODD)
+        report = scan_targets(targets, GPI, 3, NormPolicy.NONE)
+        assert report.rows == scan_rows_by_search(targets, GPI, 3)
 
     def test_levels_that_disagree_with_the_pool_raise(self, monkeypatch):
         """9+9i sits on the blocked diagonal, so no two gammapi primes sum
         to it. A level 2 that claims otherwise leaves the walk no first
         term, and the scan raises instead of reporting k = 2."""
         z = GaussianInt(9, 9)
-        assert scan_targets([z], GPI, 3, NormPolicy.NONE, Parity.ODD).rows == ((z, None, None),)
+        assert scan_targets([z], GPI, 3, NormPolicy.NONE).rows == ((z, None, None),)
         real = gaussdecomp._sumsets
 
         def corrupted(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
@@ -478,18 +473,18 @@ class TestScans:
 
         monkeypatch.setattr(gaussdecomp, "_sumsets", corrupted)
         with pytest.raises(RuntimeError, match=r"the walk for 9\+9i fails at 2 terms"):
-            scan_targets([z], GPI, 3, NormPolicy.NONE, Parity.ODD)
+            scan_targets([z], GPI, 3, NormPolicy.NONE)
 
     def test_uncapped_scans_walk_the_levels_without_searching(self, monkeypatch):
         """Under NONE the witnesses come off the levels: no search."""
         targets = box_targets(Region.OPEN_QUADRANT, (1, 24), (1, 24))
-        searched = scan_rows_by_search(targets, GPI, 3, Parity.ODD)
+        searched = scan_rows_by_search(targets, GPI, 3)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("an uncapped scan searched")
 
         monkeypatch.setattr(gaussdecomp, "_dfs", forbidden)
-        report = scan_targets(targets, GPI, 3, NormPolicy.NONE, Parity.ODD)
+        report = scan_targets(targets, GPI, 3, NormPolicy.NONE)
         assert report.rows == searched
 
     @pytest.mark.parametrize("policy", list(NormPolicy))
@@ -497,7 +492,7 @@ class TestScans:
         """A scan builds one GaussianInt per pool entry it uses: equal
         witness terms in the report are the same object."""
         targets = box_targets(Region.OPEN_QUADRANT, (1, 24), (1, 24))
-        report = scan_targets(targets, GPI, 3, policy, Parity.ODD)
+        report = scan_targets(targets, GPI, 3, policy)
         built = {}
         uses = 0
         for _, k, wit in report.rows:
@@ -522,7 +517,7 @@ class TestScans:
     def test_scan_csv(self):
         report = scan_box(
             Region.OPEN_QUADRANT, (1, 6), (1, 6), KPI, 3,
-            NormPolicy.NONE, Parity.ODD,
+            NormPolicy.NONE,
         )
         buf = io.StringIO()
         report.write(buf, "csv")
@@ -534,7 +529,7 @@ class TestScans:
     def test_scan_json_shape(self):
         report = scan_box(
             Region.OPEN_QUADRANT, (1, 6), (1, 6), KPI, 3,
-            NormPolicy.NONE, Parity.ODD,
+            NormPolicy.NONE,
         )
         data = report.to_json_dict()
         assert data["primes"] == "kpi"
@@ -599,14 +594,14 @@ class TestDiagonalObstruction:
         points (re - im = 0) and one with re - im = 1 as well."""
         extra = [(1, 1, 2), (3, 3, 18), (7, 6, 85)]
 
-        def with_diagonal(region, norm_bound, parity_filter):
-            return gaussian_prime_pool(region, norm_bound, parity_filter) + extra
+        def with_diagonal(region, norm_bound):
+            return gaussian_prime_pool(region, norm_bound) + extra
 
         monkeypatch.setattr(gaussdecomp, "gaussian_prime_pool", with_diagonal)
         for bound in (2, 7, 12, 20):
             points = [
                 (re, im)
-                for re, im, _ in with_diagonal(GPI, 2 * bound * bound + 1, Parity.ODD)
+                for re, im, _ in with_diagonal(GPI, 2 * bound * bound + 1)
             ]
             for m in (1, 3, 5):
                 report = verify_diagonal_obstruction(bound, m)
@@ -675,50 +670,57 @@ class TestPoolCache:
         cache = {}
         built = []
 
-        def counting_pool(region, bound, parity_filter):
+        def counting_pool(region, bound):
             built.append(bound)
-            return _pool_and_flags(region, bound, parity_filter)
+            return _pool_and_flags(region, bound)
 
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", cache)
         monkeypatch.setattr(gaussdecomp, "_pool_and_flags", counting_pool)
-        pool, flags = _pool_for(KPI, Parity.ODD, 100)
+        pool, flags = _pool_for(KPI, 100)
         assert built == [512]  # never fewer than 512
-        assert pool == gaussian_prime_pool(KPI, 512, Parity.ODD)
+        assert pool == gaussian_prime_pool(KPI, 512)
         assert len(flags) == 512
+        # flags[2] is clear: the norm-2 primes are the even ones
         assert [n for n in range(512) if flags[n]] == [
-            n for n in range(512) if trial_prime(n) or prime_square_3mod4(n)
+            n for n in range(512) if n != 2 and (trial_prime(n) or prime_square_3mod4(n))
         ]
-        assert cache[(KPI, Parity.ODD)] == (512, pool, flags)
-        again, again_flags = _pool_for(KPI, Parity.ODD, 300)
+        assert cache[KPI] == (512, pool, flags)
+        again, again_flags = _pool_for(KPI, 300)
         assert again is pool and again_flags is flags
         assert built == [512]
-        _pool_for(KPI, Parity.ODD, 600)
+        _pool_for(KPI, 600)
         assert built == [512, 1024]  # doubles past a small overshoot
-        _pool_for(KPI, Parity.ODD, 5000)
+        _pool_for(KPI, 5000)
         assert built == [512, 1024, 5000]  # jumps straight to a large bound
-        _pool_for(KPI, None, 100)
-        assert built == [512, 1024, 5000, 512]  # keyed by parity too
-        assert cache[(KPI, Parity.ODD)][0] == 5000
-        assert len(cache[(KPI, Parity.ODD)][2]) == 5000
-        # even primes have norm 2, so the even pool's flags stop there
-        _, even_flags = _pool_for(KPI, Parity.EVEN, 100)
-        assert even_flags == bytearray([0, 0, 1])
+        assert list(cache) == [KPI]
+        assert cache[KPI][0] == 5000
+        assert len(cache[KPI][2]) == 5000
+
+    def test_holds_one_pool_per_region(self, monkeypatch):
+        cache = {}
+        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", cache)
+        box = box_targets(Region.OPEN_QUADRANT, (1, 12), (1, 12))
+        for policy in NormPolicy:
+            scan_targets(box, KPI, 3, policy)
+            scan_targets(box, GPI, 3, policy)
+            find_decomposition(GaussianInt(40, 31), KPI, 3, policy)
+        assert sorted(cache, key=list(Region).index) == [GPI, KPI]
 
     def test_doubling_stops_at_the_pool_cap(self, monkeypatch):
         built = []
 
-        def counting_pool(region, bound, parity_filter):
+        def counting_pool(region, bound):
             built.append(bound)
-            return _pool_and_flags(region, bound, parity_filter)
+            return _pool_and_flags(region, bound)
 
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
         monkeypatch.setattr(gaussdecomp, "_pool_and_flags", counting_pool)
         monkeypatch.setattr(gaussdecomp, "_POOL_CAP", 1500)
-        _pool_for(KPI, Parity.ODD, 1000)
-        _pool_for(KPI, Parity.ODD, 1200)
+        _pool_for(KPI, 1000)
+        _pool_for(KPI, 1200)
         assert built == [1000, 1500]  # doubling would ask for 2000
         with pytest.raises(ValueError, match="pool norm bound 1501 is above the cap of 1500"):
-            _pool_for(KPI, Parity.ODD, 1501)
+            _pool_for(KPI, 1501)
         assert built == [1000, 1500]
 
     def test_cap_fires_before_any_sieve(self, monkeypatch):
@@ -729,7 +731,7 @@ class TestPoolCache:
         monkeypatch.setattr(gaussdecomp, "_pool_and_flags", allocating)
         monkeypatch.setattr(primes, "_sieve_flags", allocating)
         with pytest.raises(ValueError, match="above the cap of 10000000"):
-            _pool_for(KPI, Parity.ODD, 10**7 + 1)
+            _pool_for(KPI, 10**7 + 1)
         # 9999+i: a two-term pool bound of 9.998 * 10^7
         with pytest.raises(ValueError, match="pool norm bound 99980003 is above the cap"):
             find_decomposition(GaussianInt(9999, 1), KPI, 3, NormPolicy.NONE)
@@ -743,12 +745,11 @@ def prime_square_3mod4(n):
 class TestPoolMembership:
     """The flag test that stands in for a (re, im) -> index lookup."""
 
-    @pytest.mark.parametrize("parity_filter", [None, Parity.ODD, Parity.EVEN])
     @pytest.mark.parametrize("region", list(Region))
-    def test_accepts_exactly_the_pool(self, region, parity_filter):
+    def test_accepts_exactly_the_pool(self, region):
         bound = 200
-        pool, flags = _pool_and_flags(region, bound, parity_filter)
-        member = gaussdecomp._member(region, parity_filter, flags)
+        pool, flags = _pool_and_flags(region, bound)
+        member = gaussdecomp._member(region, flags)
         first = (0, 0, 0)  # no earlier than anything
         window = [(re, im) for re in range(-16, 17) for im in range(-16, 17)]
         got = [member(re, im, first, bound) for re, im in window]
@@ -768,42 +769,58 @@ class TestPoolMembership:
             (SPI, [(3, 0), (0, 3), (7, 0), (0, 7)]),
             (GPI, [(3, 0), (7, 0)]),
         ):
-            _, flags = _pool_and_flags(region, 100, Parity.ODD)
-            member = gaussdecomp._member(region, Parity.ODD, flags)
+            _, flags = _pool_and_flags(region, 100)
+            member = gaussdecomp._member(region, flags)
             for re, im in points:
                 assert member(re, im, (0, 0, 0), 100) == (re, im, re * re + im * im)
             # 5 = (2+i)(2-i) and 9i = 3 * 3i share the norms of primes
             assert member(5, 0, (0, 0, 0), 100) is None
             assert member(0, 9, (0, 0, 0), 100) is None
-        _, flags = _pool_and_flags(KPI, 100, Parity.EVEN)
-        member = gaussdecomp._member(KPI, Parity.EVEN, flags)
-        assert member(1, 1, (0, 0, 0), 100) == (1, 1, 2)
-        assert member(3, 0, (0, 0, 0), 100) is None  # odd, and past the flags' end
-        _, flags = _pool_and_flags(KPI, 100, Parity.ODD)
-        member = gaussdecomp._member(KPI, Parity.ODD, flags)
+        # 1+i is the even prime: flags[2] is clear, so it is no member
+        _, flags = _pool_and_flags(KPI, 100)
+        member = gaussdecomp._member(KPI, flags)
+        assert not flags[2]
         assert member(1, 1, (0, 0, 0), 100) is None
+        assert member(3, 0, (0, 0, 0), 100) == (3, 0, 9)
+        assert member(3, 0, (0, 0, 0), 9) is None  # the cap bites on the norm
+
+    @pytest.mark.parametrize("region", list(Region))
+    def test_rejects_every_even_point(self, region):
+        """A set flag means an odd prime: no even point is a member,
+        those of norm 2 (the associates of 1+i) included."""
+        bound = 400
+        _, flags = _pool_and_flags(region, bound)
+        member = gaussdecomp._member(region, flags)
+        even = [
+            (re, im)
+            for re in range(-20, 21)
+            for im in range(-20, 21)
+            if (re + im) % 2 == 0 and (re or im)
+        ]
+        assert {(1, 1), (1, -1), (-1, 1), (-1, -1)} <= set(even)
+        assert [p for p in even if member(*p, (0, 0, 0), bound)] == []
 
 
 class TestSingle:
     def test_matches_primality_past_the_flags(self):
         """Inside the flags and past their end, _single agrees with
-        is_gaussian_prime and the region and parity filters."""
-        _, flags = _pool_and_flags(SPI, 60, None)
+        is_gaussian_prime, the region and oddness."""
+        _, flags = _pool_and_flags(SPI, 60)
         for region in (KPI, GPI, SPI):
-            for par in (None, Parity.ODD, Parity.EVEN):
-                for re in range(-12, 13):
-                    for im in range(-12, 13):
-                        z = GaussianInt(re, im)
-                        if z.is_zero():
-                            continue
-                        want = (
-                            REGION_PREDICATES[region.value](re, im)
-                            and is_gaussian_prime(z)
-                            and (par is None or (re + im) % 2 == (par is Parity.ODD))
-                        )
-                        got = gaussdecomp._single(z, region, NormPolicy.NONE, par, flags)
-                        assert got == want, (z, region, par)
-                        assert not gaussdecomp._single(z, region, NormPolicy.STRICT_LESS, par, flags)
+            for re in range(-12, 13):
+                for im in range(-12, 13):
+                    z = GaussianInt(re, im)
+                    if z.is_zero():
+                        continue
+                    want = (
+                        REGION_PREDICATES[region.value](re, im)
+                        and is_gaussian_prime(z)
+                        and (re + im) % 2 == 1
+                    )
+                    for fl in (flags, b""):
+                        got = gaussdecomp._single(z, region, NormPolicy.NONE, fl)
+                        assert got == want, (z, region)
+                        assert not gaussdecomp._single(z, region, NormPolicy.STRICT_LESS, fl)
 
     def test_reads_the_flags_without_miller_rabin(self, monkeypatch):
         calls = []
@@ -813,12 +830,12 @@ class TestSingle:
             calls.append(n)
             return real(n)
 
-        _, flags = _pool_and_flags(KPI, 1000, Parity.ODD)
+        _, flags = _pool_and_flags(KPI, 1000)
         monkeypatch.setattr(primes, "is_rational_prime", counting)
         inside = [GaussianInt(re, im) for re in range(22) for im in range(22) if re or im]
-        assert [z for z in inside if gaussdecomp._single(z, KPI, NormPolicy.NONE, None, flags)]
+        assert [z for z in inside if gaussdecomp._single(z, KPI, NormPolicy.NONE, flags)]
         assert calls == []
-        assert gaussdecomp._single(GaussianInt(31, 10), KPI, NormPolicy.NONE, None, flags)
+        assert gaussdecomp._single(GaussianInt(31, 10), KPI, NormPolicy.NONE, flags)
         assert calls  # norm 1061, past the flags' end
         calls.clear()
         # a kpi scan covers every target's norm with its pool's flags

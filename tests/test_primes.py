@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from oracles import REGION_PREDICATES, gaussian_prime_by_division, trial_prime
 from shnirel import (
     GaussianInt,
-    Parity,
     PrimeTable,
     Region,
     ensure_table,
@@ -21,7 +20,7 @@ from shnirel import (
     is_rational_prime,
     sector_gap_stats,
 )
-from shnirel import primes
+from shnirel import gaussdecomp, primes
 from shnirel.primes import CACHE_MAGIC
 
 
@@ -262,7 +261,8 @@ class TestGaussianPrimality:
 
 
 def lattice_primes(region, norm_bound):
-    """Independent route: walk the lattice and keep divisor-checked primes."""
+    """Independent route: walk the lattice and keep the odd divisor-checked
+    primes."""
     out = []
     edge = 1
     while edge * edge < norm_bound:
@@ -271,17 +271,19 @@ def lattice_primes(region, norm_bound):
         for im in range(-edge, edge + 1):
             if re * re + im * im >= norm_bound:
                 continue
-            if REGION_PREDICATES[region.value](re, im) and gaussian_prime_by_division(
-                re, im
+            if (
+                (re + im) % 2
+                and REGION_PREDICATES[region.value](re, im)
+                and gaussian_prime_by_division(re, im)
             ):
                 out.append(GaussianInt(re, im))
     out.sort(key=GaussianInt.key)
     return out
 
 
-def pool_points(region, norm_bound, parity_filter=None, table=None):
+def pool_points(region, norm_bound):
     """gaussian_prime_pool's triples as GaussianInt values, same order."""
-    pool = gaussian_prime_pool(region, norm_bound, parity_filter, table)
+    pool = gaussian_prime_pool(region, norm_bound)
     return [GaussianInt(re, im) for re, im, _ in pool]
 
 
@@ -307,29 +309,29 @@ class TestGaussianPrimesIn:
     def test_small_quadrant_listing(self):
         got = pool_points(Region.PRIME_QUADRANT, 20)
         assert [str(z) for z in got] == [
-            "1+i", "1+2i", "2+i", "3i", "3", "2+3i", "3+2i", "1+4i", "4+i",
+            "1+2i", "2+i", "3i", "3", "2+3i", "3+2i", "1+4i", "4+i",
         ]
 
     def test_parity_filters(self):
-        odd = pool_points(Region.PRIME_QUADRANT, 50, Parity.ODD)
+        odd = pool_points(Region.PRIME_QUADRANT, 50)
         assert all((z.re + z.im) % 2 for z in odd)
         assert GaussianInt(1, 1) not in odd
-        even = pool_points(Region.PRIME_QUADRANT, 50, Parity.EVEN)
-        assert even == [GaussianInt(1, 1)]
 
     def test_sector_holds_one_ramified_associate(self):
-        got = pool_points(Region.SECTOR, 3)
-        assert got == [GaussianInt(1, 1)]
+        """1+i, the sector's one ramified associate, is even: it is in no
+        pool, and no pool's membership test accepts any associate of it."""
+        assert pool_points(Region.SECTOR, 3) == []
         assert pool_points(Region.SECTOR, 2) == []
+        for region in Region:
+            pool, flags = primes._pool_and_flags(region, 20)
+            assert all(n != 2 for _, _, n in pool)
+            member = gaussdecomp._member(region, flags)
+            for re, im in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                assert member(re, im, (0, 0, 0), 20) is None, (region, re, im)
 
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
             pool_points(Region.SECTOR, 1)
-
-    def test_accepts_preloaded_table(self):
-        table = PrimeTable.sieve(1000)
-        with_table = pool_points(Region.OCTANT, 600, None, table)
-        assert with_table == pool_points(Region.OCTANT, 600)
 
 
 BOUNDS = (2, 3, 4, 10, 50, 1000, 2000)
@@ -353,30 +355,14 @@ def divisor_checked_lattice():
 
 class TestGaussianPrimePool:
     @pytest.mark.parametrize("region", list(Region))
-    @pytest.mark.parametrize("parity", [Parity.ODD, Parity.EVEN, None])
-    def test_matches_divisor_oracle(self, region, parity, divisor_checked_lattice):
+    def test_matches_divisor_oracle(self, region, divisor_checked_lattice):
         for bound in BOUNDS:
             want = [
                 (re, im, n)
                 for n, re, im in divisor_checked_lattice
-                if n < bound
-                and REGION_PREDICATES[region.value](re, im)
-                and (
-                    parity is None
-                    or ((re + im) % 2 == 1) == (parity is Parity.ODD)
-                )
+                if n < bound and (re + im) % 2 and REGION_PREDICATES[region.value](re, im)
             ]
-            assert gaussian_prime_pool(region, bound, parity) == want, bound
-
-    def test_leaves_a_shared_table_unchanged(self):
-        want = gaussian_prime_pool(Region.PRIME_QUADRANT, 900)
-        table = PrimeTable.sieve(899)
-        assert gaussian_prime_pool(Region.PRIME_QUADRANT, 900, None, table) == want
-        # the pool marks q*q for inert q in its own copy of the flags only
-        assert not table.is_prime(9)
-        assert table.primes == PrimeTable.sieve(899).primes
-        short = PrimeTable.sieve(50)
-        assert gaussian_prime_pool(Region.PRIME_QUADRANT, 900, None, short) == want
+            assert gaussian_prime_pool(region, bound) == want, bound
 
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
@@ -403,7 +389,7 @@ class TestSectorGapStats:
     def test_gap_one_is_attained_by_ramified_neighbour(self):
         count, gap = sector_gap_stats(100)
         assert gap == 1
-        primes = pool_points(Region.PRIME_SECTOR, 100, Parity.ODD)
+        primes = pool_points(Region.PRIME_SECTOR, 100)
         assert len(primes) == count
         assert any(p.re - p.im == 1 for p in primes)
 

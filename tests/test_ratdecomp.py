@@ -268,6 +268,12 @@ class TestHypothesisLevels:
             hypothesis_scans([1, 5], 1, 10)
         assert hypothesis_scans([], 1, 10) == []
 
+    def test_scan_bound_is_capped_at_a_million(self):
+        (report,) = hypothesis_scans([1], 10**6 - 20, 10**6)
+        assert report.hi == 10**6 and report.rows
+        with pytest.raises(ValueError, match="scan bound 1000001 is above the cap of 1000000"):
+            hypothesis_scans([1], 10**6 - 20, 10**6 + 1)
+
 
 class TestResidue34Chain:
     def test_frozen_example(self):

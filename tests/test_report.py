@@ -26,7 +26,7 @@ from shnirel.gaussdecomp import (
 )
 from shnirel.golden import load_golden, regenerate_tables, validate_golden
 from shnirel.ratdecomp import HypothesisReports, hypothesis_scans, residue34_chain
-from shnirel.zcore import GaussianInt, Parity, Region
+from shnirel.zcore import GaussianInt, Region
 
 A, SECTOR = Region.OPEN_QUADRANT, Region.SECTOR
 GPI, KPI, SPI = Region.PRIME_SECTOR, Region.PRIME_QUADRANT, Region.PRIME_HALF
@@ -39,7 +39,7 @@ def _hand_built_counts() -> ScanReport:
     escaping."""
     ten = tuple(GaussianInt(2, 1) for _ in range(10))
     return ScanReport(
-        KPI, 'hand "built" é\\', 10, STRICT, Parity.EVEN,
+        KPI, 'hand "built" é\\', 10, STRICT,
         (
             (GaussianInt(3, 2), 2, (GaussianInt(2, 1), GaussianInt(1, 1))),
             (GaussianInt(20, 10), 10, ten),
@@ -51,14 +51,13 @@ def _hand_built_counts() -> ScanReport:
 SCANS = {
     # EMPTY rows (k None) next to found ones
     "kpi_with_exceptions": lambda: scan_box(A, (1, 6), (1, 6), KPI, 3, NONE),
-    "parity_none": lambda: scan_box(A, (1, 6), (1, 6), GPI, 3, NONE, parity_filter=None),
     # negative im, both policies
     "spi_sector": lambda: scan_box(SECTOR, (1, 10), (-9, 10), SPI, 3, NONE),
     "spi_sector_strict": lambda: scan_box(SECTOR, (1, 10), (-9, 10), SPI, 3, STRICT),
     # one-term rows: the targets on these lines that are prime
     "prime_lines": lambda: obstruction_line_report(20),
     "no_exceptions": lambda: scan_box(A, (1, 8), (1, 8), KPI, 3, NONE, min_max_component=7),
-    "no_rows": lambda: ScanReport(GPI, "empty", 3, NONE, Parity.ODD, ()),
+    "no_rows": lambda: ScanReport(GPI, "empty", 3, NONE, ()),
     "counts_2_and_10": _hand_built_counts,
 }
 
@@ -69,9 +68,7 @@ def _primes(limit, mod4=None):
 
 OTHERS = {
     "decomposition": lambda: find_decomposition(GaussianInt(19, 16), GPI, 3),
-    "decomposition_parity_none": lambda: find_decomposition(
-        GaussianInt(13, 4), KPI, 3, NONE, parity_filter=None
-    ),
+    "decomposition_kpi_uncapped": lambda: find_decomposition(GaussianInt(13, 4), KPI, 3, NONE),
     "routed_decomposition": lambda: RoutedDecomposition(
         *four_term_decompose(GaussianInt(19, 17), KPI)
     ),
@@ -116,7 +113,6 @@ def test_md_and_csv_are_the_lines_joined(name, fmt):
 def test_cases_cover_what_they_name():
     reports = {name: build() for name, build in SCANS.items()}
     assert any(k is None for _, k, _ in reports["kpi_with_exceptions"].rows)
-    assert reports["parity_none"].parity_filter is None
     assert any(z.im < 0 for z, _, _ in reports["spi_sector"].rows)
     assert 1 in {k for _, k, _ in reports["prime_lines"].rows}
     assert reports["no_exceptions"].exceptions == ()
