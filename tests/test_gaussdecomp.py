@@ -30,6 +30,7 @@ from shnirel import (
     scan_box,
     scan_representability,
     scan_targets,
+    sector_form,
     verify_decomposition,
     verify_diagonal_obstruction,
 )
@@ -181,7 +182,7 @@ class TestCanonicalMinimality:
 
 
 class TestSoundnessSweep:
-    @pytest.mark.parametrize("region", [GPI, KPI, SPI])
+    @pytest.mark.parametrize("region", list(Region))
     def test_every_found_decomposition_verifies(self, region):
         for re in range(0, 61):
             for im in range(0, 61):
@@ -277,6 +278,21 @@ class TestVerifyDecomposition:
         with pytest.raises(ValueError, match="summand 1\\+i is not odd"):
             verify_decomposition(bad)
 
+    @pytest.mark.parametrize("region", list(Region))
+    def test_rejects_an_even_summand_in_every_region(self, region):
+        """1+i lies in every region and is prime; the parity check alone
+        turns it away, whatever the region and however right the sum."""
+        even = (GaussianInt(1, 1), Unit.ONE)
+        alone = Decomposition(GaussianInt(1, 1), (even,), region, NormPolicy.NONE)
+        with pytest.raises(ValueError, match="summand 1\\+i is not odd"):
+            verify_decomposition(alone)
+        re, im, _ = gaussian_prime_pool(region, 50)[0]
+        p = sector_form(GaussianInt(re, im))
+        target = GaussianInt(2 * re + 1, 2 * im + 1)
+        mixed = Decomposition(target, (p, even, p), region, NormPolicy.NONE)
+        with pytest.raises(ValueError, match="summand 1\\+i is not odd"):
+            verify_decomposition(mixed)
+
     def test_rejects_norm_at_target(self):
         bad = Decomposition(
             GaussianInt(2, 1),
@@ -302,6 +318,18 @@ class TestTargetEnumeration:
     def test_region_targets_small(self):
         got = region_targets(KPI, 5)
         assert [str(z) for z in got] == ["i", "1", "1+i", "2i", "2", "1+2i", "2+i"]
+
+    @pytest.mark.parametrize("region", list(Region))
+    def test_region_targets_match_the_predicate(self, region):
+        """Every point of the region with norm in [1, 200], both parities,
+        in (norm, re, im) order."""
+        member = REGION_PREDICATES[region.value]
+        want = sorted(
+            (GaussianInt(re, im) for re in range(-15, 16) for im in range(-15, 16)
+             if 0 < re * re + im * im <= 200 and member(re, im)),
+            key=GaussianInt.key,
+        )
+        assert region_targets(region, 200) == want
 
     def test_region_targets_guard(self):
         with pytest.raises(ValueError):

@@ -364,6 +364,21 @@ class TestGaussianPrimePool:
             ]
             assert gaussian_prime_pool(region, bound) == want, bound
 
+    @pytest.mark.parametrize("region", list(Region))
+    def test_flags_mark_exactly_the_odd_prime_norms(self, region):
+        """The flags the pool is read off: n is flagged exactly when it is
+        an odd prime or the square of a prime q = 3 mod 4, so flags[2],
+        the norm of the even prime, is clear in every region."""
+        for bound in BOUNDS:
+            pool, flags = primes._pool_and_flags(region, bound)
+            assert pool == gaussian_prime_pool(region, bound), bound
+            assert len(flags) == bound
+            inert_squares = {q * q for q in range(3, bound, 4) if trial_prime(q)}
+            assert [n for n in range(bound) if flags[n]] == [
+                n for n in range(3, bound, 2) if trial_prime(n) or n in inert_squares
+            ], bound
+            assert all(flags[n] for _, _, n in pool), bound
+
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
             gaussian_prime_pool(Region.SECTOR, 1)
@@ -396,3 +411,8 @@ class TestSectorGapStats:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             sector_gap_stats(2)
+
+    @pytest.mark.parametrize("bound", [6, 50, 1000, 2000])
+    def test_matches_the_lattice_oracle(self, bound):
+        points = lattice_primes(Region.PRIME_SECTOR, bound)
+        assert sector_gap_stats(bound) == (len(points), min(p.re - p.im for p in points))

@@ -51,6 +51,8 @@ def _hand_built_counts() -> ScanReport:
 SCANS = {
     # EMPTY rows (k None) next to found ones
     "kpi_with_exceptions": lambda: scan_box(A, (1, 6), (1, 6), KPI, 3, NONE),
+    # terms from the sector-prime pool
+    "gpi_box": lambda: scan_box(A, (1, 6), (1, 6), GPI, 3, NONE),
     # negative im, both policies
     "spi_sector": lambda: scan_box(SECTOR, (1, 10), (-9, 10), SPI, 3, NONE),
     "spi_sector_strict": lambda: scan_box(SECTOR, (1, 10), (-9, 10), SPI, 3, STRICT),
@@ -113,6 +115,7 @@ def test_md_and_csv_are_the_lines_joined(name, fmt):
 def test_cases_cover_what_they_name():
     reports = {name: build() for name, build in SCANS.items()}
     assert any(k is None for _, k, _ in reports["kpi_with_exceptions"].rows)
+    assert reports["gpi_box"].term_region is GPI
     assert any(z.im < 0 for z, _, _ in reports["spi_sector"].rows)
     assert 1 in {k for _, k, _ in reports["prime_lines"].rows}
     assert reports["no_exceptions"].exceptions == ()
