@@ -370,25 +370,29 @@ def find_decomposition(
     lexicographically smallest non-decreasing sequence in (norm, re, im)
     order, reported largest term first. The strict policy demands every
     summand norm be below the target norm, which rules out the
-    single-term split.
+    single-term split. verify_decomposition checks the witness before it
+    is returned, so a wrong one raises ValueError instead.
     """
     if z.is_zero():
         raise ValueError("target must be nonzero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     if include_single and _single(z, region, policy):
-        return Decomposition(z, (sector_form(z),), region, policy)
-    live = _bounds([z], region, policy)
-    if max_terms == 1 or not live:
-        return None
-    cap = live[0][5]
-    pool, flags = _pool_for(region, cap)
-    member = _member(region, flags)
-    found = _search(z.re, z.im, 2, max_terms, region, cap, pool, member)
-    if found is None:
-        return None
-    terms = tuple(sector_form(GaussianInt(re, im)) for re, im, _ in found)
-    return Decomposition(z, terms, region, policy)
+        terms = (sector_form(z),)
+    else:
+        live = _bounds([z], region, policy)
+        if max_terms == 1 or not live:
+            return None
+        cap = live[0][5]
+        pool, flags = _pool_for(region, cap)
+        member = _member(region, flags)
+        found = _search(z.re, z.im, 2, max_terms, region, cap, pool, member)
+        if found is None:
+            return None
+        terms = tuple(sector_form(GaussianInt(re, im)) for re, im, _ in found)
+    dec = Decomposition(z, terms, region, policy)
+    verify_decomposition(dec)
+    return dec
 
 
 def region_targets(region: Region, norm_bound: int) -> list[GaussianInt]:
@@ -483,6 +487,24 @@ class ScanReport(Report):
             "exceptions": [str(z) for z in self.exceptions],
         }
 
+    def _texts(self, text: Callable[[GaussianInt], str]) -> Iterator[tuple]:
+        """(z, k, terms) per row, terms being text(s) for each witness term
+        s, or None. Witnesses repeat a few hundred pool entries, so each
+        text is made once, keyed by id, which is cheaper than GaussianInt's
+        hash; the rows keep every term alive while this runs."""
+        memo: dict[int, str] = {}
+        for z, k, wit in self.rows:
+            if wit is None:
+                yield z, k, None
+                continue
+            terms = []
+            for s in wit:
+                t = memo.get(id(s))
+                if t is None:
+                    t = memo[id(s)] = text(s)
+                terms.append(t)
+            yield z, k, terms
+
     def json_lines(self) -> Iterator[str]:
         """The bytes json.dump(to_json_dict(), sort_keys=True, indent=2)
         writes, plus a newline, yielded row by row from a template.
@@ -503,21 +525,11 @@ class ScanReport(Report):
             f'  "policy": {quote(self.policy.value)},\n'
             f'  "primes": {quote(self.term_region.value)},\n  "rows": ['
         )
-        # Witnesses repeat a few hundred pool entries: quote each once.
-        # Keyed by id, which is cheaper than GaussianInt's hash; the rows
-        # keep every term alive while this runs.
-        quoted: dict[int, str] = {}
         sep = "\n"
-        for z, k, wit in self.rows:
-            if wit is None:
+        for z, k, terms in self._texts(lambda s: quote(str(s))):
+            if terms is None:
                 witness = "null"
             else:
-                terms = []
-                for s in wit:
-                    q = quoted.get(id(s))
-                    if q is None:
-                        q = quoted[id(s)] = quote(str(s))
-                    terms.append(q)
                 witness = "[\n        " + ",\n        ".join(terms) + "\n      ]"
             yield (
                 f'{sep}    {{\n      "im": {z.im},\n'
@@ -542,14 +554,14 @@ class ScanReport(Report):
             f"{len(self.rows)} targets, {len(self.exceptions)} unrepresentable\n"
         )
         yield "\n| z | norm | k | witness |\n|---|---|---|---|\n"
-        for z, k, wit in self.rows:
-            cell = "EMPTY" if wit is None else " + ".join(f"({s})" for s in wit)
+        for z, k, terms in self._texts("({})".format):
+            cell = "EMPTY" if terms is None else " + ".join(terms)
             yield f"| {z} | {z.norm()} | {'' if k is None else k} | {cell} |\n"
 
     def csv_lines(self) -> Iterator[str]:
         yield "z,norm,k,witness\n"
-        for z, k, wit in self.rows:
-            cell = "EMPTY" if wit is None else "+".join(f"({s})" for s in wit)
+        for z, k, terms in self._texts("({})".format):
+            cell = "EMPTY" if terms is None else "+".join(terms)
             yield f"{z},{z.norm()},{'' if k is None else k},{cell}\n"
 
 
@@ -585,8 +597,8 @@ def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
 # cone's corner to the targets: gammapi and kpi boxes of side 120-150 at
 # the origin come in at 0.07 of this, a 10 x 10 gammapi box at re 200 at
 # 31 times and a 2 x 2 box at re 2000 at 4 * 10^6 times, so those search
-# target by target, as strict scans always do; uncapped ones walk the
-# levels.
+# target by target; denser boxes walk the levels, and strict ones search
+# only where the walked witness reaches the target's norm.
 _SUMSET_OPS_PER_TARGET = 1 << 17
 
 
@@ -596,30 +608,33 @@ def _minimal_terms(
     pool: list,
     member: Callable,
     region: Region,
-    policy: NormPolicy,
     max_terms: int,
 ) -> tuple[list[tuple[int, int] | None], Callable | None]:
     """(proofs, walk) for count targets, given the _bounds of the live
     ones. A target's proof is (k_lo, cap): cap is its _bounds norm bound,
     and every sum of two or more region primes of norm below cap equal to
     it has at least k_lo <= max_terms terms; None when no such sum fits in
-    max_terms. walk is None unless k_lo is exact.
+    max_terms.
 
     With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of such
     a sum has n1.s >= c1 and n1.(z - s) >= c1 (so n1.s <= u, as in
     _term_cap), and the same for n2: every term and partial sum lies in
     the target's two-term parallelogram. So the sumsets of the pool cut
     at the largest cap, over one window holding each target and its
-    parallelogram, put each target at the fewest terms of any sum with
+    parallelogram, put each target at the fewest terms k of any sum with
     no norm cap of its own. Under NormPolicy.NONE every term of such a
-    sum has norm below the target's cap already, so that k is exact.
-    Under STRICT_LESS every strict sum is also such a sum, so k is a
-    lower bound, and a target in no level has no strict sum.
+    sum has norm below the target's cap already, so k is exact. Under
+    STRICT_LESS every strict sum is also such a sum, so k is a lower
+    bound, and a target in no level has no strict sum.
 
-    Under NONE, walk(re, im, k) gives the canonical k-term witness, pool
-    entries largest first: the first pool entry p leaving z - p in level
-    k - 1 (any term q of a sum leaves z - q there), then the walk of z - p
-    from p on, down to a residual in the pool; or raises RuntimeError.
+    walk(re, im, k) gives the lexicographically first non-decreasing
+    k-tuple of pool entries summing to the target, largest first: its
+    smallest term is the first pool entry p leaving z - p in level k - 1
+    (any term q of a sum leaves z - q there), the rest the walk of z - p
+    from p on, down to a residual in the pool; it raises RuntimeError
+    when the levels disagree with the pool. That tuple is the canonical
+    witness whenever all its norms are below the target's cap: always
+    under NONE, and under STRICT_LESS when its largest one is.
 
     When the sumsets would cost more than _SUMSET_OPS_PER_TARGET per
     target, every k_lo is 2 and walk is None. The pool and its membership
@@ -647,8 +662,6 @@ def _minimal_terms(
             if strings[k - 1][at] == "1":
                 out[i] = (k, cap)
                 break
-    if policy is not NormPolicy.NONE:
-        return out, None
 
     def walk(re: int, im: int, k: int) -> list[tuple[int, int, int]]:
         terms, lo, r, j = [], 0, re - re_lo, im - im_lo  # r, j: residual in the window
@@ -679,10 +692,12 @@ def scan_targets(
     """Attempt a decomposition for every listed target.
 
     The sumsets of the pool give each target its least possible term
-    count: exact under NormPolicy.NONE, where the witness is read off the
-    levels, and a lower bound under STRICT_LESS, where the search starts.
-    A scan whose sumsets would cost more than searching from two terms (a
-    narrow box far from the cone's corner) searches from two.
+    count k, and the witness is walked off the levels. Under
+    NormPolicy.NONE that k and witness are exact. Under STRICT_LESS k is
+    a lower bound; the walked witness is the canonical strict one when
+    its largest norm is below the target's, and otherwise the search
+    starts at k. A scan whose sumsets would cost more than searching from
+    two terms (a narrow box far from the cone's corner) searches from two.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -691,7 +706,7 @@ def scan_targets(
     live = _bounds(targets, term_region, policy) if max_terms >= 2 else []
     pool, flags = _pool_for(term_region, max((t[5] for t in live), default=2))
     member = _member(term_region, flags)
-    proofs, walk = _minimal_terms(len(targets), live, pool, member, term_region, policy, max_terms)
+    proofs, walk = _minimal_terms(len(targets), live, pool, member, term_region, max_terms)
     del live  # a tuple of six per target: free it before the rows grow
     made: dict = {}  # pool entry -> its GaussianInt, built once per call
     rows = []
@@ -701,10 +716,12 @@ def scan_targets(
             continue
         if proof is None:
             wit = None
-        elif walk is not None:
-            wit = walk(z.re, z.im, proof[0])
         else:
-            wit = _search(z.re, z.im, proof[0], max_terms, term_region, proof[1], pool, member)
+            wit = walk(z.re, z.im, proof[0]) if walk is not None else None
+            # the walk draws on the pool to the largest cap, so under a
+            # strict cap its largest term, wit[0], may reach the target's norm
+            if wit is None or wit[0][2] >= proof[1]:
+                wit = _search(z.re, z.im, proof[0], max_terms, term_region, proof[1], pool, member)
         if wit is None:
             rows.append((z, None, None))
             continue

@@ -166,6 +166,26 @@ class TestDecompose:
         assert code == 2
         assert "positive real and imaginary" in err
 
+    def test_wrong_witness_exits_two_and_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        """find_decomposition checks its witness: a search that returns
+        wrong terms makes decompose exit 2 with the checker's message and
+        no report, on stdout or in --out."""
+        real = gaussdecomp._search
+
+        def wrong(*args):
+            got = real(*args)
+            return [got[0], got[1], (1, 4, 17)]
+
+        monkeypatch.setattr(gaussdecomp, "_search", wrong)
+        argv = ["decompose", "--z", "19,16", "--primes", "kpi", "--strict-norm"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "terms sum to 19+18i, not 19+16i")
+        path = tmp_path / "dec.json"
+        code, out, err = run(capsys, *argv, "--format", "json", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert "terms sum to" in err
+        assert not path.exists()
+
     def test_bad_region_choice(self, capsys):
         with pytest.raises(SystemExit) as exc:
             entry(["decompose", "--z", "8", "--primes", "octant"])

@@ -101,6 +101,19 @@ class TestFindDecomposition:
         keys = [s.key() for s in dec.summands()]
         assert keys == sorted(keys, reverse=True)
 
+    def test_checks_the_witness_before_returning(self, monkeypatch):
+        """A search that returns a wrong witness, here one whose terms sum
+        to 19+18i, makes find_decomposition raise instead of return."""
+        real = gaussdecomp._search
+
+        def wrong(*args):
+            got = real(*args)
+            return [got[0], got[1], (1, 4, 17)]
+
+        monkeypatch.setattr(gaussdecomp, "_search", wrong)
+        with pytest.raises(ValueError, match=r"terms sum to 19\+18i, not 19\+16i"):
+            find_decomposition(GaussianInt(19, 16), KPI, 3)
+
     def test_rejects_zero_and_bad_width(self):
         with pytest.raises(ValueError):
             find_decomposition(GaussianInt(0, 0), KPI, 3)
@@ -108,14 +121,15 @@ class TestFindDecomposition:
             find_decomposition(GaussianInt(5, 0), KPI, 0)
 
 
-def check_against_enumeration(region, policy, pool, targets):
-    """Exhaustive check of both minimality and witness choice.
+def enumerate_minimal(policy, pool, targets):
+    """(re, im) -> (k, terms) for the targets that at most three pool
+    primes sum to: the fewest terms k, and the lexicographically smallest
+    non-decreasing k-tuple in (norm, re, im) order.
 
     The oracle walks combinations of the ascending prime pool, so the
-    first admissible tuple it files for a sum is the lexicographically
-    smallest non-decreasing one at the smallest k. The strict policy
-    admits a tuple only when its largest norm, the last, is below the
-    norm of the sum."""
+    first admissible tuple it files for a sum is that tuple at the
+    smallest k. The strict policy admits a tuple only when its largest
+    norm, the last, is below the norm of the sum."""
     pool = sorted(pool, key=GaussianInt.key)
     targets = set(targets)
     best = {}
@@ -127,6 +141,12 @@ def check_against_enumeration(region, policy, pool, targets):
             if policy is NormPolicy.STRICT_LESS and combo[-1].norm() >= z[0] ** 2 + z[1] ** 2:
                 continue
             best[z] = (k, combo)
+    return best
+
+
+def check_against_enumeration(region, policy, pool, targets):
+    """Exhaustive check of both minimality and witness choice."""
+    best = enumerate_minimal(policy, pool, targets)
     for re, im in targets:
         dec = find_decomposition(GaussianInt(re, im), region, 3, policy)
         want = best.get((re, im))
@@ -428,8 +448,9 @@ class TestScans:
     def test_strict_sumset_k_is_a_lower_bound(self, monkeypatch):
         """2+2i = 3i + (2-i) in spi, but 3i has norm 9 against the target's
         8. Beside 7, whose strict cap is 49, the sumsets still put 2+2i at
-        two terms under the strict policy; the search from there finds no
-        strict sum, so the row is an exception."""
+        two terms under the strict policy. 7's walked witness stays below
+        its norm and is taken as it is; 2+2i's uses 3i, so it searches from
+        two terms, finds no strict sum, and the row is an exception."""
         z = GaussianInt(2, 2)
         targets = [z, GaussianInt(7, 0)]
         searches = []
@@ -441,11 +462,45 @@ class TestScans:
 
         monkeypatch.setattr(gaussdecomp, "_search", spying)
         strict = scan_targets(targets, SPI, 3, NormPolicy.STRICT_LESS)
-        assert searches == [(2, 2, 2, 8), (7, 0, 3, 49)]
+        assert searches == [(2, 2, 2, 8)]
         assert strict.rows[0] == (z, None, None)
         assert strict.rows == scan_rows_by_search(targets, SPI, 3, NormPolicy.STRICT_LESS)
         none = scan_targets(targets, SPI, 3, NormPolicy.NONE)
         assert none.rows[0] == (z, 2, (GaussianInt(0, 3), GaussianInt(2, -1)))
+
+    def test_strict_scan_matches_enumeration(self, monkeypatch):
+        """A strict spi scan of a sector box walks most witnesses off the
+        levels and searches where the walked one reaches the target's
+        norm; both kinds of row must equal the brute-force oracle's. A
+        term of a strict sum to z in the box has 0 <= re <= 16 and norm
+        below N(z) <= 512, so the pool holds every odd spi prime there."""
+        targets = box_targets(Region.SECTOR, (0, 16), (-8, 16))
+        pool = [
+            GaussianInt(re, im)
+            for re in range(0, 17)
+            for im in range(-16, 23)
+            if re * re + im * im < 512
+            and (re + im) % 2
+            and REGION_PREDICATES["spi"](re, im)
+            and gaussian_prime_by_division(re, im)
+        ]
+        best = enumerate_minimal(NormPolicy.STRICT_LESS, pool, [(z.re, z.im) for z in targets])
+        expected = []
+        for z in targets:
+            want = best.get((z.re, z.im))
+            expected.append((z, None, None) if want is None else (z, want[0], want[1][::-1]))
+        searched = []
+        real = gaussdecomp._search
+
+        def spying(re, im, *args):
+            searched.append(GaussianInt(re, im))
+            return real(re, im, *args)
+
+        monkeypatch.setattr(gaussdecomp, "_search", spying)
+        report = scan_targets(targets, SPI, 3, NormPolicy.STRICT_LESS)
+        assert report.rows == tuple(expected)
+        walked = {z for z, k, _ in report.rows if k is not None} - set(searched)
+        assert walked and searched
 
     @pytest.mark.parametrize("term_region", [GPI, KPI, SPI])
     def test_sumset_scan_matches_the_search_at_four_terms(self, term_region):
