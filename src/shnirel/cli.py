@@ -182,7 +182,6 @@ def cmd_decompose(args) -> int:
 
 
 def _emit_matrix(args, matrix) -> int:
-    matrix.validate()
     _emit(args, matrix)
     case = "" if matrix.case is None else f", case {matrix.case}"
     _summary(f"columns: {matrix.k}{case}")

@@ -6,7 +6,9 @@ Three flavors are covered, named after their command-line tokens: thm1
 fixes four columns with odd prime targets, thm2 uses the fewest odd
 prime targets, and conj1 replaces the column-sum constraint with a
 square-sum one, so each column is a Gaussian prime in the closed first
-quadrant and its target is the norm.
+quadrant and its target is the norm. Every solver runs
+SolutionMatrix.validate before it returns, so a wrong matrix raises
+ValueError instead of leaving the library.
 """
 
 from __future__ import annotations
@@ -150,7 +152,9 @@ def solve_four_columns(a: int, b: int) -> SolutionMatrix:
     else:
         case = 4
         cols = [(p, a, b - q - r - l), (q, 0, q), (r, 0, r), (l, 0, l)]
-    return SolutionMatrix.from_columns(SystemKind.FOUR_COLUMNS, cols, case)
+    matrix = SolutionMatrix.from_columns(SystemKind.FOUR_COLUMNS, cols, case)
+    matrix.validate()
+    return matrix
 
 
 def _fill_second_row(
@@ -174,7 +178,9 @@ def solve_min_columns(a: int, b: int, max_terms: int = 8) -> SolutionMatrix:
         raise ValueError("need a >= 1 and b >= 1")
     _, targets = min_odd_prime_terms(a + b, max_terms)
     cols = _fill_second_row(targets, b)
-    return SolutionMatrix.from_columns(SystemKind.MIN_COLUMNS, cols, None)
+    matrix = SolutionMatrix.from_columns(SystemKind.MIN_COLUMNS, cols, None)
+    matrix.validate()
+    return matrix
 
 
 def solve_square_columns(a: int, b: int, max_terms: int = 6) -> SolutionMatrix:
@@ -190,7 +196,9 @@ def solve_square_columns(a: int, b: int, max_terms: int = 6) -> SolutionMatrix:
             f"{z} is not a sum of up to {max_terms} first-quadrant Gaussian primes"
         )
     cols = [(s.norm(), s.re, s.im) for s in dec.summands()]
-    return SolutionMatrix.from_columns(SystemKind.SQUARE_COLUMNS, cols, None)
+    matrix = SolutionMatrix.from_columns(SystemKind.SQUARE_COLUMNS, cols, None)
+    matrix.validate()
+    return matrix
 
 
 __all__ = [

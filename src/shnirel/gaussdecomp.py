@@ -631,7 +631,7 @@ def _minimal_terms(
     k-tuple of pool entries summing to the target, largest first: its
     smallest term is the first pool entry p leaving z - p in level k - 1
     (any term q of a sum leaves z - q there), the rest the walk of z - p
-    from p on, down to a residual in the pool; it raises RuntimeError
+    from p on, down to a residual in the pool; it raises ValueError
     when the levels disagree with the pool. That tuple is the canonical
     witness whenever all its norms are below the target's cap: always
     under NONE, and under STRICT_LESS when its largest one is.
@@ -676,7 +676,7 @@ def _minimal_terms(
                 break
         last = member(r + re_lo, j + im_lo, pool[lo], top)
         if len(terms) < k - 1 or last is None:
-            raise RuntimeError(f"the walk for {GaussianInt(re, im)} fails at {k} terms")
+            raise ValueError(f"the walk for {GaussianInt(re, im)} fails at {k} terms")
         return [last] + terms[::-1]
 
     return out, walk

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from oracles import trial_prime
-from shnirel import cli, gaussdecomp, primes, ratdecomp
+from shnirel import cli, diophantine, gaussdecomp, primes, ratdecomp
 from shnirel.cli import entry, parse_gaussian, parse_range
 from shnirel.gaussdecomp import ScanReport
 from shnirel.primes import CACHE_MAGIC
@@ -244,6 +244,21 @@ class TestSolvers:
         assert code == 0
         assert out == "target,x1,x2\n17,4,1\n5,2,1\n5,1,2\n"
 
+    def test_thm1_wrong_column_exits_two_and_writes_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """solve_four_columns checks its matrix: a split with a composite
+        target makes solve-thm1 exit 2 with the checker's message and no
+        report."""
+        monkeypatch.setattr(diophantine, "four_odd_primes", lambda n: (n - 9, 3, 3, 3))
+        path = tmp_path / "thm1.json"
+        code, out, err = run(
+            capsys, "solve-thm1", "--a", "9", "--b", "9", "--format", "json",
+            "--out", str(path),
+        )
+        assert (code, out, err) == (2, "", "target 9 is not an odd prime")
+        assert not path.exists()
+
     def test_conj1_markdown_table(self, capsys):
         code, out, _ = run(capsys, "solve-conj1", "--a", "6", "--b", "3")
         assert code == 0
@@ -338,6 +353,26 @@ class TestScan:
         assert out == ""
         assert "jobs must be at least 1, got -1" in err
         assert "Traceback" not in err
+
+    def test_walk_fault_exits_two_and_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        """A level 2 that claims 9+9i, which no two gammapi primes sum to,
+        leaves the walk no first term: the scan exits 2 with a message,
+        not a traceback, and writes no report."""
+        real = gaussdecomp._sumsets
+
+        def corrupted(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
+            width, levels = real(points, region, re_lo, re_hi, im_lo, im_hi, max_terms)
+            levels[1] |= 1 << ((9 - re_lo) * width + 9 - im_lo)
+            return width, levels
+
+        monkeypatch.setattr(gaussdecomp, "_sumsets", corrupted)
+        path = tmp_path / "scan.csv"
+        code, out, err = run(
+            capsys, "scan", "--targets", "a", "--re", "9..9", "--im", "9..9",
+            "--primes", "gammapi", "--format", "csv", "--out", str(path),
+        )
+        assert (code, out, err) == (2, "", "the walk for 9+9i fails at 2 terms")
+        assert not path.exists()
 
     def test_box_cap_exits_two(self, capsys):
         code, _, err = run(

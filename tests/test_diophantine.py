@@ -15,6 +15,7 @@ from shnirel import (
     SearchExhausted,
     SolutionMatrix,
     SystemKind,
+    diophantine,
     four_odd_primes,
     min_odd_prime_terms,
     solve_four_columns,
@@ -158,6 +159,24 @@ class TestSolveSquareColumns:
             solve_square_columns(0, 0)
         with pytest.raises(ValueError):
             solve_square_columns(-1, 4)
+
+
+class TestSolversValidate:
+    """Every solver checks its matrix before it returns: an inner split
+    that hands back a wrong column raises instead of leaving the library."""
+
+    def test_four_columns_with_a_composite_target_raise(self, monkeypatch):
+        # 18 = 9 + 3 + 3 + 3 sums right, but 9 is no prime
+        monkeypatch.setattr(diophantine, "four_odd_primes", lambda n: (n - 9, 3, 3, 3))
+        with pytest.raises(ValueError, match="target 9 is not an odd prime"):
+            solve_four_columns(9, 9)
+
+    def test_min_columns_with_a_composite_target_raise(self, monkeypatch):
+        monkeypatch.setattr(
+            diophantine, "min_odd_prime_terms", lambda n, max_terms: (2, (n - 3, 3))
+        )
+        with pytest.raises(ValueError, match="target 15 is not an odd prime"):
+            solve_min_columns(9, 9)
 
 
 class TestBruteForce:

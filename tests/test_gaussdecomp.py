@@ -555,7 +555,7 @@ class TestScans:
             return width, levels
 
         monkeypatch.setattr(gaussdecomp, "_sumsets", corrupted)
-        with pytest.raises(RuntimeError, match=r"the walk for 9\+9i fails at 2 terms"):
+        with pytest.raises(ValueError, match=r"the walk for 9\+9i fails at 2 terms"):
             scan_targets([z], GPI, 3, NormPolicy.NONE)
 
     def test_uncapped_scans_walk_the_levels_without_searching(self, monkeypatch):

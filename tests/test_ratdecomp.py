@@ -5,6 +5,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import min_split_into, odd_primes_upto, trial_prime
 from shnirel import (
@@ -204,6 +206,29 @@ class TestHypothesisScan:
         assert lines[1] == "2,2,2,EMPTY"
         assert lines[2] == "6,2,2,3+3"
 
+    # every row of hypothesis_scan(index, 1, 40), one k per index, EMPTY rows included
+    @pytest.mark.parametrize(
+        "index,lines",
+        [
+            (1, ["2,2,2,EMPTY", "6,2,2,3+3", "10,2,2,7+3", "14,2,2,11+3",
+                 "18,2,2,11+7", "22,2,2,19+3", "26,2,2,23+3", "30,2,2,23+7",
+                 "34,2,2,31+3", "38,2,2,31+7"]),
+            (2, ["1,1,3,EMPTY", "5,1,3,EMPTY", "9,1,3,3+3+3", "13,1,3,7+3+3",
+                 "17,1,3,11+3+3", "21,1,3,11+7+3", "25,1,3,19+3+3",
+                 "29,1,3,23+3+3", "33,1,3,23+7+3", "37,1,3,31+3+3"]),
+            (3, ["4,0,4,EMPTY", "8,0,4,EMPTY", "12,0,4,3+3+3+3", "16,0,4,7+3+3+3",
+                 "20,0,4,11+3+3+3", "24,0,4,11+7+3+3", "28,0,4,19+3+3+3",
+                 "32,0,4,23+3+3+3", "36,0,4,23+7+3+3", "40,0,4,31+3+3+3"]),
+            (4, ["3,3,5,EMPTY", "7,3,5,EMPTY", "11,3,5,EMPTY", "15,3,5,3+3+3+3+3",
+                 "19,3,5,7+3+3+3+3", "23,3,5,11+3+3+3+3", "27,3,5,11+7+3+3+3",
+                 "31,3,5,19+3+3+3+3", "35,3,5,23+3+3+3+3", "39,3,5,23+7+3+3+3"]),
+        ],
+    )
+    def test_csv_rows_at_every_k(self, index, lines):
+        buf = io.StringIO()
+        hypothesis_scan(index, 1, 40).write(buf, "csv")
+        assert buf.getvalue() == "".join(f"{line}\n" for line in ["n,residue,k,witness"] + lines)
+
     def test_reports_share_one_csv_header(self):
         reports = hypothesis_scans([2, 1], 1, 20)
         buf = io.StringIO()
@@ -273,6 +298,39 @@ class TestHypothesisLevels:
         assert report.hi == 10**6 and report.rows
         with pytest.raises(ValueError, match="scan bound 1000001 is above the cap of 1000000"):
             hypothesis_scans([1], 10**6 - 20, 10**6 + 1)
+
+
+# the 3 mod 4 primes the property tests below can reach
+R34_POOL = [p for p in odd_primes_upto(2500) if p % 4 == 3]
+
+
+class TestInlinedLevels:
+    """_first_split reads level 1 off the flags and level k - 1 off the
+    memo, and recurses only on a miss: below lo, or in a single split."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_scans_match_enumeration_oracle(self, data):
+        lo = data.draw(st.integers(1, 500), label="lo")
+        hi = data.draw(st.integers(lo, 2500), label="hi")
+        # all four share the memo; one alone finds the levels below it empty
+        alone = data.draw(st.sampled_from(sorted(HYPOTHESES)), label="alone")
+        for report in hypothesis_scans(sorted(HYPOTHESES), lo, hi) + [
+            hypothesis_scan(alone, lo, hi)
+        ]:
+            for n, wit in report.rows:
+                want = min_split_into(n, report.spec.k, R34_POOL)
+                assert wit == (None if want is None else tuple(reversed(want))), n
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 400), st.integers(1, 5))
+    def test_single_splits_match_enumeration_oracle(self, n, k):
+        odd = min_split_into(n, k, odd_primes_upto(400))
+        r34 = min_split_into(n, k, R34_POOL)
+        assert split_into_odd_primes(n, k) == (None if odd is None else tuple(reversed(odd)))
+        assert split_into_residue34_primes(n, k) == (
+            None if r34 is None else tuple(reversed(r34))
+        )
 
 
 class TestResidue34Chain:
