@@ -20,7 +20,6 @@ from typing import Iterable
 from . import golden as golden_mod
 from .diophantine import solve_four_columns, solve_min_columns, solve_square_columns
 from .gaussdecomp import (
-    BaseCaseError,
     Decomposition,
     NormPolicy,
     find_decomposition,
@@ -155,7 +154,7 @@ def cmd_decompose(args) -> int:
     region = Region(args.primes)
     policy = NormPolicy.STRICT_LESS if args.strict_norm else NormPolicy.NONE
     if args.chain:
-        got = four_term_decompose(z, region, policy=policy)
+        got = four_term_decompose(z, region, policy)
         if got is None:
             if in_region(z, region):
                 _summary(f"{z}: no split into at most four primes; counterexample candidate")
@@ -399,7 +398,7 @@ def entry(argv: list[str] | None = None) -> int:
         if args.out:
             _check_out(args.out)
         return args.func(args)
-    except (SearchExhausted, HypothesisViolation, BaseCaseError) as exc:
+    except (SearchExhausted, HypothesisViolation) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except (ValueError, OverflowError, OSError) as exc:

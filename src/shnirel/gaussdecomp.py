@@ -24,7 +24,6 @@ from .zcore import (
     Parity,
     Region,
     Unit,
-    congruent_mod_one_plus_i,
     in_region,
     sector_form,
 )
@@ -875,76 +874,35 @@ def obstruction_line_report(bound: int, max_terms: int = 6) -> ScanReport:
     return scan_targets(targets, Region.PRIME_SECTOR, max_terms, NormPolicy.NONE, desc)
 
 
-class BaseCaseError(Exception):
-    """The bounded base split a chain construction relies on is missing."""
-
-
-def extend_with_inert(
-    w: GaussianInt,
-    region: Region = Region.PRIME_QUADRANT,
-    max_base_terms: int = 3,
-    c0: int = 4,
-    policy: NormPolicy = NormPolicy.NONE,
-) -> tuple[Decomposition, GaussianInt]:
-    """Split w as a bounded decomposition of a shifted target plus one
-    inert prime. The shift is 3i when the imaginary part clears c0 + 3
-    and 3i lies in the region, and 3 otherwise, so the reduced target
-    keeps its shape and the shift is itself a region prime.
-
-    Raises ValueError when w sits outside the open first quadrant, is in
-    the wrong parity class for max_base_terms + 1 odd summands, has no
-    component reaching c0 + 3, or the region holds neither 3i nor 3;
-    raises BaseCaseError when the bounded search fails on the reduced
-    target.
-    """
-    if not in_region(w, Region.OPEN_QUADRANT):
-        raise ValueError(f"{w} must have positive real and imaginary parts")
-    if not congruent_mod_one_plus_i(w, max_base_terms + 1):
-        raise ValueError(
-            f"{w} has the wrong parity for {max_base_terms} odd summands plus one"
-        )
-    if max(w.re, w.im) < c0 + 3:
-        raise ValueError(f"{w} needs a component of at least {c0 + 3}")
-    shift = GaussianInt(0, 3)
-    if w.im < c0 + 3 or not in_region(shift, region):
-        shift = GaussianInt(3, 0)
-    if not in_region(shift, region):
-        raise ValueError(f"neither 3i nor 3 lies in {region.value}")
-    base = find_decomposition(w - shift, region, max_base_terms, policy)
-    if base is None:
-        raise BaseCaseError(f"no {max_base_terms}-term split for {w - shift}")
-    return base, shift
-
-
 def four_term_decompose(
     z: GaussianInt,
     region: Region = Region.PRIME_QUADRANT,
-    c1: int = 4,
     policy: NormPolicy = NormPolicy.NONE,
 ) -> tuple[Decomposition, str] | None:
     """Write z as at most four odd region primes and say which route won.
 
-    Odd targets go through the direct three-term search. Even targets
-    shed one inert prime to reach an odd remainder needing at most three
+    Odd targets get one three-term search, as four odd primes never sum
+    to an odd target. Even targets shed one inert prime, 3i when the
+    imaginary part is at least 4 and 3i lies in the region and otherwise
+    3 when it does, to reach an odd remainder needing at most three
     terms; if that structured path fails, the flagged fallback is a
     direct four-term search. Routes: direct, shift-3i, shift-3,
-    fallback. Returns None when even the fallback finds nothing; such a
-    target is a counterexample candidate worth keeping.
+    fallback. Returns None when no route finds a split; such a target is
+    a counterexample candidate worth keeping.
     """
     if not in_region(z, Region.OPEN_QUADRANT):
         raise ValueError(f"{z} must have positive real and imaginary parts")
-    if max(z.re, z.im) <= c1:
-        raise ValueError(f"chain construction needs a component above {c1}")
+    if max(z.re, z.im) <= 4:
+        raise ValueError("chain construction needs a component above 4")
     if parity_of(z) is Parity.ODD:
         dec = find_decomposition(z, region, 3, policy)
-        if dec is not None:
-            return dec, "direct"
-    else:
-        try:
-            base, shift = extend_with_inert(z, region, 3, max(1, c1 - 3), policy)
-        except (BaseCaseError, ValueError):
-            pass
-        else:
+        return None if dec is None else (dec, "direct")
+    shift = GaussianInt(0, 3)
+    if z.im < 4 or not in_region(shift, region):
+        shift = GaussianInt(3, 0)
+    if in_region(shift, region):
+        base = find_decomposition(z - shift, region, 3, policy)
+        if base is not None:
             summands = base.summands() + [shift]
             summands.sort(key=GaussianInt.key, reverse=True)
             terms = tuple(sector_form(s) for s in summands)
@@ -952,19 +910,15 @@ def four_term_decompose(
             verify_decomposition(chain)
             return chain, "shift-3i" if shift.im else "shift-3"
     dec = find_decomposition(z, region, 4, policy)
-    if dec is None:
-        return None
-    return dec, "fallback"
+    return None if dec is None else (dec, "fallback")
 
 
 __all__ = [
-    "BaseCaseError",
     "Decomposition",
     "NormPolicy",
     "ObstructionReport",
     "ScanReport",
     "box_targets",
-    "extend_with_inert",
     "find_decomposition",
     "four_term_decompose",
     "obstruction_line_report",

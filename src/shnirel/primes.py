@@ -15,7 +15,7 @@ from .zcore import GaussianInt, Region
 # Witness set is deterministic for every n below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-CACHE_MAGIC = b"SHNPRIM1"
+CACHE_MAGIC = b"SHNPRIM2"
 CACHE_ENV = "SHNIREL_CACHE"
 
 
@@ -66,7 +66,8 @@ def _sieve_flags(limit: int) -> bytearray:
 
 
 # A loaded cache must list exactly the primes a segmented sieve finds in
-# windows at eight evenly spaced starts and at the end of its range; like
+# windows at eight evenly spaced starts and at the end of its range, which
+# runs to the stored sieve limit, not just to the last stored prime; like
 # the composite sample, this catches a skipped prime only where it looks.
 _WINDOWS = 8
 _WINDOW_WIDTH = 2048
@@ -128,7 +129,8 @@ class PrimeTable:
         return got
 
     def save(self, path: str) -> None:
-        payload = struct.pack(f"<{len(self.primes)}Q", *self.primes)
+        # the sieve limit, then the primes up to it
+        payload = struct.pack(f"<{len(self.primes) + 1}Q", self.limit, *self.primes)
         tmp = f"{path}.tmp"
         with open(tmp, "wb") as fh:
             fh.write(CACHE_MAGIC)
@@ -146,24 +148,27 @@ class PrimeTable:
             if magic != CACHE_MAGIC:
                 raise ValueError(f"{path}: bad prime-cache header")
             body = fh.read()
-        if len(body) % 8 or not body:
+        if len(body) % 8 or len(body) < 16:
             raise ValueError(f"{path}: truncated prime cache")
-        primes = list(struct.unpack(f"<{len(body) // 8}Q", body))
+        limit, *primes = struct.unpack(f"<{len(body) // 8}Q", body)
         if primes[0] != 2 or not all(map(lt, primes, primes[1:])):
             raise ValueError(f"{path}: cached primes do not ascend from 2")
+        if limit < primes[-1]:
+            raise ValueError(f"{path}: stored limit {limit} is below the last prime")
+        # checked before the windows, whose sieves grow with the limit
+        if limit > _SIEVE_CAP:
+            raise ValueError(f"{path}: sieve limit {limit} is above the cap of {_SIEVE_CAP}")
         # A fixed, evenly spaced sample of at most 64 entries plus the last.
         sample = primes[:: -(-len(primes) // 64)] + primes[-1:]
         if not all(map(is_rational_prime, sample)):
             raise ValueError(f"{path}: prime cache holds a composite")
-        top = primes[-1]
-        starts = {top * j // _WINDOWS for j in range(_WINDOWS)} | {top - _WINDOW_WIDTH}
+        starts = {limit * j // _WINDOWS for j in range(_WINDOWS)} | {limit - _WINDOW_WIDTH}
         for lo in sorted(max(a, 0) for a in starts):
-            hi = min(lo + _WINDOW_WIDTH, top)
+            hi = min(lo + _WINDOW_WIDTH, limit)
             stored = primes[bisect_left(primes, lo) : bisect_right(primes, hi)]
             if stored != _window_primes(lo, hi):
                 raise ValueError(f"{path}: prime cache misses or adds primes in [{lo}, {hi}]")
-        # Coverage can only be claimed up to the largest stored prime.
-        return cls(primes[-1], primes)
+        return cls(limit, primes)
 
 
 def ensure_table(limit: int, cache_path: str | None = None) -> PrimeTable:

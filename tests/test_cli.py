@@ -80,7 +80,7 @@ class TestSieve:
 
     def test_cache_that_skips_primes_is_resieved(self, capsys, tmp_path):
         cache = tmp_path / "gappy.bin"
-        cache.write_bytes(CACHE_MAGIC + struct.pack("<3Q", 2, 3, 1000003))
+        cache.write_bytes(CACHE_MAGIC + struct.pack("<4Q", 1000003, 2, 3, 1000003))
         code, out, err = run(
             capsys, "sieve", "--limit", "100", "--cache", str(cache), "--list"
         )
@@ -652,6 +652,21 @@ class TestPoolCap:
         assert out == ""
         assert "is above the cap of 10000000" in err
         assert "Traceback" not in err
+
+    def test_chain_shift_search_exits_two_before_building(self, capsys, monkeypatch):
+        """9999+i is even with im < 4, so the chain sheds 3 and the pool
+        it would need is the one for 9996+i."""
+
+        def allocating(*args):
+            raise AssertionError("a pool was built")
+
+        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        monkeypatch.setattr(gaussdecomp, "_pool_and_flags", allocating)
+        monkeypatch.setattr(primes, "_sieve_flags", allocating)
+        code, out, err = run(capsys, "decompose", "--z", "9999,1", "--primes", "kpi", "--chain")
+        assert code == 2
+        assert out == ""
+        assert err == "pool norm bound 99920018 is above the cap of 10000000"
 
 
 class TestTables:

@@ -12,7 +12,6 @@ import pytest
 from oracles import REGION_PREDICATES, gaussian_prime_by_division, obstruction_sweep, trial_prime
 
 from shnirel import (
-    BaseCaseError,
     Decomposition,
     GaussianInt,
     NormPolicy,
@@ -20,7 +19,6 @@ from shnirel import (
     Unit,
     box_targets,
     congruent_mod_one_plus_i,
-    extend_with_inert,
     find_decomposition,
     four_term_decompose,
     gaussian_prime_pool,
@@ -927,36 +925,6 @@ class TestSingle:
         assert calls == []
 
 
-class TestExtendWithInert:
-    def test_imaginary_shift_branch(self):
-        base, shift = extend_with_inert(GaussianInt(19, 17))
-        assert shift == GaussianInt(0, 3)
-        assert summand_strs(base) == ["19+14i"]
-        assert base.target == GaussianInt(19, 14)
-
-    def test_real_shift_branch(self):
-        base, shift = extend_with_inert(GaussianInt(9, 1))
-        assert shift == GaussianInt(3, 0)
-        assert summand_strs(base) == ["6+i"]
-
-    def test_requires_open_quadrant(self):
-        with pytest.raises(ValueError, match="positive real and imaginary"):
-            extend_with_inert(GaussianInt(8, 0))
-
-    def test_requires_matching_parity(self):
-        with pytest.raises(ValueError, match="parity"):
-            extend_with_inert(GaussianInt(8, 7))
-
-    def test_requires_large_component(self):
-        with pytest.raises(ValueError, match="component of at least 7"):
-            extend_with_inert(GaussianInt(4, 4))
-
-    def test_base_case_failure_surfaces(self):
-        for w in (GaussianInt(3, 7), GaussianInt(7, 3)):
-            with pytest.raises(BaseCaseError):
-                extend_with_inert(w)
-
-
 class TestFourTermDecompose:
     def test_even_targets_shed_an_inert_prime(self):
         dec, route = four_term_decompose(GaussianInt(19, 17))
@@ -1011,13 +979,30 @@ class TestFourTermDecompose:
         dec, route = four_term_decompose(GaussianInt(28, 6), GPI)
         assert route == "shift-3"
         assert summand_strs(dec) == ["25+6i", "3"]
-        base, shift = extend_with_inert(GaussianInt(28, 6), GPI)
-        assert shift == GaussianInt(3, 0)
-        assert summand_strs(base) == ["25+6i"]
 
-    def test_region_without_an_inert_shift(self):
-        with pytest.raises(ValueError, match="neither 3i nor 3"):
-            extend_with_inert(GaussianInt(19, 17), Region.OPEN_QUADRANT)
+    def test_region_without_an_inert_shift_falls_back(self):
+        # the open quadrant holds neither 3i nor 3, so no shift is tried
+        dec, route = four_term_decompose(GaussianInt(19, 17), Region.OPEN_QUADRANT)
+        assert route == "fallback"
+        assert summand_strs(dec) == ["17+12i", "2+5i"]
+
+    def test_pool_cap_of_the_shift_search_propagates(self):
+        # 9999+i sheds 3, so the cap error names the bound for 9996+i
+        with pytest.raises(ValueError, match="pool norm bound 99920018 is above the cap"):
+            four_term_decompose(GaussianInt(9999, 1))
+
+    def test_odd_targets_search_once(self, monkeypatch):
+        # four odd primes never sum to an odd target: no four-term retry
+        calls = []
+        real = gaussdecomp._dfs
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gaussdecomp, "_dfs", counting)
+        assert four_term_decompose(GaussianInt(7, 6), Region.PRIME_SECTOR) is None
+        assert [c[:3] for c in calls] == [(7, 6, 3)]
 
     @pytest.mark.parametrize("region", [KPI, GPI, SPI])
     def test_even_chains_verify_in_every_prime_region(self, region):
@@ -1041,8 +1026,6 @@ class TestFourTermDecompose:
             four_term_decompose(GaussianInt(9, 0))
         with pytest.raises(ValueError, match="component above 4"):
             four_term_decompose(GaussianInt(4, 3))
-        with pytest.raises(ValueError, match="component above 6"):
-            four_term_decompose(GaussianInt(5, 5), c1=6)
 
 
 class TestDecompositionObject:

@@ -103,8 +103,8 @@ class TestCacheFile:
         table.save(path)
         loaded = PrimeTable.load(path)
         assert loaded.primes == table.primes
-        # coverage is only claimed up to the largest stored prime
-        assert loaded.limit == table.primes[-1] == 499
+        # the file stores the sieve limit, past the largest prime 499
+        assert loaded.limit == 500
 
     def test_bad_magic_rejected(self, tmp_path):
         path = str(tmp_path / "bad.bin")
@@ -132,10 +132,24 @@ class TestCacheFile:
         first = ensure_table(100, path)
         assert os.path.exists(path)
         assert first.limit == 100
-        # 97 is the largest stored prime, so coverage to 97 is reusable
+        # the stored limit 100 covers any request up to it
         again = ensure_table(97, path)
-        assert again.limit == 97
+        assert again.limit == 100
         assert again.primes == first.primes
+
+    def test_rerun_at_a_composite_limit_reuses_the_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "cache.bin")
+        ensure_table(100, path)
+        with open(path, "rb") as fh:
+            stored = fh.read()
+
+        def sieving(*args):
+            raise AssertionError("the cache was re-sieved")
+
+        monkeypatch.setattr(PrimeTable, "sieve", sieving)
+        assert ensure_table(100, path).limit == 100
+        with open(path, "rb") as fh:
+            assert fh.read() == stored
 
     def test_ensure_table_resieves_past_coverage(self, tmp_path):
         path = str(tmp_path / "cache.bin")
@@ -154,9 +168,12 @@ class TestCacheFile:
         assert table.primes[0] == 2
         assert PrimeTable.load(path).primes == table.primes
 
-    def write_primes(self, path, primes):
+    def write_primes(self, path, primes, limit=None):
+        """A cache file by hand: the limit (by default the last prime),
+        then the primes."""
+        limit = primes[-1] if limit is None else limit
         with open(path, "wb") as fh:
-            fh.write(CACHE_MAGIC + struct.pack(f"<{len(primes)}Q", *primes))
+            fh.write(CACHE_MAGIC + struct.pack(f"<{len(primes) + 1}Q", limit, *primes))
 
     def test_composite_rejected(self, tmp_path):
         path = str(tmp_path / "composite.bin")
@@ -206,7 +223,26 @@ class TestCacheFile:
         with pytest.raises(ValueError, match=r"misses or adds primes in \[0, 2048\]"):
             PrimeTable.load(path)
         assert ensure_table(100, path).primes == PrimeTable.sieve(100).primes
-        assert PrimeTable.load(path).limit == 97
+        assert PrimeTable.load(path).limit == 100
+
+    def test_limit_below_the_last_prime_is_resieved(self, tmp_path):
+        path = str(tmp_path / "short.bin")
+        self.write_primes(path, PrimeTable.sieve(100).primes, limit=90)
+        with pytest.raises(ValueError, match="stored limit 90 is below the last prime"):
+            PrimeTable.load(path)
+        assert ensure_table(100, path).primes == PrimeTable.sieve(100).primes
+        assert PrimeTable.load(path).limit == 100
+
+    def test_prime_missing_past_the_last_stored_one_is_resieved(self, tmp_path):
+        path = str(tmp_path / "tail.bin")
+        want = PrimeTable.sieve(20000).primes
+        assert want[-2:] == [19993, 19997]
+        # only the tail window, which ends at the limit, reaches 19997
+        self.write_primes(path, want[:-1], limit=20000)
+        with pytest.raises(ValueError, match=r"misses or adds primes in \[17952, 20000\]"):
+            PrimeTable.load(path)
+        assert ensure_table(20000, path).primes == want
+        assert PrimeTable.load(path).primes == want
 
     def test_cache_missing_a_middle_prime_rejected(self, tmp_path):
         path = str(tmp_path / "middle.bin")
