@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -143,7 +144,7 @@ class RoutedDecomposition(Report):
 def cmd_sieve(args) -> int:
     table = ensure_table(args.limit, args.cache)
     primes = table.primes if args.mod4 is None else table.residue_class(args.mod4)
-    primes = tuple(p for p in primes if p <= args.limit)
+    primes = tuple(primes[: bisect_right(primes, args.limit)])
     _emit(args, SieveReport(args.limit, primes, args.cache, args.mod4, args.list))
     _summary(f"primes: {len(primes)} up to {args.limit}")
     return 0

@@ -12,7 +12,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -394,24 +393,6 @@ def find_decomposition(
     return dec
 
 
-def region_targets(region: Region, norm_bound: int) -> list[GaussianInt]:
-    """Region members with norm in [1, norm_bound], canonical order. The
-    bound is capped at 500**2, as scan_box caps its sides at 500."""
-    if norm_bound < 1:
-        raise ValueError("norm_bound must be at least 1")
-    if norm_bound > 500**2:
-        raise ValueError("norm_bound is capped at 250000")
-    top = isqrt(norm_bound)
-    out: list[tuple[int, int, int]] = []
-    for re in range(-top, top + 1):
-        rr = re * re
-        reach = isqrt(norm_bound - rr)
-        lo, hi = region.im_span(re, -reach, reach)
-        out += [(rr + im * im, re, im) for im in range(lo, hi + 1)]
-    out.sort()
-    return [GaussianInt(re, im) for n, re, im in out if n]
-
-
 def box_targets(
     region: Region,
     re_range: tuple[int, int],
@@ -731,20 +712,6 @@ def scan_targets(
     return ScanReport(term_region, target_desc, max_terms, policy, tuple(rows))
 
 
-def scan_representability(
-    region: Region,
-    norm_bound: int,
-    max_terms: int,
-    policy: NormPolicy = NormPolicy.STRICT_LESS,
-) -> ScanReport:
-    """Scan every region member with norm up to norm_bound, drawing odd
-    summands from the same region. Targets of either parity are scanned.
-    """
-    targets = region_targets(region, norm_bound)
-    desc = f"{region.value} norm 1..{norm_bound}"
-    return scan_targets(targets, region, max_terms, policy, desc)
-
-
 def scan_box(
     target_region: Region,
     re_range: tuple[int, int],
@@ -922,9 +889,7 @@ __all__ = [
     "find_decomposition",
     "four_term_decompose",
     "obstruction_line_report",
-    "region_targets",
     "scan_box",
-    "scan_representability",
     "scan_targets",
     "verify_decomposition",
     "verify_diagonal_obstruction",

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 import struct
-from bisect import bisect_left, bisect_right
 from itertools import compress
 from math import isqrt
 from operator import lt
@@ -65,68 +64,40 @@ def _sieve_flags(limit: int) -> bytearray:
     return flags
 
 
-# A loaded cache must list exactly the primes a segmented sieve finds in
-# windows at eight evenly spaced starts and at the end of its range, which
-# runs to the stored sieve limit, not just to the last stored prime; like
-# the composite sample, this catches a skipped prime only where it looks.
-_WINDOWS = 8
-_WINDOW_WIDTH = 2048
-
-
-def _window_primes(lo: int, hi: int) -> list[int]:
-    """Primes in [lo, hi] by a segmented sieve over its own small primes."""
-    flags = bytearray([1]) * (hi - lo + 1)
-    for n in range(lo, min(hi, 1) + 1):
-        flags[n - lo] = 0
-    base = _sieve_flags(max(isqrt(hi), 2))
-    for p in compress(range(len(base)), base):
-        start = max(p * p, -(-lo // p) * p)
-        flags[start - lo :: p] = bytes(len(range(start, hi + 1, p)))
-    return list(compress(range(lo, hi + 1), flags))
-
-
 class PrimeTable:
     """Sieved primes up to a limit, with mod-4 residue views."""
 
-    __slots__ = ("limit", "primes", "_flags", "_mod4")
+    __slots__ = ("limit", "primes", "_flags")
 
-    def __init__(self, limit: int, primes: list[int]):
-        if limit < 2:
-            raise ValueError("limit must be at least 2")
-        if limit > _SIEVE_CAP:
-            raise ValueError(f"sieve limit {limit} is above the cap of {_SIEVE_CAP}")
-        self.limit = limit
-        self.primes = primes
-        flags = bytearray(limit + 1)
-        for p in primes:
-            flags[p] = 1
-        self._flags = flags
-        self._mod4: dict[int, list[int]] = {}
-
-    @classmethod
-    def sieve(cls, limit: int) -> "PrimeTable":
+    def __init__(self, limit: int, primes: list[int] | None = None):
+        """The primes up to limit, listed off the sieve flags. A given list
+        is kept only if it is exactly that list: distinct flagged entries
+        in 2..limit, as many as the flags hold, are every prime up to
+        limit, and ascending they are in order."""
         if limit < 2:
             raise ValueError("limit must be at least 2")
         flags = _sieve_flags(limit)
-        table = cls.__new__(cls)
-        table.limit = limit
-        table.primes = list(compress(range(limit + 1), flags))
-        table._flags = flags
-        table._mod4 = {}
-        return table
+        if primes is None:
+            primes = list(compress(range(limit + 1), flags))
+        elif not (
+            primes[:1] == [2]
+            and primes[-1] <= limit
+            and len(primes) == flags.count(1)
+            and all(map(lt, primes, primes[1:]))
+            and all(map(flags.__getitem__, primes))
+        ):
+            raise ValueError(f"the list is not the primes up to {limit}")
+        self.limit = limit
+        self.primes = primes
+        self._flags = flags
 
-    def is_prime(self, n: int) -> bool:
-        if n < 0 or n > self.limit:
-            raise ValueError(f"{n} outside sieve limit {self.limit}")
-        return bool(self._flags[n])
+    @classmethod
+    def sieve(cls, limit: int) -> "PrimeTable":
+        return cls(limit)
 
     def residue_class(self, r: int) -> list[int]:
         """Primes congruent to r mod 4, ascending."""
-        got = self._mod4.get(r)
-        if got is None:
-            got = [p for p in self.primes if p % 4 == r]
-            self._mod4[r] = got
-        return got
+        return [p for p in self.primes if p % 4 == r]
 
     def save(self, path: str) -> None:
         # the sieve limit, then the primes up to it
@@ -155,24 +126,15 @@ class PrimeTable:
             raise ValueError(f"{path}: cached primes do not ascend from 2")
         if limit < primes[-1]:
             raise ValueError(f"{path}: stored limit {limit} is below the last prime")
-        # checked before the windows, whose sieves grow with the limit
         if limit > _SIEVE_CAP:
             raise ValueError(f"{path}: sieve limit {limit} is above the cap of {_SIEVE_CAP}")
-        # A fixed, evenly spaced sample of at most 64 entries plus the last.
-        sample = primes[:: -(-len(primes) // 64)] + primes[-1:]
-        if not all(map(is_rational_prime, sample)):
-            raise ValueError(f"{path}: prime cache holds a composite")
-        starts = {limit * j // _WINDOWS for j in range(_WINDOWS)} | {limit - _WINDOW_WIDTH}
-        for lo in sorted(max(a, 0) for a in starts):
-            hi = min(lo + _WINDOW_WIDTH, limit)
-            stored = primes[bisect_left(primes, lo) : bisect_right(primes, hi)]
-            if stored != _window_primes(lo, hi):
-                raise ValueError(f"{path}: prime cache misses or adds primes in [{lo}, {hi}]")
         return cls(limit, primes)
 
 
 def ensure_table(limit: int, cache_path: str | None = None) -> PrimeTable:
     """Return a table covering limit, reusing or refreshing the cache file."""
+    if limit < 2:
+        raise ValueError("limit must be at least 2")
     if cache_path and os.path.exists(cache_path):
         try:
             table = PrimeTable.load(cache_path)

@@ -88,6 +88,27 @@ class TestSieve:
         assert [int(p) for p in out.split()] == [p for p in range(101) if trial_prime(p)]
         assert err == "primes: 25 up to 100"
 
+    def test_cache_missing_a_prime_prints_what_the_sieve_does(self, capsys, tmp_path):
+        cache = tmp_path / "between.bin"
+        want = [p for p in range(20001) if trial_prime(p)]
+        listed = [p for p in want if p != 2053]
+        cache.write_bytes(CACHE_MAGIC + struct.pack(f"<{len(listed) + 1}Q", 20000, *listed))
+        argv = ("sieve", "--limit", "20000", "--format", "csv")
+        _, plain, _ = run(capsys, *argv)
+        code, cached, err = run(capsys, *argv, "--cache", str(cache))
+        assert code == 0
+        assert cached == plain == f"limit,count,largest\n20000,{len(want)},19997\n"
+        assert err == f"primes: {len(want)} up to 20000"
+
+    @pytest.mark.parametrize("limit", ["1", "-5"])
+    def test_limit_below_two_exits_two_with_a_cache(self, capsys, tmp_path, limit):
+        cache = tmp_path / "primes.bin"
+        assert run(capsys, "sieve", "--limit", "100", "--cache", str(cache))[0] == 0
+        code, out, err = run(capsys, "sieve", "--limit", limit, "--cache", str(cache))
+        assert code == 2
+        assert out == ""
+        assert err == "limit must be at least 2"
+
     def test_cache_directory_exits_two(self, capsys, tmp_path):
         code, out, err = run(capsys, "sieve", "--limit", "100", "--cache", str(tmp_path))
         assert code == 2

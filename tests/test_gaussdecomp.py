@@ -24,9 +24,7 @@ from shnirel import (
     gaussian_prime_pool,
     is_gaussian_prime,
     obstruction_line_report,
-    region_targets,
     scan_box,
-    scan_representability,
     scan_targets,
     sector_form,
     verify_decomposition,
@@ -333,40 +331,17 @@ class TestVerifyDecomposition:
 
 
 class TestTargetEnumeration:
-    def test_region_targets_small(self):
-        got = region_targets(KPI, 5)
-        assert [str(z) for z in got] == ["i", "1", "1+i", "2i", "2", "1+2i", "2+i"]
-
     @pytest.mark.parametrize("region", list(Region))
-    def test_region_targets_match_the_predicate(self, region):
-        """Every point of the region with norm in [1, 200], both parities,
-        in (norm, re, im) order."""
+    def test_box_targets_match_the_predicate(self, region):
+        """Every nonzero point of the region in the box, both parities, in
+        (norm, re, im) order."""
         member = REGION_PREDICATES[region.value]
         want = sorted(
             (GaussianInt(re, im) for re in range(-15, 16) for im in range(-15, 16)
-             if 0 < re * re + im * im <= 200 and member(re, im)),
+             if (re, im) != (0, 0) and member(re, im)),
             key=GaussianInt.key,
         )
-        assert region_targets(region, 200) == want
-
-    def test_region_targets_guard(self):
-        with pytest.raises(ValueError):
-            region_targets(KPI, 0)
-
-    def test_region_targets_cap_fires_before_any_allocation(self, monkeypatch):
-        def allocating(*args):
-            raise AssertionError("region_targets started building")
-
-        monkeypatch.setattr(gaussdecomp, "isqrt", allocating)
-        monkeypatch.setattr(gaussdecomp, "GaussianInt", allocating)
-        for bound in (500**2 + 1, 10**30):
-            with pytest.raises(ValueError, match="norm_bound is capped at 250000"):
-                region_targets(KPI, bound)
-            with pytest.raises(ValueError, match="norm_bound is capped at 250000"):
-                scan_representability(KPI, bound, 3)
-        # at the cap itself the enumeration goes ahead
-        with pytest.raises(AssertionError, match="started building"):
-            region_targets(KPI, 500**2)
+        assert box_targets(region, (-15, 15), (-15, 15)) == want
 
     def test_box_targets_with_component_floor(self):
         got = box_targets(Region.OPEN_QUADRANT, (1, 3), (1, 3), 3)
@@ -397,15 +372,6 @@ class TestScans:
         report = scan_targets([GaussianInt(7, 0)], KPI, 3, NormPolicy.NONE)
         assert report.exceptions == ()
         assert report.rows[0][1] == 1
-
-    def test_representability_wrapper(self):
-        report = scan_representability(KPI, 30, 3, NormPolicy.NONE)
-        assert report.target_desc == "kpi norm 1..30"
-        assert len(report.rows) == 29
-        assert report.term_counts == {1: 10, 2: 5}
-        assert len(report.exceptions) == 14
-        # targets are not parity filtered, only summands are
-        assert GaussianInt(1, 1) in [z for z, _, _ in report.rows]
 
     def test_box_scan_shape(self):
         report = scan_box(
@@ -584,7 +550,7 @@ class TestScans:
                 uses += 1
         assert uses > len(built)
 
-    @pytest.mark.parametrize("scan", [scan_targets, scan_box, scan_representability])
+    @pytest.mark.parametrize("scan", [scan_targets, scan_box])
     def test_scans_take_no_jobs(self, scan):
         """Scans run in the calling process; no entry point takes a job count."""
         assert "jobs" not in inspect.signature(scan).parameters

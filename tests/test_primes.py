@@ -53,20 +53,6 @@ class TestPrimeTable:
         assert table.primes == want
         assert len(table.primes) == 1229
 
-    def test_is_prime_flags(self):
-        table = PrimeTable.sieve(100)
-        assert table.is_prime(97)
-        assert not table.is_prime(91)
-        assert not table.is_prime(0)
-        assert not table.is_prime(1)
-
-    def test_is_prime_outside_limit(self):
-        table = PrimeTable.sieve(100)
-        with pytest.raises(ValueError):
-            table.is_prime(101)
-        with pytest.raises(ValueError):
-            table.is_prime(-1)
-
     def test_residue_classes_partition_odd_primes(self):
         table = PrimeTable.sieve(5000)
         ones = table.residue_class(1)
@@ -74,8 +60,16 @@ class TestPrimeTable:
         assert all(p % 4 == 1 for p in ones)
         assert all(q % 4 == 3 for q in threes)
         assert sorted(ones + threes) == [p for p in table.primes if p > 2]
-        # memoized view: repeated calls hand back the same list
-        assert table.residue_class(1) is ones
+
+    def test_given_list_must_be_exactly_the_primes(self):
+        want = PrimeTable.sieve(100).primes
+        assert PrimeTable(100, list(want)).primes == want
+        # the first three have the true length, every entry prime and at most 100
+        duplicate = [2, 3, 3] + want[2:-1]
+        moved = want[:2] + [want[3], want[2]] + want[4:]
+        for stored in (duplicate, moved, [want[-1]] + want[:-1], want[:-1], want[1:]):
+            with pytest.raises(ValueError, match="not the primes up to 100"):
+                PrimeTable(100, stored)
 
     def test_tiny_limits(self):
         assert PrimeTable.sieve(2).primes == [2]
@@ -180,7 +174,7 @@ class TestCacheFile:
         primes = PrimeTable.sieve(100).primes
         # 51 = 3 * 17 keeps the list ascending between 47 and 53
         self.write_primes(path, [51 if p == 53 else p for p in primes])
-        with pytest.raises(ValueError, match="composite"):
+        with pytest.raises(ValueError, match="not the primes up to 97"):
             PrimeTable.load(path)
 
     def test_swapped_order_rejected(self, tmp_path):
@@ -202,7 +196,7 @@ class TestCacheFile:
         primes = PrimeTable.sieve(20000).primes
         primes[-1] += 2  # 19997 + 2 = 19999 = 7 * 2857, still ascending
         self.write_primes(path, primes)
-        with pytest.raises(ValueError, match="composite"):
+        with pytest.raises(ValueError, match="not the primes up to 19999"):
             PrimeTable.load(path)
 
     def test_ensure_table_recovers_from_bad_caches(self, tmp_path):
@@ -220,7 +214,7 @@ class TestCacheFile:
     def test_cache_that_skips_primes_rejected(self, tmp_path):
         path = str(tmp_path / "gappy.bin")
         self.write_primes(path, [2, 3, 1000003])
-        with pytest.raises(ValueError, match=r"misses or adds primes in \[0, 2048\]"):
+        with pytest.raises(ValueError, match="not the primes up to 1000003"):
             PrimeTable.load(path)
         assert ensure_table(100, path).primes == PrimeTable.sieve(100).primes
         assert PrimeTable.load(path).limit == 100
@@ -239,7 +233,7 @@ class TestCacheFile:
         assert want[-2:] == [19993, 19997]
         # only the tail window, which ends at the limit, reaches 19997
         self.write_primes(path, want[:-1], limit=20000)
-        with pytest.raises(ValueError, match=r"misses or adds primes in \[17952, 20000\]"):
+        with pytest.raises(ValueError, match="not the primes up to 20000"):
             PrimeTable.load(path)
         assert ensure_table(20000, path).primes == want
         assert PrimeTable.load(path).primes == want
@@ -250,16 +244,26 @@ class TestCacheFile:
         # 10007 is the first prime of the window starting at 19997 // 2
         assert min(p for p in want if p >= want[-1] // 2) == 10007
         self.write_primes(path, [p for p in want if p != 10007])
-        with pytest.raises(ValueError, match="misses or adds primes"):
+        with pytest.raises(ValueError, match="not the primes up to 19997"):
             PrimeTable.load(path)
         assert ensure_table(19997, path).primes == want
+        assert PrimeTable.load(path).primes == want
+
+    def test_cache_missing_a_prime_between_old_windows_is_resieved(self, tmp_path):
+        path = str(tmp_path / "between.bin")
+        want = PrimeTable.sieve(20000).primes
+        # 2053 is past [0, 2048] and before 2500, where no window looked
+        self.write_primes(path, [p for p in want if p != 2053], limit=20000)
+        with pytest.raises(ValueError, match="not the primes up to 20000"):
+            PrimeTable.load(path)
+        assert ensure_table(20000, path).primes == want
         assert PrimeTable.load(path).primes == want
 
     def test_table_limit_is_capped(self, tmp_path, monkeypatch):
         path = str(tmp_path / "past.bin")
         self.write_primes(path, PrimeTable.sieve(1100).primes)
         monkeypatch.setattr(primes, "_SIEVE_CAP", 1000)
-        assert PrimeTable(1000, [2]).limit == 1000
+        assert PrimeTable(1000).limit == 1000
         with pytest.raises(ValueError, match="sieve limit 1001 is above the cap"):
             PrimeTable(1001, [2])
         # a cache past the cap would size its flags past it: re-sieve instead
