@@ -550,6 +550,18 @@ class TestScans:
                 uses += 1
         assert uses > len(built)
 
+    def test_box_cap_fires_before_any_enumeration(self, monkeypatch):
+        def enumerating(*args):
+            raise AssertionError("scan_box started enumerating")
+
+        monkeypatch.setattr(gaussdecomp, "box_targets", enumerating)
+        for re_range, im_range in (((0, 500), (0, 1)), ((0, 1), (-250, 250))):
+            with pytest.raises(ValueError, match="box sides are capped at 500"):
+                scan_box(KPI, re_range, im_range, KPI, 3)
+        # a side of 499 steps goes ahead
+        with pytest.raises(AssertionError, match="started enumerating"):
+            scan_box(KPI, (0, 499), (0, 499), KPI, 3)
+
     @pytest.mark.parametrize("scan", [scan_targets, scan_box])
     def test_scans_take_no_jobs(self, scan):
         """Scans run in the calling process; no entry point takes a job count."""

@@ -71,6 +71,14 @@ class TestPrimeTable:
             with pytest.raises(ValueError, match="not the primes up to 100"):
                 PrimeTable(100, stored)
 
+    @pytest.mark.parametrize("limit", [3, 4, 9, 25, 48, 49, 50, 97, 120, 121, 169])
+    def test_sieve_edges_match_trial_division(self, limit):
+        """Limits at and beside prime squares, where the crossing-off loop
+        starts or stops, and at a prime itself."""
+        assert PrimeTable.sieve(limit).primes == [
+            n for n in range(2, limit + 1) if trial_prime(n)
+        ]
+
     def test_tiny_limits(self):
         assert PrimeTable.sieve(2).primes == [2]
         with pytest.raises(ValueError):
