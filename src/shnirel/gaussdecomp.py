@@ -12,10 +12,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .primes import _pool_and_flags, gaussian_prime_pool, is_gaussian_prime
+from .primes import _pool_annulus, _prime_norm_flags, gaussian_prime_pool, is_gaussian_prime
 from .report import Report
 from .zcore import (
     ZERO,
@@ -181,24 +182,43 @@ def _bounds(targets: Sequence[GaussianInt], region: Region, policy: NormPolicy) 
 # x86-64); the sieve cap of 10^8 would allow ten times that.
 _POOL_CAP = 10**7
 
-# region -> (bound, pool, flags), as _pool_and_flags returns them; pools
-# grow monotonically.
-_POOL_CACHE: dict[Region, tuple[int, list, bytearray]] = {}
+
+class _Pool:
+    """A region's prime-norm flags, and its pool list of odd primes of
+    norm below swept in (norm, re, im) order, swept in annuli of norm and
+    only appended to: a search holding the list sees every later annulus."""
+
+    def __init__(self, region: Region):
+        self.region, self.flags, self.entries, self.swept = region, bytearray(), [], 0
+
+    def sweep(self, hi: int) -> None:
+        """Append the entries of norm swept..hi - 1 (hi <= len(flags))."""
+        if hi > self.swept:
+            self.entries += _pool_annulus(self.region, self.flags, self.swept, hi)
+            self.swept = hi
+
+    def grow(self, stop: int) -> bool:
+        """Sweep out to twice the radius if the list may lack a norm <= stop; say if it did."""
+        if self.swept > stop:
+            return False
+        self.sweep(min(max(4 * self.swept, 512), len(self.flags)))
+        return True
 
 
-def _pool_for(region: Region, bound: int):
-    """(pool, flags) for the region's odd primes, the pool holding at
-    least every one of norm below bound."""
+_POOL_CACHE: dict[Region, _Pool] = {}  # one per region; flags and list only grow
+
+
+def _pool_for(region: Region, bound: int, swept: int) -> _Pool:
+    """The region's cached _Pool, its flags reaching at least norm bound
+    and its list swept to at least norm swept <= bound in one annulus."""
     if bound > _POOL_CAP:
         raise ValueError(f"pool norm bound {bound} is above the cap of {_POOL_CAP}")
-    got = _POOL_CACHE.get(region)
-    if got is not None and got[0] >= bound:
-        return got[1], got[2]
-    # doubling, but never past the cap
-    grown = max(bound, min(2 * got[0], _POOL_CAP) if got else 0, 512)
-    pool, flags = _pool_and_flags(region, grown)
-    _POOL_CACHE[region] = (grown, pool, flags)
-    return pool, flags
+    got = _POOL_CACHE.setdefault(region, _Pool(region))
+    if len(got.flags) < bound:
+        # doubling, but never past the cap
+        got.flags = _prime_norm_flags(max(bound, min(2 * len(got.flags), _POOL_CAP), 512))
+    got.sweep(swept)
+    return got
 
 
 def _member(region: Region, flags) -> Callable:
@@ -230,14 +250,16 @@ def _dfs(
     t_re: int,
     t_im: int,
     k: int,
-    pool: list,
+    pool: _Pool,
     member: Callable,
     cone,
     cap: int,
 ) -> list[tuple[int, int, int]] | None:
     """The lexicographically first non-decreasing k-tuple (k >= 2) of
-    pool entries summing to the target, all norms below cap, ascending."""
+    pool entries summing to the target, all norms below cap, ascending.
+    Any level may grow the list, so each loop reads on past its end."""
     (a1, b1, _), (a2, b2, _) = cone
+    entries, grow = pool.entries, pool.grow
     acc: list[tuple[int, int, int]] = []
 
     def rec(re: int, im: int, terms: int, lo: int) -> bool:
@@ -247,23 +269,26 @@ def _dfs(
         u, v, stop = got
         if stop > cap - 1:
             stop = cap - 1
-        for i in range(lo, len(pool)):
-            p = pool[i]
-            pre, pim, pn = p
-            if pn > stop:
-                break
-            if a1 * pre + b1 * pim > u or a2 * pre + b2 * pim > v:
-                continue
-            if terms == 2:  # the residual is the last term, no earlier than p
-                last = member(re - pre, im - pim, p, cap)
-                if last is not None:
-                    acc.extend((p, last))
+        while lo < len(entries) or grow(stop):
+            end = len(entries)
+            for i in range(lo, end):
+                p = entries[i]
+                pre, pim, pn = p
+                if pn > stop:
+                    return False
+                if a1 * pre + b1 * pim > u or a2 * pre + b2 * pim > v:
+                    continue
+                if terms == 2:  # the residual is the last term, no earlier than p
+                    last = member(re - pre, im - pim, p, cap)
+                    if last is not None:
+                        acc.extend((p, last))
+                        return True
+                    continue
+                acc.append(p)
+                if rec(re - pre, im - pim, terms - 1, i):
                     return True
-                continue
-            acc.append(p)
-            if rec(re - pre, im - pim, terms - 1, i):
-                return True
-            acc.pop()
+                acc.pop()
+            lo = end
         return False
 
     return acc if rec(t_re, t_im, k, 0) else None
@@ -285,7 +310,7 @@ def _single(
 
 def _search(
     re: int, im: int, k_lo: int, max_terms: int,
-    region: Region, cap: int, pool: list, member: Callable,
+    region: Region, cap: int, pool: _Pool, member: Callable,
 ) -> list[tuple[int, int, int]] | None:
     """The canonical decomposition of re + im*i with the fewest terms k,
     k_lo <= k <= max_terms (k_lo >= 2), into entries of the pool and its
@@ -382,8 +407,8 @@ def find_decomposition(
         if max_terms == 1 or not live:
             return None
         cap = live[0][5]
-        pool, flags = _pool_for(region, cap)
-        member = _member(region, flags)
+        pool = _pool_for(region, cap, 0)  # the search sweeps the list as it reads it
+        member = _member(region, pool.flags)
         found = _search(z.re, z.im, 2, max_terms, region, cap, pool, member)
         if found is None:
             return None
@@ -625,15 +650,15 @@ def _minimal_terms(
         return out, None
     _, res, ims, us, vs, caps = zip(*live)
     top = max(caps)
-    pool = pool[: bisect_left(pool, top, key=itemgetter(2))]
+    cut = bisect_left(pool, top, key=itemgetter(2))  # the entries of norm below top
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
     # each level shift-ORs the whole window once per point
-    ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * len(pool) * (max_terms - 1)
+    ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * cut * (max_terms - 1)
     if ops > _SUMSET_OPS_PER_TARGET * count:
         for i, *_, cap in live:
             out[i] = (2, cap)
         return out, None
-    width, levels = _sumsets(pool, region, re_lo, re_hi, im_lo, im_hi, max_terms)
+    width, levels = _sumsets(islice(pool, cut), region, re_lo, re_hi, im_lo, im_hi, max_terms)
     rows, span = re_hi - re_lo + 1, im_hi - im_lo + 1
     strings = [format(level, f"0{rows * width}b")[::-1] for level in levels]
     for i, re, im, *_, cap in live:
@@ -646,7 +671,7 @@ def _minimal_terms(
     def walk(re: int, im: int, k: int) -> list[tuple[int, int, int]]:
         terms, lo, r, j = [], 0, re - re_lo, im - im_lo  # r, j: residual in the window
         for bits in strings[k - 2 :: -1]:
-            for i in range(lo, len(pool)):
+            for i in range(lo, cut):
                 x, y = r - pool[i][0], j - pool[i][1]
                 if 0 <= x < rows and 0 <= y < span and bits[x * width + y] == "1":
                     terms.append(pool[i])
@@ -684,9 +709,11 @@ def scan_targets(
     if any(z.is_zero() for z in targets):
         raise ValueError("target must be nonzero")
     live = _bounds(targets, term_region, policy) if max_terms >= 2 else []
-    pool, flags = _pool_for(term_region, max((t[5] for t in live), default=2))
+    top = max((t[5] for t in live), default=2)
+    pool = _pool_for(term_region, top, top)
+    flags = pool.flags
     member = _member(term_region, flags)
-    proofs, walk = _minimal_terms(len(targets), live, pool, member, term_region, max_terms)
+    proofs, walk = _minimal_terms(len(targets), live, pool.entries, member, term_region, max_terms)
     del live  # a tuple of six per target: free it before the rows grow
     made: dict = {}  # pool entry -> its GaussianInt, built once per call
     rows = []

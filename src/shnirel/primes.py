@@ -86,7 +86,7 @@ class PrimeTable:
             and all(map(lt, primes, primes[1:]))
             and all(map(flags.__getitem__, primes))
         ):
-            raise ValueError(f"the list is not the primes up to {limit}")
+            raise ValueError(f"the list is not the primes up to {limit} in ascending order")
         self.limit = limit
         self.primes = primes
         self._flags = flags
@@ -122,8 +122,6 @@ class PrimeTable:
         if len(body) % 8 or len(body) < 16:
             raise ValueError(f"{path}: truncated prime cache")
         limit, *primes = struct.unpack(f"<{len(body) // 8}Q", body)
-        if primes[0] != 2 or not all(map(lt, primes, primes[1:])):
-            raise ValueError(f"{path}: cached primes do not ascend from 2")
         if limit < primes[-1]:
             raise ValueError(f"{path}: stored limit {limit} is below the last prime")
         if limit > _SIEVE_CAP:
@@ -163,46 +161,46 @@ def is_gaussian_prime(z: GaussianInt) -> bool:
 def gaussian_prime_pool(region: Region, norm_bound: int) -> list[tuple[int, int, int]]:
     """All odd Gaussian primes in the region with norm below norm_bound,
     as (re, im, norm) triples sorted by (norm, re, im)."""
-    return _pool_and_flags(region, norm_bound)[0]
-
-
-def _pool_and_flags(
-    region: Region, norm_bound: int
-) -> tuple[list[tuple[int, int, int]], bytearray]:
-    """(pool, flags): gaussian_prime_pool's list and the prime-norm flags
-    it was read off, flags[n] being 1 for 0 <= n < len(flags) exactly
-    when n is an odd prime or the square of a prime q = 3 mod 4.
-
-    One sweep over the region's odd lattice points (re + im odd) reads
-    primality off those flags: an odd z is a Gaussian prime exactly when
-    flags[norm(z)] is set (only the associates of q have norm q^2). The
-    only even primes are the associates of 1+i, of norm 2, so with
-    flags[2] clear a set flag means an odd prime at any point.
-    """
     if norm_bound < 2:
         raise ValueError("norm_bound must be at least 2")
-    limit = norm_bound - 1
-    if limit < 2:
-        return [], bytearray(limit + 1)
-    prime_norm = _sieve_flags(limit)
-    prime_norm[2] = 0
-    top = isqrt(limit)
-    for q in range(3, top + 1, 4):
-        if prime_norm[q]:
-            prime_norm[q * q] = 1
+    return _pool_annulus(region, _prime_norm_flags(norm_bound), 0, norm_bound)
+
+
+def _prime_norm_flags(norm_bound: int) -> bytearray:
+    """flags[n], 0 <= n < norm_bound, is 1 exactly when n is an odd prime
+    or the square of a prime q = 3 mod 4. So an odd z is a Gaussian prime
+    exactly when flags[norm(z)] is set (only the associates of q have norm
+    q^2), and with flags[2] clear a set flag means an odd prime at any
+    point: the only even primes, the associates of 1+i, have norm 2."""
+    if norm_bound < 3:  # no norm to sieve past 2
+        return bytearray(norm_bound)
+    flags = _sieve_flags(norm_bound - 1)
+    flags[2] = 0
+    for q in range(3, isqrt(norm_bound - 1) + 1, 4):
+        if flags[q]:
+            flags[q * q] = 1
+    return flags
+
+
+def _pool_annulus(region: Region, flags, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The odd primes of the region with lo <= norm < hi <= len(flags), as
+    gaussian_prime_pool's triples, read off the flags in one sweep over the
+    odd lattice points. The inner circle cuts a row into two im pieces."""
     found: list[tuple[int, int, int]] = []
+    top = isqrt(hi - 1)
     for re in range(-top, top + 1):
         rr = re * re
-        reach = isqrt(limit - rr)
-        lo, hi = region.im_span(re, -reach, reach)
-        lo += (re + lo + 1) % 2
-        found += [
-            (rr + im * im, re, im)
-            for im in range(lo, hi + 1, 2)
-            if prime_norm[rr + im * im]
-        ]
+        reach = isqrt(hi - 1 - rr)
+        a, b = region.im_span(re, -reach, reach)
+        a += (re + a + 1) % 2
+        pieces = [(a, b)]
+        if lo > rr and a <= b:  # the inner circle cuts |im| < inner out of the row
+            inner = isqrt(lo - rr - 1) + 1
+            pieces = [(a, min(b, -inner)), (max(a, inner + (re + inner + 1) % 2), b)]
+        for a, b in pieces:
+            found += [(rr + im * im, re, im) for im in range(a, b + 1, 2) if flags[rr + im * im]]
     found.sort()
-    return [(re, im, n) for n, re, im in found], prime_norm
+    return [(re, im, n) for n, re, im in found]
 
 
 def sector_gap_stats(norm_bound: int) -> tuple[int, int]:

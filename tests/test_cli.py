@@ -146,6 +146,12 @@ class TestDecompose:
         assert code == 0
         assert err == "terms: 3"
 
+    def test_search_that_reads_the_whole_pool_exits_one(self, capsys):
+        """No three kpi primes of norm below 360000 sum to 600: the search
+        grows its pool to the end and finds nothing."""
+        code, out, err = run(capsys, "decompose", "--z=600,0", "--primes", "kpi", "--strict-norm")
+        assert (code, out, err) == (1, "", "600: no decomposition into at most 3 terms")
+
     def test_unrepresentable_exits_one(self, capsys):
         code, _, err = run(
             capsys, "decompose", "--z", "2", "--primes", "kpi", "--strict-norm"
@@ -538,6 +544,13 @@ COMMAND_DIGESTS = {
     ("tables --regenerate", "md"): (0, "222d92e5f07a90dfc3205c4e4c48d5d2874a80e34d9f88dff9c8438be29e5901"),
     ("tables --regenerate", "csv"): (0, "5c8b3f35e9fa379f9636c4927b2c61cf2cd9a9cb511e1844798b18f67f2e0288"),
     ("tables --regenerate", "json"): (0, "659dd066cc0cf5334a0c9f4a8ce7fea97899ae257667762480c1bfd40808b033"),
+    # targets at the benchmark's pool scale, pool norm bounds 4.0-4.4 * 10^5,
+    # recorded while every search still swept its whole pool first; the spi
+    # and kpi ones follow smaller searches in their regions above, so they
+    # regrow the flags of a warm pool
+    ("decompose --z=598,226 --primes gammapi", "json"): (0, "966a9092b90f232448ba29715d47f3c96a781a64d129e2f34e6a8d7d3e82fbae"),
+    ("decompose --z=447,-205 --primes spi", "json"): (0, "21674544fe78ba43a803d4728d756e6b00fc76d272a655791f0dfa16302ba5e8"),
+    ("solve-conj1 --a 540 --b 384", "json"): (0, "4cc9fe3d4301beeebfe50078087516d26251b6b005c09b27f333fb1e6a979493"),
 }
 
 
@@ -666,7 +679,8 @@ class TestPoolCap:
             raise AssertionError("a pool was built")
 
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-        monkeypatch.setattr(gaussdecomp, "_pool_and_flags", allocating)
+        monkeypatch.setattr(gaussdecomp, "_prime_norm_flags", allocating)
+        monkeypatch.setattr(gaussdecomp, "_pool_annulus", allocating)
         monkeypatch.setattr(primes, "_sieve_flags", allocating)
         code, out, err = run(capsys, "decompose", "--z", z, "--primes", "kpi")
         assert code == 2
@@ -682,7 +696,8 @@ class TestPoolCap:
             raise AssertionError("a pool was built")
 
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-        monkeypatch.setattr(gaussdecomp, "_pool_and_flags", allocating)
+        monkeypatch.setattr(gaussdecomp, "_prime_norm_flags", allocating)
+        monkeypatch.setattr(gaussdecomp, "_pool_annulus", allocating)
         monkeypatch.setattr(primes, "_sieve_flags", allocating)
         code, out, err = run(capsys, "decompose", "--z", "9999,1", "--primes", "kpi", "--chain")
         assert code == 2

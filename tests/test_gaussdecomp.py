@@ -4,6 +4,7 @@ reports, the diagonal obstruction, and the shift-by-inert chains."""
 import inspect
 import io
 import json
+import random
 from itertools import combinations_with_replacement
 from math import isqrt
 
@@ -32,7 +33,7 @@ from shnirel import (
 )
 from shnirel import gaussdecomp, primes
 from shnirel.gaussdecomp import _pool_for
-from shnirel.primes import _pool_and_flags
+from shnirel.primes import _prime_norm_flags
 
 KPI = Region.PRIME_QUADRANT
 GPI = Region.PRIME_SECTOR
@@ -725,35 +726,183 @@ class TestDiagonalObstruction:
 
 
 class TestPoolCache:
-    def test_grows_by_doubling_and_serves_smaller_bounds(self, monkeypatch):
-        cache = {}
-        built = []
+    def counting(self, monkeypatch, cache):
+        """Count the flag builds (by bound) and list sweeps (by annulus)."""
+        flagged, swept = [], []
 
-        def counting_pool(region, bound):
-            built.append(bound)
-            return _pool_and_flags(region, bound)
+        def counting_flags(bound):
+            flagged.append(bound)
+            return _prime_norm_flags(bound)
+
+        def counting_annulus(region, flags, lo, hi):
+            swept.append((lo, hi))
+            return primes._pool_annulus(region, flags, lo, hi)
 
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", cache)
-        monkeypatch.setattr(gaussdecomp, "_pool_and_flags", counting_pool)
-        pool, flags = _pool_for(KPI, 100)
-        assert built == [512]  # never fewer than 512
-        assert pool == gaussian_prime_pool(KPI, 512)
-        assert len(flags) == 512
+        monkeypatch.setattr(gaussdecomp, "_prime_norm_flags", counting_flags)
+        monkeypatch.setattr(gaussdecomp, "_pool_annulus", counting_annulus)
+        return flagged, swept
+
+    def test_grows_by_doubling_and_serves_smaller_bounds(self, monkeypatch):
+        """The flags double, from 512; the list is swept in one annulus
+        from where it stopped straight to each larger bound, in place."""
+        cache = {}
+        flagged, swept = self.counting(monkeypatch, cache)
+        got = _pool_for(KPI, 100, 100)
+        assert flagged == [512]  # never fewer than 512
+        assert swept == [(0, 100)]  # the list only to the bound
+        assert got.entries == gaussian_prime_pool(KPI, 100)
+        assert len(got.flags) == 512
         # flags[2] is clear: the norm-2 primes are the even ones
-        assert [n for n in range(512) if flags[n]] == [
+        assert [n for n in range(512) if got.flags[n]] == [
             n for n in range(512) if n != 2 and (trial_prime(n) or prime_square_3mod4(n))
         ]
-        assert cache[KPI] == (512, pool, flags)
-        again, again_flags = _pool_for(KPI, 300)
-        assert again is pool and again_flags is flags
-        assert built == [512]
-        _pool_for(KPI, 600)
-        assert built == [512, 1024]  # doubles past a small overshoot
-        _pool_for(KPI, 5000)
-        assert built == [512, 1024, 5000]  # jumps straight to a large bound
+        assert cache[KPI] is got
+        entries, flags = got.entries, got.flags
+        assert _pool_for(KPI, 300, 300) is got
+        assert (flagged, swept) == ([512], [(0, 100), (100, 300)])
+        assert got.entries is entries and got.flags is flags
+        _pool_for(KPI, 200, 200)
+        assert swept == [(0, 100), (100, 300)]  # a smaller bound sweeps nothing
+        _pool_for(KPI, 600, 600)
+        assert flagged == [512, 1024]  # doubles past a small overshoot
+        assert swept[-1] == (300, 600)
+        _pool_for(KPI, 5000, 5000)
+        assert flagged == [512, 1024, 5000]  # jumps straight to a large bound
+        assert swept[-1] == (600, 5000)
+        assert got.entries is entries
+        assert entries == gaussian_prime_pool(KPI, 5000)
         assert list(cache) == [KPI]
-        assert cache[KPI][0] == 5000
-        assert len(cache[KPI][2]) == 5000
+        assert (len(got.flags), got.swept) == (5000, 5000)
+
+    def test_grow_doubles_the_radius_up_to_the_flags(self, monkeypatch):
+        """A search gets the flags with no list, and grows the list one
+        annulus at a time while it may lack an entry of norm at most stop.
+        Each annulus reaches twice the radius, four times the norm: fewer
+        row passes than doubling the norm for a search that reads to the end."""
+        flagged, swept = self.counting(monkeypatch, {})
+        got = _pool_for(KPI, 5000, 0)
+        assert (flagged, swept, got.entries) == ([5000], [], [])
+        entries = got.entries
+        assert got.grow(0)
+        assert swept == [(0, 512)]  # never fewer than 512
+        assert not got.grow(511)
+        assert got.grow(512)
+        assert not got.grow(2047)
+        assert got.grow(2048)  # the last annulus ends at the flags' end
+        assert not got.grow(4999)
+        assert swept == [(0, 512), (512, 2048), (2048, 5000)]
+        assert got.entries is entries
+        assert entries == gaussian_prime_pool(KPI, 5000)
+        # a fully swept list returns at once
+        assert _pool_for(KPI, 5000, 5000) is got
+        assert len(swept) == 3
+
+    def test_a_search_sweeps_only_what_it_reads(self, monkeypatch):
+        """598+226i needs gammapi flags to its cap, but its witness comes
+        off the first few entries; a later scan extends the same list."""
+        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        dec = find_decomposition(GaussianInt(598, 226), GPI, 3)
+        assert summand_strs(dec) == ["592+227i", "6-i"]
+        got = gaussdecomp._POOL_CACHE[GPI]
+        entries, flags = got.entries, got.flags
+        assert len(entries) < 1000
+        assert len(flags) == 407857
+        assert gaussdecomp._bounds([dec.target], GPI, NormPolicy.STRICT_LESS)[0][5] == 407857
+        targets = [GaussianInt(61, 20), GaussianInt(598, 226)]
+        report = scan_targets(targets, GPI, 3, NormPolicy.STRICT_LESS)
+        assert report.rows[1] == (dec.target, 2, tuple(dec.summands()))
+        assert gaussdecomp._POOL_CACHE[GPI] is got
+        assert got.entries is entries and got.flags is flags
+        assert got.swept == 407857
+        assert entries == gaussian_prime_pool(GPI, 407857)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cold_search_matches_a_fully_swept_pool(self, monkeypatch, seed):
+        """find_decomposition on a cold cache, which sweeps the list as it
+        reads it, gives the witness of one over a list swept to the cap,
+        and reads less of the list on most targets. The fixed targets
+        have no witness, so their searches read to the end."""
+        rng = random.Random(seed)
+        cases = [
+            (GaussianInt(120, 0), KPI, 3, NormPolicy.STRICT_LESS, True),
+            (GaussianInt(40, 40), GPI, 4, NormPolicy.STRICT_LESS, True),
+            (GaussianInt(0, 60), SPI, 3, NormPolicy.STRICT_LESS, False),
+            (GaussianInt(60, 60), GPI, 4, NormPolicy.NONE, False),
+        ]
+        for _ in range(60):
+            z = GaussianInt(rng.randint(-100, 200), rng.randint(-100, 200) or 1)
+            region = rng.choice([KPI, GPI, SPI])
+            policy = rng.choice(list(NormPolicy))
+            cases.append((z, region, rng.randint(2, 4), policy, rng.choice([True, False])))
+        searched = shorter = 0
+        for n, args in enumerate(cases):
+            z, region, _, policy, _ = args
+            monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+            cold = find_decomposition(*args)
+            assert n >= 4 or cold is None
+            live = gaussdecomp._bounds([z], region, policy)
+            if not live:
+                assert cold is None or cold.k == 1
+                continue
+            cap = live[0][5]
+            read = gaussdecomp._POOL_CACHE.get(region)
+            monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+            full = _pool_for(region, cap, cap)
+            assert find_decomposition(*args) == cold, args
+            assert full.swept == cap  # a fully swept list never grew
+            searched += 1
+            shorter += read is None or len(read.entries) < len(full.entries)
+        assert searched > 20
+        assert 3 * shorter > 2 * searched
+
+    def test_every_level_reads_what_an_inner_level_appended(self, monkeypatch):
+        """_dfs grows the list wherever a loop runs off its end, so an outer
+        loop must read on past the end it started with. A list that grows
+        by one entry per call makes every level grow it, and the search
+        still gives the witness of a fully swept list."""
+
+        class OneAtATime:
+            def __init__(self, full):
+                self.full, self.entries = full, []
+
+            def grow(self, stop):
+                n = len(self.entries)
+                if n == len(self.full) or self.full[n][2] > stop:
+                    return False
+                self.entries.append(self.full[n])
+                return True
+
+        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        rng = random.Random(5)
+        strict = NormPolicy.STRICT_LESS
+        # strict three-term witnesses whose smallest term is not the first
+        # entry: the search moves past entries whose inner loops grew the list
+        cases = [
+            (GaussianInt(4, 1), SPI, strict),
+            (GaussianInt(49, -46), SPI, strict),
+            (GaussianInt(10, 1), KPI, strict),
+            (GaussianInt(49, 46), GPI, strict),
+        ]
+        searched = 0
+        while searched < 44:
+            if cases:
+                z, region, policy = cases.pop()
+            else:
+                z = GaussianInt(rng.randint(-40, 90), rng.randint(-60, 90))
+                region = rng.choice([KPI, GPI, SPI])
+                policy = rng.choice(list(NormPolicy))
+            live = gaussdecomp._bounds([z], region, policy) if z.re or z.im else []
+            if not live:
+                continue
+            cap = live[0][5]
+            full = _pool_for(region, cap, cap)
+            member = gaussdecomp._member(region, full.flags)
+            for k in (3, 4):
+                args = (z.re, z.im, 2, k, region, cap)
+                want = gaussdecomp._search(*args, full, member)
+                assert gaussdecomp._search(*args, OneAtATime(full.entries), member) == want, args
+            searched += 1
 
     def test_holds_one_pool_per_region(self, monkeypatch):
         cache = {}
@@ -766,34 +915,34 @@ class TestPoolCache:
         assert sorted(cache, key=list(Region).index) == [GPI, KPI]
 
     def test_doubling_stops_at_the_pool_cap(self, monkeypatch):
-        built = []
-
-        def counting_pool(region, bound):
-            built.append(bound)
-            return _pool_and_flags(region, bound)
-
-        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-        monkeypatch.setattr(gaussdecomp, "_pool_and_flags", counting_pool)
+        flagged, swept = self.counting(monkeypatch, {})
         monkeypatch.setattr(gaussdecomp, "_POOL_CAP", 1500)
-        _pool_for(KPI, 1000)
-        _pool_for(KPI, 1200)
-        assert built == [1000, 1500]  # doubling would ask for 2000
+        _pool_for(KPI, 1000, 1000)
+        _pool_for(KPI, 1200, 1200)
+        assert flagged == [1000, 1500]  # doubling would ask for 2000
+        assert swept == [(0, 1000), (1000, 1200)]
         with pytest.raises(ValueError, match="pool norm bound 1501 is above the cap of 1500"):
-            _pool_for(KPI, 1501)
-        assert built == [1000, 1500]
+            _pool_for(KPI, 1501, 1501)
+        with pytest.raises(ValueError, match="pool norm bound 1501 is above the cap of 1500"):
+            _pool_for(KPI, 1501, 0)
+        assert (flagged, swept) == ([1000, 1500], [(0, 1000), (1000, 1200)])
 
     def test_cap_fires_before_any_sieve(self, monkeypatch):
         def allocating(*args):
             raise AssertionError("a pool was built")
 
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-        monkeypatch.setattr(gaussdecomp, "_pool_and_flags", allocating)
+        monkeypatch.setattr(gaussdecomp, "_prime_norm_flags", allocating)
+        monkeypatch.setattr(gaussdecomp, "_pool_annulus", allocating)
         monkeypatch.setattr(primes, "_sieve_flags", allocating)
         with pytest.raises(ValueError, match="above the cap of 10000000"):
-            _pool_for(KPI, 10**7 + 1)
+            _pool_for(KPI, 10**7 + 1, 10**7 + 1)
+        with pytest.raises(ValueError, match="above the cap of 10000000"):
+            _pool_for(KPI, 10**7 + 1, 0)
         # 9999+i: a two-term pool bound of 9.998 * 10^7
         with pytest.raises(ValueError, match="pool norm bound 99980003 is above the cap"):
             find_decomposition(GaussianInt(9999, 1), KPI, 3, NormPolicy.NONE)
+        assert gaussdecomp._POOL_CACHE == {}
 
 
 def prime_square_3mod4(n):
@@ -807,7 +956,7 @@ class TestPoolMembership:
     @pytest.mark.parametrize("region", list(Region))
     def test_accepts_exactly_the_pool(self, region):
         bound = 200
-        pool, flags = _pool_and_flags(region, bound)
+        pool, flags = gaussian_prime_pool(region, bound), _prime_norm_flags(bound)
         member = gaussdecomp._member(region, flags)
         first = (0, 0, 0)  # no earlier than anything
         window = [(re, im) for re in range(-16, 17) for im in range(-16, 17)]
@@ -828,7 +977,7 @@ class TestPoolMembership:
             (SPI, [(3, 0), (0, 3), (7, 0), (0, 7)]),
             (GPI, [(3, 0), (7, 0)]),
         ):
-            _, flags = _pool_and_flags(region, 100)
+            flags = _prime_norm_flags(100)
             member = gaussdecomp._member(region, flags)
             for re, im in points:
                 assert member(re, im, (0, 0, 0), 100) == (re, im, re * re + im * im)
@@ -836,7 +985,7 @@ class TestPoolMembership:
             assert member(5, 0, (0, 0, 0), 100) is None
             assert member(0, 9, (0, 0, 0), 100) is None
         # 1+i is the even prime: flags[2] is clear, so it is no member
-        _, flags = _pool_and_flags(KPI, 100)
+        flags = _prime_norm_flags(100)
         member = gaussdecomp._member(KPI, flags)
         assert not flags[2]
         assert member(1, 1, (0, 0, 0), 100) is None
@@ -848,7 +997,7 @@ class TestPoolMembership:
         """A set flag means an odd prime: no even point is a member,
         those of norm 2 (the associates of 1+i) included."""
         bound = 400
-        _, flags = _pool_and_flags(region, bound)
+        flags = _prime_norm_flags(bound)
         member = gaussdecomp._member(region, flags)
         even = [
             (re, im)
@@ -864,7 +1013,7 @@ class TestSingle:
     def test_matches_primality_past_the_flags(self):
         """Inside the flags and past their end, _single agrees with
         is_gaussian_prime, the region and oddness."""
-        _, flags = _pool_and_flags(SPI, 60)
+        flags = _prime_norm_flags(60)
         for region in (KPI, GPI, SPI):
             for re in range(-12, 13):
                 for im in range(-12, 13):
@@ -889,7 +1038,7 @@ class TestSingle:
             calls.append(n)
             return real(n)
 
-        _, flags = _pool_and_flags(KPI, 1000)
+        flags = _prime_norm_flags(1000)
         monkeypatch.setattr(primes, "is_rational_prime", counting)
         inside = [GaussianInt(re, im) for re in range(22) for im in range(22) if re or im]
         assert [z for z in inside if gaussdecomp._single(z, KPI, NormPolicy.NONE, flags)]

@@ -2,6 +2,7 @@
 sieve caching."""
 
 import os
+import random
 import struct
 from math import isqrt
 
@@ -371,7 +372,7 @@ class TestGaussianPrimesIn:
         assert pool_points(Region.SECTOR, 3) == []
         assert pool_points(Region.SECTOR, 2) == []
         for region in Region:
-            pool, flags = primes._pool_and_flags(region, 20)
+            pool, flags = gaussian_prime_pool(region, 20), primes._prime_norm_flags(20)
             assert all(n != 2 for _, _, n in pool)
             member = gaussdecomp._member(region, flags)
             for re, im in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
@@ -418,8 +419,7 @@ class TestGaussianPrimePool:
         an odd prime or the square of a prime q = 3 mod 4, so flags[2],
         the norm of the even prime, is clear in every region."""
         for bound in BOUNDS:
-            pool, flags = primes._pool_and_flags(region, bound)
-            assert pool == gaussian_prime_pool(region, bound), bound
+            pool, flags = gaussian_prime_pool(region, bound), primes._prime_norm_flags(bound)
             assert len(flags) == bound
             inert_squares = {q * q for q in range(3, bound, 4) if trial_prime(q)}
             assert [n for n in range(bound) if flags[n]] == [
@@ -430,6 +430,33 @@ class TestGaussianPrimePool:
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
             gaussian_prime_pool(Region.SECTOR, 1)
+
+    @pytest.mark.parametrize(
+        "region", [Region.PRIME_QUADRANT, Region.PRIME_SECTOR, Region.PRIME_HALF]
+    )
+    def test_annuli_concatenate_to_one_sweep(self, region):
+        """Annuli split anywhere list what one sweep lists, in order. The
+        splits include perfect squares, where the inner circle passes
+        through a row's im = 0 point, and points re^2 + im^2 of the
+        lattice, where it passes through two points of row re."""
+        rng = random.Random(region.value)
+        hi = 3000
+        flags = primes._prime_norm_flags(hi)
+        whole = gaussian_prime_pool(region, hi)
+        on_rows = [s * s + d for s in range(1, 55) for d in (-1, 0, 1)]
+        on_rows += [re * re + im * im for re in range(1, 40) for im in (1, 2, 17)]
+        on_rows = [n for n in on_rows if 0 < n < hi]
+        for _ in range(40):
+            cuts = {0, hi, *rng.sample(range(1, hi), 3), *rng.sample(on_rows, 4)}
+            cuts = sorted(cuts)
+            got = []
+            for lo, top in zip(cuts, cuts[1:]):
+                part = primes._pool_annulus(region, flags, lo, top)
+                assert all(lo <= n < top for _, _, n in part), (lo, top)
+                got += part
+            assert got == whole, cuts
+        assert primes._pool_annulus(region, flags, 0, 2) == []
+        assert primes._pool_annulus(region, flags, 1000, 1000) == []
 
 
 class TestRegionRows:
