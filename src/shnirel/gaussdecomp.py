@@ -185,39 +185,36 @@ _POOL_CAP = 10**7
 
 class _Pool:
     """A region's prime-norm flags, and its pool list of odd primes of
-    norm below swept in (norm, re, im) order, swept in annuli of norm and
-    only appended to: a search holding the list sees every later annulus."""
+    norm below swept in (norm, re, im) order. Whoever reads the list grows
+    it on demand, one annulus of norm at a time, and it is only appended
+    to: a reader holding the list sees every later annulus."""
 
     def __init__(self, region: Region):
         self.region, self.flags, self.entries, self.swept = region, bytearray(), [], 0
 
-    def sweep(self, hi: int) -> None:
-        """Append the entries of norm swept..hi - 1 (hi <= len(flags))."""
-        if hi > self.swept:
-            self.entries += _pool_annulus(self.region, self.flags, self.swept, hi)
-            self.swept = hi
-
     def grow(self, stop: int) -> bool:
-        """Sweep out to twice the radius if the list may lack a norm <= stop; say if it did."""
+        """Sweep out to twice the radius, never past the flags, if the list
+        may lack a norm <= stop < len(flags); say if it did."""
         if self.swept > stop:
             return False
-        self.sweep(min(max(4 * self.swept, 512), len(self.flags)))
+        hi = min(max(4 * self.swept, 512), len(self.flags))
+        self.entries += _pool_annulus(self.region, self.flags, self.swept, hi)
+        self.swept = hi
         return True
 
 
 _POOL_CACHE: dict[Region, _Pool] = {}  # one per region; flags and list only grow
 
 
-def _pool_for(region: Region, bound: int, swept: int) -> _Pool:
-    """The region's cached _Pool, its flags reaching at least norm bound
-    and its list swept to at least norm swept <= bound in one annulus."""
+def _pool_for(region: Region, bound: int) -> _Pool:
+    """The region's cached _Pool, its flags reaching at least norm bound;
+    its list grows only as it is read."""
     if bound > _POOL_CAP:
         raise ValueError(f"pool norm bound {bound} is above the cap of {_POOL_CAP}")
     got = _POOL_CACHE.setdefault(region, _Pool(region))
     if len(got.flags) < bound:
         # doubling, but never past the cap
         got.flags = _prime_norm_flags(max(bound, min(2 * len(got.flags), _POOL_CAP), 512))
-    got.sweep(swept)
     return got
 
 
@@ -407,7 +404,7 @@ def find_decomposition(
         if max_terms == 1 or not live:
             return None
         cap = live[0][5]
-        pool = _pool_for(region, cap, 0)  # the search sweeps the list as it reads it
+        pool = _pool_for(region, cap)
         member = _member(region, pool.flags)
         found = _search(z.re, z.im, 2, max_terms, region, cap, pool, member)
         if found is None:
@@ -594,7 +591,9 @@ def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
 
 
 # Bit-ops the sumsets may spend per target, estimated as window bits x
-# pool points x (max_terms - 1). A shift-OR costs about 4 ns per 64-bit
+# pool points x (max_terms - 1), the points counted off the flags: one per
+# set flag below the largest cap, about the pool's size in a quarter plane
+# and 2/3 of it in spi's cone. A shift-OR costs about 4 ns per 64-bit
 # word (2-core x86, Python 3.11), so this is about 8 us a target, near
 # the 6-15 us a target's _search takes on a warm pool (a strict spi box
 # at the origin, gammapi boxes at re 200 and 2000). The property the
@@ -610,7 +609,7 @@ _SUMSET_OPS_PER_TARGET = 1 << 17
 def _minimal_terms(
     count: int,
     live: list[tuple],
-    pool: list,
+    pool: _Pool,
     member: Callable,
     region: Region,
     max_terms: int,
@@ -642,23 +641,28 @@ def _minimal_terms(
     under NONE, and under STRICT_LESS when its largest one is.
 
     When the sumsets would cost more than _SUMSET_OPS_PER_TARGET per
-    target, every k_lo is 2 and walk is None. The pool and its membership
-    test must reach the largest cap.
+    target, every k_lo is 2, walk is None and the pool list is left as it
+    is; otherwise the list grows to the largest cap. The pool's flags and
+    its membership test must reach that cap.
     """
     out: list[tuple[int, int] | None] = [None] * count
     if not live:
         return out, None
     _, res, ims, us, vs, caps = zip(*live)
     top = max(caps)
-    cut = bisect_left(pool, top, key=itemgetter(2))  # the entries of norm below top
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
     # each level shift-ORs the whole window once per point
-    ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * cut * (max_terms - 1)
+    points = pool.flags.count(1, 0, top)
+    ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * points * (max_terms - 1)
     if ops > _SUMSET_OPS_PER_TARGET * count:
         for i, *_, cap in live:
             out[i] = (2, cap)
         return out, None
-    width, levels = _sumsets(islice(pool, cut), region, re_lo, re_hi, im_lo, im_hi, max_terms)
+    while pool.grow(top - 1):
+        pass
+    entries = pool.entries
+    cut = bisect_left(entries, top, key=itemgetter(2))  # the entries of norm below top
+    width, levels = _sumsets(islice(entries, cut), region, re_lo, re_hi, im_lo, im_hi, max_terms)
     rows, span = re_hi - re_lo + 1, im_hi - im_lo + 1
     strings = [format(level, f"0{rows * width}b")[::-1] for level in levels]
     for i, re, im, *_, cap in live:
@@ -672,14 +676,14 @@ def _minimal_terms(
         terms, lo, r, j = [], 0, re - re_lo, im - im_lo  # r, j: residual in the window
         for bits in strings[k - 2 :: -1]:
             for i in range(lo, cut):
-                x, y = r - pool[i][0], j - pool[i][1]
+                x, y = r - entries[i][0], j - entries[i][1]
                 if 0 <= x < rows and 0 <= y < span and bits[x * width + y] == "1":
-                    terms.append(pool[i])
+                    terms.append(entries[i])
                     lo, r, j = i, x, y
                     break
             else:
                 break
-        last = member(r + re_lo, j + im_lo, pool[lo], top)
+        last = member(r + re_lo, j + im_lo, entries[lo], top)
         if len(terms) < k - 1 or last is None:
             raise ValueError(f"the walk for {GaussianInt(re, im)} fails at {k} terms")
         return [last] + terms[::-1]
@@ -702,7 +706,8 @@ def scan_targets(
     a lower bound; the walked witness is the canonical strict one when
     its largest norm is below the target's, and otherwise the search
     starts at k. A scan whose sumsets would cost more than searching from
-    two terms (a narrow box far from the cone's corner) searches from two.
+    two terms (a narrow box far from the cone's corner) searches from two,
+    and its pool list grows only as far as those searches read it.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
@@ -710,10 +715,10 @@ def scan_targets(
         raise ValueError("target must be nonzero")
     live = _bounds(targets, term_region, policy) if max_terms >= 2 else []
     top = max((t[5] for t in live), default=2)
-    pool = _pool_for(term_region, top, top)
+    pool = _pool_for(term_region, top)
     flags = pool.flags
     member = _member(term_region, flags)
-    proofs, walk = _minimal_terms(len(targets), live, pool.entries, member, term_region, max_terms)
+    proofs, walk = _minimal_terms(len(targets), live, pool, member, term_region, max_terms)
     del live  # a tuple of six per target: free it before the rows grow
     made: dict = {}  # pool entry -> its GaussianInt, built once per call
     rows = []

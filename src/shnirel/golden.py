@@ -15,7 +15,7 @@ import csv
 import io
 from dataclasses import dataclass
 from importlib import resources
-from typing import IO, Iterator
+from typing import Iterator
 
 from .gaussdecomp import (
     Decomposition,
@@ -210,23 +210,6 @@ def regenerate_tables(rows: tuple[GoldenRow, ...] | None = None) -> RegenReport:
     return RegenReport(tuple(results))
 
 
-def write_golden_csv(rows: tuple[GoldenRow, ...], fh: IO[str]) -> None:
-    fh.write(
-        "table,z_re,z_im,t1_re,t1_im,t1_unit,t2_re,t2_im,t2_unit,"
-        "t3_re,t3_im,t3_unit,form,note\n"
-    )
-    for row in rows:
-        cells = [str(row.table), str(row.target.re), str(row.target.im)]
-        for pos in range(3):
-            if pos < row.k:
-                g, u = row.terms[pos]
-                cells += [str(g.re), str(g.im), u.label]
-            else:
-                cells += ["", "", ""]
-        cells += [row.form, row.note]
-        fh.write(",".join(cells) + "\n")
-
-
 __all__ = [
     "DATA_RESOURCE",
     "GoldenRow",
@@ -235,5 +218,4 @@ __all__ = [
     "load_golden",
     "regenerate_tables",
     "validate_golden",
-    "write_golden_csv",
 ]

@@ -193,8 +193,10 @@ def _pool_annulus(region: Region, flags, lo: int, hi: int) -> list[tuple[int, in
         reach = isqrt(hi - 1 - rr)
         a, b = region.im_span(re, -reach, reach)
         a += (re + a + 1) % 2
+        if a > b:  # the cone leaves the row no odd point
+            continue
         pieces = [(a, b)]
-        if lo > rr and a <= b:  # the inner circle cuts |im| < inner out of the row
+        if lo > rr:  # the inner circle cuts |im| < inner out of the row
             inner = isqrt(lo - rr - 1) + 1
             pieces = [(a, min(b, -inner)), (max(a, inner + (re + inner + 1) % 2), b)]
         for a, b in pieces:

@@ -551,6 +551,10 @@ COMMAND_DIGESTS = {
     ("decompose --z=598,226 --primes gammapi", "json"): (0, "966a9092b90f232448ba29715d47f3c96a781a64d129e2f34e6a8d7d3e82fbae"),
     ("decompose --z=447,-205 --primes spi", "json"): (0, "21674544fe78ba43a803d4728d756e6b00fc76d272a655791f0dfa16302ba5e8"),
     ("solve-conj1 --a 540 --b 384", "json"): (0, "4cc9fe3d4301beeebfe50078087516d26251b6b005c09b27f333fb1e6a979493"),
+    # a narrow box far from the cone's corner: its pool norm bound is about
+    # 4 * 10^6, and the cost gate sends every target to the search;
+    # recorded while scans still swept their whole pool list first
+    ("scan --targets a --re 2000..2001 --im 1..2 --primes gammapi", "json"): (0, "b76c7cc084b32b60de5020c7872dc6242abfa2b4f13ad472ee504da687e254ee"),
 }
 
 

@@ -485,7 +485,9 @@ class TestScans:
     def test_far_box_searches_each_target(self, monkeypatch):
         """The window reaches from the cone's corner to the targets, so a
         narrow box far out would fill little of it: the scan searches
-        target by target, with the same rows."""
+        target by target, with the same rows. Dense boxes at the corner
+        still build the sumsets, spi's too, though the gate's count of
+        pool points off the flags reads only about 2/3 of spi's pool."""
         targets = box_targets(Region.OPEN_QUADRANT, (300, 303), (1, 2))
         dense = box_targets(Region.OPEN_QUADRANT, (1, 30), (1, 30))
         built = []
@@ -498,6 +500,10 @@ class TestScans:
         monkeypatch.setattr(gaussdecomp, "_sumsets", counting)
         scan_targets(dense, GPI, 3, NormPolicy.NONE)
         assert len(built) == 1
+        sector = box_targets(Region.SECTOR, (1, 30), (-29, 30))
+        for policy in NormPolicy:
+            scan_targets(sector, SPI, 3, policy)
+        assert len(built) == 3
 
         def no_sumsets(*args):
             raise AssertionError("sumsets built for a far box")
@@ -725,6 +731,14 @@ class TestDiagonalObstruction:
         assert find_decomposition(GaussianInt(6, -5), SPI, 3) is None
 
 
+def swept_pool(region, bound):
+    """The region's cached _Pool, its list grown to at least norm bound."""
+    got = _pool_for(region, bound)
+    while got.grow(bound - 1):
+        pass
+    return got
+
+
 class TestPoolCache:
     def counting(self, monkeypatch, cache):
         """Count the flag builds (by bound) and list sweeps (by annulus)."""
@@ -744,44 +758,43 @@ class TestPoolCache:
         return flagged, swept
 
     def test_grows_by_doubling_and_serves_smaller_bounds(self, monkeypatch):
-        """The flags double, from 512; the list is swept in one annulus
-        from where it stopped straight to each larger bound, in place."""
+        """The flags double, from 512, and no bound sweeps the list; a list
+        grown before the flags doubled keeps its object and grows on."""
         cache = {}
         flagged, swept = self.counting(monkeypatch, cache)
-        got = _pool_for(KPI, 100, 100)
+        got = _pool_for(KPI, 100)
         assert flagged == [512]  # never fewer than 512
-        assert swept == [(0, 100)]  # the list only to the bound
-        assert got.entries == gaussian_prime_pool(KPI, 100)
-        assert len(got.flags) == 512
+        assert (swept, got.entries, got.swept) == ([], [], 0)
         # flags[2] is clear: the norm-2 primes are the even ones
         assert [n for n in range(512) if got.flags[n]] == [
             n for n in range(512) if n != 2 and (trial_prime(n) or prime_square_3mod4(n))
         ]
         assert cache[KPI] is got
         entries, flags = got.entries, got.flags
-        assert _pool_for(KPI, 300, 300) is got
-        assert (flagged, swept) == ([512], [(0, 100), (100, 300)])
-        assert got.entries is entries and got.flags is flags
-        _pool_for(KPI, 200, 200)
-        assert swept == [(0, 100), (100, 300)]  # a smaller bound sweeps nothing
-        _pool_for(KPI, 600, 600)
+        assert _pool_for(KPI, 300) is got
+        assert flagged == [512]
+        assert got.flags is flags
+        assert got.grow(0)
+        assert swept == [(0, 512)]
+        _pool_for(KPI, 200)
+        _pool_for(KPI, 600)
         assert flagged == [512, 1024]  # doubles past a small overshoot
-        assert swept[-1] == (300, 600)
-        _pool_for(KPI, 5000, 5000)
+        assert got.grow(600)
+        assert swept == [(0, 512), (512, 1024)]  # read off the new flags
+        _pool_for(KPI, 5000)
         assert flagged == [512, 1024, 5000]  # jumps straight to a large bound
-        assert swept[-1] == (600, 5000)
+        assert len(swept) == 2
         assert got.entries is entries
-        assert entries == gaussian_prime_pool(KPI, 5000)
+        assert entries == gaussian_prime_pool(KPI, 1024)
         assert list(cache) == [KPI]
-        assert (len(got.flags), got.swept) == (5000, 5000)
 
     def test_grow_doubles_the_radius_up_to_the_flags(self, monkeypatch):
-        """A search gets the flags with no list, and grows the list one
-        annulus at a time while it may lack an entry of norm at most stop.
-        Each annulus reaches twice the radius, four times the norm: fewer
-        row passes than doubling the norm for a search that reads to the end."""
+        """A reader grows the list one annulus at a time while it may lack
+        an entry of norm at most stop. Each annulus reaches twice the
+        radius, four times the norm: fewer row passes than doubling the
+        norm for a search that reads to the end."""
         flagged, swept = self.counting(monkeypatch, {})
-        got = _pool_for(KPI, 5000, 0)
+        got = _pool_for(KPI, 5000)
         assert (flagged, swept, got.entries) == ([5000], [], [])
         entries = got.entries
         assert got.grow(0)
@@ -794,13 +807,14 @@ class TestPoolCache:
         assert swept == [(0, 512), (512, 2048), (2048, 5000)]
         assert got.entries is entries
         assert entries == gaussian_prime_pool(KPI, 5000)
-        # a fully swept list returns at once
-        assert _pool_for(KPI, 5000, 5000) is got
+        # a fully swept list is served as it is
+        assert _pool_for(KPI, 5000) is got
         assert len(swept) == 3
 
     def test_a_search_sweeps_only_what_it_reads(self, monkeypatch):
         """598+226i needs gammapi flags to its cap, but its witness comes
-        off the first few entries; a later scan extends the same list."""
+        off the first few entries. A later scan that the cost gate sends to
+        search reads the same list and leaves it short too."""
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
         dec = find_decomposition(GaussianInt(598, 226), GPI, 3)
         assert summand_strs(dec) == ["592+227i", "6-i"]
@@ -814,8 +828,26 @@ class TestPoolCache:
         assert report.rows[1] == (dec.target, 2, tuple(dec.summands()))
         assert gaussdecomp._POOL_CACHE[GPI] is got
         assert got.entries is entries and got.flags is flags
-        assert got.swept == 407857
-        assert entries == gaussian_prime_pool(GPI, 407857)
+        assert len(entries) < 1000
+        assert entries == gaussian_prime_pool(GPI, got.swept)
+
+    @pytest.mark.parametrize(
+        "region, re_lo", [(GPI, 2000), (SPI, 2200)], ids=["gammapi", "spi"]
+    )
+    def test_a_far_box_scan_sweeps_only_what_it_reads(self, monkeypatch, region, re_lo):
+        """A narrow box far from the cone's corner goes to the search
+        target by target. Its flags reach a norm of millions (spi's near
+        the pool cap), but its witnesses come off the first few entries, so
+        its list stays short; the rows are find_decomposition's."""
+        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        targets = box_targets(Region.OPEN_QUADRANT, (re_lo, re_lo + 1), (1, 2))
+        report = scan_targets(targets, region, 3, NormPolicy.NONE)
+        got = gaussdecomp._POOL_CACHE[region]
+        assert len(got.flags) > 4 * 10**6
+        assert len(got.entries) < 1000
+        assert got.entries == gaussian_prime_pool(region, got.swept)
+        assert report.rows == scan_rows_by_search(targets, region, 3)
+        assert not report.exceptions
 
     @pytest.mark.parametrize("seed", range(3))
     def test_cold_search_matches_a_fully_swept_pool(self, monkeypatch, seed):
@@ -848,9 +880,10 @@ class TestPoolCache:
             cap = live[0][5]
             read = gaussdecomp._POOL_CACHE.get(region)
             monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-            full = _pool_for(region, cap, cap)
+            full = swept_pool(region, cap)
+            swept = full.swept
             assert find_decomposition(*args) == cold, args
-            assert full.swept == cap  # a fully swept list never grew
+            assert full.swept == swept  # a list swept past the cap never grew
             searched += 1
             shorter += read is None or len(read.entries) < len(full.entries)
         assert searched > 20
@@ -896,7 +929,7 @@ class TestPoolCache:
             if not live:
                 continue
             cap = live[0][5]
-            full = _pool_for(region, cap, cap)
+            full = swept_pool(region, cap)
             member = gaussdecomp._member(region, full.flags)
             for k in (3, 4):
                 args = (z.re, z.im, 2, k, region, cap)
@@ -917,15 +950,15 @@ class TestPoolCache:
     def test_doubling_stops_at_the_pool_cap(self, monkeypatch):
         flagged, swept = self.counting(monkeypatch, {})
         monkeypatch.setattr(gaussdecomp, "_POOL_CAP", 1500)
-        _pool_for(KPI, 1000, 1000)
-        _pool_for(KPI, 1200, 1200)
+        _pool_for(KPI, 1000)
+        got = _pool_for(KPI, 1200)
         assert flagged == [1000, 1500]  # doubling would ask for 2000
-        assert swept == [(0, 1000), (1000, 1200)]
+        while got.grow(1499):
+            pass
+        assert swept == [(0, 512), (512, 1500)]  # the last annulus ends at the cap
         with pytest.raises(ValueError, match="pool norm bound 1501 is above the cap of 1500"):
-            _pool_for(KPI, 1501, 1501)
-        with pytest.raises(ValueError, match="pool norm bound 1501 is above the cap of 1500"):
-            _pool_for(KPI, 1501, 0)
-        assert (flagged, swept) == ([1000, 1500], [(0, 1000), (1000, 1200)])
+            _pool_for(KPI, 1501)
+        assert (flagged, swept) == ([1000, 1500], [(0, 512), (512, 1500)])
 
     def test_cap_fires_before_any_sieve(self, monkeypatch):
         def allocating(*args):
@@ -936,12 +969,12 @@ class TestPoolCache:
         monkeypatch.setattr(gaussdecomp, "_pool_annulus", allocating)
         monkeypatch.setattr(primes, "_sieve_flags", allocating)
         with pytest.raises(ValueError, match="above the cap of 10000000"):
-            _pool_for(KPI, 10**7 + 1, 10**7 + 1)
-        with pytest.raises(ValueError, match="above the cap of 10000000"):
-            _pool_for(KPI, 10**7 + 1, 0)
+            _pool_for(KPI, 10**7 + 1)
         # 9999+i: a two-term pool bound of 9.998 * 10^7
         with pytest.raises(ValueError, match="pool norm bound 99980003 is above the cap"):
             find_decomposition(GaussianInt(9999, 1), KPI, 3, NormPolicy.NONE)
+        with pytest.raises(ValueError, match="pool norm bound 99980003 is above the cap"):
+            scan_targets([GaussianInt(9999, 1)], KPI, 3, NormPolicy.NONE)
         assert gaussdecomp._POOL_CACHE == {}
 
 

@@ -1,6 +1,5 @@
 """The packaged reference tables: layout, validation, regeneration."""
 
-import io
 from collections import Counter
 from dataclasses import replace
 
@@ -13,7 +12,6 @@ from shnirel import (
     validate_golden,
     verify_decomposition,
 )
-from shnirel.golden import _parse_rows, write_golden_csv
 from shnirel.zcore import Parity
 
 
@@ -136,10 +134,3 @@ class TestRegeneration:
         assert data["total"] == 2
         assert data["ok"] is True
         assert set(data["rows"][0]) == {"target", "stored", "regenerated"}
-
-
-class TestWriters:
-    def test_csv_roundtrip(self, golden_rows):
-        buf = io.StringIO()
-        write_golden_csv(golden_rows, buf)
-        assert _parse_rows(buf.getvalue()) == golden_rows
