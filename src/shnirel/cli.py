@@ -14,31 +14,20 @@ import argparse
 import os
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from . import golden as golden_mod
-from .diophantine import solve_four_columns, solve_min_columns, solve_square_columns
-from .gaussdecomp import (
-    Decomposition,
-    NormPolicy,
-    find_decomposition,
-    four_term_decompose,
-    scan_box,
-    verify_diagonal_obstruction,
-)
-from .primes import CACHE_ENV, ensure_table
-from .ratdecomp import (
-    HYPOTHESES,
-    HypothesisReports,
-    HypothesisViolation,
-    SearchExhausted,
-    hypothesis_scans,
-    residue34_chain,
-)
-from .report import FORMATS, Report
+from .primes import CACHE_ENV
+from .report import FORMATS, HypothesisViolation, Report, SearchExhausted
 from .zcore import GaussianInt, Region, in_region
+
+if TYPE_CHECKING:
+    from .gaussdecomp import Decomposition
+
+# Each cmd_* function imports the modules it runs, so a command loads only
+# its own layers. These are the keys of ratdecomp.HYPOTHESES, written out so
+# that building the parser does not import ratdecomp; a test keeps them equal.
+HYPOTHESIS_INDICES = (1, 2, 3, 4)
 
 PRIME_REGIONS = (
     Region.PRIME_SECTOR.value,
@@ -85,7 +74,6 @@ def _emit(args, report: Report) -> None:
         report.write(sys.stdout, args.format)
 
 
-@dataclass(frozen=True)
 class SieveReport(Report):
     """The primes up to limit themselves when listing, else their count."""
 
@@ -124,7 +112,6 @@ class SieveReport(Report):
         return ["limit,count,largest\n", f"{self.limit},{len(self.primes)},{largest}\n"]
 
 
-@dataclass(frozen=True)
 class RoutedDecomposition(Report):
     """A --chain decomposition and the route that found it."""
 
@@ -142,6 +129,8 @@ class RoutedDecomposition(Report):
 
 
 def cmd_sieve(args) -> int:
+    from .primes import ensure_table
+
     table = ensure_table(args.limit, args.cache)
     primes = table.primes if args.mod4 is None else table.residue_class(args.mod4)
     primes = tuple(primes[: bisect_right(primes, args.limit)])
@@ -151,6 +140,8 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .gaussdecomp import NormPolicy, find_decomposition, four_term_decompose
+
     z = parse_gaussian(args.z)
     region = Region(args.primes)
     policy = NormPolicy.STRICT_LESS if args.strict_norm else NormPolicy.NONE
@@ -189,18 +180,26 @@ def _emit_matrix(args, matrix) -> int:
 
 
 def cmd_solve_thm1(args) -> int:
+    from .diophantine import solve_four_columns
+
     return _emit_matrix(args, solve_four_columns(args.a, args.b))
 
 
 def cmd_solve_thm2(args) -> int:
+    from .diophantine import solve_min_columns
+
     return _emit_matrix(args, solve_min_columns(args.a, args.b, args.kmax))
 
 
 def cmd_solve_conj1(args) -> int:
+    from .diophantine import solve_square_columns
+
     return _emit_matrix(args, solve_square_columns(args.a, args.b, args.kmax))
 
 
 def cmd_scan(args) -> int:
+    from .gaussdecomp import NormPolicy, scan_box
+
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     policy = NormPolicy.STRICT_LESS if args.strict_norm else NormPolicy.NONE
@@ -219,6 +218,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
+    from .gaussdecomp import verify_diagonal_obstruction
+
     report = verify_diagonal_obstruction(args.bound, args.max_terms)
     _emit(args, report)
     _summary(
@@ -229,7 +230,9 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_hypotheses(args) -> int:
-    indices = [args.index] if args.index is not None else sorted(HYPOTHESES)
+    from .ratdecomp import HypothesisReports, hypothesis_scans
+
+    indices = [args.index] if args.index is not None else HYPOTHESIS_INDICES
     reports = hypothesis_scans(indices, 1, args.upper)
     _emit(args, HypothesisReports(tuple(reports)))
     _summary(
@@ -241,6 +244,8 @@ def cmd_hypotheses(args) -> int:
 
 
 def cmd_thm130(args) -> int:
+    from .ratdecomp import residue34_chain
+
     result = residue34_chain(args.n, args.c0 + 9)
     _emit(args, result)
     _summary(f"{result.n}: {result.m} primes of the form 4t+3")
@@ -248,6 +253,8 @@ def cmd_thm130(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    from . import golden as golden_mod
+
     rows = golden_mod.load_golden()
     if args.regenerate:
         report = golden_mod.regenerate_tables(rows)
@@ -368,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     hyp = commands.add_parser(
         "hypotheses", help="scan the residue-class splits into primes of the form 4t+3"
     )
-    hyp.add_argument("--index", type=int, choices=sorted(HYPOTHESES), default=None)
+    hyp.add_argument("--index", type=int, choices=HYPOTHESIS_INDICES, default=None)
     hyp.add_argument("--upper", type=int, required=True, help="scan n from 1 to this bound")
     _add_output_options(hyp)
     hyp.set_defaults(func=cmd_hypotheses)

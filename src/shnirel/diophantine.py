@@ -13,7 +13,6 @@ ValueError instead of leaving the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
 
@@ -30,7 +29,6 @@ class SystemKind(Enum):
     SQUARE_COLUMNS = "conj1"
 
 
-@dataclass(frozen=True)
 class SolutionMatrix(Report):
     """A solved system: column j satisfies row_a[j] + row_b[j] = targets[j]
     (or a square sum for the conj1 kind), rows sum to a and b.

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from operator import itemgetter
@@ -37,7 +36,6 @@ class NormPolicy(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
 class Decomposition(Report):
     """A target written as a sum of odd Gaussian primes from one region.
 
@@ -442,7 +440,6 @@ def box_targets(
     return [GaussianInt(re, im) for n, re, im in out if n]
 
 
-@dataclass(frozen=True)
 class ScanReport(Report):
     """Representability of every target in some enumerated set as a sum
     of odd primes.
@@ -691,6 +688,10 @@ def _minimal_terms(
     return out, walk
 
 
+# The most targets one scan takes: a full box at scan_box's side cap.
+_TARGET_CAP = 500 * 500
+
+
 def scan_targets(
     targets: Sequence[GaussianInt],
     term_region: Region,
@@ -707,8 +708,11 @@ def scan_targets(
     its largest norm is below the target's, and otherwise the search
     starts at k. A scan whose sumsets would cost more than searching from
     two terms (a narrow box far from the cone's corner) searches from two,
-    and its pool list grows only as far as those searches read it.
+    and its pool list grows only as far as those searches read it. More
+    than 250 000 targets raise ValueError before anything is built.
     """
+    if len(targets) > _TARGET_CAP:
+        raise ValueError(f"target count {len(targets)} is above the cap of {_TARGET_CAP}")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     if any(z.is_zero() for z in targets):
@@ -768,7 +772,6 @@ def scan_box(
     return scan_targets(targets, term_region, max_terms, policy, desc)
 
 
-@dataclass(frozen=True)
 class ObstructionReport(Report):
     """Exhaustive evidence that k-term sums of odd sector primes keep
     re - im at or above k. Violations would refute the obstruction, so

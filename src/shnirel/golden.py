@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from importlib import resources
 from typing import Iterator
 
@@ -24,14 +23,13 @@ from .gaussdecomp import (
     verify_decomposition,
 )
 from .report import Report
-from .zcore import GaussianInt, Parity, Region, Unit, in_region
+from .zcore import GaussianInt, Parity, Record, Region, Unit, in_region
 from .zcore import parity as parity_of
 
 DATA_RESOURCE = "data/golden_tables.csv"
 
 
-@dataclass(frozen=True)
-class GoldenRow:
+class GoldenRow(Record):
     table: int
     target: GaussianInt
     terms: tuple[tuple[GaussianInt, Unit], ...]
@@ -83,7 +81,6 @@ def load_golden() -> tuple[GoldenRow, ...]:
     return _parse_rows(text)
 
 
-@dataclass(frozen=True)
 class GoldenValidation(Report):
     total: int
     failures: tuple[tuple[int, str], ...]
@@ -131,7 +128,6 @@ def validate_golden(rows: tuple[GoldenRow, ...] | None = None) -> GoldenValidati
     return GoldenValidation(len(rows), tuple(failures))
 
 
-@dataclass(frozen=True)
 class RegenReport(Report):
     """Outcome of re-deriving each row with the region searcher."""
 

@@ -9,12 +9,12 @@ from the 3 mod 4 class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .primes import PrimeTable
-from .report import Report
+from .report import HypothesisViolation, Report, SearchExhausted
+from .zcore import Record
 
 _shared_table: PrimeTable | None = None
 _odd_pool: list[int] = []
@@ -28,14 +28,6 @@ def _grow(limit: int) -> None:
     _shared_table = PrimeTable.sieve(max(limit, 1 << 16))
     _odd_pool = _shared_table.primes[1:]
     _r34_pool = _shared_table.residue_class(3)
-
-
-class SearchExhausted(Exception):
-    """No decomposition of the requested shape exists."""
-
-
-class HypothesisViolation(Exception):
-    """A split that scanned evidence guarantees failed to materialize."""
 
 
 def _first_split(n: int, k: int, pool: list[int], levels: list[dict]) -> tuple | None:
@@ -127,8 +119,7 @@ def min_odd_prime_terms(n: int, max_terms: int = 8) -> tuple[int, tuple[int, ...
     raise SearchExhausted(f"{n} is not a sum of up to {max_terms} odd primes")
 
 
-@dataclass(frozen=True)
-class HypothesisSpec:
+class HypothesisSpec(Record):
     """One residue-class claim: every large n matching residue mod 4 is a
     sum of k primes congruent to 3 mod 4."""
 
@@ -144,7 +135,6 @@ HYPOTHESES = {i: HypothesisSpec(i, 3 * (i + 1) % 4, i + 1) for i in range(1, 5)}
 _HYPOTHESIS_CSV_HEAD = "n,residue,k,witness\n"
 
 
-@dataclass(frozen=True)
 class HypothesisReport(Report):
     """Scan outcome for one residue-class claim over [lo, hi]."""
 
@@ -203,7 +193,6 @@ class HypothesisReport(Report):
         return (empty % n if w is None else row % (n, *w) for n, w in self.rows)
 
 
-@dataclass(frozen=True)
 class HypothesisReports(Report):
     """Several scans as one payload: a JSON list, one md line per scan,
     and one CSV header over the rows of every scan in order."""
@@ -265,7 +254,6 @@ _EXTRA_THREES = {1: 0, 0: 1, 3: 2, 2: 3}
 CHAIN_THRESHOLD = 18
 
 
-@dataclass(frozen=True)
 class ChainResult(Report):
     """n written as three to six primes congruent to 3 mod 4: a three-term
     core plus up to three copies of 3."""

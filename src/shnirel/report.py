@@ -1,17 +1,28 @@
-"""The one writer every report type shares."""
+"""The one writer every report type shares, and the exceptions every
+command may raise."""
 
 from __future__ import annotations
 
 from itertools import chain
 from typing import IO, Iterable
 
+from .zcore import Record
+
 FORMATS = ("md", "csv", "json")
 
 
-class Report:
-    """Base of the report types. A subclass gives to_json_dict(), its
-    JSON payload, and md_lines() and csv_lines(), iterables of lines
-    that each end in a newline."""
+class SearchExhausted(Exception):
+    """No decomposition of the requested shape exists."""
+
+
+class HypothesisViolation(Exception):
+    """A split that scanned evidence guarantees failed to materialize."""
+
+
+class Report(Record):
+    """Base of the report types, which are records. A subclass gives
+    to_json_dict(), its JSON payload, and md_lines() and csv_lines(),
+    iterables of lines that each end in a newline."""
 
     def json_lines(self) -> Iterable[str]:
         """The JSON text: to_json_dict() with sorted keys, indent 2 and a

@@ -3,11 +3,73 @@ the planar regions used to select canonical primes and scan targets."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 # Components stay below 2^31 so every norm fits a signed 64-bit value.
 COMPONENT_BOUND = 1 << 31
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value types. A record's fields are its class
+    annotations, after those of its bases, and a class attribute of the
+    same name is that field's default. Records are built positionally or
+    by keyword, refuse assignment, equal only records of their own class
+    with equal fields, and hash as the tuple of their fields.
+
+    The package does not use dataclasses: importing that module and
+    generating each class's methods cost more start-up time than the
+    searches of most CLI ops."""
+
+    __slots__ = ()
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = tuple(cls.__annotations__)  # the class's own, on Python 3.10+
+        cls._fields = cls._fields + own
+        cls._defaults = dict(
+            cls._defaults, **{name: cls.__dict__[name] for name in own if name in cls.__dict__}
+        )
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, got {len(args)}")
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        for name in names[len(args):]:
+            if name in kwargs:
+                _set(self, name, kwargs.pop(name))
+            elif name in self._defaults:
+                _set(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__} is missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unknown or repeated fields {sorted(kwargs)}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class Parity(Enum):
@@ -51,14 +113,30 @@ def _check_component(v: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class GaussianInt:
+class GaussianInt(Record):
+    """re + im*i. Built once per target and per pool entry a scan reports,
+    so it has its own constructor, equality and hash; the constructor calls
+    __post_init__, the component check, by name."""
+
     re: int
     im: int
+
+    def __init__(self, re: int, im: int) -> None:
+        _set(self, "re", re)
+        _set(self, "im", im)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_component(self.re)
         _check_component(self.im)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.re + other.re, self.im + other.im)

@@ -15,7 +15,7 @@ from shnirel import cli, diophantine, gaussdecomp, primes, ratdecomp
 from shnirel.cli import entry, parse_gaussian, parse_range
 from shnirel.gaussdecomp import ScanReport
 from shnirel.primes import CACHE_MAGIC
-from shnirel.zcore import GaussianInt
+from shnirel.zcore import GaussianInt, Region
 
 
 def run(capsys, *argv):
@@ -24,19 +24,72 @@ def run(capsys, *argv):
     return code, captured.out, captured.err.strip()
 
 
+def loaded_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds once it has run code."""
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(done.stdout.split())
+
+
+# what no Gaussian command needs: dataclasses and its inspect import, and the
+# rational, matrix and table layers with the csv module
+NOT_GAUSSIAN = {"dataclasses", "inspect", "csv", "shnirel.golden", "shnirel.ratdecomp",
+                "shnirel.diophantine"}
+
+
 class TestStartup:
     def test_import_leaves_the_process_pool_out(self):
-        code = (
-            "import sys, shnirel.cli; "
-            "print('concurrent.futures.process' in sys.modules)"
+        assert "concurrent.futures.process" not in loaded_after("import shnirel.cli")
+
+    def test_import_loads_no_command_module(self):
+        assert loaded_after("import shnirel.cli") & (NOT_GAUSSIAN | {"shnirel.gaussdecomp"}) == set()
+
+    def test_package_import_loads_no_submodule(self):
+        loaded = loaded_after("import shnirel")
+        assert {m for m in loaded if m.startswith("shnirel.")} == set()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--targets", "a", "--re", "1..12", "--im", "1..12", "--primes", "gammapi",
+             "--format", "json"],
+            ["scan", "--targets", "sector", "--re", "1..8", "--im=-7..8", "--primes", "spi",
+             "--format", "csv"],
+            ["decompose", "--z=600,250", "--primes", "gammapi", "--format", "json"],
+            ["decompose", "--z", "19,17", "--primes", "kpi", "--chain", "--format", "md"],
+        ],
+    )
+    def test_gaussian_commands_load_only_their_layers(self, tmp_path, argv):
+        out = tmp_path / "out"
+        loaded = loaded_after(
+            f"from shnirel.cli import entry; entry({argv + ['--out', str(out)]!r})"
         )
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        assert out.stat().st_size > 0
+        assert "shnirel.gaussdecomp" in loaded
+        assert loaded & NOT_GAUSSIAN == set()
+
+    def test_tables_load_the_table_module(self, tmp_path):
+        out = tmp_path / "out"
+        loaded = loaded_after(
+            f"from shnirel.cli import entry; entry(['tables', '--validate', '--out', {str(out)!r}])"
         )
-        assert done.stdout == "False\n"
+        assert out.read_text() == "102 rows, 0 failures\n"
+        assert "shnirel.golden" in loaded
 
 
 class TestParsers:
+    def test_index_choices_are_the_hypotheses(self, capsys):
+        assert list(cli.HYPOTHESIS_INDICES) == sorted(ratdecomp.HYPOTHESES)
+        for index in (0, max(ratdecomp.HYPOTHESES) + 1):
+            with pytest.raises(SystemExit) as exc:
+                entry(["hypotheses", "--index", str(index), "--upper", "50"])
+            assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_gaussian_forms(self):
         assert parse_gaussian("19,16") == GaussianInt(19, 16)
         assert parse_gaussian("8") == GaussianInt(8, 0)
@@ -675,9 +728,9 @@ class TestSieveCap:
 
 
 class TestPoolCap:
-    @pytest.mark.parametrize("z", ["9999,1", "100000,1"])
-    def test_oversized_pool_exits_two_before_building(self, capsys, monkeypatch, z):
-        """9999+i needs a kpi pool to norm 9.998 * 10^7, about 1.4 GB."""
+    @pytest.fixture
+    def no_pool(self, monkeypatch):
+        """Fail the test on any sieve, flag build or pool sweep."""
 
         def allocating(*args):
             raise AssertionError("a pool was built")
@@ -686,27 +739,33 @@ class TestPoolCap:
         monkeypatch.setattr(gaussdecomp, "_prime_norm_flags", allocating)
         monkeypatch.setattr(gaussdecomp, "_pool_annulus", allocating)
         monkeypatch.setattr(primes, "_sieve_flags", allocating)
+
+    @pytest.mark.parametrize("z", ["9999,1", "100000,1"])
+    def test_oversized_pool_exits_two_before_building(self, capsys, no_pool, z):
+        """9999+i needs a kpi pool to norm 9.998 * 10^7, about 1.4 GB."""
         code, out, err = run(capsys, "decompose", "--z", z, "--primes", "kpi")
         assert code == 2
         assert out == ""
         assert "is above the cap of 10000000" in err
         assert "Traceback" not in err
 
-    def test_chain_shift_search_exits_two_before_building(self, capsys, monkeypatch):
+    def test_chain_shift_search_exits_two_before_building(self, capsys, no_pool):
         """9999+i is even with im < 4, so the chain sheds 3 and the pool
         it would need is the one for 9996+i."""
-
-        def allocating(*args):
-            raise AssertionError("a pool was built")
-
-        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-        monkeypatch.setattr(gaussdecomp, "_prime_norm_flags", allocating)
-        monkeypatch.setattr(gaussdecomp, "_pool_annulus", allocating)
-        monkeypatch.setattr(primes, "_sieve_flags", allocating)
         code, out, err = run(capsys, "decompose", "--z", "9999,1", "--primes", "kpi", "--chain")
         assert code == 2
         assert out == ""
         assert err == "pool norm bound 99920018 is above the cap of 10000000"
+
+    def test_oversized_target_list_raises_before_building(self, no_pool):
+        """scan_box caps its sides at 500; a target list given directly
+        to scan_targets is capped at the same 250 000 targets."""
+        z = GaussianInt(3, 2)
+        with pytest.raises(ValueError, match="target count 250001 is above the cap of 250000"):
+            gaussdecomp.scan_targets([z] * 250_001, Region.PRIME_QUADRANT, 3)
+        # at the cap the scan goes on to build its pool
+        with pytest.raises(AssertionError, match="a pool was built"):
+            gaussdecomp.scan_targets([z] * 250_000, Region.PRIME_QUADRANT, 3)
 
 
 class TestTables:

@@ -1,10 +1,10 @@
 """The packaged reference tables: layout, validation, regeneration."""
 
 from collections import Counter
-from dataclasses import replace
 
 from shnirel import (
     GaussianInt,
+    GoldenRow,
     Region,
     in_region,
     parity,
@@ -84,7 +84,8 @@ class TestValidation:
             assert all(s.norm() < row.target.norm() for s in row.summands())
 
     def test_tampered_sum_is_reported(self, golden_rows):
-        bad = replace(golden_rows[0], target=golden_rows[0].target + GaussianInt(2, 0))
+        row = golden_rows[0]
+        bad = GoldenRow(row.table, row.target + GaussianInt(2, 0), row.terms, row.form, row.note)
         report = validate_golden((bad,) + golden_rows[1:])
         assert not report.ok
         assert len(report.failures) == 1
@@ -93,7 +94,8 @@ class TestValidation:
         assert "sum" in reason or "parity" in reason
 
     def test_tampered_table_is_reported(self, golden_rows):
-        bad = replace(golden_rows[0], table=2)
+        row = golden_rows[0]
+        bad = GoldenRow(2, row.target, row.terms, row.form, row.note)
         report = validate_golden((bad,))
         assert not report.ok
         assert "parity" in report.failures[0][1] or "terms" in report.failures[0][1]

@@ -3,10 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import REGION_PREDICATES, associates
+from shnirel.diophantine import SolutionMatrix, SystemKind
 from shnirel.zcore import (
     COMPONENT_BOUND,
     GaussianInt,
     Parity,
+    Record,
     Region,
     Unit,
     congruent_mod_one_plus_i,
@@ -155,3 +157,84 @@ def test_key_orders_by_norm_then_components():
     assert norms == sorted(norms)
     for a, b in zip(ordered, ordered[1:]):
         assert (a.norm(), a.re, a.im) <= (b.norm(), b.re, b.im)
+
+
+class Pair(Record):
+    a: int
+    b: int
+
+
+class OtherPair(Record):
+    a: int
+    b: int
+
+
+class Triple(Pair):
+    c: int = 0
+
+
+class TestRecord:
+    def test_fields_follow_the_annotations_after_the_bases(self):
+        assert Pair._fields == ("a", "b")
+        assert Triple._fields == ("a", "b", "c")
+        assert GaussianInt._fields == ("re", "im")
+
+    def test_positional_keyword_and_default_construction(self):
+        assert Pair(1, 2) == Pair(b=2, a=1) == Pair(1, b=2)
+        assert Triple(1, 2) == Triple(1, 2, 0) == Triple(a=1, b=2, c=0)
+        assert Triple(1, 2, 3).c == 3
+        m = SolutionMatrix(SystemKind.FOUR_COLUMNS, targets=(5,), row_a=(2,), row_b=(3,))
+        assert m.case is None
+        assert GaussianInt(re=3, im=-4) == GaussianInt(3, -4)
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((1,), {}), ((1, 2, 3), {}), ((1, 2), {"d": 4}), ((1, 2), {"a": 1})],
+    )
+    def test_bad_field_lists_raise(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Pair(*args, **kwargs)
+
+    @pytest.mark.parametrize("record", [Pair(1, 2), GaussianInt(1, 2)])
+    def test_frozen(self, record):
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, 5)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert getattr(record, name) == 1
+
+    def test_equal_only_to_its_own_class(self):
+        assert Pair(1, 2) == Pair(1, 2)
+        assert Pair(1, 2) != Pair(2, 1)
+        assert Pair(1, 2) != OtherPair(1, 2)
+        assert Pair(1, 2) != (1, 2)
+        assert Triple(1, 2, 0) != Pair(1, 2)
+        assert GaussianInt(1, 2) != (1, 2)
+        assert GaussianInt(1, 2) != Pair(1, 2)
+
+    def test_hash_is_the_field_tuples(self):
+        assert hash(Pair(1, 2)) == hash(Pair(1, 2)) == hash((1, 2))
+        assert hash(GaussianInt(-3, 7)) == hash((-3, 7))
+        assert len({GaussianInt(1, 2), GaussianInt(1, 2), GaussianInt(2, 1)}) == 2
+        assert {Pair(1, 2): "x"}[Pair(1, 2)] == "x"
+
+    def test_repr(self):
+        assert repr(GaussianInt(1, -2)) == "GaussianInt(re=1, im=-2)"
+        assert repr(Triple(1, "b")) == "Triple(a=1, b='b', c=0)"
+
+    def test_gaussian_int_runs_post_init_once(self, monkeypatch):
+        calls = []
+        check = GaussianInt.__post_init__
+
+        def counting(self):
+            calls.append((self.re, self.im))
+            check(self)
+
+        monkeypatch.setattr(GaussianInt, "__post_init__", counting)
+        GaussianInt(4, 5)
+        assert calls == [(4, 5)]
+        with pytest.raises(OverflowError):
+            GaussianInt(COMPONENT_BOUND, 0)
