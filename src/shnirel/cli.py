@@ -244,6 +244,8 @@ def cmd_hypotheses(args) -> int:
 
 
 def cmd_thm130(args) -> int:
+    if args.c0 < 9:  # n - 9, after three 3s, must stay at least 9
+        raise ValueError(f"c0 must be at least 9, got {args.c0}")
     from .ratdecomp import residue34_chain
 
     result = residue34_chain(args.n, args.c0 + 9)
@@ -381,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     hyp.set_defaults(func=cmd_hypotheses)
 
     chain = commands.add_parser(
-        "thm130", help="write n as two to six primes of the form 4t+3"
+        "thm130", help="write n as three to six primes of the form 4t+3"
     )
     chain.add_argument("--n", type=int, required=True)
     chain.add_argument(
-        "--c0", type=int, default=9, help="empirical threshold constant; n must reach c0+9"
+        "--c0", type=int, default=9, help="empirical threshold, at least 9; n must reach c0+9"
     )
     _add_output_options(chain)
     chain.set_defaults(func=cmd_thm130)

@@ -15,7 +15,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .primes import _pool_annulus, _prime_norm_flags, gaussian_prime_pool, is_gaussian_prime
+from .primes import _member, _norm_flags, _pool_annulus, gaussian_prime_pool, is_gaussian_prime
 from .report import Report
 from .zcore import (
     ZERO,
@@ -175,70 +175,36 @@ def _bounds(targets: Sequence[GaussianInt], region: Region, policy: NormPolicy) 
     return out
 
 
-# The largest pool norm bound. At 10^7 the spi pool, the widest, holds
-# about 1.0 M entries and peaks near 230 MiB while built (CPython 3.11,
-# x86-64); the sieve cap of 10^8 would allow ten times that.
-_POOL_CAP = 10**7
-
-
 class _Pool:
-    """A region's prime-norm flags, and its pool list of odd primes of
-    norm below swept in (norm, re, im) order. Whoever reads the list grows
-    it on demand, one annulus of norm at a time, and it is only appended
-    to: a reader holding the list sees every later annulus."""
+    """A region's pool list of odd primes of norm below swept, in (norm,
+    re, im) order, read off the shared prime-norm flags. Whoever reads the
+    list grows it on demand, one annulus of norm at a time, and it is only
+    appended to: a reader holding the list sees every later annulus."""
 
     def __init__(self, region: Region):
-        self.region, self.flags, self.entries, self.swept = region, bytearray(), [], 0
+        self.region, self.entries, self.swept = region, [], 0
 
     def grow(self, stop: int) -> bool:
-        """Sweep out to twice the radius, never past the flags, if the list
-        may lack a norm <= stop < len(flags); say if it did."""
+        """If the list may lack a norm <= stop, sweep out to twice the radius,
+        never past the flags (grown to reach stop first); say if it did."""
         if self.swept > stop:
             return False
-        hi = min(max(4 * self.swept, 512), len(self.flags))
-        self.entries += _pool_annulus(self.region, self.flags, self.swept, hi)
+        flags = _norm_flags(stop + 1)
+        hi = min(max(4 * self.swept, 512), len(flags))
+        self.entries += _pool_annulus(self.region, flags, self.swept, hi)
         self.swept = hi
         return True
 
 
-_POOL_CACHE: dict[Region, _Pool] = {}  # one per region; flags and list only grow
+_POOL_CACHE: dict[Region, _Pool] = {}  # one per region; each list only grows
 
 
-def _pool_for(region: Region, bound: int) -> _Pool:
-    """The region's cached _Pool, its flags reaching at least norm bound;
-    its list grows only as it is read."""
-    if bound > _POOL_CAP:
-        raise ValueError(f"pool norm bound {bound} is above the cap of {_POOL_CAP}")
-    got = _POOL_CACHE.setdefault(region, _Pool(region))
-    if len(got.flags) < bound:
-        # doubling, but never past the cap
-        got.flags = _prime_norm_flags(max(bound, min(2 * len(got.flags), _POOL_CAP), 512))
-    return got
-
-
-def _member(region: Region, flags) -> Callable:
-    """The membership test of the region's pool read off these flags:
-    member(re, im, first, cap) is the pool entry (re, im, norm) when
-    re + im*i has its norm's flag set (so is an odd prime), meets both
-    cone rows, has norm below cap, and comes no earlier than the pool
-    entry first in (norm, re, im) order; else None."""
-    (a1, b1, c1), (a2, b2, c2) = region.cone
-    top = len(flags)
-
-    def member(re: int, im: int, first: tuple, cap: int) -> tuple[int, int, int] | None:
-        n = re * re + im * im
-        if (
-            n < cap
-            and n < top
-            and flags[n]
-            and a1 * re + b1 * im >= c1
-            and a2 * re + b2 * im >= c2
-            and (n, re, im) >= (first[2], first[0], first[1])
-        ):
-            return re, im, n
-        return None
-
-    return member
+def _pool_for(region: Region, bound: int) -> tuple[_Pool, Callable]:
+    """The region's cached _Pool and its membership test (_member) over
+    the shared prime-norm flags, which reach at least norm bound; the
+    list grows only as it is read."""
+    member = _member(region, _norm_flags(bound))
+    return _POOL_CACHE.setdefault(region, _Pool(region)), member
 
 
 def _dfs(
@@ -287,20 +253,6 @@ def _dfs(
         return False
 
     return acc if rec(t_re, t_im, k, 0) else None
-
-
-def _single(
-    z: GaussianInt, region: Region, policy: NormPolicy, flags: bytes | bytearray = b""
-) -> bool:
-    """Whether z is its own one-term decomposition: the policy allows it
-    and it is an odd region prime. Primality is read off the prime-norm
-    flags, or by Miller-Rabin past their end."""
-    if policy is NormPolicy.STRICT_LESS or not (z.re + z.im) % 2:
-        return False
-    if not in_region(z, region):
-        return False
-    n = z.re * z.re + z.im * z.im
-    return bool(flags[n]) if n < len(flags) else is_gaussian_prime(z)
 
 
 def _search(
@@ -388,23 +340,22 @@ def find_decomposition(
     lexicographically smallest non-decreasing sequence in (norm, re, im)
     order, reported largest term first. The strict policy demands every
     summand norm be below the target norm, which rules out the
-    single-term split. verify_decomposition checks the witness before it
-    is returned, so a wrong one raises ValueError instead.
+    single-term split, else taken when z is an odd region prime.
+    verify_decomposition checks the witness before it is returned, so a
+    wrong one raises ValueError instead.
     """
     if z.is_zero():
         raise ValueError("target must be nonzero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    if include_single and _single(z, region, policy):
+    if include_single and policy is NormPolicy.NONE and _member(region, _norm_flags())(z.re, z.im):
         terms = (sector_form(z),)
     else:
         live = _bounds([z], region, policy)
         if max_terms == 1 or not live:
             return None
         cap = live[0][5]
-        pool = _pool_for(region, cap)
-        member = _member(region, pool.flags)
-        found = _search(z.re, z.im, 2, max_terms, region, cap, pool, member)
+        found = _search(z.re, z.im, 2, max_terms, region, cap, *_pool_for(region, cap))
         if found is None:
             return None
         terms = tuple(sector_form(GaussianInt(re, im)) for re, im, _ in found)
@@ -639,8 +590,8 @@ def _minimal_terms(
 
     When the sumsets would cost more than _SUMSET_OPS_PER_TARGET per
     target, every k_lo is 2, walk is None and the pool list is left as it
-    is; otherwise the list grows to the largest cap. The pool's flags and
-    its membership test must reach that cap.
+    is; otherwise the list grows to the largest cap. The membership test
+    must read flags that reach that cap.
     """
     out: list[tuple[int, int] | None] = [None] * count
     if not live:
@@ -649,7 +600,7 @@ def _minimal_terms(
     top = max(caps)
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
     # each level shift-ORs the whole window once per point
-    points = pool.flags.count(1, 0, top)
+    points = _norm_flags(top).count(1, 0, top)
     ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * points * (max_terms - 1)
     if ops > _SUMSET_OPS_PER_TARGET * count:
         for i, *_, cap in live:
@@ -708,8 +659,9 @@ def scan_targets(
     its largest norm is below the target's, and otherwise the search
     starts at k. A scan whose sumsets would cost more than searching from
     two terms (a narrow box far from the cone's corner) searches from two,
-    and its pool list grows only as far as those searches read it. More
-    than 250 000 targets raise ValueError before anything is built.
+    and its pool list grows only as far as those searches read it; the
+    prime-norm flags are shared with every region. More than 250 000
+    targets raise ValueError before anything is built.
     """
     if len(targets) > _TARGET_CAP:
         raise ValueError(f"target count {len(targets)} is above the cap of {_TARGET_CAP}")
@@ -719,15 +671,13 @@ def scan_targets(
         raise ValueError("target must be nonzero")
     live = _bounds(targets, term_region, policy) if max_terms >= 2 else []
     top = max((t[5] for t in live), default=2)
-    pool = _pool_for(term_region, top)
-    flags = pool.flags
-    member = _member(term_region, flags)
+    pool, member = _pool_for(term_region, top)
     proofs, walk = _minimal_terms(len(targets), live, pool, member, term_region, max_terms)
     del live  # a tuple of six per target: free it before the rows grow
     made: dict = {}  # pool entry -> its GaussianInt, built once per call
     rows = []
     for z, proof in zip(targets, proofs):
-        if _single(z, term_region, policy, flags):
+        if policy is NormPolicy.NONE and member(z.re, z.im):
             rows.append((z, 1, (z,)))
             continue
         if proof is None:

@@ -6,8 +6,9 @@ from __future__ import annotations
 import os
 import struct
 from itertools import compress
-from math import isqrt
+from math import inf, isqrt
 from operator import lt
+from typing import Callable
 
 from .zcore import GaussianInt, Region
 
@@ -159,11 +160,11 @@ def is_gaussian_prime(z: GaussianInt) -> bool:
 
 
 def gaussian_prime_pool(region: Region, norm_bound: int) -> list[tuple[int, int, int]]:
-    """All odd Gaussian primes in the region with norm below norm_bound,
-    as (re, im, norm) triples sorted by (norm, re, im)."""
+    """All odd Gaussian primes in the region with norm below norm_bound
+    (at most _POOL_CAP), as (re, im, norm) triples sorted by (norm, re, im)."""
     if norm_bound < 2:
         raise ValueError("norm_bound must be at least 2")
-    return _pool_annulus(region, _prime_norm_flags(norm_bound), 0, norm_bound)
+    return _pool_annulus(region, _norm_flags(norm_bound), 0, norm_bound)
 
 
 def _prime_norm_flags(norm_bound: int) -> bytearray:
@@ -180,6 +181,51 @@ def _prime_norm_flags(norm_bound: int) -> bytearray:
         if flags[q]:
             flags[q * q] = 1
     return flags
+
+
+# The largest pool norm bound. At 10^7 the spi pool, the widest, holds
+# about 1.0 M entries and peaks near 230 MiB while built (CPython 3.11,
+# x86-64); the sieve cap of 10^8 would allow ten times that.
+_POOL_CAP = 10**7
+
+_shared_flags = bytearray()  # the process's prime-norm flags; they only grow
+
+
+def _norm_flags(bound: int = 0) -> bytearray:
+    """The process's _prime_norm_flags, which every region's pool reads,
+    reaching at least norm bound <= _POOL_CAP. They double, from 512, but
+    never past the cap; a bound past the doubling is met exactly."""
+    global _shared_flags
+    if bound > _POOL_CAP:
+        raise ValueError(f"pool norm bound {bound} is above the cap of {_POOL_CAP}")
+    if len(_shared_flags) < bound:
+        _shared_flags = _prime_norm_flags(max(bound, min(2 * len(_shared_flags), _POOL_CAP), 512))
+    return _shared_flags
+
+
+def _member(region: Region, flags) -> Callable:
+    """The region's pool membership test: member(re, im, first, cap) is the
+    entry (re, im, norm) when re + im*i is an odd Gaussian prime (read off
+    these prime-norm flags, or past their end by is_gaussian_prime), meets
+    both cone rows, has norm below cap, and comes no earlier than the entry
+    first in (norm, re, im) order; else None. So member(re, im) says
+    whether re + im*i is an odd region prime: its own one-term sum."""
+    (a1, b1, c1), (a2, b2, c2) = region.cone
+    top = len(flags)
+
+    def member(re: int, im: int, first: tuple = (0, 0, 0), cap: float = inf) -> tuple | None:
+        n = re * re + im * im
+        if (
+            n < cap
+            and (flags[n] if n < top else (re + im) % 2 and is_gaussian_prime(GaussianInt(re, im)))
+            and a1 * re + b1 * im >= c1
+            and a2 * re + b2 * im >= c2
+            and (n, re, im) >= (first[2], first[0], first[1])
+        ):
+            return re, im, n
+        return None
+
+    return member
 
 
 def _pool_annulus(region: Region, flags, lo: int, hi: int) -> list[tuple[int, int, int]]:

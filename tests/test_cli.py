@@ -711,6 +711,22 @@ class TestThm130:
         code, _, _ = run(capsys, "thm130", "--n", "25", "--c0", "20")
         assert code == 2
 
+    def test_c0_below_nine_exits_two_before_sieving(self, capsys, monkeypatch):
+        """Below c0 = 9 the threshold drops under 18, where stripping three
+        3s can leave a remainder below 9 (10 - 9 = 1): a bad argument, not
+        a refuted hypothesis. It exits 2 before any sieve; c0 = 9 runs."""
+
+        def sieving(*args):
+            raise AssertionError("a sieve ran")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(primes, "_sieve_flags", sieving)
+            code, out, err = run(capsys, "thm130", "--n", "10", "--c0", "0")
+        assert (code, out, err) == (2, "", "c0 must be at least 9, got 0")
+        code, out, err = run(capsys, "thm130", "--n", "18", "--c0", "9", "--format", "csv")
+        assert code == 0
+        assert out == "n,m,witness\n18,6,3+3+3+3+3+3\n"
+
 
 class TestSieveCap:
     @pytest.mark.parametrize(
@@ -736,7 +752,8 @@ class TestPoolCap:
             raise AssertionError("a pool was built")
 
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-        monkeypatch.setattr(gaussdecomp, "_prime_norm_flags", allocating)
+        monkeypatch.setattr(primes, "_shared_flags", bytearray())
+        monkeypatch.setattr(primes, "_prime_norm_flags", allocating)
         monkeypatch.setattr(gaussdecomp, "_pool_annulus", allocating)
         monkeypatch.setattr(primes, "_sieve_flags", allocating)
 

@@ -732,16 +732,17 @@ class TestDiagonalObstruction:
 
 
 def swept_pool(region, bound):
-    """The region's cached _Pool, its list grown to at least norm bound."""
-    got = _pool_for(region, bound)
+    """_pool_for(region, bound), its list grown to at least norm bound."""
+    got, member = _pool_for(region, bound)
     while got.grow(bound - 1):
         pass
-    return got
+    return got, member
 
 
 class TestPoolCache:
     def counting(self, monkeypatch, cache):
-        """Count the flag builds (by bound) and list sweeps (by annulus)."""
+        """Count the flag builds (by bound) and list sweeps (by annulus),
+        starting from no pools and no shared flags."""
         flagged, swept = [], []
 
         def counting_flags(bound):
@@ -753,27 +754,29 @@ class TestPoolCache:
             return primes._pool_annulus(region, flags, lo, hi)
 
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", cache)
-        monkeypatch.setattr(gaussdecomp, "_prime_norm_flags", counting_flags)
+        monkeypatch.setattr(primes, "_shared_flags", bytearray())
+        monkeypatch.setattr(primes, "_prime_norm_flags", counting_flags)
         monkeypatch.setattr(gaussdecomp, "_pool_annulus", counting_annulus)
         return flagged, swept
 
     def test_grows_by_doubling_and_serves_smaller_bounds(self, monkeypatch):
-        """The flags double, from 512, and no bound sweeps the list; a list
-        grown before the flags doubled keeps its object and grows on."""
+        """The shared flags double, from 512, and no bound sweeps the list; a
+        list grown before the flags doubled keeps its object and grows on."""
         cache = {}
         flagged, swept = self.counting(monkeypatch, cache)
-        got = _pool_for(KPI, 100)
+        got, _ = _pool_for(KPI, 100)
         assert flagged == [512]  # never fewer than 512
         assert (swept, got.entries, got.swept) == ([], [], 0)
+        flags = primes._shared_flags
         # flags[2] is clear: the norm-2 primes are the even ones
-        assert [n for n in range(512) if got.flags[n]] == [
+        assert [n for n in range(512) if flags[n]] == [
             n for n in range(512) if n != 2 and (trial_prime(n) or prime_square_3mod4(n))
         ]
         assert cache[KPI] is got
-        entries, flags = got.entries, got.flags
-        assert _pool_for(KPI, 300) is got
+        entries = got.entries
+        assert _pool_for(KPI, 300)[0] is got
         assert flagged == [512]
-        assert got.flags is flags
+        assert primes._shared_flags is flags
         assert got.grow(0)
         assert swept == [(0, 512)]
         _pool_for(KPI, 200)
@@ -794,7 +797,7 @@ class TestPoolCache:
         radius, four times the norm: fewer row passes than doubling the
         norm for a search that reads to the end."""
         flagged, swept = self.counting(monkeypatch, {})
-        got = _pool_for(KPI, 5000)
+        got, _ = _pool_for(KPI, 5000)
         assert (flagged, swept, got.entries) == ([5000], [], [])
         entries = got.entries
         assert got.grow(0)
@@ -808,18 +811,35 @@ class TestPoolCache:
         assert got.entries is entries
         assert entries == gaussian_prime_pool(KPI, 5000)
         # a fully swept list is served as it is
-        assert _pool_for(KPI, 5000) is got
+        assert _pool_for(KPI, 5000)[0] is got
         assert len(swept) == 3
+
+    def test_three_regions_share_one_sieve(self, monkeypatch):
+        """Pools for kpi, gammapi and spi built at one bound read one flag
+        array, sieved once, and each list is what gaussian_prime_pool lists
+        off flags sieved afresh."""
+        cache = {}
+        flagged, _ = self.counting(monkeypatch, cache)
+        regions = (KPI, GPI, SPI)
+        pools = [swept_pool(region, 3000)[0] for region in regions]
+        assert flagged == [3000]
+        assert list(cache) == list(regions)
+        assert all(got.swept == 3000 for got in pools)
+        monkeypatch.setattr(primes, "_shared_flags", bytearray())
+        for region, got in zip(regions, pools):
+            assert got.entries == gaussian_prime_pool(region, 3000), region
+        assert flagged == [3000, 3000]
 
     def test_a_search_sweeps_only_what_it_reads(self, monkeypatch):
         """598+226i needs gammapi flags to its cap, but its witness comes
         off the first few entries. A later scan that the cost gate sends to
         search reads the same list and leaves it short too."""
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        monkeypatch.setattr(primes, "_shared_flags", bytearray())
         dec = find_decomposition(GaussianInt(598, 226), GPI, 3)
         assert summand_strs(dec) == ["592+227i", "6-i"]
         got = gaussdecomp._POOL_CACHE[GPI]
-        entries, flags = got.entries, got.flags
+        entries, flags = got.entries, primes._shared_flags
         assert len(entries) < 1000
         assert len(flags) == 407857
         assert gaussdecomp._bounds([dec.target], GPI, NormPolicy.STRICT_LESS)[0][5] == 407857
@@ -827,7 +847,7 @@ class TestPoolCache:
         report = scan_targets(targets, GPI, 3, NormPolicy.STRICT_LESS)
         assert report.rows[1] == (dec.target, 2, tuple(dec.summands()))
         assert gaussdecomp._POOL_CACHE[GPI] is got
-        assert got.entries is entries and got.flags is flags
+        assert got.entries is entries and primes._shared_flags is flags
         assert len(entries) < 1000
         assert entries == gaussian_prime_pool(GPI, got.swept)
 
@@ -840,10 +860,11 @@ class TestPoolCache:
         the pool cap), but its witnesses come off the first few entries, so
         its list stays short; the rows are find_decomposition's."""
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        monkeypatch.setattr(primes, "_shared_flags", bytearray())
         targets = box_targets(Region.OPEN_QUADRANT, (re_lo, re_lo + 1), (1, 2))
         report = scan_targets(targets, region, 3, NormPolicy.NONE)
         got = gaussdecomp._POOL_CACHE[region]
-        assert len(got.flags) > 4 * 10**6
+        assert len(primes._shared_flags) > 4 * 10**6
         assert len(got.entries) < 1000
         assert got.entries == gaussian_prime_pool(region, got.swept)
         assert report.rows == scan_rows_by_search(targets, region, 3)
@@ -880,7 +901,7 @@ class TestPoolCache:
             cap = live[0][5]
             read = gaussdecomp._POOL_CACHE.get(region)
             monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-            full = swept_pool(region, cap)
+            full, _ = swept_pool(region, cap)
             swept = full.swept
             assert find_decomposition(*args) == cold, args
             assert full.swept == swept  # a list swept past the cap never grew
@@ -929,8 +950,7 @@ class TestPoolCache:
             if not live:
                 continue
             cap = live[0][5]
-            full = swept_pool(region, cap)
-            member = gaussdecomp._member(region, full.flags)
+            full, member = swept_pool(region, cap)
             for k in (3, 4):
                 args = (z.re, z.im, 2, k, region, cap)
                 want = gaussdecomp._search(*args, full, member)
@@ -949,9 +969,9 @@ class TestPoolCache:
 
     def test_doubling_stops_at_the_pool_cap(self, monkeypatch):
         flagged, swept = self.counting(monkeypatch, {})
-        monkeypatch.setattr(gaussdecomp, "_POOL_CAP", 1500)
+        monkeypatch.setattr(primes, "_POOL_CAP", 1500)
         _pool_for(KPI, 1000)
-        got = _pool_for(KPI, 1200)
+        got, _ = _pool_for(KPI, 1200)
         assert flagged == [1000, 1500]  # doubling would ask for 2000
         while got.grow(1499):
             pass
@@ -965,7 +985,8 @@ class TestPoolCache:
             raise AssertionError("a pool was built")
 
         monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-        monkeypatch.setattr(gaussdecomp, "_prime_norm_flags", allocating)
+        monkeypatch.setattr(primes, "_shared_flags", bytearray())
+        monkeypatch.setattr(primes, "_prime_norm_flags", allocating)
         monkeypatch.setattr(gaussdecomp, "_pool_annulus", allocating)
         monkeypatch.setattr(primes, "_sieve_flags", allocating)
         with pytest.raises(ValueError, match="above the cap of 10000000"):
@@ -976,6 +997,7 @@ class TestPoolCache:
         with pytest.raises(ValueError, match="pool norm bound 99980003 is above the cap"):
             scan_targets([GaussianInt(9999, 1)], KPI, 3, NormPolicy.NONE)
         assert gaussdecomp._POOL_CACHE == {}
+        assert primes._shared_flags == bytearray()
 
 
 def prime_square_3mod4(n):
@@ -990,7 +1012,7 @@ class TestPoolMembership:
     def test_accepts_exactly_the_pool(self, region):
         bound = 200
         pool, flags = gaussian_prime_pool(region, bound), _prime_norm_flags(bound)
-        member = gaussdecomp._member(region, flags)
+        member = primes._member(region, flags)
         first = (0, 0, 0)  # no earlier than anything
         window = [(re, im) for re in range(-16, 17) for im in range(-16, 17)]
         got = [member(re, im, first, bound) for re, im in window]
@@ -1011,7 +1033,7 @@ class TestPoolMembership:
             (GPI, [(3, 0), (7, 0)]),
         ):
             flags = _prime_norm_flags(100)
-            member = gaussdecomp._member(region, flags)
+            member = primes._member(region, flags)
             for re, im in points:
                 assert member(re, im, (0, 0, 0), 100) == (re, im, re * re + im * im)
             # 5 = (2+i)(2-i) and 9i = 3 * 3i share the norms of primes
@@ -1019,7 +1041,7 @@ class TestPoolMembership:
             assert member(0, 9, (0, 0, 0), 100) is None
         # 1+i is the even prime: flags[2] is clear, so it is no member
         flags = _prime_norm_flags(100)
-        member = gaussdecomp._member(KPI, flags)
+        member = primes._member(KPI, flags)
         assert not flags[2]
         assert member(1, 1, (0, 0, 0), 100) is None
         assert member(3, 0, (0, 0, 0), 100) == (3, 0, 9)
@@ -1031,7 +1053,7 @@ class TestPoolMembership:
         those of norm 2 (the associates of 1+i) included."""
         bound = 400
         flags = _prime_norm_flags(bound)
-        member = gaussdecomp._member(region, flags)
+        member = primes._member(region, flags)
         even = [
             (re, im)
             for re in range(-20, 21)
@@ -1043,11 +1065,17 @@ class TestPoolMembership:
 
 
 class TestSingle:
+    """The membership test answers the one-term question: left without a
+    first entry or cap, member(re, im) says whether re + im*i is an odd
+    region prime. Callers check the policy themselves."""
+
     def test_matches_primality_past_the_flags(self):
-        """Inside the flags and past their end, _single agrees with
-        is_gaussian_prime, the region and oddness."""
+        """Inside the flags and past their end, the membership test agrees
+        with is_gaussian_prime, the region and oddness; find_decomposition
+        takes the one-term split only under NormPolicy.NONE."""
         flags = _prime_norm_flags(60)
         for region in (KPI, GPI, SPI):
+            members = [primes._member(region, fl) for fl in (flags, b"")]
             for re in range(-12, 13):
                 for im in range(-12, 13):
                     z = GaussianInt(re, im)
@@ -1058,10 +1086,12 @@ class TestSingle:
                         and is_gaussian_prime(z)
                         and (re + im) % 2 == 1
                     )
-                    for fl in (flags, b""):
-                        got = gaussdecomp._single(z, region, NormPolicy.NONE, fl)
-                        assert got == want, (z, region)
-                        assert not gaussdecomp._single(z, region, NormPolicy.STRICT_LESS, fl)
+                    for member in members:
+                        got = member(re, im)
+                        assert got == ((re, im, z.norm()) if want else None), (z, region)
+                    dec = find_decomposition(z, region, 1, NormPolicy.NONE)
+                    assert (dec is not None) == want, (z, region)
+                    assert find_decomposition(z, region, 1, NormPolicy.STRICT_LESS) is None
 
     def test_reads_the_flags_without_miller_rabin(self, monkeypatch):
         calls = []
@@ -1071,18 +1101,34 @@ class TestSingle:
             calls.append(n)
             return real(n)
 
-        flags = _prime_norm_flags(1000)
+        member = primes._member(KPI, _prime_norm_flags(1000))
         monkeypatch.setattr(primes, "is_rational_prime", counting)
-        inside = [GaussianInt(re, im) for re in range(22) for im in range(22) if re or im]
-        assert [z for z in inside if gaussdecomp._single(z, KPI, NormPolicy.NONE, flags)]
+        inside = [(re, im) for re in range(22) for im in range(22) if re or im]
+        assert [p for p in inside if member(*p)]
         assert calls == []
-        assert gaussdecomp._single(GaussianInt(31, 10), KPI, NormPolicy.NONE, flags)
+        assert member(31, 10)
         assert calls  # norm 1061, past the flags' end
         calls.clear()
         # a kpi scan covers every target's norm with its pool's flags
         report = scan_box(Region.OPEN_QUADRANT, (1, 30), (1, 30), KPI, 3, NormPolicy.NONE)
         assert report.term_counts[1] > 0
         assert calls == []
+
+    @pytest.mark.parametrize("region", list(Region))
+    def test_empty_flags_reject_every_even_point(self, region):
+        """Past the flags' end primality comes from is_gaussian_prime,
+        which takes 1+i, so the test asks for an odd point first: with no
+        flags at all, 1+i, 1-i and every other even point are rejected."""
+        assert is_gaussian_prime(GaussianInt(1, 1))
+        member = primes._member(region, b"")
+        even = [
+            (re, im)
+            for re in range(-20, 21)
+            for im in range(-20, 21)
+            if (re + im) % 2 == 0 and (re or im)
+        ]
+        assert {(1, 1), (1, -1)} <= set(even)
+        assert [p for p in even if member(*p)] == []
 
 
 class TestFourTermDecompose:

@@ -21,7 +21,7 @@ from shnirel import (
     is_rational_prime,
     sector_gap_stats,
 )
-from shnirel import gaussdecomp, primes
+from shnirel import primes
 from shnirel.primes import CACHE_MAGIC
 
 
@@ -94,7 +94,10 @@ class TestPrimeTable:
         assert PrimeTable.sieve(1000).primes[-1] == 997
         with pytest.raises(ValueError, match="sieve limit 1001 is above the cap of 1000"):
             PrimeTable.sieve(1001)
+        # each pool starts from no shared flags, so it sieves its own bound
+        monkeypatch.setattr(primes, "_shared_flags", bytearray())
         assert gaussian_prime_pool(Region.PRIME_QUADRANT, 1001)[-1][2] == 997
+        monkeypatch.setattr(primes, "_shared_flags", bytearray())
         with pytest.raises(ValueError, match="sieve limit 1001 is above the cap"):
             gaussian_prime_pool(Region.PRIME_QUADRANT, 1002)
 
@@ -374,7 +377,7 @@ class TestGaussianPrimesIn:
         for region in Region:
             pool, flags = gaussian_prime_pool(region, 20), primes._prime_norm_flags(20)
             assert all(n != 2 for _, _, n in pool)
-            member = gaussdecomp._member(region, flags)
+            member = primes._member(region, flags)
             for re, im in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 assert member(re, im, (0, 0, 0), 20) is None, (region, re, im)
 
