@@ -56,7 +56,6 @@ _EXPORTS = {
         "HypothesisReport",
         "HypothesisSpec",
         "four_odd_primes",
-        "hypothesis_scan",
         "hypothesis_scans",
         "min_odd_prime_terms",
         "residue34_chain",
@@ -69,7 +68,6 @@ _EXPORTS = {
         "Parity",
         "Region",
         "Unit",
-        "congruent_mod_one_plus_i",
         "in_region",
         "parity",
         "sector_form",

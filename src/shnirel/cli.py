@@ -15,13 +15,15 @@ import os
 import sys
 from bisect import bisect_right
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable
 
 from .primes import CACHE_ENV
 from .report import FORMATS, HypothesisViolation, Report, SearchExhausted
 from .zcore import GaussianInt, Region, in_region
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .gaussdecomp import Decomposition
 
 # Each cmd_* function imports the modules it runs, so a command loads only

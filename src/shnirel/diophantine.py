@@ -14,13 +14,16 @@ ValueError instead of leaving the library.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator
 
 from .gaussdecomp import NormPolicy, find_decomposition
 from .primes import is_gaussian_prime, is_rational_prime
 from .ratdecomp import SearchExhausted, four_odd_primes, min_odd_prime_terms
 from .report import Report
 from .zcore import GaussianInt, Region, in_region
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 
 class SystemKind(Enum):

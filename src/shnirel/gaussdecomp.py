@@ -8,14 +8,11 @@ that shed one inert prime to reach an odd remainder.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from enum import Enum
-from itertools import islice
-from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from math import log
 
-from .primes import _member, _norm_flags, _pool_annulus, gaussian_prime_pool, is_gaussian_prime
+from .primes import _Pool, _pool_for, gaussian_prime_pool, is_gaussian_prime
 from .report import Report
 from .zcore import (
     ZERO,
@@ -27,6 +24,10 @@ from .zcore import (
     sector_form,
 )
 from .zcore import parity as parity_of
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterator, Sequence
 
 
 class NormPolicy(Enum):
@@ -175,52 +176,18 @@ def _bounds(targets: Sequence[GaussianInt], region: Region, policy: NormPolicy) 
     return out
 
 
-class _Pool:
-    """A region's pool list of odd primes of norm below swept, in (norm,
-    re, im) order, read off the shared prime-norm flags. Whoever reads the
-    list grows it on demand, one annulus of norm at a time, and it is only
-    appended to: a reader holding the list sees every later annulus."""
-
-    def __init__(self, region: Region):
-        self.region, self.entries, self.swept = region, [], 0
-
-    def grow(self, stop: int) -> bool:
-        """If the list may lack a norm <= stop, sweep out to twice the radius,
-        never past the flags (grown to reach stop first); say if it did."""
-        if self.swept > stop:
-            return False
-        flags = _norm_flags(stop + 1)
-        hi = min(max(4 * self.swept, 512), len(flags))
-        self.entries += _pool_annulus(self.region, flags, self.swept, hi)
-        self.swept = hi
-        return True
-
-
-_POOL_CACHE: dict[Region, _Pool] = {}  # one per region; each list only grows
-
-
-def _pool_for(region: Region, bound: int) -> tuple[_Pool, Callable]:
-    """The region's cached _Pool and its membership test (_member) over
-    the shared prime-norm flags, which reach at least norm bound; the
-    list grows only as it is read."""
-    member = _member(region, _norm_flags(bound))
-    return _POOL_CACHE.setdefault(region, _Pool(region)), member
-
-
 def _dfs(
     t_re: int,
     t_im: int,
     k: int,
     pool: _Pool,
-    member: Callable,
-    cone,
     cap: int,
 ) -> list[tuple[int, int, int]] | None:
     """The lexicographically first non-decreasing k-tuple (k >= 2) of
     pool entries summing to the target, all norms below cap, ascending.
     Any level may grow the list, so each loop reads on past its end."""
-    (a1, b1, _), (a2, b2, _) = cone
-    entries, grow = pool.entries, pool.grow
+    (a1, b1, _), (a2, b2, _) = cone = pool.region.cone
+    entries, grow, member = pool.entries, pool.grow, pool.member
     acc: list[tuple[int, int, int]] = []
 
     def rec(re: int, im: int, terms: int, lo: int) -> bool:
@@ -256,21 +223,23 @@ def _dfs(
 
 
 def _search(
-    re: int, im: int, k_lo: int, max_terms: int,
-    region: Region, cap: int, pool: _Pool, member: Callable,
+    re: int, im: int, k_lo: int, max_terms: int, cap: int, pool: _Pool,
 ) -> list[tuple[int, int, int]] | None:
     """The canonical decomposition of re + im*i with the fewest terms k,
-    k_lo <= k <= max_terms (k_lo >= 2), into entries of the pool and its
-    membership test with norm below cap: its pool entries (re, im,
-    norm), largest first, or None.
+    k_lo <= k <= max_terms (k_lo >= 2), into entries of the pool with
+    norm below cap: its pool entries (re, im, norm), largest first, or
+    None.
 
     Only term counts some sum can reach are searched: k odd terms sum to
-    the class of k modulo 1+i. The _dfs entries ascend in (norm, re, im)
-    order, so reversing them lists the terms largest first.
+    the class of k modulo 1+i, and as every nonzero point p of each cone
+    (rows n1, n2) has (n1 + n2).p >= 1, k terms sum to a z with (n1 +
+    n2).z >= k. Reversing the ascending _dfs entries lists them largest first.
     """
+    (a1, b1, _), (a2, b2, _) = pool.region.cone
+    k_hi = min(max_terms, (a1 + a2) * re + (b1 + b2) * im)
     k_lo += (re + im - k_lo) % 2
-    for k in range(k_lo, max_terms + 1, 2):
-        got = _dfs(re, im, k, pool, member, region.cone, cap)
+    for k in range(k_lo, k_hi + 1, 2):
+        got = _dfs(re, im, k, pool, cap)
         if got is not None:
             return got[::-1]
     return None
@@ -348,14 +317,14 @@ def find_decomposition(
         raise ValueError("target must be nonzero")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    if include_single and policy is NormPolicy.NONE and _member(region, _norm_flags())(z.re, z.im):
+    if include_single and policy is NormPolicy.NONE and _pool_for(region).member(z.re, z.im):
         terms = (sector_form(z),)
     else:
         live = _bounds([z], region, policy)
         if max_terms == 1 or not live:
             return None
         cap = live[0][5]
-        found = _search(z.re, z.im, 2, max_terms, region, cap, *_pool_for(region, cap))
+        found = _search(z.re, z.im, 2, max_terms, cap, _pool_for(region, cap))
         if found is None:
             return None
         terms = tuple(sector_form(GaussianInt(re, im)) for re, im, _ in found)
@@ -539,18 +508,19 @@ def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
 
 
 # Bit-ops the sumsets may spend per target, estimated as window bits x
-# pool points x (max_terms - 1), the points counted off the flags: one per
-# set flag below the largest cap, about the pool's size in a quarter plane
-# and 2/3 of it in spi's cone. A shift-OR costs about 4 ns per 64-bit
-# word (2-core x86, Python 3.11), so this is about 8 us a target, near
-# the 6-15 us a target's _search takes on a warm pool (a strict spi box
-# at the origin, gammapi boxes at re 200 and 2000). The property the
-# sumsets need is targets that fill the window, which reaches from the
-# cone's corner to the targets: gammapi and kpi boxes of side 120-150 at
-# the origin come in at 0.07 of this, a 10 x 10 gammapi box at re 200 at
-# 31 times and a 2 x 2 box at re 2000 at 4 * 10^6 times, so those search
-# target by target; denser boxes walk the levels, and strict ones search
-# only where the walked witness reaches the target's norm.
+# pool points x (max_terms - 1), with no sieve: the points are top / ln(top)
+# for the largest cap top, 0.89-0.93 of the prime norms below it for top
+# from 2.9 * 10^4 to 10^7, about the pool's size in a quarter plane and
+# 2/3 of it in spi's cone. A shift-OR costs about 4 ns per 64-bit word
+# (2-core x86, Python 3.11), so this is about 8 us a target, near the
+# 6-15 us a target's _search takes on a warm pool (a strict spi box at the
+# origin, gammapi boxes at re 200 and 2000). The property the sumsets need
+# is targets that fill the window, which reaches from the cone's corner to
+# the targets: gammapi and kpi boxes of side 120-150 at the origin come in
+# at 0.06 of this, a 10 x 10 gammapi box at re 200 at 28 times and a 2 x 2
+# box at re 2000 at 4 * 10^6 times, so those search target by target;
+# denser boxes walk the levels, and strict ones search only where the
+# walked witness reaches the target's norm.
 _SUMSET_OPS_PER_TARGET = 1 << 17
 
 
@@ -558,8 +528,6 @@ def _minimal_terms(
     count: int,
     live: list[tuple],
     pool: _Pool,
-    member: Callable,
-    region: Region,
     max_terms: int,
 ) -> tuple[list[tuple[int, int] | None], Callable | None]:
     """(proofs, walk) for count targets, given the _bounds of the live
@@ -590,27 +558,24 @@ def _minimal_terms(
 
     When the sumsets would cost more than _SUMSET_OPS_PER_TARGET per
     target, every k_lo is 2, walk is None and the pool list is left as it
-    is; otherwise the list grows to the largest cap. The membership test
-    must read flags that reach that cap.
+    is; otherwise the sumsets and the walk read the pool list grown to the
+    largest cap and cut there.
     """
     out: list[tuple[int, int] | None] = [None] * count
     if not live:
         return out, None
     _, res, ims, us, vs, caps = zip(*live)
-    top = max(caps)
+    top, region, member = max(caps), pool.region, pool.member
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
     # each level shift-ORs the whole window once per point
-    points = _norm_flags(top).count(1, 0, top)
+    points = top / log(top)
     ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * points * (max_terms - 1)
     if ops > _SUMSET_OPS_PER_TARGET * count:
         for i, *_, cap in live:
             out[i] = (2, cap)
         return out, None
-    while pool.grow(top - 1):
-        pass
-    entries = pool.entries
-    cut = bisect_left(entries, top, key=itemgetter(2))  # the entries of norm below top
-    width, levels = _sumsets(islice(entries, cut), region, re_lo, re_hi, im_lo, im_hi, max_terms)
+    entries = gaussian_prime_pool(region, top)
+    width, levels = _sumsets(entries, region, re_lo, re_hi, im_lo, im_hi, max_terms)
     rows, span = re_hi - re_lo + 1, im_hi - im_lo + 1
     strings = [format(level, f"0{rows * width}b")[::-1] for level in levels]
     for i, re, im, *_, cap in live:
@@ -623,7 +588,7 @@ def _minimal_terms(
     def walk(re: int, im: int, k: int) -> list[tuple[int, int, int]]:
         terms, lo, r, j = [], 0, re - re_lo, im - im_lo  # r, j: residual in the window
         for bits in strings[k - 2 :: -1]:
-            for i in range(lo, cut):
+            for i in range(lo, len(entries)):
                 x, y = r - entries[i][0], j - entries[i][1]
                 if 0 <= x < rows and 0 <= y < span and bits[x * width + y] == "1":
                     terms.append(entries[i])
@@ -659,9 +624,9 @@ def scan_targets(
     its largest norm is below the target's, and otherwise the search
     starts at k. A scan whose sumsets would cost more than searching from
     two terms (a narrow box far from the cone's corner) searches from two,
-    and its pool list grows only as far as those searches read it; the
-    prime-norm flags are shared with every region. More than 250 000
-    targets raise ValueError before anything is built.
+    and its pool list and the shared flags grow only as far as those
+    searches read them. More than 250 000 targets raise ValueError before
+    anything is built.
     """
     if len(targets) > _TARGET_CAP:
         raise ValueError(f"target count {len(targets)} is above the cap of {_TARGET_CAP}")
@@ -671,13 +636,13 @@ def scan_targets(
         raise ValueError("target must be nonzero")
     live = _bounds(targets, term_region, policy) if max_terms >= 2 else []
     top = max((t[5] for t in live), default=2)
-    pool, member = _pool_for(term_region, top)
-    proofs, walk = _minimal_terms(len(targets), live, pool, member, term_region, max_terms)
+    pool = _pool_for(term_region, top)
+    proofs, walk = _minimal_terms(len(targets), live, pool, max_terms)
     del live  # a tuple of six per target: free it before the rows grow
     made: dict = {}  # pool entry -> its GaussianInt, built once per call
     rows = []
     for z, proof in zip(targets, proofs):
-        if policy is NormPolicy.NONE and member(z.re, z.im):
+        if policy is NormPolicy.NONE and pool.member(z.re, z.im):
             rows.append((z, 1, (z,)))
             continue
         if proof is None:
@@ -687,7 +652,7 @@ def scan_targets(
             # the walk draws on the pool to the largest cap, so under a
             # strict cap its largest term, wit[0], may reach the target's norm
             if wit is None or wit[0][2] >= proof[1]:
-                wit = _search(z.re, z.im, proof[0], max_terms, term_region, proof[1], pool, member)
+                wit = _search(z.re, z.im, proof[0], max_terms, proof[1], pool)
         if wit is None:
             rows.append((z, None, None))
             continue

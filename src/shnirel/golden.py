@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 from importlib import resources
-from typing import Iterator
 
 from .gaussdecomp import (
     Decomposition,
@@ -25,6 +24,10 @@ from .gaussdecomp import (
 from .report import Report
 from .zcore import GaussianInt, Parity, Record, Region, Unit, in_region
 from .zcore import parity as parity_of
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 DATA_RESOURCE = "data/golden_tables.csv"
 

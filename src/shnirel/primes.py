@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import os
 import struct
+from bisect import bisect_left
 from itertools import compress
 from math import inf, isqrt
-from operator import lt
-from typing import Callable
+from operator import itemgetter, lt
 
 from .zcore import GaussianInt, Region
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 # Witness set is deterministic for every n below 3.3 * 10^24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -159,14 +163,6 @@ def is_gaussian_prime(z: GaussianInt) -> bool:
     return False
 
 
-def gaussian_prime_pool(region: Region, norm_bound: int) -> list[tuple[int, int, int]]:
-    """All odd Gaussian primes in the region with norm below norm_bound
-    (at most _POOL_CAP), as (re, im, norm) triples sorted by (norm, re, im)."""
-    if norm_bound < 2:
-        raise ValueError("norm_bound must be at least 2")
-    return _pool_annulus(region, _norm_flags(norm_bound), 0, norm_bound)
-
-
 def _prime_norm_flags(norm_bound: int) -> bytearray:
     """flags[n], 0 <= n < norm_bound, is 1 exactly when n is an odd prime
     or the square of a prime q = 3 mod 4. So an odd z is a Gaussian prime
@@ -188,36 +184,23 @@ def _prime_norm_flags(norm_bound: int) -> bytearray:
 # x86-64); the sieve cap of 10^8 would allow ten times that.
 _POOL_CAP = 10**7
 
-_shared_flags = bytearray()  # the process's prime-norm flags; they only grow
-
-
-def _norm_flags(bound: int = 0) -> bytearray:
-    """The process's _prime_norm_flags, which every region's pool reads,
-    reaching at least norm bound <= _POOL_CAP. They double, from 512, but
-    never past the cap; a bound past the doubling is met exactly."""
-    global _shared_flags
-    if bound > _POOL_CAP:
-        raise ValueError(f"pool norm bound {bound} is above the cap of {_POOL_CAP}")
-    if len(_shared_flags) < bound:
-        _shared_flags = _prime_norm_flags(max(bound, min(2 * len(_shared_flags), _POOL_CAP), 512))
-    return _shared_flags
+_shared_flags = bytearray()  # every pool's prime-norm flags, grown in place as lists sweep
 
 
 def _member(region: Region, flags) -> Callable:
     """The region's pool membership test: member(re, im, first, cap) is the
     entry (re, im, norm) when re + im*i is an odd Gaussian prime (read off
-    these prime-norm flags, or past their end by is_gaussian_prime), meets
-    both cone rows, has norm below cap, and comes no earlier than the entry
-    first in (norm, re, im) order; else None. So member(re, im) says
+    these prime-norm flags, or past their current end by is_gaussian_prime),
+    meets both cone rows, has norm below cap, and comes no earlier than the
+    entry first in (norm, re, im) order; else None. So member(re, im) says
     whether re + im*i is an odd region prime: its own one-term sum."""
     (a1, b1, c1), (a2, b2, c2) = region.cone
-    top = len(flags)
 
     def member(re: int, im: int, first: tuple = (0, 0, 0), cap: float = inf) -> tuple | None:
         n = re * re + im * im
         if (
             n < cap
-            and (flags[n] if n < top else (re + im) % 2 and is_gaussian_prime(GaussianInt(re, im)))
+            and (flags[n] if n < len(flags) else (re + im) % 2 and is_gaussian_prime(GaussianInt(re, im)))
             and a1 * re + b1 * im >= c1
             and a2 * re + b2 * im >= c2
             and (n, re, im) >= (first[2], first[0], first[1])
@@ -249,6 +232,58 @@ def _pool_annulus(region: Region, flags, lo: int, hi: int) -> list[tuple[int, in
             found += [(rr + im * im, re, im) for im in range(a, b + 1, 2) if flags[rr + im * im]]
     found.sort()
     return [(re, im, n) for n, re, im in found]
+
+
+class _Pool:
+    """A region's pool list of odd primes of norm below swept, in (norm,
+    re, im) order, and its membership test, both over the shared flags.
+    Whoever reads the list grows it on demand, one annulus of norm at a
+    time, and it is only appended to: a reader holding the list sees every
+    later annulus. The flags grow in place, so the test reads their end."""
+
+    def __init__(self, region: Region):
+        self.region, self.entries, self.swept, self.flags = region, [], 0, _shared_flags
+        self.member = _member(region, self.flags)
+
+    def grow(self, stop: int, reach: int = 0) -> bool:
+        """If the list may lack a norm <= stop, sweep out to twice the radius,
+        or to norm reach if that is further, but not past stop + 1, first
+        sieving the flags to that end if they fall short of it; say if it
+        did. A reader that needs the whole list gives reach: one sweep."""
+        if self.swept > stop:
+            return False
+        hi = min(max(4 * self.swept, 512, reach), stop + 1)
+        if len(self.flags) < hi:  # in place: every membership test reads the new end
+            self.flags += _prime_norm_flags(hi)[len(self.flags) :]
+        self.entries += _pool_annulus(self.region, self.flags, self.swept, hi)
+        self.swept = hi
+        return True
+
+
+_POOL_CACHE: dict[Region, _Pool] = {}  # one per region; each list only grows
+
+
+def _pool_for(region: Region, bound: int = 0) -> _Pool:
+    """The region's cached _Pool, for a reader whose norms stay below bound.
+    A bound above _POOL_CAP raises ValueError before anything is swept or
+    sieved; the list and the flags grow only as the pool is read."""
+    if bound > _POOL_CAP:
+        raise ValueError(f"pool norm bound {bound} is above the cap of {_POOL_CAP}")
+    pool = _POOL_CACHE.get(region)
+    if pool is None:
+        pool = _POOL_CACHE[region] = _Pool(region)
+    return pool
+
+
+def gaussian_prime_pool(region: Region, norm_bound: int) -> list[tuple[int, int, int]]:
+    """All odd Gaussian primes in the region with norm below norm_bound
+    (at most _POOL_CAP), as (re, im, norm) triples sorted by (norm, re,
+    im): the region's cached pool list, grown to norm_bound and cut there."""
+    if norm_bound < 2:
+        raise ValueError("norm_bound must be at least 2")
+    pool = _pool_for(region, norm_bound)
+    pool.grow(norm_bound - 1, norm_bound)
+    return pool.entries[: bisect_left(pool.entries, norm_bound, key=itemgetter(2))]
 
 
 def sector_gap_stats(norm_bound: int) -> tuple[int, int]:

@@ -10,11 +10,14 @@ from the 3 mod 4 class.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
 
 from .primes import PrimeTable
 from .report import HypothesisViolation, Report, SearchExhausted
 from .zcore import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator, Sequence
 
 _shared_table: PrimeTable | None = None
 _odd_pool: list[int] = []
@@ -242,11 +245,6 @@ def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[Hypothesi
     return [reports[index] for index in indices]
 
 
-def hypothesis_scan(index: int, lo: int, hi: int) -> HypothesisReport:
-    """Try the index-th residue-class split on every matching n in [lo, hi]."""
-    return hypothesis_scans([index], lo, hi)[0]
-
-
 # How many copies of 3 shift n down to the residue the three-term split
 # covers, keyed by n mod 4.
 _EXTRA_THREES = {1: 0, 0: 1, 3: 2, 2: 3}
@@ -317,7 +315,6 @@ __all__ = [
     "HypothesisViolation",
     "SearchExhausted",
     "four_odd_primes",
-    "hypothesis_scan",
     "hypothesis_scans",
     "min_odd_prime_terms",
     "residue34_chain",

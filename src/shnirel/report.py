@@ -4,9 +4,13 @@ command may raise."""
 from __future__ import annotations
 
 from itertools import chain
-from typing import IO, Iterable
 
 from .zcore import Record
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+    from typing import IO
 
 FORMATS = ("md", "csv", "json")
 

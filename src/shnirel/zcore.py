@@ -181,15 +181,6 @@ def parity(z: GaussianInt) -> Parity:
     return Parity.ODD if (z.re + z.im) % 2 else Parity.EVEN
 
 
-def congruent_mod_one_plus_i(z: GaussianInt, k: int) -> bool:
-    """True when z and the rational integer k agree modulo 1+i.
-
-    A sum of k odd Gaussian integers lands in the class of k, so this is
-    the parity gate for k-term decompositions.
-    """
-    return parity(z) == (Parity.ODD if k % 2 else Parity.EVEN)
-
-
 class Region(Enum):
     """Planar membership predicates, values doubling as CLI names.
 

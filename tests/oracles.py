@@ -30,6 +30,13 @@ def odd_primes_upto(limit: int) -> list[int]:
     return [n for n in range(3, limit + 1, 2) if trial_prime(n)]
 
 
+def congruent_mod_one_plus_i(z, k: int) -> bool:
+    """True when z (anything with re and im) and the rational integer k
+    agree modulo 1+i: (z - k)(1 - i) / 2 has integer parts."""
+    re, im = z.re - k, z.im
+    return (re + im) % 2 == 0 and (im - re) % 2 == 0
+
+
 def _gaussian_divides(d_re: int, d_im: int, z_re: int, z_im: int) -> bool:
     n = d_re * d_re + d_im * d_im
     a = z_re * d_re + z_im * d_im

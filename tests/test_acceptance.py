@@ -14,7 +14,7 @@ from shnirel import (
     NormPolicy,
     Region,
     SystemKind,
-    hypothesis_scan,
+    hypothesis_scans,
     is_gaussian_prime,
     load_golden,
     obstruction_line_report,
@@ -215,8 +215,8 @@ def test_criterion_07_residue_class_hypotheses():
     total = 0.0
     for index, (exceptions, c0) in expected.items():
         t0 = time.perf_counter()
-        base = hypothesis_scan(index, 1, 10**5)
-        doubled = hypothesis_scan(index, 1, 2 * 10**5)
+        base = hypothesis_scans([index], 1, 10**5)[0]
+        doubled = hypothesis_scans([index], 1, 2 * 10**5)[0]
         elapsed = time.perf_counter() - t0
         total += elapsed
         good = (
@@ -233,7 +233,7 @@ def test_criterion_07_residue_class_hypotheses():
 
 def test_criterion_08_residue_chain():
     t0 = time.perf_counter()
-    c0 = hypothesis_scan(2, 1, 10**3).c0_candidate
+    c0 = hypothesis_scans([2], 1, 10**3)[0].c0_candidate
     start = c0 + 9
     assert start == CHAIN_THRESHOLD
     worst = 0

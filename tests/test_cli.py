@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,10 +25,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err.strip()
 
 
-def loaded_after(code: str) -> set[str]:
-    """The modules a fresh interpreter holds once it has run code."""
+def loaded_after(code: str, *flags: str) -> set[str]:
+    """The modules a fresh interpreter, started with flags, holds once it
+    has run code."""
     done = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        [sys.executable, *flags, "-c", code + "\nimport sys; print(*sys.modules)"],
         capture_output=True,
         text=True,
         check=True,
@@ -47,6 +49,18 @@ class TestStartup:
 
     def test_import_loads_no_command_module(self):
         assert loaded_after("import shnirel.cli") & (NOT_GAUSSIAN | {"shnirel.gaussdecomp"}) == set()
+
+    def test_no_module_imports_typing(self, tmp_path):
+        """Annotations name typing's types only for type checkers, so neither
+        the CLI import nor a Gaussian command loads typing. Under -S no site
+        hook can load it first; the package's directory goes on the path by
+        hand."""
+        home = str(Path(cli.__file__).resolve().parents[1])
+        argv = ["scan", "--targets", "a", "--re", "1..12", "--im", "1..12", "--primes", "kpi",
+                "--format", "json", "--out", str(tmp_path / "out")]
+        for code in ("import shnirel.cli", f"from shnirel.cli import entry; entry({argv!r})"):
+            loaded = loaded_after(f"import sys; sys.path.insert(0, {home!r}); {code}", "-S")
+            assert "shnirel.cli" in loaded and "typing" not in loaded, code
 
     def test_package_import_loads_no_submodule(self):
         loaded = loaded_after("import shnirel")
@@ -751,10 +765,10 @@ class TestPoolCap:
         def allocating(*args):
             raise AssertionError("a pool was built")
 
-        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        monkeypatch.setattr(primes, "_POOL_CACHE", {})
         monkeypatch.setattr(primes, "_shared_flags", bytearray())
         monkeypatch.setattr(primes, "_prime_norm_flags", allocating)
-        monkeypatch.setattr(gaussdecomp, "_pool_annulus", allocating)
+        monkeypatch.setattr(primes, "_pool_annulus", allocating)
         monkeypatch.setattr(primes, "_sieve_flags", allocating)
 
     @pytest.mark.parametrize("z", ["9999,1", "100000,1"])

@@ -10,7 +10,13 @@ from math import isqrt
 
 import pytest
 
-from oracles import REGION_PREDICATES, gaussian_prime_by_division, obstruction_sweep, trial_prime
+from oracles import (
+    REGION_PREDICATES,
+    congruent_mod_one_plus_i,
+    gaussian_prime_by_division,
+    obstruction_sweep,
+    trial_prime,
+)
 
 from shnirel import (
     Decomposition,
@@ -19,7 +25,6 @@ from shnirel import (
     Region,
     Unit,
     box_targets,
-    congruent_mod_one_plus_i,
     find_decomposition,
     four_term_decompose,
     gaussian_prime_pool,
@@ -32,8 +37,7 @@ from shnirel import (
     verify_diagonal_obstruction,
 )
 from shnirel import gaussdecomp, primes
-from shnirel.gaussdecomp import _pool_for
-from shnirel.primes import _prime_norm_flags
+from shnirel.primes import _pool_annulus, _pool_for, _prime_norm_flags
 
 KPI = Region.PRIME_QUADRANT
 GPI = Region.PRIME_SECTOR
@@ -110,6 +114,42 @@ class TestFindDecomposition:
         monkeypatch.setattr(gaussdecomp, "_search", wrong)
         with pytest.raises(ValueError, match=r"terms sum to 19\+18i, not 19\+16i"):
             find_decomposition(GaussianInt(19, 16), KPI, 3)
+
+    @pytest.mark.parametrize("region", list(Region))
+    def test_every_cone_point_has_a_positive_row_sum(self, region):
+        """With cone rows n1.p >= c1 and n2.p >= c2, (n1 + n2).p >= 1 at
+        every nonzero point of the region, so k terms sum to a z with
+        (n1 + n2).z >= k: the bound on _search's term counts."""
+        (a1, b1, _), (a2, b2, _) = region.cone
+        inside = REGION_PREDICATES[region.value]
+        points = [(re, im) for re in range(-30, 31) for im in range(-30, 31) if re or im]
+        assert any(inside(re, im) for re, im in points)
+        for re, im in points:
+            if inside(re, im):
+                assert (a1 + a2) * re + (b1 + b2) * im >= 1, (re, im)
+
+    def test_a_huge_max_terms_searches_only_reachable_counts(self, monkeypatch):
+        """No search goes past (n1 + n2).z terms, whatever max_terms says:
+        2 in spi, where (n1 + n2).z = 2 re + im = 4, tries 2 and 4 terms,
+        and a kpi box scan with max_terms 10^6 gives the rows of max_terms
+        40, as re + im <= 40 there."""
+        searched = []
+        real = gaussdecomp._dfs
+
+        def spying(re, im, k, *args):
+            searched.append((re, im, k))
+            if k > 40:
+                raise AssertionError(f"searched {re}+{im}i at {k} terms")
+            return real(re, im, k, *args)
+
+        monkeypatch.setattr(gaussdecomp, "_dfs", spying)
+        assert find_decomposition(GaussianInt(2, 0), SPI, 10**6) is None
+        assert searched == [(2, 0, 2), (2, 0, 4)]
+        searched.clear()
+        targets = box_targets(Region.OPEN_QUADRANT, (1, 20), (1, 20))
+        report = scan_targets(targets, KPI, 10**6, NormPolicy.NONE)
+        assert searched and all(k <= re + im for re, im, k in searched)
+        assert report.rows == scan_targets(targets, KPI, 40, NormPolicy.NONE).rows
 
     def test_rejects_zero_and_bad_width(self):
         with pytest.raises(ValueError):
@@ -421,9 +461,9 @@ class TestScans:
         searches = []
         real = gaussdecomp._search
 
-        def spying(re, im, k_lo, max_terms, region, cap, pool, member):
+        def spying(re, im, k_lo, max_terms, cap, pool):
             searches.append((re, im, k_lo, cap))
-            return real(re, im, k_lo, max_terms, region, cap, pool, member)
+            return real(re, im, k_lo, max_terms, cap, pool)
 
         monkeypatch.setattr(gaussdecomp, "_search", spying)
         strict = scan_targets(targets, SPI, 3, NormPolicy.STRICT_LESS)
@@ -732,11 +772,17 @@ class TestDiagonalObstruction:
 
 
 def swept_pool(region, bound):
-    """_pool_for(region, bound), its list grown to at least norm bound."""
-    got, member = _pool_for(region, bound)
+    """_pool_for(region, bound), its list grown to norm bound."""
+    got = _pool_for(region, bound)
     while got.grow(bound - 1):
         pass
-    return got, member
+    return got
+
+
+def one_sweep(region, bound):
+    """The region's pool list below norm bound, read in one sweep off flags
+    sieved afresh: what every grown list must equal."""
+    return _pool_annulus(region, _prime_norm_flags(bound), 0, bound)
 
 
 class TestPoolCache:
@@ -751,124 +797,164 @@ class TestPoolCache:
 
         def counting_annulus(region, flags, lo, hi):
             swept.append((lo, hi))
-            return primes._pool_annulus(region, flags, lo, hi)
+            return _pool_annulus(region, flags, lo, hi)
 
-        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", cache)
+        monkeypatch.setattr(primes, "_POOL_CACHE", cache)
         monkeypatch.setattr(primes, "_shared_flags", bytearray())
         monkeypatch.setattr(primes, "_prime_norm_flags", counting_flags)
-        monkeypatch.setattr(gaussdecomp, "_pool_annulus", counting_annulus)
+        monkeypatch.setattr(primes, "_pool_annulus", counting_annulus)
         return flagged, swept
 
-    def test_grows_by_doubling_and_serves_smaller_bounds(self, monkeypatch):
-        """The shared flags double, from 512, and no bound sweeps the list; a
-        list grown before the flags doubled keeps its object and grows on."""
+    def test_flags_grow_only_as_far_as_a_list_sweeps(self, monkeypatch):
+        """A bound alone sieves nothing. A sweep sieves the shared flags to
+        its annulus's end when they fall short of it, 512 at least, and the
+        flags grow in place, so a pool built before keeps reading them and
+        its list keeps its object and grows on."""
         cache = {}
         flagged, swept = self.counting(monkeypatch, cache)
-        got, _ = _pool_for(KPI, 100)
-        assert flagged == [512]  # never fewer than 512
-        assert (swept, got.entries, got.swept) == ([], [], 0)
-        flags = primes._shared_flags
+        got = _pool_for(KPI, 100)
+        assert (flagged, swept, got.entries, got.swept) == ([], [], [], 0)
+        assert cache[KPI] is got
+        flags, entries = primes._shared_flags, got.entries
+        assert got.flags is flags
+        assert got.grow(1000)
+        assert (flagged, swept) == ([512], [(0, 512)])  # never fewer than 512
         # flags[2] is clear: the norm-2 primes are the even ones
         assert [n for n in range(512) if flags[n]] == [
             n for n in range(512) if n != 2 and (trial_prime(n) or prime_square_3mod4(n))
         ]
-        assert cache[KPI] is got
-        entries = got.entries
-        assert _pool_for(KPI, 300)[0] is got
+        assert _pool_for(KPI, 5000) is got
         assert flagged == [512]
-        assert primes._shared_flags is flags
-        assert got.grow(0)
-        assert swept == [(0, 512)]
-        _pool_for(KPI, 200)
-        _pool_for(KPI, 600)
-        assert flagged == [512, 1024]  # doubles past a small overshoot
         assert got.grow(600)
-        assert swept == [(0, 512), (512, 1024)]  # read off the new flags
-        _pool_for(KPI, 5000)
-        assert flagged == [512, 1024, 5000]  # jumps straight to a large bound
-        assert len(swept) == 2
+        assert (flagged, swept) == ([512, 601], [(0, 512), (512, 601)])
+        assert primes._shared_flags is flags and len(flags) == 601
         assert got.entries is entries
-        assert entries == gaussian_prime_pool(KPI, 1024)
+        assert entries == one_sweep(KPI, 601)
         assert list(cache) == [KPI]
 
-    def test_grow_doubles_the_radius_up_to_the_flags(self, monkeypatch):
-        """A reader grows the list one annulus at a time while it may lack
+    def test_grow_doubles_the_radius_up_to_stop(self, monkeypatch):
+        """A search grows the list one annulus at a time while it may lack
         an entry of norm at most stop. Each annulus reaches twice the
-        radius, four times the norm: fewer row passes than doubling the
-        norm for a search that reads to the end."""
+        radius, four times the norm, but never past stop + 1: fewer row
+        passes than doubling the norm for a search that reads to the end,
+        and flags no longer than the list. A reader of the whole list, as
+        gaussian_prime_pool is, sweeps it at once."""
         flagged, swept = self.counting(monkeypatch, {})
-        got, _ = _pool_for(KPI, 5000)
-        assert (flagged, swept, got.entries) == ([5000], [], [])
+        got = _pool_for(KPI, 5000)
+        assert (flagged, swept, got.entries) == ([], [], [])
         entries = got.entries
-        assert got.grow(0)
+        assert got.grow(4999)
         assert swept == [(0, 512)]  # never fewer than 512
         assert not got.grow(511)
-        assert got.grow(512)
+        assert got.grow(4999)
         assert not got.grow(2047)
-        assert got.grow(2048)  # the last annulus ends at the flags' end
+        assert got.grow(4999)  # the last annulus ends at stop + 1
         assert not got.grow(4999)
         assert swept == [(0, 512), (512, 2048), (2048, 5000)]
+        assert flagged == [512, 2048, 5000]
+        assert len(primes._shared_flags) == got.swept == 5000
         assert got.entries is entries
-        assert entries == gaussian_prime_pool(KPI, 5000)
+        assert entries == one_sweep(KPI, 5000)
         # a fully swept list is served as it is
-        assert _pool_for(KPI, 5000)[0] is got
+        assert gaussian_prime_pool(KPI, 5000) == entries
+        assert _pool_for(KPI, 5000) is got
         assert len(swept) == 3
+        # a reader of a whole list sweeps it in one annulus
+        assert gaussian_prime_pool(GPI, 4000) == one_sweep(GPI, 4000)
+        assert swept[3:] == [(0, 4000)] and flagged == [512, 2048, 5000]
 
     def test_three_regions_share_one_sieve(self, monkeypatch):
-        """Pools for kpi, gammapi and spi built at one bound read one flag
-        array, sieved once, and each list is what gaussian_prime_pool lists
-        off flags sieved afresh."""
+        """Lists for kpi, gammapi and spi grown to one bound read one flag
+        array: the first list's sweeps sieve it, the others read it as it
+        is. Each list is what one sweep lists off flags sieved afresh."""
         cache = {}
         flagged, _ = self.counting(monkeypatch, cache)
         regions = (KPI, GPI, SPI)
-        pools = [swept_pool(region, 3000)[0] for region in regions]
-        assert flagged == [3000]
+        pools = [swept_pool(region, 3000) for region in regions]
+        assert flagged == [512, 2048, 3000]
         assert list(cache) == list(regions)
-        assert all(got.swept == 3000 for got in pools)
-        monkeypatch.setattr(primes, "_shared_flags", bytearray())
+        assert all(got.swept == 3000 and got.flags is primes._shared_flags for got in pools)
         for region, got in zip(regions, pools):
-            assert got.entries == gaussian_prime_pool(region, 3000), region
-        assert flagged == [3000, 3000]
+            assert got.entries == one_sweep(region, 3000), region
 
     def test_a_search_sweeps_only_what_it_reads(self, monkeypatch):
-        """598+226i needs gammapi flags to its cap, but its witness comes
-        off the first few entries. A later scan that the cost gate sends to
-        search reads the same list and leaves it short too."""
-        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        """598+226i has a gammapi cap of 407857, but its witness comes off
+        the first few entries, so neither the list nor the flags reach far.
+        A later scan that the cost gate sends to search reads the same list
+        and leaves both short too."""
+        monkeypatch.setattr(primes, "_POOL_CACHE", {})
         monkeypatch.setattr(primes, "_shared_flags", bytearray())
         dec = find_decomposition(GaussianInt(598, 226), GPI, 3)
         assert summand_strs(dec) == ["592+227i", "6-i"]
-        got = gaussdecomp._POOL_CACHE[GPI]
+        assert gaussdecomp._bounds([dec.target], GPI, NormPolicy.STRICT_LESS)[0][5] == 407857
+        got = primes._POOL_CACHE[GPI]
         entries, flags = got.entries, primes._shared_flags
         assert len(entries) < 1000
-        assert len(flags) == 407857
-        assert gaussdecomp._bounds([dec.target], GPI, NormPolicy.STRICT_LESS)[0][5] == 407857
+        assert len(flags) == got.swept < 10**4
         targets = [GaussianInt(61, 20), GaussianInt(598, 226)]
         report = scan_targets(targets, GPI, 3, NormPolicy.STRICT_LESS)
         assert report.rows[1] == (dec.target, 2, tuple(dec.summands()))
-        assert gaussdecomp._POOL_CACHE[GPI] is got
+        assert primes._POOL_CACHE[GPI] is got
         assert got.entries is entries and primes._shared_flags is flags
         assert len(entries) < 1000
-        assert entries == gaussian_prime_pool(GPI, got.swept)
+        assert len(flags) == got.swept < 10**4
+        assert entries == one_sweep(GPI, got.swept)
 
     @pytest.mark.parametrize(
         "region, re_lo", [(GPI, 2000), (SPI, 2200)], ids=["gammapi", "spi"]
     )
     def test_a_far_box_scan_sweeps_only_what_it_reads(self, monkeypatch, region, re_lo):
         """A narrow box far from the cone's corner goes to the search
-        target by target. Its flags reach a norm of millions (spi's near
+        target by target. Its caps reach a norm of millions (spi's near
         the pool cap), but its witnesses come off the first few entries, so
-        its list stays short; the rows are find_decomposition's."""
-        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        its list and the shared flags stay short, after the scan and after
+        find_decomposition's search of every target; the rows are
+        find_decomposition's."""
+        monkeypatch.setattr(primes, "_POOL_CACHE", {})
         monkeypatch.setattr(primes, "_shared_flags", bytearray())
         targets = box_targets(Region.OPEN_QUADRANT, (re_lo, re_lo + 1), (1, 2))
+        live = gaussdecomp._bounds(targets, region, NormPolicy.NONE)
+        assert max(t[5] for t in live) > 4 * 10**6
         report = scan_targets(targets, region, 3, NormPolicy.NONE)
-        got = gaussdecomp._POOL_CACHE[region]
-        assert len(primes._shared_flags) > 4 * 10**6
+        got = primes._POOL_CACHE[region]
+        assert len(primes._shared_flags) == got.swept < 10**5
         assert len(got.entries) < 1000
-        assert got.entries == gaussian_prime_pool(region, got.swept)
+        assert got.entries == one_sweep(region, got.swept)
         assert report.rows == scan_rows_by_search(targets, region, 3)
         assert not report.exceptions
+        assert primes._POOL_CACHE[region] is got
+        assert len(primes._shared_flags) == got.swept < 10**5
+
+    def test_a_test_built_before_the_flags_grew_reads_their_new_end(self, monkeypatch):
+        """The flags grow in place, so a pool's membership test, built while
+        they were empty, reads their new end: below it no point costs a
+        Miller-Rabin call, and past it is_gaussian_prime still answers."""
+        monkeypatch.setattr(primes, "_POOL_CACHE", {})
+        monkeypatch.setattr(primes, "_shared_flags", bytearray())
+        calls = []
+        real = primes.is_rational_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(primes, "is_rational_prime", counting)
+        got = _pool_for(KPI)
+        member = got.member
+        assert member(31, 10) == (31, 10, 1061)
+        assert calls  # no flags yet
+        calls.clear()
+        while got.grow(1999):
+            pass
+        assert len(primes._shared_flags) == 2000
+        inside = [(re, im) for re in range(45) for im in range(45) if 0 < re * re + im * im < 2000]
+        members = sorted((p[2], *p[:2]) for p in map(lambda p: member(*p), inside) if p)
+        assert [(re, im, n) for n, re, im in members] == one_sweep(KPI, 2000)
+        assert calls == []
+        assert member(44, 5) is None  # 1961 = 37 * 53
+        assert calls == []
+        assert member(45, 2) == (45, 2, 2029)
+        assert calls == [2029]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_cold_search_matches_a_fully_swept_pool(self, monkeypatch, seed):
@@ -891,7 +977,7 @@ class TestPoolCache:
         searched = shorter = 0
         for n, args in enumerate(cases):
             z, region, _, policy, _ = args
-            monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+            monkeypatch.setattr(primes, "_POOL_CACHE", {})
             cold = find_decomposition(*args)
             assert n >= 4 or cold is None
             live = gaussdecomp._bounds([z], region, policy)
@@ -899,9 +985,9 @@ class TestPoolCache:
                 assert cold is None or cold.k == 1
                 continue
             cap = live[0][5]
-            read = gaussdecomp._POOL_CACHE.get(region)
-            monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
-            full, _ = swept_pool(region, cap)
+            read = primes._POOL_CACHE.get(region)
+            monkeypatch.setattr(primes, "_POOL_CACHE", {})
+            full = swept_pool(region, cap)
             swept = full.swept
             assert find_decomposition(*args) == cold, args
             assert full.swept == swept  # a list swept past the cap never grew
@@ -918,7 +1004,8 @@ class TestPoolCache:
 
         class OneAtATime:
             def __init__(self, full):
-                self.full, self.entries = full, []
+                self.full, self.entries = full.entries, []
+                self.region, self.member = full.region, full.member
 
             def grow(self, stop):
                 n = len(self.entries)
@@ -927,7 +1014,7 @@ class TestPoolCache:
                 self.entries.append(self.full[n])
                 return True
 
-        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        monkeypatch.setattr(primes, "_POOL_CACHE", {})
         rng = random.Random(5)
         strict = NormPolicy.STRICT_LESS
         # strict three-term witnesses whose smallest term is not the first
@@ -950,16 +1037,16 @@ class TestPoolCache:
             if not live:
                 continue
             cap = live[0][5]
-            full, member = swept_pool(region, cap)
+            full = swept_pool(region, cap)
             for k in (3, 4):
-                args = (z.re, z.im, 2, k, region, cap)
-                want = gaussdecomp._search(*args, full, member)
-                assert gaussdecomp._search(*args, OneAtATime(full.entries), member) == want, args
+                args = (z.re, z.im, 2, k, cap)
+                want = gaussdecomp._search(*args, full)
+                assert gaussdecomp._search(*args, OneAtATime(full)) == want, args
             searched += 1
 
     def test_holds_one_pool_per_region(self, monkeypatch):
         cache = {}
-        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", cache)
+        monkeypatch.setattr(primes, "_POOL_CACHE", cache)
         box = box_targets(Region.OPEN_QUADRANT, (1, 12), (1, 12))
         for policy in NormPolicy:
             scan_targets(box, KPI, 3, policy)
@@ -967,27 +1054,28 @@ class TestPoolCache:
             find_decomposition(GaussianInt(40, 31), KPI, 3, policy)
         assert sorted(cache, key=list(Region).index) == [GPI, KPI]
 
-    def test_doubling_stops_at_the_pool_cap(self, monkeypatch):
+    def test_the_last_annulus_stops_at_the_pool_cap(self, monkeypatch):
+        """A list grown to the cap sweeps and sieves to the cap and no
+        further; a bound past it raises before anything is swept."""
         flagged, swept = self.counting(monkeypatch, {})
         monkeypatch.setattr(primes, "_POOL_CAP", 1500)
-        _pool_for(KPI, 1000)
-        got, _ = _pool_for(KPI, 1200)
-        assert flagged == [1000, 1500]  # doubling would ask for 2000
-        while got.grow(1499):
-            pass
-        assert swept == [(0, 512), (512, 1500)]  # the last annulus ends at the cap
-        with pytest.raises(ValueError, match="pool norm bound 1501 is above the cap of 1500"):
-            _pool_for(KPI, 1501)
-        assert (flagged, swept) == ([1000, 1500], [(0, 512), (512, 1500)])
+        got = swept_pool(KPI, 1500)
+        assert swept == [(0, 512), (512, 1500)]  # radius doubling would reach 2048
+        assert flagged == [512, 1500]
+        assert got.entries == one_sweep(KPI, 1500)
+        for grow in (lambda: _pool_for(KPI, 1501), lambda: gaussian_prime_pool(KPI, 1501)):
+            with pytest.raises(ValueError, match="pool norm bound 1501 is above the cap of 1500"):
+                grow()
+        assert (flagged, swept) == ([512, 1500], [(0, 512), (512, 1500)])
 
     def test_cap_fires_before_any_sieve(self, monkeypatch):
         def allocating(*args):
             raise AssertionError("a pool was built")
 
-        monkeypatch.setattr(gaussdecomp, "_POOL_CACHE", {})
+        monkeypatch.setattr(primes, "_POOL_CACHE", {})
         monkeypatch.setattr(primes, "_shared_flags", bytearray())
         monkeypatch.setattr(primes, "_prime_norm_flags", allocating)
-        monkeypatch.setattr(gaussdecomp, "_pool_annulus", allocating)
+        monkeypatch.setattr(primes, "_pool_annulus", allocating)
         monkeypatch.setattr(primes, "_sieve_flags", allocating)
         with pytest.raises(ValueError, match="above the cap of 10000000"):
             _pool_for(KPI, 10**7 + 1)
@@ -996,7 +1084,7 @@ class TestPoolCache:
             find_decomposition(GaussianInt(9999, 1), KPI, 3, NormPolicy.NONE)
         with pytest.raises(ValueError, match="pool norm bound 99980003 is above the cap"):
             scan_targets([GaussianInt(9999, 1)], KPI, 3, NormPolicy.NONE)
-        assert gaussdecomp._POOL_CACHE == {}
+        assert all(pool.swept == 0 for pool in primes._POOL_CACHE.values())  # no list swept
         assert primes._shared_flags == bytearray()
 
 

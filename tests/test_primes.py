@@ -94,9 +94,11 @@ class TestPrimeTable:
         assert PrimeTable.sieve(1000).primes[-1] == 997
         with pytest.raises(ValueError, match="sieve limit 1001 is above the cap of 1000"):
             PrimeTable.sieve(1001)
-        # each pool starts from no shared flags, so it sieves its own bound
+        # each pool starts from no list and no shared flags, so it sieves its own bound
+        monkeypatch.setattr(primes, "_POOL_CACHE", {})
         monkeypatch.setattr(primes, "_shared_flags", bytearray())
         assert gaussian_prime_pool(Region.PRIME_QUADRANT, 1001)[-1][2] == 997
+        monkeypatch.setattr(primes, "_POOL_CACHE", {})
         monkeypatch.setattr(primes, "_shared_flags", bytearray())
         with pytest.raises(ValueError, match="sieve limit 1001 is above the cap"):
             gaussian_prime_pool(Region.PRIME_QUADRANT, 1002)

@@ -14,7 +14,6 @@ from shnirel import (
     HypothesisViolation,
     SearchExhausted,
     four_odd_primes,
-    hypothesis_scan,
     hypothesis_scans,
     min_odd_prime_terms,
     residue34_chain,
@@ -160,18 +159,18 @@ class TestHypothesisScan:
         ],
     )
     def test_exceptions_below_200(self, index, exceptions, c0):
-        report = hypothesis_scan(index, 1, 200)
+        report = hypothesis_scans([index], 1, 200)[0]
         assert report.exceptions == exceptions
         assert report.max_exception == exceptions[-1]
         assert report.c0_candidate == c0
 
     def test_rows_cover_exactly_the_residue_class(self):
-        report = hypothesis_scan(2, 10, 30)
+        report = hypothesis_scans([2], 10, 30)[0]
         assert [n for n, _ in report.rows] == [13, 17, 21, 25, 29]
 
     def test_witnesses_are_valid(self):
         for index in HYPOTHESES:
-            report = hypothesis_scan(index, 1, 200)
+            report = hypothesis_scans([index], 1, 200)[0]
             spec = report.spec
             for n, wit in report.rows:
                 assert n % 4 == spec.residue
@@ -184,21 +183,21 @@ class TestHypothesisScan:
                 assert list(wit) == sorted(wit, reverse=True)
 
     def test_no_exceptions_means_no_candidate(self):
-        report = hypothesis_scan(1, 100, 200)
+        report = hypothesis_scans([1], 100, 200)[0]
         assert report.exceptions == ()
         assert report.max_exception is None
         assert report.c0_candidate is None
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            hypothesis_scan(5, 1, 10)
+            hypothesis_scans([5], 1, 10)[0]
         with pytest.raises(ValueError):
-            hypothesis_scan(1, 0, 10)
+            hypothesis_scans([1], 0, 10)[0]
         with pytest.raises(ValueError):
-            hypothesis_scan(1, 10, 9)
+            hypothesis_scans([1], 10, 9)[0]
 
     def test_csv_writer(self):
-        report = hypothesis_scan(1, 1, 20)
+        report = hypothesis_scans([1], 1, 20)[0]
         buf = io.StringIO()
         report.write(buf, "csv")
         lines = buf.getvalue().splitlines()
@@ -206,7 +205,7 @@ class TestHypothesisScan:
         assert lines[1] == "2,2,2,EMPTY"
         assert lines[2] == "6,2,2,3+3"
 
-    # every row of hypothesis_scan(index, 1, 40), one k per index, EMPTY rows included
+    # every row of hypothesis_scans([index], 1, 40)[0], one k per index, EMPTY rows included
     @pytest.mark.parametrize(
         "index,lines",
         [
@@ -226,7 +225,7 @@ class TestHypothesisScan:
     )
     def test_csv_rows_at_every_k(self, index, lines):
         buf = io.StringIO()
-        hypothesis_scan(index, 1, 40).write(buf, "csv")
+        hypothesis_scans([index], 1, 40)[0].write(buf, "csv")
         assert buf.getvalue() == "".join(f"{line}\n" for line in ["n,residue,k,witness"] + lines)
 
     def test_reports_share_one_csv_header(self):
@@ -250,7 +249,7 @@ class TestHypothesisScan:
         assert [d["hypothesis"] for d in data] == [3, 1]
 
     def test_json_writer(self):
-        report = hypothesis_scan(3, 1, 40)
+        report = hypothesis_scans([3], 1, 40)[0]
         buf = io.StringIO()
         report.write(buf, "json")
         data = json.loads(buf.getvalue())
@@ -270,7 +269,7 @@ class TestHypothesisLevels:
         hi = 600
         pool = [p for p in odd_primes_upto(hi) if p % 4 == 3]
         for index, spec in HYPOTHESES.items():
-            report = hypothesis_scan(index, lo, hi)
+            report = hypothesis_scans([index], lo, hi)[0]
             want = []
             for n in range(lo, hi + 1):
                 if n % 4 == spec.residue:
@@ -282,7 +281,7 @@ class TestHypothesisLevels:
     @pytest.mark.parametrize("lo", [1, 101])
     def test_shared_memo_equals_single_scans(self, lo):
         together = hypothesis_scans([1, 2, 3, 4], lo, 3000)
-        assert together == [hypothesis_scan(i, lo, 3000) for i in (1, 2, 3, 4)]
+        assert together == [hypothesis_scans([i], lo, 3000)[0] for i in (1, 2, 3, 4)]
         # reports come back in the order asked, whatever order the levels fill
         assert hypothesis_scans([4, 2, 4], lo, 3000) == [
             together[3], together[1], together[3],
@@ -316,7 +315,7 @@ class TestInlinedLevels:
         # all four share the memo; one alone finds the levels below it empty
         alone = data.draw(st.sampled_from(sorted(HYPOTHESES)), label="alone")
         for report in hypothesis_scans(sorted(HYPOTHESES), lo, hi) + [
-            hypothesis_scan(alone, lo, hi)
+            hypothesis_scans([alone], lo, hi)[0]
         ]:
             for n, wit in report.rows:
                 want = min_split_into(n, report.spec.k, R34_POOL)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import REGION_PREDICATES, associates
+from oracles import REGION_PREDICATES, associates, congruent_mod_one_plus_i
 from shnirel.diophantine import SolutionMatrix, SystemKind
 from shnirel.zcore import (
     COMPONENT_BOUND,
@@ -11,7 +11,6 @@ from shnirel.zcore import (
     Record,
     Region,
     Unit,
-    congruent_mod_one_plus_i,
     in_region,
     parity,
     sector_form,
@@ -73,6 +72,7 @@ class TestParity:
     def test_congruence_tracks_component_sum(self, s, k):
         z = gi(s)
         assert congruent_mod_one_plus_i(z, k) == ((z.re + z.im) % 2 == k % 2)
+        assert congruent_mod_one_plus_i(z, k) == (parity(z) is (Parity.ODD if k % 2 else Parity.EVEN))
 
     def test_parity_values(self):
         assert parity(GaussianInt(2, 1)) is Parity.ODD
