@@ -508,7 +508,8 @@ def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
 
 
 # Bit-ops the sumsets may spend per target, estimated as window bits x
-# pool points x (max_terms - 1), with no sieve: the points are top / ln(top)
+# pool points x (k - 1), k the fewer of max_terms and the most terms any
+# target's sum can have, with no sieve: the points are top / ln(top)
 # for the largest cap top, 0.89-0.93 of the prime norms below it for top
 # from 2.9 * 10^4 to 10^7, about the pool's size in a quarter plane and
 # 2/3 of it in spi's cone. A shift-OR costs about 4 ns per 64-bit word
@@ -567,15 +568,19 @@ def _minimal_terms(
     _, res, ims, us, vs, caps = zip(*live)
     top, region, member = max(caps), pool.region, pool.member
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
-    # each level shift-ORs the whole window once per point
+    # each level shift-ORs the whole window once per point, and no target
+    # z is a sum of more than (n1 + n2).z terms (see _search)
+    (a1, b1, _), (a2, b2, _) = region.cone
+    k_top = max((a1 + a2) * re + (b1 + b2) * im for re, im in zip(res, ims))
+    k_top = max(2, min(max_terms, k_top))
     points = top / log(top)
-    ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * points * (max_terms - 1)
+    ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * points * (k_top - 1)
     if ops > _SUMSET_OPS_PER_TARGET * count:
         for i, *_, cap in live:
             out[i] = (2, cap)
         return out, None
     entries = gaussian_prime_pool(region, top)
-    width, levels = _sumsets(entries, region, re_lo, re_hi, im_lo, im_hi, max_terms)
+    width, levels = _sumsets(entries, region, re_lo, re_hi, im_lo, im_hi, k_top)
     rows, span = re_hi - re_lo + 1, im_hi - im_lo + 1
     strings = [format(level, f"0{rows * width}b")[::-1] for level in levels]
     for i, re, im, *_, cap in live:

@@ -9,9 +9,12 @@ from the 3 mod 4 class.
 
 from __future__ import annotations
 
-from itertools import chain
+from array import array
+from functools import cached_property
+from itertools import chain, compress
+from operator import not_, sub
 
-from .primes import PrimeTable
+from .primes import PrimeTable, is_rational_prime
 from .report import HypothesisViolation, Report, SearchExhausted
 from .zcore import Record
 
@@ -33,48 +36,68 @@ def _grow(limit: int) -> None:
     _r34_pool = _shared_table.residue_class(3)
 
 
-def _first_split(n: int, k: int, pool: list[int], levels: list[dict]) -> tuple | None:
-    """The lexicographically first non-decreasing k-term sum of n from the
-    ascending pool, repeats allowed, largest term first, or None.
+def _first_terms(level, below, k: int, pool: list[int], ns: Iterable[int]) -> None:
+    """Set level[n], for each n in ns, to the first term of n's canonical
+    k-term sum from the ascending pool (the lexicographically first
+    non-decreasing one, repeats allowed), or to 0 when n has none. below
+    is level k - 1; level 1 is the sieve flags.
 
-    First-term lemma: it is the first pool prime p that leaves n - p a
-    (k-1)-term sum (any term q of a sum leaves n - q one), plus the first
-    such sum of n - p (a term q < p there would have come first). So nothing
-    backtracks, and p * k > n ends the scan. levels[k - 1] memoizes k-term
-    results. Level 1 reads the sieve flags, exactly: callers fix n = k mod 2
-    (odd pool) or n = 3k mod 4 (3 mod 4 pool), which taking off pool primes
-    keeps, so the last term is in the pool's class.
-
-    Both levels below are read inline, without a call: at k = 2 the flags,
-    above it the memo of level k - 1, which a scan has mostly filled at
-    n - 3 already. Only a memo miss recurses.
+    First-term lemma: that sum starts with the first pool prime p leaving
+    n - p a (k-1)-term sum (any term q of a sum leaves n - q one) and goes
+    on with the canonical sum of n - p (a term q < p there would have come
+    first). So nothing backtracks, and p * k > n ends the scan. Level 1 is
+    exact: callers fix n = k mod 2 (odd pool) or n = 3k mod 4 (3 mod 4
+    pool), which taking off pool primes keeps. The scans run this loop over
+    a residue class into arrays, a single split over the n its chase reads.
     """
-    if k == 1:
-        return (n,) if _shared_table._flags[n] else None
-    memo = levels[k - 1]
-    if n in memo:
-        return memo[n]
-    wit = None
-    if k == 2:
-        flags = _shared_table._flags
-        for p in pool:
-            if p * 2 > n:
-                break
-            if flags[n - p]:
-                wit = (n - p, p)
-                break
-    else:
-        below = levels[k - 2]
+    for n in ns:
+        first = 0
         for p in pool:
             if p * k > n:
                 break
-            m = n - p
-            rest = below[m] if m in below else _first_split(m, k - 1, pool, levels)
-            if rest is not None:
-                wit = rest + (p,)
+            if below[n - p]:
+                first = p
                 break
-    memo[n] = wit
-    return wit
+        level[n] = first
+
+
+class _Level(dict):
+    """Level k of one split's memo, filled one n at a time as reads miss,
+    so a split of n reads no level up to n."""
+
+    def __init__(self, k: int, pool: list[int], below) -> None:
+        self.k, self.pool, self.below = k, pool, below
+
+    def __missing__(self, n: int) -> int:
+        _first_terms(self, self.below, self.k, self.pool, (n,))
+        return self[n]
+
+
+def _chase(levels: Sequence, ns: Sequence[int]) -> list[list[int]]:
+    """The witness columns of the targets ns, largest term first. levels
+    runs from level 2 up to the targets' own: each target's first term,
+    read off its level, leaves the next target one level down, and what
+    is left below level 2 is the last term. A target with no sum reads 0
+    as its first term."""
+    cols = []
+    for level in reversed(levels):
+        col = list(map(level.__getitem__, ns))
+        ns = list(map(sub, ns, col))
+        cols.append(col)
+    cols.append(ns)
+    return cols[::-1]
+
+
+def _split(n: int, k: int, pool: list[int]) -> tuple[int, ...] | None:
+    """n's canonical k-term sum from the pool, largest term first, or None."""
+    level = _shared_table._flags
+    levels = []
+    for j in range(2, k + 1):
+        level = _Level(j, pool, level)
+        levels.append(level)
+    if not level[n]:
+        return None
+    return next(zip(*_chase(levels, [n])))
 
 
 def split_into_odd_primes(n: int, k: int) -> tuple[int, ...] | None:
@@ -87,7 +110,7 @@ def split_into_odd_primes(n: int, k: int) -> tuple[int, ...] | None:
     if k < 1 or n < 3 * k or n % 2 != k % 2:
         return None
     _grow(n)
-    return _first_split(n, k, _odd_pool, [{} for _ in range(k)])
+    return _split(n, k, _odd_pool)
 
 
 def split_into_residue34_primes(n: int, k: int) -> tuple[int, ...] | None:
@@ -98,7 +121,7 @@ def split_into_residue34_primes(n: int, k: int) -> tuple[int, ...] | None:
     if k < 1 or n < 3 * k or (n - 3 * k) % 4 != 0:
         return None
     _grow(n)
-    return _first_split(n, k, _r34_pool, [{} for _ in range(k)])
+    return _split(n, k, _r34_pool)
 
 
 def four_odd_primes(n: int) -> tuple[int, int, int, int]:
@@ -139,13 +162,35 @@ _HYPOTHESIS_CSV_HEAD = "n,residue,k,witness\n"
 
 
 class HypothesisReport(Report):
-    """Scan outcome for one residue-class claim over [lo, hi]."""
+    """Scan outcome for one residue-class claim over [lo, hi]. levels holds
+    the first-term arrays of levels 2 to k, each indexed by n with 0 for
+    no sum (see _first_terms); every row is chased off them when read."""
 
     spec: HypothesisSpec
     lo: int
     hi: int
-    rows: tuple[tuple[int, tuple[int, ...] | None], ...]
-    exceptions: tuple[int, ...]
+    levels: tuple[array, ...]
+
+    def __hash__(self) -> int:
+        # arrays do not hash; these fields fix the rows of equal reports
+        return hash((self.spec, self.lo, self.hi, self.exceptions))
+
+    @property
+    def _targets(self) -> range:
+        return range(self.lo + (self.spec.residue - self.lo) % 4, self.hi + 1, 4)
+
+    @property
+    def rows(self) -> tuple[tuple[int, tuple[int, ...] | None], ...]:
+        """(n, witness) for every target n, the witness largest term first
+        and None when n has no sum."""
+        ns = self._targets
+        wits = zip(*_chase(self.levels, ns))
+        return tuple((n, wit if wit[-1] else None) for n, wit in zip(ns, wits))
+
+    @cached_property  # read by the summary, the exit code and every format
+    def exceptions(self) -> tuple[int, ...]:
+        ns = self._targets
+        return tuple(compress(ns, map(not_, self.levels[-1][ns.start :: 4])))
 
     @property
     def max_exception(self) -> int | None:
@@ -180,7 +225,7 @@ class HypothesisReport(Report):
         exc = ", ".join(str(n) for n in self.exceptions) or "none"
         return [
             f"hypothesis {spec.index} (n = {spec.residue} mod 4, k = {spec.k}) "
-            f"over [{self.lo}, {self.hi}]: {len(self.rows)} targets, "
+            f"over [{self.lo}, {self.hi}]: {len(self._targets)} targets, "
             f"exceptions: {exc}, max exception: {self.max_exception}, "
             f"c0 candidate: {self.c0_candidate}\n"
         ]
@@ -189,11 +234,36 @@ class HypothesisReport(Report):
         return chain([_HYPOTHESIS_CSV_HEAD], self._csv_rows())
 
     def _csv_rows(self) -> Iterator[str]:
-        # no header: HypothesisReports chains the rows of several scans under one
-        prefix = f"%d,{self.spec.residue},{self.spec.k},"
-        row = prefix + "+".join(["%d"] * self.spec.k) + "\n"
+        """The CSV rows without the header, which HypothesisReports writes
+        once over several scans: one % template per k, and _chase unrolled
+        per k (k runs 2 to 5), so no witness tuple is built."""
+        k, ns = self.spec.k, self._targets
+        prefix = f"%d,{self.spec.residue},{k},"
+        row = prefix + "+".join(["%d"] * k) + "\n"
         empty = prefix + "EMPTY\n"
-        return (empty % n if w is None else row % (n, *w) for n, w in self.rows)
+        F2, F3, F4, F5 = self.levels + (None,) * (5 - k)
+        if k == 2:
+            for n in ns:
+                p = F2[n]
+                yield row % (n, n - p, p) if p else empty % n
+        elif k == 3:
+            for n in ns:
+                p = F3[n]
+                q = F2[m := n - p]
+                yield row % (n, m - q, q, p) if p else empty % n
+        elif k == 4:
+            for n in ns:
+                p = F4[n]
+                q = F3[m := n - p]
+                s = F2[m := m - q]
+                yield row % (n, m - s, s, q, p) if p else empty % n
+        else:
+            for n in ns:
+                p = F5[n]
+                q = F4[m := n - p]
+                s = F3[m := m - q]
+                t = F2[m := m - s]
+                yield row % (n, m - t, t, s, q, p) if p else empty % n
 
 
 class HypothesisReports(Report):
@@ -212,8 +282,10 @@ class HypothesisReports(Report):
         return chain([_HYPOTHESIS_CSV_HEAD], *(r._csv_rows() for r in self.reports))
 
 
-# The largest hi a hypothesis scan takes. Every row keeps its witness: all
-# four scans to 10^6 peak near 230 MiB in CSV (CPython 3.11, x86-64).
+# The largest hi a hypothesis scan takes. The scans keep a 4-byte first
+# term per integer and level and chase their rows as they are written: all
+# four to 10^6 peak near 36 MiB in CSV, near 420 MiB in JSON, whose encoder
+# holds every row (CPython 3.11, x86-64).
 _HYPOTHESIS_CAP = 10**6
 
 
@@ -221,8 +293,8 @@ def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[Hypothesi
     """One HypothesisReport per listed index, in order, over [lo, hi].
 
     H_k covers n = 3k mod 4 and a 3 mod 4 prime off n lands in H_(k-1)'s
-    class, so the scans share one memo: a row is read off the level below,
-    mostly at n - 3. A finished scan drops the levels below it; a miss refills.
+    class, so the scans share one array per level, each filled bottom-up
+    over its whole class up to hi off the level below, mostly at n - 3.
     """
     if any(index not in HYPOTHESES for index in indices):
         raise ValueError(f"hypothesis index must be one of {sorted(HYPOTHESES)}")
@@ -231,18 +303,16 @@ def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[Hypothesi
     if hi > _HYPOTHESIS_CAP:
         raise ValueError(f"scan bound {hi} is above the cap of {_HYPOTHESIS_CAP}")
     _grow(hi)
-    levels: list[dict] = [{} for _ in range(max(h.k for h in HYPOTHESES.values()))]
-    reports = {}
-    for index in sorted(set(indices)):  # k ascends with the index
-        spec = HYPOTHESES[index]
-        ns = range(lo + (spec.residue - lo) % 4, hi + 1, 4)
-        # a list first: tuple() over a generator is about a tenth slower here
-        rows = tuple([(n, _first_split(n, spec.k, _r34_pool, levels)) for n in ns])
-        exceptions = tuple(n for n, wit in rows if wit is None)
-        reports[index] = HypothesisReport(spec, lo, hi, rows, exceptions)
-        for level in levels[: spec.k - 1]:
-            level.clear()
-    return [reports[index] for index in indices]
+    level = _shared_table._flags
+    levels = []
+    for k in range(2, max((HYPOTHESES[index].k for index in indices), default=1) + 1):
+        below, level = level, array("I", [0]) * (hi + 1)
+        _first_terms(level, below, k, _r34_pool, range(3 * k, hi + 1, 4))
+        levels.append(level)
+    return [
+        HypothesisReport(HYPOTHESES[index], lo, hi, tuple(levels[: HYPOTHESES[index].k - 1]))
+        for index in indices
+    ]
 
 
 # How many copies of 3 shift n down to the residue the three-term split
@@ -291,7 +361,10 @@ def residue34_chain(n: int, threshold: int = CHAIN_THRESHOLD) -> ChainResult:
     Stripping 0 to 3 copies of 3 moves any residue onto 1 mod 4 while
     keeping the remainder at or above 9, where the three-term split is
     available. A failing remainder would refute the scanned claim, so it
-    raises rather than returning None.
+    raises rather than returning None. The result is checked before it is
+    returned, by Miller-Rabin rather than the sieve flags that split it:
+    3 to 6 terms summing to n, each a prime congruent to 3 mod 4; a wrong
+    one raises ValueError.
     """
     if n < threshold:
         raise ValueError(f"chain construction starts at {threshold}")
@@ -302,7 +375,13 @@ def residue34_chain(n: int, threshold: int = CHAIN_THRESHOLD) -> ChainResult:
         raise HypothesisViolation(
             f"{rest} has no three-term split into primes congruent to 3 mod 4"
         )
-    return ChainResult(n, (3,) * count, base)
+    result = ChainResult(n, (3,) * count, base)
+    terms = result.terms
+    if not 3 <= len(terms) <= 6 or sum(terms) != n or not all(
+        p % 4 == 3 and is_rational_prime(p) for p in terms
+    ):
+        raise ValueError(f"{n} = {'+'.join(map(str, terms))} fails the chain check")
+    return result
 
 
 __all__ = [

@@ -698,8 +698,9 @@ class TestHypotheses:
 
     @pytest.mark.parametrize("upper", ["1000001", "1000000000"])
     def test_upper_cap_exits_two_before_sieving(self, capsys, monkeypatch, upper):
-        """Every row keeps its witness, so --upper 10^6 peaks near 230 MiB:
-        a larger bound is refused before any sieve is built."""
+        """--upper 10^6 peaks near 36 MiB in CSV and 420 MiB in JSON, whose
+        encoder holds every row: a larger bound is refused before any sieve
+        is built."""
 
         def sieving(*args):
             raise AssertionError("a sieve was built")
@@ -740,6 +741,16 @@ class TestThm130:
         code, out, err = run(capsys, "thm130", "--n", "18", "--c0", "9", "--format", "csv")
         assert code == 0
         assert out == "n,m,witness\n18,6,3+3+3+3+3+3\n"
+
+    @pytest.mark.parametrize("base", [(15, 11, 3), (13, 11, 5), (11, 7, 3)])
+    def test_a_wrong_split_exits_two_with_no_report(self, capsys, monkeypatch, base):
+        """The chain is checked by Miller-Rabin, not the sieve flags that
+        split it: a split of 29 with a composite term, with terms 1 mod 4,
+        or with terms that sum to 21 exits 2 and writes nothing."""
+        monkeypatch.setattr(ratdecomp, "split_into_residue34_primes", lambda n, k: base)
+        code, out, err = run(capsys, "thm130", "--n", "29", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err == f"29 = {'+'.join(map(str, base))} fails the chain check"
 
 
 class TestSieveCap:

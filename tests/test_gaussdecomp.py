@@ -132,9 +132,12 @@ class TestFindDecomposition:
         """No search goes past (n1 + n2).z terms, whatever max_terms says:
         2 in spi, where (n1 + n2).z = 2 re + im = 4, tries 2 and 4 terms,
         and a kpi box scan with max_terms 10^6 gives the rows of max_terms
-        40, as re + im <= 40 there."""
+        40, as re + im <= 40 there. The cost gate counts no more levels
+        than that either, so it would walk this box: it is closed here to
+        reach the search."""
         searched = []
         real = gaussdecomp._dfs
+        monkeypatch.setattr(gaussdecomp, "_SUMSET_OPS_PER_TARGET", 0)
 
         def spying(re, im, k, *args):
             searched.append((re, im, k))
@@ -551,6 +554,19 @@ class TestScans:
         monkeypatch.setattr(gaussdecomp, "_sumsets", no_sumsets)
         report = scan_targets(targets, GPI, 3, NormPolicy.NONE)
         assert report.rows == scan_rows_by_search(targets, GPI, 3)
+
+    def test_a_huge_max_terms_keeps_the_sumsets(self):
+        """No target z is a sum of more than (n1 + n2).z terms, so the cost
+        gate counts at most that many levels, re + im <= 80 for this kpi
+        box: under max_terms 10^6 it still walks the levels, and its rows
+        are those of max_terms 3."""
+        targets = box_targets(Region.OPEN_QUADRANT, (1, 40), (1, 40))
+        live = gaussdecomp._bounds(targets, KPI, NormPolicy.NONE)
+        pool = _pool_for(KPI, max(t[5] for t in live))
+        _, walk = gaussdecomp._minimal_terms(len(targets), live, pool, 10**6)
+        assert walk is not None
+        report = scan_targets(targets, KPI, 10**6, NormPolicy.NONE)
+        assert report.rows == scan_targets(targets, KPI, 3, NormPolicy.NONE).rows
 
     def test_levels_that_disagree_with_the_pool_raise(self, monkeypatch):
         """9+9i sits on the blocked diagonal, so no two gammapi primes sum

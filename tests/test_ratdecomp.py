@@ -299,20 +299,70 @@ class TestHypothesisLevels:
             hypothesis_scans([1], 10**6 - 20, 10**6 + 1)
 
 
+def oracle_rows(index, lo, hi):
+    """(n, witness largest first or None) for each n of H_index's class in
+    [lo, hi], by plain enumeration."""
+    spec = HYPOTHESES[index]
+    pool = [p for p in odd_primes_upto(hi) if p % 4 == 3]
+    rows = []
+    for n in range(lo, hi + 1):
+        if n % 4 == spec.residue:
+            asc = min_split_into(n, spec.k, pool)
+            rows.append((n, None if asc is None else tuple(reversed(asc))))
+    return tuple(rows)
+
+
+class TestFirstTermArrays:
+    """A scan keeps one array of first terms per level, indexed by n, and
+    chases its rows off them: generically for rows, unrolled per k for the
+    CSV. Both must give the enumerated canonical witnesses."""
+
+    # lo > 1; hi off some classes (601 = 1, 702 = 2 mod 4); hi < 3k for
+    # the larger k (14 < 15, 9 < 12, 3 < 6); a one-number range
+    @pytest.mark.parametrize("lo,hi", [(2, 601), (150, 702), (5, 14), (7, 9), (1, 3), (33, 33)])
+    def test_rows_and_csv_match_enumeration_oracle(self, lo, hi):
+        for index, spec in HYPOTHESES.items():
+            report = hypothesis_scans([index], lo, hi)[0]
+            want = oracle_rows(index, lo, hi)
+            assert report.rows == want, (index, lo, hi)
+            assert report.exceptions == tuple(n for n, w in want if w is None)
+            buf = io.StringIO()
+            report.write(buf, "csv")
+            cells = ["EMPTY" if w is None else "+".join(map(str, w)) for _, w in want]
+            assert buf.getvalue() == "n,residue,k,witness\n" + "".join(
+                f"{n},{spec.residue},{spec.k},{cell}\n" for (n, _), cell in zip(want, cells)
+            ), (index, lo, hi)
+
+    def test_a_lone_top_scan_builds_its_own_levels(self):
+        """H_4 alone fills levels 2 to 5 with no other scan asked for."""
+        (lone,) = hypothesis_scans([4], 101, 3003)
+        assert len(lone.levels) == 4
+        assert lone.rows == oracle_rows(4, 101, 3003)
+        assert lone == hypothesis_scans([1, 2, 3, 4], 101, 3003)[3]
+
+    def test_reports_compare_and_hash(self):
+        alone = hypothesis_scans([2], 1, 500)[0]
+        shared = hypothesis_scans([1, 2], 1, 500)[1]
+        longer = hypothesis_scans([2], 1, 504)[0]
+        assert alone == shared and hash(alone) == hash(shared)
+        assert alone != longer and alone.rows != longer.rows
+        assert len({alone, shared, longer}) == 2
+
+
 # the 3 mod 4 primes the property tests below can reach
 R34_POOL = [p for p in odd_primes_upto(2500) if p % 4 == 3]
 
 
 class TestInlinedLevels:
-    """_first_split reads level 1 off the flags and level k - 1 off the
-    memo, and recurses only on a miss: below lo, or in a single split."""
+    """Scans fill whole arrays of first terms, a single split only the
+    entries its chase reads; both run the first-term lemma's one loop."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_scans_match_enumeration_oracle(self, data):
         lo = data.draw(st.integers(1, 500), label="lo")
         hi = data.draw(st.integers(lo, 2500), label="hi")
-        # all four share the memo; one alone finds the levels below it empty
+        # all four share their arrays; one alone fills the levels below it itself
         alone = data.draw(st.sampled_from(sorted(HYPOTHESES)), label="alone")
         for report in hypothesis_scans(sorted(HYPOTHESES), lo, hi) + [
             hypothesis_scans([alone], lo, hi)[0]
