@@ -333,6 +333,15 @@ def find_decomposition(
     return dec
 
 
+def _bits(n: int) -> Iterator[int]:
+    """The positions of n's set bits, lowest first."""
+    s = bin(n)[:1:-1]
+    i = s.find("1")
+    while i >= 0:
+        yield i
+        i = s.find("1", i + 1)
+
+
 def box_targets(
     region: Region,
     re_range: tuple[int, int],
@@ -520,93 +529,92 @@ def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
 # the targets: gammapi and kpi boxes of side 120-150 at the origin come in
 # at 0.06 of this, a 10 x 10 gammapi box at re 200 at 28 times and a 2 x 2
 # box at re 2000 at 4 * 10^6 times, so those search target by target;
-# denser boxes walk the levels, and strict ones search only where the
-# walked witness reaches the target's norm.
+# denser boxes chase their witnesses through the levels, and strict ones
+# search only where the chased witness reaches the target's norm.
 _SUMSET_OPS_PER_TARGET = 1 << 17
 
 
-def _minimal_terms(
-    count: int,
-    live: list[tuple],
-    pool: _Pool,
-    max_terms: int,
-) -> tuple[list[tuple[int, int] | None], Callable | None]:
-    """(proofs, walk) for count targets, given the _bounds of the live
-    ones. A target's proof is (k_lo, cap): cap is its _bounds norm bound,
-    and every sum of two or more region primes of norm below cap equal to
-    it has at least k_lo <= max_terms terms; None when no such sum fits in
-    max_terms.
+def _minimal_terms(live: list[tuple], pool: _Pool, max_terms: int) -> tuple | None:
+    """(width, base, tables) for the targets with these _bounds rows, one
+    or more; None, leaving the pool list as it is, when the sumsets would
+    cost more than _SUMSET_OPS_PER_TARGET per target.
 
-    With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of such
-    a sum has n1.s >= c1 and n1.(z - s) >= c1 (so n1.s <= u, as in
-    _term_cap), and the same for n2: every term and partial sum lies in
-    the target's two-term parallelogram. So the sumsets of the pool cut
-    at the largest cap, over one window holding each target and its
-    parallelogram, put each target at the fewest terms k of any sum with
-    no norm cap of its own. Under NormPolicy.NONE every term of such a
-    sum has norm below the target's cap already, so k is exact. Under
-    STRICT_LESS every strict sum is also such a sum, so k is a lower
-    bound, and a target in no level has no strict sum.
+    With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of a sum
+    of two or more region primes equal to z has n1.s >= c1 and n1.(z - s)
+    >= c1 (so n1.s <= u, as in _term_cap), and the same for n2: every term
+    and partial sum lies in the target's two-term parallelogram. So the
+    sumsets of the pool cut at the largest cap, over one window holding
+    each target and its parallelogram, put each target at the fewest terms
+    k of any sum with no norm cap of its own. Under NormPolicy.NONE every
+    term of such a sum has norm below the target's cap already, so k is
+    exact. Under STRICT_LESS every strict sum is also such a sum, so k is a
+    lower bound, and a target in no level has no strict sum.
 
-    walk(re, im, k) gives the lexicographically first non-decreasing
-    k-tuple of pool entries summing to the target, largest first: its
-    smallest term is the first pool entry p leaving z - p in level k - 1
-    (any term q of a sum leaves z - q there), the rest the walk of z - p
-    from p on, down to a residual in the pool; it raises ValueError
-    when the levels disagree with the pool. That tuple is the canonical
-    witness whenever all its norms are below the target's cap: always
-    under NONE, and under STRICT_LESS when its largest one is.
+    First-term lemma: let p be the first pool entry leaving z - p in level
+    k - 1. Each term q of a k-term sum of z leaves z - q there, so no such
+    sum has a term before p; p and a sum of z - p make one, so no term of
+    z - p comes before p either, and the lexicographically first
+    non-decreasing k-tuple summing to z is p and then that of z - p. So
+    one pass in pool order gives a level the first terms of the positions
+    the chase reads there, from the top level down: the targets at their
+    least k and the residuals the level above leaves. hit = need & (level
+    k - 1 shifted by p) leaves need and, shifted back, joins the need of
+    level k - 1; need ends empty unless the levels disagree with the pool.
 
-    When the sumsets would cost more than _SUMSET_OPS_PER_TARGET per
-    target, every k_lo is 2, walk is None and the pool list is left as it
-    is; otherwise the sumsets and the walk read the pool list grown to the
-    largest cap and cut there.
+    Position re * width + im - base holds the window point re + im*i, and
+    tables[j] lists each position's first term at level j + 1 as (shift,
+    GaussianInt, norm), shift being its position less the origin's: None
+    where the chase reads nothing, () where no pool point explains the
+    level. Level 1 holds every pool point of the window. A target's k is
+    the least j >= 2 whose table has it, and its chase down to level 1,
+    reversed, is the canonical witness whenever its norms are below the
+    target's cap: always under NONE, and under STRICT_LESS when the last
+    one chased is.
     """
-    out: list[tuple[int, int] | None] = [None] * count
-    if not live:
-        return out, None
     _, res, ims, us, vs, caps = zip(*live)
-    top, region, member = max(caps), pool.region, pool.member
+    top, region = max(caps), pool.region
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
     # each level shift-ORs the whole window once per point, and no target
     # z is a sum of more than (n1 + n2).z terms (see _search)
     (a1, b1, _), (a2, b2, _) = region.cone
     k_top = max((a1 + a2) * re + (b1 + b2) * im for re, im in zip(res, ims))
     k_top = max(2, min(max_terms, k_top))
-    points = top / log(top)
-    ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * points * (k_top - 1)
-    if ops > _SUMSET_OPS_PER_TARGET * count:
-        for i, *_, cap in live:
-            out[i] = (2, cap)
-        return out, None
-    entries = gaussian_prime_pool(region, top)
+    ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * top / log(top) * (k_top - 1)
+    if ops > _SUMSET_OPS_PER_TARGET * len(live):
+        return None
+    entries = [p for p in gaussian_prime_pool(region, top)
+               if re_lo <= p[0] <= re_hi and im_lo <= p[1] <= im_hi]
     width, levels = _sumsets(entries, region, re_lo, re_hi, im_lo, im_hi, k_top)
-    rows, span = re_hi - re_lo + 1, im_hi - im_lo + 1
-    strings = [format(level, f"0{rows * width}b")[::-1] for level in levels]
-    for i, re, im, *_, cap in live:
-        at = (re - re_lo) * width + im - im_lo
-        for k in range(2, len(strings) + 1):
-            if strings[k - 1][at] == "1":
-                out[i] = (k, cap)
-                break
-
-    def walk(re: int, im: int, k: int) -> list[tuple[int, int, int]]:
-        terms, lo, r, j = [], 0, re - re_lo, im - im_lo  # r, j: residual in the window
-        for bits in strings[k - 2 :: -1]:
-            for i in range(lo, len(entries)):
-                x, y = r - entries[i][0], j - entries[i][1]
-                if 0 <= x < rows and 0 <= y < span and bits[x * width + y] == "1":
-                    terms.append(entries[i])
-                    lo, r, j = i, x, y
+    base, size = re_lo * width + im_lo, (re_hi - re_lo + 1) * width
+    points = [(re * width + im, GaussianInt(re, im), n) for re, im, n in entries]
+    mark = bytearray(b"0") * size
+    for re, im in zip(res, ims):
+        mark[re * width + im - base] = 49  # "1"
+    rest, least = int(mark[::-1], 2), []  # least[k - 2]: the targets whose least k is k
+    for level in levels[1:]:
+        least.append(rest & level)
+        rest ^= least[-1]
+    tables, carried = [], 0
+    for below, need in zip(levels[-2::-1], least[::-1]):
+        need |= carried
+        table, carried = [None] * size, 0
+        for p in points:
+            sh = p[0]
+            hit = need & (below << sh if sh >= 0 else below >> -sh)
+            if hit:
+                need ^= hit
+                carried |= hit >> sh if sh >= 0 else hit << -sh
+                for at in _bits(hit):
+                    table[at] = p
+                if not need:
                     break
-            else:
-                break
-        last = member(r + re_lo, j + im_lo, entries[lo], top)
-        if len(terms) < k - 1 or last is None:
-            raise ValueError(f"the walk for {GaussianInt(re, im)} fails at {k} terms")
-        return [last] + terms[::-1]
-
-    return out, walk
+        for at in _bits(need):
+            table[at] = ()
+        tables.append(table)
+    tables.append([None] * size)
+    for p in points:
+        tables[-1][p[0] - base] = p
+    return width, base, tables[::-1]
 
 
 # The most targets one scan takes: a full box at scan_box's side cap.
@@ -623,15 +631,15 @@ def scan_targets(
     """Attempt a decomposition for every listed target.
 
     The sumsets of the pool give each target its least possible term
-    count k, and the witness is walked off the levels. Under
-    NormPolicy.NONE that k and witness are exact. Under STRICT_LESS k is
-    a lower bound; the walked witness is the canonical strict one when
-    its largest norm is below the target's, and otherwise the search
-    starts at k. A scan whose sumsets would cost more than searching from
-    two terms (a narrow box far from the cone's corner) searches from two,
-    and its pool list and the shared flags grow only as far as those
-    searches read them. More than 250 000 targets raise ValueError before
-    anything is built.
+    count k, and its witness is chased from level k down through the
+    first-term tables built off them. Under NormPolicy.NONE that k and
+    witness are exact. Under STRICT_LESS k is a lower bound; the chased
+    witness is the canonical strict one when its largest norm is below the
+    target's, and otherwise the search starts at k. A scan whose sumsets
+    would cost more than searching from two terms (a narrow box far from
+    the cone's corner) searches from two, and its pool list and the shared
+    flags grow only as far as those searches read them. More than 250 000
+    targets raise ValueError before anything is built.
     """
     if len(targets) > _TARGET_CAP:
         raise ValueError(f"target count {len(targets)} is above the cap of {_TARGET_CAP}")
@@ -642,29 +650,51 @@ def scan_targets(
     live = _bounds(targets, term_region, policy) if max_terms >= 2 else []
     top = max((t[5] for t in live), default=2)
     pool = _pool_for(term_region, top)
-    proofs, walk = _minimal_terms(len(targets), live, pool, max_terms)
-    del live  # a tuple of six per target: free it before the rows grow
-    made: dict = {}  # pool entry -> its GaussianInt, built once per call
-    rows = []
-    for z, proof in zip(targets, proofs):
-        if policy is NormPolicy.NONE and pool.member(z.re, z.im):
+    chase = _minimal_terms(live, pool, max_terms) if live else None
+    single, member = policy is NormPolicy.NONE, pool.member
+
+    def alone(z: GaussianInt) -> tuple:  # a target with no sum of two or more terms
+        return (z, 1, (z,)) if single and member(z.re, z.im) else (z, None, None)
+
+    if chase is not None:  # each k >= 2, its level's table and the tables its chase reads
+        width, base, tables = chase
+        chains = [(k, tables[k - 1], tables[k - 1 :: -1]) for k in range(2, len(tables) + 1)]
+    made: dict = {}  # a searched term's GaussianInt, built once per call
+    rows: list = []
+    live.reverse()  # popped in target order, freeing each bound as its row is built
+    while live:
+        n, re, im, _, _, cap = live.pop()
+        if len(rows) < n:
+            rows += map(alone, targets[len(rows) : n])
+        z = targets[n]
+        if single and (re + im) % 2 and member(re, im):  # an even target is no odd prime
             rows.append((z, 1, (z,)))
             continue
-        if proof is None:
-            wit = None
-        else:
-            wit = walk(z.re, z.im, proof[0]) if walk is not None else None
-            # the walk draws on the pool to the largest cap, so under a
-            # strict cap its largest term, wit[0], may reach the target's norm
-            if wit is None or wit[0][2] >= proof[1]:
-                wit = _search(z.re, z.im, proof[0], max_terms, proof[1], pool)
-        if wit is None:
-            rows.append((z, None, None))
-            continue
-        for p in wit:
+        k = 2
+        if chase is not None:
+            at = re * width + im - base
+            for k, table, chain in chains:
+                if table[at] is not None:
+                    break
+            else:
+                rows.append((z, None, None))
+                continue
+            wit = []
+            for table in chain:
+                p = table[at]
+                if not p:
+                    raise ValueError(f"the walk for {z} fails at {k} terms")
+                at -= p[0]
+                wit.append(p[1])
+            if p[2] < cap:  # the last term is the largest; a strict cap may rule it out
+                rows.append((z, k, tuple(wit[::-1])))
+                continue
+        found = _search(re, im, k, max_terms, cap, pool) or ()
+        for p in found:
             if p not in made:
                 made[p] = GaussianInt(p[0], p[1])
-        rows.append((z, len(wit), tuple(made[p] for p in wit)))
+        rows.append((z, len(found), tuple(map(made.get, found))) if found else (z, None, None))
+    rows += map(alone, targets[len(rows) :])
     return ScanReport(term_region, target_desc, max_terms, policy, tuple(rows))
 
 

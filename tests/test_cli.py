@@ -468,6 +468,27 @@ class TestScan:
         assert (code, out, err) == (2, "", "the walk for 9+9i fails at 2 terms")
         assert not path.exists()
 
+    def test_a_composite_residual_exits_two_and_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        """A level 1 that claims 4+3i = (2+i)^2 gives 5+5i the first kpi
+        entry 1+2i as its first term, though 5+5i = (5+2i) + 3i, and leaves
+        a residual no pool point explains: the scan exits 2 with a message,
+        not a traceback, and writes no report."""
+        real = gaussdecomp._sumsets
+
+        def corrupted(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
+            width, levels = real(points, region, re_lo, re_hi, im_lo, im_hi, max_terms)
+            levels[0] |= 1 << ((4 - re_lo) * width + 3 - im_lo)
+            return width, levels
+
+        monkeypatch.setattr(gaussdecomp, "_sumsets", corrupted)
+        path = tmp_path / "scan.json"
+        code, out, err = run(
+            capsys, "scan", "--targets", "a", "--re", "5..5", "--im", "5..5",
+            "--primes", "kpi", "--format", "json", "--out", str(path),
+        )
+        assert (code, out, err) == (2, "", "the walk for 5+5i fails at 2 terms")
+        assert not path.exists()
+
     def test_box_cap_exits_two(self, capsys):
         code, _, err = run(
             capsys, "scan", "--targets", "a", "--re", "0..500", "--im", "1..5",
@@ -622,6 +643,11 @@ COMMAND_DIGESTS = {
     # 4 * 10^6, and the cost gate sends every target to the search;
     # recorded while scans still swept their whole pool list first
     ("scan --targets a --re 2000..2001 --im 1..2 --primes gammapi", "json"): (0, "b76c7cc084b32b60de5020c7872dc6242abfa2b4f13ad472ee504da687e254ee"),
+    # perfbench's two scan_found boxes with their origins unshifted, both
+    # read off the sumsets; recorded while each witness was still walked
+    # target by target. Exit 1: both boxes hold exceptions.
+    ("scan --targets a --re 1..150 --im 1..150 --primes kpi", "json"): (1, "1640e68a47d99f50725b29f79cb1326f6e42c0a024848925a6dd76e58ae9fecf"),
+    ("scan --targets sector --re 1..120 --im=-119..120 --primes spi --strict-norm", "csv"): (1, "5943ed8b25f5b3a8820f55f3eb04ae2d9dc26ea78f35238e6f6e28d134a5b642"),
 }
 
 

@@ -558,13 +558,12 @@ class TestScans:
     def test_a_huge_max_terms_keeps_the_sumsets(self):
         """No target z is a sum of more than (n1 + n2).z terms, so the cost
         gate counts at most that many levels, re + im <= 80 for this kpi
-        box: under max_terms 10^6 it still walks the levels, and its rows
-        are those of max_terms 3."""
+        box: under max_terms 10^6 it still builds the first-term tables, and
+        its rows are those of max_terms 3."""
         targets = box_targets(Region.OPEN_QUADRANT, (1, 40), (1, 40))
         live = gaussdecomp._bounds(targets, KPI, NormPolicy.NONE)
         pool = _pool_for(KPI, max(t[5] for t in live))
-        _, walk = gaussdecomp._minimal_terms(len(targets), live, pool, 10**6)
-        assert walk is not None
+        assert gaussdecomp._minimal_terms(live, pool, 10**6) is not None
         report = scan_targets(targets, KPI, 10**6, NormPolicy.NONE)
         assert report.rows == scan_targets(targets, KPI, 3, NormPolicy.NONE).rows
 
@@ -584,6 +583,48 @@ class TestScans:
         monkeypatch.setattr(gaussdecomp, "_sumsets", corrupted)
         with pytest.raises(ValueError, match=r"the walk for 9\+9i fails at 2 terms"):
             scan_targets([z], GPI, 3, NormPolicy.NONE)
+
+    def test_a_composite_residual_one_level_down_raises(self, monkeypatch):
+        """5+5i = (5+2i) + 3i, and 5+5i - (1+2i) = 4+3i = (2+i)^2 is composite,
+        though 1+2i is the first kpi pool entry. A level 1 that claims 4+3i
+        gives 5+5i the first term 1+2i, and the chase down to level 1 finds
+        no pool point at 4+3i: the scan raises, naming the target."""
+        z = GaussianInt(5, 5)
+        assert gaussian_prime_pool(KPI, 6)[0] == (1, 2, 5)
+        want = ((z, 2, (GaussianInt(5, 2), GaussianInt(0, 3))),)
+        assert scan_targets([z], KPI, 3, NormPolicy.NONE).rows == want
+        real = gaussdecomp._sumsets
+
+        def corrupted(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
+            width, levels = real(points, region, re_lo, re_hi, im_lo, im_hi, max_terms)
+            levels[0] |= 1 << ((4 - re_lo) * width + 3 - im_lo)
+            return width, levels
+
+        monkeypatch.setattr(gaussdecomp, "_sumsets", corrupted)
+        with pytest.raises(ValueError, match=r"the walk for 5\+5i fails at 2 terms"):
+            scan_targets([z], KPI, 3, NormPolicy.NONE)
+
+    def test_a_first_term_past_pool_index_100(self, monkeypatch):
+        """125+i = (94+i) + 31, and 31 is kpi pool entry 167: the level 2
+        pass of this box reads that far down the pool (to the 80th of the
+        246 pool points in its window) before every need has its first
+        term. The box builds the sumsets, where 125+i alone would search,
+        and its rows must be the search's with no search run."""
+        targets = box_targets(Region.OPEN_QUADRANT, (120, 130), (1, 10))
+        live = gaussdecomp._bounds(targets, KPI, NormPolicy.NONE)
+        lone = gaussdecomp._bounds([GaussianInt(125, 1)], KPI, NormPolicy.NONE)
+        pool = _pool_for(KPI, max(t[5] for t in live))
+        assert gaussdecomp._minimal_terms(live, pool, 3) is not None
+        assert gaussdecomp._minimal_terms(lone, pool, 3) is None
+        assert gaussian_prime_pool(KPI, 962).index((31, 0, 961)) == 167
+        searched = scan_rows_by_search(targets, KPI, 3)
+        assert (GaussianInt(125, 1), 2, (GaussianInt(94, 1), GaussianInt(31, 0))) in searched
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the box searched")
+
+        monkeypatch.setattr(gaussdecomp, "_dfs", forbidden)
+        assert scan_targets(targets, KPI, 3, NormPolicy.NONE).rows == searched
 
     def test_uncapped_scans_walk_the_levels_without_searching(self, monkeypatch):
         """Under NONE the witnesses come off the levels: no search."""
