@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .gaussdecomp import NormPolicy, find_decomposition
 from .primes import is_gaussian_prime, is_rational_prime
 from .ratdecomp import SearchExhausted, four_odd_primes, min_odd_prime_terms
 from .report import Report
@@ -191,6 +190,9 @@ def solve_square_columns(a: int, b: int, max_terms: int = 6) -> SolutionMatrix:
     z = GaussianInt(a, b)
     if a < 0 or b < 0 or z.is_zero():
         raise ValueError("need a nonzero target with a >= 0 and b >= 0")
+    # imported here, so the rational solvers load no Gaussian search layer
+    from .gaussdecomp import NormPolicy, find_decomposition
+
     dec = find_decomposition(z, Region.PRIME_QUADRANT, max_terms, NormPolicy.NONE)
     if dec is None:
         raise SearchExhausted(

@@ -14,7 +14,8 @@ from functools import cached_property
 from itertools import chain, compress
 from operator import not_, sub
 
-from .primes import PrimeTable, is_rational_prime
+from . import primes
+from .primes import is_rational_prime
 from .report import HypothesisViolation, Report, SearchExhausted
 from .zcore import Record
 
@@ -22,21 +23,42 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator, Sequence
 
-_shared_table: PrimeTable | None = None
-_odd_pool: list[int] = []
-_r34_pool: list[int] = []
+_flags = bytearray()  # the sieve flags over 0..n, n the largest split or scan bound yet
+_FIRST_LISTING = 1 << 10  # where the pools' first listing ends
 
 
-def _grow(limit: int) -> None:
-    global _shared_table, _odd_pool, _r34_pool
-    if _shared_table is not None and _shared_table.limit >= limit:
-        return
-    _shared_table = PrimeTable.sieve(max(limit, 1 << 16))
-    _odd_pool = _shared_table.primes[1:]
-    _r34_pool = _shared_table.residue_class(3)
+def _sieve(limit: int) -> None:
+    """Sieve the flags over 0..limit or further, unless they reach limit."""
+    global _flags
+    if len(_flags) <= limit:
+        _flags = primes._sieve_flags(max(limit, 1 << 16))
 
 
-def _first_terms(level, below, k: int, pool: list[int], ns: Iterable[int]) -> None:
+class _Pool(list):
+    """The primes congruent to r mod m below listed, ascending, read off
+    the flags. It starts empty and grows only by appending, so a loop
+    iterating it sees every later prime and no entry moves under it."""
+
+    def __init__(self, r: int, m: int) -> None:
+        self.r, self.m, self.listed = r, m, 0
+
+    def grow(self, stop: int) -> bool:
+        """If a prime up to stop (below the flags' end) may be missing, list
+        on to twice as far or to _FIRST_LISTING; say if it did."""
+        if self.listed > stop:
+            return False
+        hi = min(max(2 * self.listed, _FIRST_LISTING), len(_flags))
+        start = self.listed + (self.r - self.listed) % self.m
+        self += compress(range(start, hi, self.m), _flags[start : hi : self.m])
+        self.listed = hi
+        return True
+
+
+_odd_pool = _Pool(1, 2)
+_r34_pool = _Pool(3, 4)
+
+
+def _first_terms(level, below, k: int, pool: _Pool, ns: Iterable[int]) -> None:
     """Set level[n], for each n in ns, to the first term of n's canonical
     k-term sum from the ascending pool (the lexicographically first
     non-decreasing one, repeats allowed), or to 0 when n has none. below
@@ -45,7 +67,9 @@ def _first_terms(level, below, k: int, pool: list[int], ns: Iterable[int]) -> No
     First-term lemma: that sum starts with the first pool prime p leaving
     n - p a (k-1)-term sum (any term q of a sum leaves n - q one) and goes
     on with the canonical sum of n - p (a term q < p there would have come
-    first). So nothing backtracks, and p * k > n ends the scan. Level 1 is
+    first). So nothing backtracks, and p * k > n ends the scan, as k terms
+    of at least p exceed n. The pool's end does not: a prime past it may
+    be the first term, so the pool lists on and n is read again. Level 1 is
     exact: callers fix n = k mod 2 (odd pool) or n = 3k mod 4 (3 mod 4
     pool), which taking off pool primes keeps. The scans run this loop over
     a residue class into arrays, a single split over the n its chase reads.
@@ -58,6 +82,10 @@ def _first_terms(level, below, k: int, pool: list[int], ns: Iterable[int]) -> No
             if below[n - p]:
                 first = p
                 break
+        else:
+            if pool.grow(n // k):
+                _first_terms(level, below, k, pool, (n,))
+                continue
         level[n] = first
 
 
@@ -65,7 +93,7 @@ class _Level(dict):
     """Level k of one split's memo, filled one n at a time as reads miss,
     so a split of n reads no level up to n."""
 
-    def __init__(self, k: int, pool: list[int], below) -> None:
+    def __init__(self, k: int, pool: _Pool, below) -> None:
         self.k, self.pool, self.below = k, pool, below
 
     def __missing__(self, n: int) -> int:
@@ -88,16 +116,21 @@ def _chase(levels: Sequence, ns: Sequence[int]) -> list[list[int]]:
     return cols[::-1]
 
 
-def _split(n: int, k: int, pool: list[int]) -> tuple[int, ...] | None:
+def _lazy_levels(top: int, pool: _Pool) -> list:
+    """Levels 1 to top: the flags, then _Level dicts that fill as read."""
+    levels = [_flags]
+    for k in range(2, top + 1):
+        levels.append(_Level(k, pool, levels[-1]))
+    return levels
+
+
+def _split(n: int, k: int, pool: _Pool) -> tuple[int, ...] | None:
     """n's canonical k-term sum from the pool, largest term first, or None."""
-    level = _shared_table._flags
-    levels = []
-    for j in range(2, k + 1):
-        level = _Level(j, pool, level)
-        levels.append(level)
-    if not level[n]:
+    _sieve(n)
+    levels = _lazy_levels(k, pool)
+    if not levels[-1][n]:
         return None
-    return next(zip(*_chase(levels, [n])))
+    return next(zip(*_chase(levels[1:], [n])))
 
 
 def split_into_odd_primes(n: int, k: int) -> tuple[int, ...] | None:
@@ -109,7 +142,6 @@ def split_into_odd_primes(n: int, k: int) -> tuple[int, ...] | None:
     """
     if k < 1 or n < 3 * k or n % 2 != k % 2:
         return None
-    _grow(n)
     return _split(n, k, _odd_pool)
 
 
@@ -120,7 +152,6 @@ def split_into_residue34_primes(n: int, k: int) -> tuple[int, ...] | None:
     """
     if k < 1 or n < 3 * k or (n - 3 * k) % 4 != 0:
         return None
-    _grow(n)
     return _split(n, k, _r34_pool)
 
 
@@ -163,16 +194,20 @@ _HYPOTHESIS_CSV_HEAD = "n,residue,k,witness\n"
 
 class HypothesisReport(Report):
     """Scan outcome for one residue-class claim over [lo, hi]. levels holds
-    the first-term arrays of levels 2 to k, each indexed by n with 0 for
-    no sum (see _first_terms); every row is chased off them when read."""
+    levels 2 to k, first terms indexed by n, 0 for no sum (see _first_terms):
+    arrays, or _Level dicts for a narrow range. Every row is chased off them
+    when read, so the rows, not the levels, fix a report."""
 
     spec: HypothesisSpec
     lo: int
     hi: int
-    levels: tuple[array, ...]
+    levels: tuple
+
+    def _values(self) -> tuple:
+        return (self.spec, self.lo, self.hi, self.rows)
 
     def __hash__(self) -> int:
-        # arrays do not hash; these fields fix the rows of equal reports
+        # the levels do not hash, and these fields fix the rows
         return hash((self.spec, self.lo, self.hi, self.exceptions))
 
     @property
@@ -189,8 +224,9 @@ class HypothesisReport(Report):
 
     @cached_property  # read by the summary, the exit code and every format
     def exceptions(self) -> tuple[int, ...]:
-        ns = self._targets
-        return tuple(compress(ns, map(not_, self.levels[-1][ns.start :: 4])))
+        ns, top = self._targets, self.levels[-1]
+        firsts = top[ns.start :: 4] if isinstance(top, array) else map(top.__getitem__, ns)
+        return tuple(compress(ns, map(not_, firsts)))
 
     @property
     def max_exception(self) -> int | None:
@@ -288,13 +324,19 @@ class HypothesisReports(Report):
 # holds every row (CPython 3.11, x86-64).
 _HYPOTHESIS_CAP = 10**6
 
+# What an entry of a _Level costs in entries of an array. A scan reads each
+# level at about one n of its class per n in [lo, hi], where a _Level makes
+# its entries; an array makes one per n of its class in [3k, hi].
+_LAZY_ENTRY_COST = 4
+
 
 def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[HypothesisReport]:
     """One HypothesisReport per listed index, in order, over [lo, hi].
 
     H_k covers n = 3k mod 4 and a 3 mod 4 prime off n lands in H_(k-1)'s
     class, so the scans share one array per level, each filled bottom-up
-    over its whole class up to hi off the level below, mostly at n - 3.
+    over its whole class up to hi off the level below, mostly at n - 3, or
+    _Level dicts where the arrays would cost more (see _LAZY_ENTRY_COST).
     """
     if any(index not in HYPOTHESES for index in indices):
         raise ValueError(f"hypothesis index must be one of {sorted(HYPOTHESES)}")
@@ -302,15 +344,17 @@ def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[Hypothesi
         raise ValueError("need 1 <= lo <= hi")
     if hi > _HYPOTHESIS_CAP:
         raise ValueError(f"scan bound {hi} is above the cap of {_HYPOTHESIS_CAP}")
-    _grow(hi)
-    level = _shared_table._flags
-    levels = []
-    for k in range(2, max((HYPOTHESES[index].k for index in indices), default=1) + 1):
-        below, level = level, array("I", [0]) * (hi + 1)
-        _first_terms(level, below, k, _r34_pool, range(3 * k, hi + 1, 4))
-        levels.append(level)
+    _sieve(hi)
+    top = max((HYPOTHESES[index].k for index in indices), default=1)
+    if _LAZY_ENTRY_COST * (hi - lo) < hi:
+        levels = _lazy_levels(top, _r34_pool)
+    else:
+        levels = [_flags]
+        for k in range(2, top + 1):
+            levels.append(array("I", [0]) * (hi + 1))
+            _first_terms(levels[-1], levels[-2], k, _r34_pool, range(3 * k, hi + 1, 4))
     return [
-        HypothesisReport(HYPOTHESES[index], lo, hi, tuple(levels[: HYPOTHESES[index].k - 1]))
+        HypothesisReport(HYPOTHESES[index], lo, hi, tuple(levels[1 : HYPOTHESES[index].k]))
         for index in indices
     ]
 

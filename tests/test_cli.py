@@ -86,6 +86,26 @@ class TestStartup:
         assert "shnirel.gaussdecomp" in loaded
         assert loaded & NOT_GAUSSIAN == set()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thm130", "--n", "1005000", "--format", "json"],
+            ["hypotheses", "--upper", "2000", "--format", "csv"],
+            ["solve-thm1", "--a", "500002", "--b", "1000", "--format", "json"],
+            ["solve-thm2", "--a", "700000", "--b", "5", "--kmax", "8", "--format", "json"],
+        ],
+    )
+    def test_rational_commands_load_no_gaussian_layer(self, tmp_path, argv):
+        """Only solve-conj1 needs the Gaussian search among the rational
+        and matrix commands; diophantine imports it inside that solver."""
+        out = tmp_path / "out"
+        loaded = loaded_after(
+            f"from shnirel.cli import entry; entry({argv + ['--out', str(out)]!r})"
+        )
+        assert out.stat().st_size > 0
+        assert "shnirel.ratdecomp" in loaded
+        assert "shnirel.gaussdecomp" not in loaded
+
     def test_tables_load_the_table_module(self, tmp_path):
         out = tmp_path / "out"
         loaded = loaded_after(
@@ -626,6 +646,14 @@ COMMAND_DIGESTS = {
     ("thm130 --n 30", "md"): (0, "6fbf151835146bca8931a0c071c99c7f8c40e988aac59d2348709e8db59b0c77"),
     ("thm130 --n 30", "csv"): (0, "ae7c8832fc2ed391c55a953519315131505ceb81f4646c871a1a8b43e0e3ada9"),
     ("thm130 --n 30", "json"): (0, "3907864203258920b3f9d26e2375abcf5a59940c76bdf5dce0b3148f9f7004e7"),
+    # the benchmark's rational ops at their scale, recorded while every
+    # split still listed its whole pool of primes up to n
+    ("thm130 --n 1005000", "csv"): (0, "313512d8f294e8308666adee4d0fa8bb8aaedfb691fe8c1a9fef2e996a588531"),
+    ("thm130 --n 1005000", "json"): (0, "0210cf348f6d866340a5f9caf9ee653294e58a4cabbce5983342029173336c0e"),
+    ("solve-thm1 --a 500002 --b 1000", "csv"): (0, "9729ccb1741027a417b4f7be8883ac74575871205482cc27b447d6f0bc4a098c"),
+    ("solve-thm1 --a 500002 --b 1000", "json"): (0, "5c6bc30b7695da5814ad452ae377525ad01527ff6bd16f5f0a7c4c6ee2347bb2"),
+    ("solve-thm2 --a 700000 --b 5 --kmax 8", "csv"): (0, "aa7f8534ba92e9dd05d4e212aa4de80a5b4891c48889c6c3c9ee5f12d70b97a1"),
+    ("solve-thm2 --a 700000 --b 5 --kmax 8", "json"): (0, "d95cf099e2fbe4eeca25981b9c935502cb8dac9086bfec09160606c62aff12ac"),
     ("tables --validate", "md"): (0, "24c859b7de0e36a602733f2235aa5c26d7b705ae30f7531e93638bd77ea755c6"),
     ("tables --validate", "csv"): (0, "0ccac89692d1599fb47b5b5c1b9f42bdcba3a0c2e1306917508cd9b9273e6aab"),
     ("tables --validate", "json"): (0, "d562d1526478cfc4458eca92327d7a2cb1d9fb00137dd97c0bf43ca1a86479a3"),
@@ -731,8 +759,8 @@ class TestHypotheses:
         def sieving(*args):
             raise AssertionError("a sieve was built")
 
-        monkeypatch.setattr(ratdecomp, "_shared_table", None)
-        monkeypatch.setattr(primes.PrimeTable, "sieve", sieving)
+        monkeypatch.setattr(ratdecomp, "_flags", bytearray())
+        monkeypatch.setattr(primes, "_sieve_flags", sieving)
         code, out, err = run(capsys, "hypotheses", "--upper", upper)
         assert code == 2
         assert out == ""
@@ -761,6 +789,7 @@ class TestThm130:
             raise AssertionError("a sieve ran")
 
         with monkeypatch.context() as patched:
+            patched.setattr(ratdecomp, "_flags", bytearray())
             patched.setattr(primes, "_sieve_flags", sieving)
             code, out, err = run(capsys, "thm130", "--n", "10", "--c0", "0")
         assert (code, out, err) == (2, "", "c0 must be at least 9, got 0")

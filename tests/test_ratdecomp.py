@@ -20,6 +20,7 @@ from shnirel import (
     split_into_odd_primes,
     split_into_residue34_primes,
 )
+from shnirel import ratdecomp
 from shnirel.ratdecomp import CHAIN_THRESHOLD, HypothesisReports
 
 
@@ -380,6 +381,111 @@ class TestInlinedLevels:
         assert split_into_residue34_primes(n, k) == (
             None if r34 is None else tuple(reversed(r34))
         )
+
+
+@pytest.fixture
+def short_listing(monkeypatch):
+    """Fresh pools whose first listing holds the primes below 8, so every
+    split and scan past the smallest lists on, doubling, many times."""
+    monkeypatch.setattr(ratdecomp, "_FIRST_LISTING", 8)
+    monkeypatch.setattr(ratdecomp, "_odd_pool", ratdecomp._Pool(1, 2))
+    monkeypatch.setattr(ratdecomp, "_r34_pool", ratdecomp._Pool(3, 4))
+
+
+class TestGrowingPools:
+    """The pools start short and list on from the sieve flags only when a
+    first-term loop runs off their end while p * k <= n may still hold.
+    Cut to the primes below 8, they must give the enumerated answers."""
+
+    def test_odd_splits(self, short_listing):
+        TestSplitIntoOddPrimes().test_matches_enumeration_oracle()
+
+    def test_residue34_splits(self, short_listing):
+        TestSplitIntoResidue34Primes().test_matches_enumeration_oracle()
+
+    def test_min_odd_prime_terms(self, short_listing):
+        TestMinOddPrimeTerms().test_count_is_minimal()
+
+    @pytest.mark.parametrize("lo", [1, 2, 3, 101])
+    def test_scans(self, short_listing, lo):
+        TestHypothesisLevels().test_rows_match_enumeration_oracle(lo)
+
+    @pytest.mark.parametrize("lo,hi", [(2, 601), (150, 702), (5, 14), (7, 9), (1, 3), (33, 33)])
+    def test_scan_rows_and_csv(self, short_listing, lo, hi):
+        TestFirstTermArrays().test_rows_and_csv_match_enumeration_oracle(lo, hi)
+
+    def test_a_pool_grows_under_an_outer_loop(self, short_listing, monkeypatch):
+        """101 = 79 + 19 + 3. Level 3's loop reads level 2 at 101 - 3 = 98,
+        and no prime below 8 starts a two-term sum of 98 (95, 93 and 91 are
+        composite): level 2 lists on while level 3 iterates the same pool,
+        which must keep every entry in place."""
+        pool = ratdecomp._odd_pool
+        pool.grow(0)
+        assert pool == [3, 5, 7]
+        active, grown = [], []
+        first_terms, grow = ratdecomp._first_terms, ratdecomp._Pool.grow
+
+        def tracked(level, below, k, pool, ns):
+            active.append(k)
+            try:
+                first_terms(level, below, k, pool, ns)
+            finally:
+                active.pop()
+
+        def growing(self, stop):
+            before = list(self)
+            did = grow(self, stop)
+            assert self[: len(before)] == before
+            if did:
+                grown.append(tuple(active))
+            return did
+
+        monkeypatch.setattr(ratdecomp, "_first_terms", tracked)
+        monkeypatch.setattr(ratdecomp._Pool, "grow", growing)
+        want = min_split_into(101, 3, odd_primes_upto(101))
+        assert split_into_odd_primes(101, 3) == tuple(reversed(want)) == (79, 19, 3)
+        assert grown and all(ks[:2] == (3, 2) for ks in grown)
+        assert ratdecomp._odd_pool is pool and pool[:3] == [3, 5, 7]
+
+    def test_a_chain_lists_only_the_primes_it_reads(self, monkeypatch):
+        """The chain's three-term split of 1 004 997 reads first terms up to
+        7, so from a fresh state its pool stays at the first listing, though
+        the flags span 1 004 997."""
+        monkeypatch.setattr(ratdecomp, "_flags", bytearray())
+        monkeypatch.setattr(ratdecomp, "_r34_pool", ratdecomp._Pool(3, 4))
+        assert residue34_chain(1_005_000).terms == (1004987, 7, 3, 3)
+        assert len(ratdecomp._flags) > 1_004_997
+        assert ratdecomp._r34_pool[-1] < 2000
+
+
+class TestNarrowScans:
+    """A scan over a range much narrower than hi reads its levels through
+    _Level dicts, filled only where its rows read them, instead of arrays
+    over each whole class up to hi."""
+
+    @pytest.mark.parametrize("lo,hi", [(10**6 - 20, 10**6), (150, 702)])
+    def test_lazy_levels_give_the_array_rows(self, monkeypatch, lo, hi):
+        got = {}
+        # a cost of 0 reads any range lazily, a huge one fills arrays
+        for cost, kind in ((0, ratdecomp._Level), (10**9, ratdecomp.array)):
+            monkeypatch.setattr(ratdecomp, "_LAZY_ENTRY_COST", cost)
+            reports = hypothesis_scans([1, 2, 3, 4], lo, hi)
+            assert all(isinstance(level, kind) for r in reports for level in r.levels)
+            buf = io.StringIO()
+            HypothesisReports(tuple(reports)).write(buf, "csv")
+            got[kind] = (reports, [(r.rows, r.exceptions) for r in reports], buf.getvalue())
+        # reports compare by their rows, whichever levels they hold
+        assert got[ratdecomp._Level] == got[ratdecomp.array]
+
+    @pytest.mark.parametrize("lo,hi,lazy", [(10**6 - 20, 10**6, True), (150, 702, False)])
+    def test_the_fill_follows_the_entries_it_makes(self, lo, hi, lazy):
+        """Five targets below 10^6 read a few entries per level, not the
+        250 000 of an array; [150, 702] reads most of each array's class."""
+        (report,) = hypothesis_scans([4], lo, hi)
+        assert isinstance(report.levels[0], ratdecomp._Level) == lazy
+        assert report.rows
+        if lazy:
+            assert sum(map(len, report.levels)) < 100
 
 
 class TestResidue34Chain:
