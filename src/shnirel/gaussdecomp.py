@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from math import log
+from operator import add
 
 from .primes import _Pool, _pool_for, gaussian_prime_pool, is_gaussian_prime
 from .report import Report
@@ -255,8 +256,8 @@ def _sumsets(
     max_terms: int,
 ) -> tuple[int, list[int]]:
     """The k-fold sumsets, k = 1, 2, ..., max_terms, of the points
-    (re, im, ...) inside a window: rows re_lo..re_hi, each cut to
-    region.im_span(re, im_lo, im_hi).
+    (re, im, ...), which callers cut to a window: rows re_lo..re_hi,
+    each cut to region.im_span(re, im_lo, im_hi).
 
     Sums that leave the window are dropped, so a sum is kept exactly when
     some order of its terms keeps every partial sum inside; callers pick
@@ -269,20 +270,15 @@ def _sumsets(
     row below, and the mask clears both. Returns (width, levels); the
     levels stop at the first empty one.
     """
-    spans = {re: region.im_span(re, im_lo, im_hi) for re in range(re_lo, re_hi + 1)}
-    inside = [
-        (re, im)
-        for re, im, *_ in points
-        if re in spans and spans[re][0] <= im <= spans[re][1]
-    ]
-    width = im_hi - im_lo + 1 + max((abs(im) for _, im in inside), default=0)
+    width = im_hi - im_lo + 1 + max((abs(p[1]) for p in points), default=0)
     mask = level = 0
-    for re, (lo, hi) in spans.items():
+    for re in range(re_lo, re_hi + 1):
+        lo, hi = region.im_span(re, im_lo, im_hi)
         if lo <= hi:
             mask |= ((1 << (hi - lo + 1)) - 1) << ((re - re_lo) * width + lo - im_lo)
-    for re, im in inside:
+    for re, im, *_ in points:
         level |= 1 << ((re - re_lo) * width + im - im_lo)
-    shifts = [re * width + im for re, im in inside]
+    shifts = [re * width + im for re, im, *_ in points]
     levels: list[int] = []
     while level:
         levels.append(level)
@@ -493,19 +489,20 @@ class ScanReport(Report):
             yield f"{z},{z.norm()},{'' if k is None else k},{cell}\n"
 
 
-def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
+def _window(cone, res, ims, u_max, v_max) -> tuple[int, int, int, int]:
     """(re_lo, re_hi, im_lo, im_hi): the least box holding the targets
     re + im*i and their parallelograms c1 <= n1.s <= u, c2 <= n2.s <= v,
-    given as parallel sequences of re, im, u and v.
+    given the targets' re and im and their largest u and v.
 
     A corner n1.s = s, n2.s = t sits at (b2 s - b1 t, a1 t - a2 s) / det.
-    Over the targets, the corners (c1, v) and (u, c2) move with v and u
-    alone, and the corner (u, v) is z minus the fixed corner (c1, c2), so
-    the extreme u, v, re and im give the extreme corners.
+    As u >= c1 and v >= c2, the corners (c1, v) and (u, c2) lie between
+    the fixed corner (c1, c2) and those of the largest v and u, and the
+    corner (u, v) is z minus the fixed corner, so the extreme u, v, re
+    and im give the extreme corners.
     """
     (a1, b1, c1), (a2, b2, c2) = cone
     det = a1 * b2 - a2 * b1
-    corners = [(c1, c2), (c1, min(vs)), (c1, max(vs)), (min(us), c2), (max(us), c2)]
+    corners = [(c1, c2), (c1, v_max), (u_max, c2)]
     xs = [b2 * s - b1 * t for s, t in corners]
     ys = [a1 * t - a2 * s for s, t in corners]
     # the targets themselves (d = 0) and their corners (u, v)
@@ -534,10 +531,10 @@ def _window(cone, res, ims, us, vs) -> tuple[int, int, int, int]:
 _SUMSET_OPS_PER_TARGET = 1 << 17
 
 
-def _minimal_terms(live: list[tuple], pool: _Pool, max_terms: int) -> tuple | None:
+def _minimal_terms(live: list[tuple], pool: _Pool, max_terms: int, top: int) -> tuple | None:
     """(width, base, tables) for the targets with these _bounds rows, one
-    or more; None, leaving the pool list as it is, when the sumsets would
-    cost more than _SUMSET_OPS_PER_TARGET per target.
+    or more, of largest cap top; None, leaving the pool list as it is,
+    when the sumsets would cost more than _SUMSET_OPS_PER_TARGET a target.
 
     With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of a sum
     of two or more region primes equal to z has n1.s >= c1 and n1.(z - s)
@@ -571,14 +568,13 @@ def _minimal_terms(live: list[tuple], pool: _Pool, max_terms: int) -> tuple | No
     target's cap: always under NONE, and under STRICT_LESS when the last
     one chased is.
     """
-    _, res, ims, us, vs, caps = zip(*live)
-    top, region = max(caps), pool.region
-    re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, us, vs)
+    _, res, ims, us, vs, _ = zip(*live)
+    region = pool.region
+    re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, max(us), max(vs))
     # each level shift-ORs the whole window once per point, and no target
-    # z is a sum of more than (n1 + n2).z terms (see _search)
-    (a1, b1, _), (a2, b2, _) = region.cone
-    k_top = max((a1 + a2) * re + (b1 + b2) * im for re, im in zip(res, ims))
-    k_top = max(2, min(max_terms, k_top))
+    # z is a sum of more than (n1 + n2).z = u + v + c1 + c2 terms (see _search)
+    (_, _, c1), (_, _, c2) = region.cone
+    k_top = max(2, min(max_terms, max(map(add, us, vs)) + c1 + c2))
     ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * top / log(top) * (k_top - 1)
     if ops > _SUMSET_OPS_PER_TARGET * len(live):
         return None
@@ -650,7 +646,7 @@ def scan_targets(
     live = _bounds(targets, term_region, policy) if max_terms >= 2 else []
     top = max((t[5] for t in live), default=2)
     pool = _pool_for(term_region, top)
-    chase = _minimal_terms(live, pool, max_terms) if live else None
+    chase = _minimal_terms(live, pool, max_terms, top) if live else None
     single, member = policy is NormPolicy.NONE, pool.member
 
     def alone(z: GaussianInt) -> tuple:  # a target with no sum of two or more terms
@@ -782,8 +778,9 @@ def verify_diagonal_obstruction(bound: int, max_terms: int = 6) -> ObstructionRe
         raise ValueError("bound is capped at 500")
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    # _sumsets drops the primes with re > bound, which lie outside its window
+    # a sector prime with re <= bound has 1 - bound <= im <= bound
     pool = gaussian_prime_pool(Region.PRIME_SECTOR, 2 * bound * bound + 1)
+    pool = [p for p in pool if p[0] <= bound]
     im_lo = 1 - bound
     width, sums = _sumsets(pool, Region.PRIME_SECTOR, 1, bound, im_lo, bound, max_terms)
     levels: list[tuple[int, int, int]] = []

@@ -72,7 +72,7 @@ def _sieve_flags(limit: int) -> bytearray:
 class PrimeTable:
     """Sieved primes up to a limit, with mod-4 residue views."""
 
-    __slots__ = ("limit", "primes", "_flags")
+    __slots__ = ("limit", "primes")
 
     def __init__(self, limit: int, primes: list[int] | None = None):
         """The primes up to limit, listed off the sieve flags. A given list
@@ -94,7 +94,6 @@ class PrimeTable:
             raise ValueError(f"the list is not the primes up to {limit} in ascending order")
         self.limit = limit
         self.primes = primes
-        self._flags = flags
 
     @classmethod
     def sieve(cls, limit: int) -> "PrimeTable":

@@ -77,6 +77,10 @@ class Parity(Enum):
     EVEN = "even"
 
 
+_LABELS = ("1", "i", "-1", "-i")  # i^k for k = 0..3
+_ROTATIONS = ((1, 0), (0, 1), (-1, 0), (0, -1))  # i^k as (cos, sin)
+
+
 class Unit(Enum):
     """The four units of Z[i], stored as powers of the imaginary unit."""
 
@@ -86,23 +90,17 @@ class Unit(Enum):
     MINUS_I = 3
 
     def apply(self, z: "GaussianInt") -> "GaussianInt":
-        k = self.value
-        if k == 0:
-            return z
-        if k == 1:
-            return GaussianInt(-z.im, z.re)
-        if k == 2:
-            return GaussianInt(-z.re, -z.im)
-        return GaussianInt(z.im, -z.re)
+        c, s = _ROTATIONS[self.value]
+        return GaussianInt(c * z.re - s * z.im, s * z.re + c * z.im)
 
     @property
     def label(self) -> str:
-        return ("1", "i", "-1", "-i")[self.value]
+        return _LABELS[self.value]
 
     @classmethod
     def from_label(cls, text: str) -> "Unit":
         try:
-            return cls(("1", "i", "-1", "-i").index(text))
+            return cls(_LABELS.index(text))
         except ValueError:
             raise ValueError(f"not a unit label: {text!r}") from None
 
@@ -173,7 +171,6 @@ class GaussianInt(Record):
 
 
 ZERO = GaussianInt(0, 0)
-ONE = GaussianInt(1, 0)
 
 
 def parity(z: GaussianInt) -> Parity:

@@ -676,6 +676,12 @@ COMMAND_DIGESTS = {
     # target by target. Exit 1: both boxes hold exceptions.
     ("scan --targets a --re 1..150 --im 1..150 --primes kpi", "json"): (1, "1640e68a47d99f50725b29f79cb1326f6e42c0a024848925a6dd76e58ae9fecf"),
     ("scan --targets sector --re 1..120 --im=-119..120 --primes spi --strict-norm", "csv"): (1, "5943ed8b25f5b3a8820f55f3eb04ae2d9dc26ea78f35238e6f6e28d134a5b642"),
+    # perfbench's two scan_exhaust ops, the box with its origin unshifted,
+    # both read off the sumsets; recorded while _sumsets still cut its
+    # points to the window itself and the scan window was built from five
+    # parallelogram corners. Exit 1: the box holds exceptions.
+    ("obstruction --bound 90", "json"): (0, "4c9136b0436c35f10a9aa4f52ac5a516bfb0aa5ba0afdcb66978e5b1a494e611"),
+    ("scan --targets a --re 1..120 --im 1..120 --primes gammapi", "json"): (1, "34ea59d6c6fc4cd49378fcb955a1df844162babc954823ac96d7851b545580d2"),
 }
 
 

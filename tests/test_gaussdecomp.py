@@ -5,8 +5,9 @@ import inspect
 import io
 import json
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import isqrt
+from math import ceil, floor, isqrt
 
 import pytest
 
@@ -563,7 +564,7 @@ class TestScans:
         targets = box_targets(Region.OPEN_QUADRANT, (1, 40), (1, 40))
         live = gaussdecomp._bounds(targets, KPI, NormPolicy.NONE)
         pool = _pool_for(KPI, max(t[5] for t in live))
-        assert gaussdecomp._minimal_terms(live, pool, 10**6) is not None
+        assert gaussdecomp._minimal_terms(live, pool, 10**6, max(t[5] for t in live)) is not None
         report = scan_targets(targets, KPI, 10**6, NormPolicy.NONE)
         assert report.rows == scan_targets(targets, KPI, 3, NormPolicy.NONE).rows
 
@@ -614,8 +615,8 @@ class TestScans:
         live = gaussdecomp._bounds(targets, KPI, NormPolicy.NONE)
         lone = gaussdecomp._bounds([GaussianInt(125, 1)], KPI, NormPolicy.NONE)
         pool = _pool_for(KPI, max(t[5] for t in live))
-        assert gaussdecomp._minimal_terms(live, pool, 3) is not None
-        assert gaussdecomp._minimal_terms(lone, pool, 3) is None
+        assert gaussdecomp._minimal_terms(live, pool, 3, max(t[5] for t in live)) is not None
+        assert gaussdecomp._minimal_terms(lone, pool, 3, lone[0][5]) is None
         assert gaussian_prime_pool(KPI, 962).index((31, 0, 961)) == 167
         searched = scan_rows_by_search(targets, KPI, 3)
         assert (GaussianInt(125, 1), 2, (GaussianInt(94, 1), GaussianInt(31, 0))) in searched
@@ -701,6 +702,60 @@ class TestScans:
         assert data["parity"] == "ODD"
         assert len(data["rows"]) == 36
         assert data["exceptions"][0] == "1+i"
+
+
+class TestSumsetWindow:
+    """_bounds keeps its own inline copy of _term_cap's two-term corners,
+    and _window reads only the largest u and v of the live targets; both
+    are pinned to the plain definitions here."""
+
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    @pytest.mark.parametrize("region", list(Region))
+    def test_bounds_rows_are_the_two_term_caps(self, region, policy):
+        targets = [GaussianInt(re, im) for re in range(-15, 16) for im in range(-15, 16)]
+        want = []
+        for i, z in enumerate(targets):
+            got = gaussdecomp._term_cap(region.cone, z.re, z.im, 2)
+            if got is None:
+                continue
+            u, v, cap = got
+            cap += 1
+            if policy is NormPolicy.STRICT_LESS:
+                cap = min(cap, z.norm())
+            if cap > 2:
+                want.append((i, z.re, z.im, u, v, cap))
+        assert want
+        assert gaussdecomp._bounds(targets, region, policy) == want
+
+    @pytest.mark.parametrize("region", list(Region))
+    def test_window_is_the_box_of_every_corner(self, region):
+        """The least integer box holding every live target and the four
+        corners n1.s in {c1, u}, n2.s in {c2, v} of its parallelogram."""
+        (a1, b1, c1), (a2, b2, c2) = region.cone
+        det = Fraction(a1 * b2 - a2 * b1)
+        rng = random.Random(f"window {region.value}")
+        checked = 0
+        for _ in range(300):
+            targets = [
+                GaussianInt(rng.randint(-60, 60), rng.randint(-60, 60))
+                for _ in range(rng.randint(1, 6))
+            ]
+            live = gaussdecomp._bounds(targets, region, rng.choice(list(NormPolicy)))
+            if not live:
+                continue
+            xs, ys = [], []
+            for _, re, im, u, v, _ in live:
+                xs.append(re)
+                ys.append(im)
+                for s in (c1, u):
+                    for t in (c2, v):
+                        xs.append((b2 * s - b1 * t) / det)
+                        ys.append((a1 * t - a2 * s) / det)
+            want = (ceil(min(xs)), floor(max(xs)), ceil(min(ys)), floor(max(ys)))
+            _, res, ims, us, vs, _ = zip(*live)
+            assert gaussdecomp._window(region.cone, res, ims, max(us), max(vs)) == want
+            checked += 1
+        assert checked > 100
 
 
 class TestDiagonalObstruction:

@@ -1,6 +1,7 @@
 """Rational and Gaussian primality against independent oracles, plus
 sieve caching."""
 
+import gc
 import os
 import random
 import struct
@@ -86,6 +87,12 @@ class TestPrimeTable:
             PrimeTable.sieve(1)
         with pytest.raises(ValueError):
             PrimeTable(1, [])
+
+    def test_table_keeps_no_flags(self):
+        """A table lists its primes off the sieve flags and lets them go:
+        they take limit + 1 bytes, and nothing reads them after the listing."""
+        for table in (PrimeTable.sieve(1000), PrimeTable(100, PrimeTable.sieve(100).primes)):
+            assert not any(isinstance(o, bytearray) for o in gc.get_referents(table))
 
     def test_sieve_cap_refuses_before_allocating(self, monkeypatch):
         with pytest.raises(ValueError, match="above the cap"):
