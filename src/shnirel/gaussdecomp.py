@@ -73,28 +73,28 @@ class Decomposition(Report):
             "parity": "ODD",
             "terms": [
                 {
-                    "summand": str(u.apply(g)),
-                    "re": u.apply(g).re,
-                    "im": u.apply(g).im,
+                    "summand": str(s),
+                    "re": s.re,
+                    "im": s.im,
                     "norm": g.norm(),
                     "unit": u.label,
                     "sector": str(g),
                 }
-                for g, u in self.terms
+                for s, (g, u) in zip(self.summands(), self.terms)
             ],
         }
 
     def md_lines(self) -> Iterator[str]:
-        yield f"{self.target} = {self}\n"
+        summands = self.summands()
+        yield f"{self.target} = {' + '.join(f'({s})' for s in summands)}\n"
         yield f"k={self.k} region={self.region.value} policy={self.policy.value}\n"
         yield "\n| summand | norm | unit | sector |\n|---|---|---|---|\n"
-        for g, u in self.terms:
-            yield f"| {u.apply(g)} | {g.norm()} | {u.label} | {g} |\n"
+        for s, (g, u) in zip(summands, self.terms):
+            yield f"| {s} | {g.norm()} | {u.label} | {g} |\n"
 
     def csv_lines(self) -> Iterator[str]:
         yield "summand,re,im,norm,unit,sector\n"
-        for g, u in self.terms:
-            s = u.apply(g)
+        for s, (g, u) in zip(self.summands(), self.terms):
             yield f"{s},{s.re},{s.im},{g.norm()},{u.label},{g}\n"
 
 

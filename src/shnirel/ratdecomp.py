@@ -13,6 +13,7 @@ from array import array
 from functools import cached_property
 from itertools import chain, compress
 from operator import not_, sub
+from struct import unpack
 
 from . import primes
 from .primes import is_rational_prime
@@ -25,6 +26,7 @@ if TYPE_CHECKING:
 
 _flags = bytearray()  # the sieve flags over 0..n, n the largest split or scan bound yet
 _FIRST_LISTING = 1 << 10  # where the pools' first listing ends
+_LANE_STOP = 1 << 16  # the first pool prime a scan's 16-bit lane cannot hold
 
 
 def _sieve(limit: int) -> None:
@@ -58,35 +60,51 @@ _odd_pool = _Pool(1, 2)
 _r34_pool = _Pool(3, 4)
 
 
-def _first_terms(level, below, k: int, pool: _Pool, ns: Iterable[int]) -> None:
-    """Set level[n], for each n in ns, to the first term of n's canonical
-    k-term sum from the ascending pool (the lexicographically first
-    non-decreasing one, repeats allowed), or to 0 when n has none. below
-    is level k - 1; level 1 is the sieve flags.
+def _first_term(below, k: int, pool: _Pool, n: int) -> int:
+    """The first term of n's canonical k-term sum from the ascending pool
+    (the lexicographically first non-decreasing one, repeats allowed), or 0
+    when n has none. below is level k - 1; level 1 is the sieve flags.
 
     First-term lemma: that sum starts with the first pool prime p leaving
     n - p a (k-1)-term sum (any term q of a sum leaves n - q one) and goes
-    on with the canonical sum of n - p (a term q < p there would have come
-    first). So nothing backtracks, and p * k > n ends the scan, as k terms
-    of at least p exceed n. The pool's end does not: a prime past it may
-    be the first term, so the pool lists on and n is read again. Level 1 is
-    exact: callers fix n = k mod 2 (odd pool) or n = 3k mod 4 (3 mod 4
-    pool), which taking off pool primes keeps. The scans run this loop over
-    a residue class into arrays, a single split over the n its chase reads.
+    on with the canonical sum of n - p (a term q < p of any sum of n - p
+    would have come first, so p * k <= n). So nothing backtracks, and
+    p * k > n ends the scan, as k terms of at least p exceed n. The pool's
+    end does not: a prime past it may be the first term, so the pool lists
+    on and n is read again. Level 1 is exact: callers fix n = k mod 2 (odd
+    pool) or n = 3k mod 4 (3 mod 4 pool), which taking off pool primes keeps.
     """
-    for n in ns:
-        first = 0
-        for p in pool:
-            if p * k > n:
-                break
-            if below[n - p]:
-                first = p
-                break
-        else:
-            if pool.grow(n // k):
-                _first_terms(level, below, k, pool, (n,))
-                continue
-        level[n] = first
+    for p in pool:
+        if p * k > n:
+            return 0
+        if below[n - p]:
+            return p
+    return _first_term(below, k, pool, n) if pool.grow(n // k) else 0
+
+
+def _fill_class(level: array, below: array, lanes: int, k: int, pool: _Pool, hi: int) -> int:
+    """Fill level k over its class n = r + 4i up to hi, r = 3k mod 4, in one
+    pass over the pool; lanes holds level k - 1's members, a 16-bit lane per i,
+    1 for a member, and the return level k's. Each p in pool order is the first
+    term of the n left in need with n - p a member (so p * k <= n, see
+    _first_term) until p * k passes them all; _first_term takes any left at _LANE_STOP."""
+    ns, shift, firsts = range(r := 3 * k % 4, hi + 1, 4), 3 * (k - 1) % 4 - r, 0
+    need = start = int.from_bytes(b"\1\0" * len(ns), "little")
+    pool.grow(0)  # a fresh pool lists its first primes
+    for p in pool:
+        if not need or p * k > r + 4 * (need.bit_length() - 1 >> 4) or p >= _LANE_STOP:
+            break
+        hit = need & lanes << 4 * (p + shift)  # lane n meets lane n - p
+        need ^= hit
+        firsts |= hit * p
+        while p == pool[-1] and pool.grow(hi // k):
+            pass
+    level[r::4] = array("I", unpack(f"<{len(ns)}H", firsts.to_bytes(2 * len(ns), "little")))
+    if need and p >= _LANE_STOP:
+        for n in compress(ns, need.to_bytes(2 * len(ns), "little")[::2]):
+            level[n] = first = _first_term(below, k, pool, n)
+            need ^= (first > 0) << 4 * (n - r)
+    return start ^ need
 
 
 class _Level(dict):
@@ -97,8 +115,8 @@ class _Level(dict):
         self.k, self.pool, self.below = k, pool, below
 
     def __missing__(self, n: int) -> int:
-        _first_terms(self, self.below, self.k, self.pool, (n,))
-        return self[n]
+        self[n] = first = _first_term(self.below, self.k, self.pool, n)
+        return first
 
 
 def _chase(levels: Sequence, ns: Sequence[int]) -> list[list[int]]:
@@ -194,7 +212,7 @@ _HYPOTHESIS_CSV_HEAD = "n,residue,k,witness\n"
 
 class HypothesisReport(Report):
     """Scan outcome for one residue-class claim over [lo, hi]. levels holds
-    levels 2 to k, first terms indexed by n, 0 for no sum (see _first_terms):
+    levels 2 to k, first terms indexed by n, 0 for no sum (see _first_term):
     arrays, or _Level dicts for a narrow range. Every row is chased off them
     when read, so the rows, not the levels, fix a report."""
 
@@ -318,25 +336,26 @@ class HypothesisReports(Report):
         return chain([_HYPOTHESIS_CSV_HEAD], *(r._csv_rows() for r in self.reports))
 
 
-# The largest hi a hypothesis scan takes. The scans keep a 4-byte first
-# term per integer and level and chase their rows as they are written: all
-# four to 10^6 peak near 36 MiB in CSV, near 420 MiB in JSON, whose encoder
-# holds every row (CPython 3.11, x86-64).
+# The largest hi a hypothesis scan takes. The scans keep a 4-byte first term
+# per integer and level (built through 2-byte lanes) and chase their rows as
+# they are written: all four to 10^6 peak near 38 MiB in CSV, near 415 MiB
+# in JSON, whose encoder holds every row (CPython 3.11, x86-64).
 _HYPOTHESIS_CAP = 10**6
 
 # What an entry of a _Level costs in entries of an array. A scan reads each
 # level at about one n of its class per n in [lo, hi], where a _Level makes
-# its entries; an array makes one per n of its class in [3k, hi].
-_LAZY_ENTRY_COST = 4
+# its entries; an array makes one per n of its class up to hi. Scans of [hi -
+# hi/14, hi] and their CSV rows ran about as fast either way (hi 10^5 to 10^6).
+_LAZY_ENTRY_COST = 14
 
 
 def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[HypothesisReport]:
     """One HypothesisReport per listed index, in order, over [lo, hi].
 
     H_k covers n = 3k mod 4 and a 3 mod 4 prime off n lands in H_(k-1)'s
-    class, so the scans share one array per level, each filled bottom-up
-    over its whole class up to hi off the level below, mostly at n - 3, or
-    _Level dicts where the arrays would cost more (see _LAZY_ENTRY_COST).
+    class, so the scans share one array per level, each filled over its
+    whole class up to hi by one bulk pass off the level below (_fill_class),
+    or _Level dicts where the arrays would cost more (see _LAZY_ENTRY_COST).
     """
     if any(index not in HYPOTHESES for index in indices):
         raise ValueError(f"hypothesis index must be one of {sorted(HYPOTHESES)}")
@@ -348,11 +367,12 @@ def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[Hypothesi
     top = max((HYPOTHESES[index].k for index in indices), default=1)
     if _LAZY_ENTRY_COST * (hi - lo) < hi:
         levels = _lazy_levels(top, _r34_pool)
-    else:
-        levels = [_flags]
+    else:  # level 1's members over n = 3 + 4i, one 16-bit lane per i
+        lanes = _flags[3 : hi + 1 : 4].replace(b"\0", b"\0\0").replace(b"\1", b"\1\0")
+        levels, lanes = [_flags], int.from_bytes(lanes, "little")
         for k in range(2, top + 1):
             levels.append(array("I", [0]) * (hi + 1))
-            _first_terms(levels[-1], levels[-2], k, _r34_pool, range(3 * k, hi + 1, 4))
+            lanes = _fill_class(levels[-1], levels[-2], lanes, k, _r34_pool, hi)
     return [
         HypothesisReport(HYPOTHESES[index], lo, hi, tuple(levels[1 : HYPOTHESES[index].k]))
         for index in indices

@@ -600,6 +600,11 @@ HYPOTHESIS_DIGESTS = {
     ("4", "csv"): "93b434caa101172fd0819f2c39c8d22b378df40008afac8037ad4df2e2a1125a",
 }
 
+# sha256 of hypotheses --upper 300064 --format csv, the rational benchmark's
+# scale, where level 2's first terms reach 683; recorded while every level
+# was still filled by the loop per n.
+HYPOTHESIS_SCALE_DIGEST = "8c42080ef35a0e0848d53bbc6aca2ae53e7915c8e86f132b56d7949b93659d5d"
+
 
 class TestHypothesisDigests:
     def test_reports_are_byte_identical(self, capsys, tmp_path):
@@ -611,6 +616,12 @@ class TestHypothesisDigests:
             assert code == 1
             got[index, fmt] = hashlib.sha256(path.read_bytes()).hexdigest()
         assert got == HYPOTHESIS_DIGESTS
+
+    def test_benchmark_scale_csv_is_byte_identical(self, capsys, tmp_path):
+        path = tmp_path / "report.csv"
+        argv = ["hypotheses", "--upper", "300064", "--format", "csv", "--out", str(path)]
+        assert run(capsys, *argv)[0] == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == HYPOTHESIS_SCALE_DIGEST
 
 
 # (exit code, sha256 of the --out file) of every other reporting

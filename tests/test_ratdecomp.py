@@ -3,6 +3,7 @@ the three-to-six-term chain, cross-checked against plain enumeration."""
 
 import io
 import json
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -423,12 +424,12 @@ class TestGrowingPools:
         pool.grow(0)
         assert pool == [3, 5, 7]
         active, grown = [], []
-        first_terms, grow = ratdecomp._first_terms, ratdecomp._Pool.grow
+        first_term, grow = ratdecomp._first_term, ratdecomp._Pool.grow
 
-        def tracked(level, below, k, pool, ns):
+        def tracked(below, k, pool, n):
             active.append(k)
             try:
-                first_terms(level, below, k, pool, ns)
+                return first_term(below, k, pool, n)
             finally:
                 active.pop()
 
@@ -440,7 +441,7 @@ class TestGrowingPools:
                 grown.append(tuple(active))
             return did
 
-        monkeypatch.setattr(ratdecomp, "_first_terms", tracked)
+        monkeypatch.setattr(ratdecomp, "_first_term", tracked)
         monkeypatch.setattr(ratdecomp._Pool, "grow", growing)
         want = min_split_into(101, 3, odd_primes_upto(101))
         assert split_into_odd_primes(101, 3) == tuple(reversed(want)) == (79, 19, 3)
@@ -486,6 +487,44 @@ class TestNarrowScans:
         assert report.rows
         if lazy:
             assert sum(map(len, report.levels)) < 100
+
+
+def per_n_levels(hi):
+    """Levels 2 to 5 up to hi, filled n by n through _first_term."""
+    levels = [ratdecomp._flags]
+    for k in range(2, 6):
+        levels.append(array("I", [0]) * (hi + 1))
+        for n in range(3 * k, hi + 1, 4):
+            levels[-1][n] = ratdecomp._first_term(levels[-2], k, ratdecomp._r34_pool, n)
+    return levels[1:]
+
+
+class TestBulkLevels:
+    """The scans fill each level in one bulk pass over the pool, with one
+    16-bit lane per n of its class; the arrays must be those of the loop
+    per n, at every level."""
+
+    # hi at each residue mod 4, below 3k for k = 3, 4 and 5, and at scale
+    @pytest.mark.parametrize("hi", [3, 9, 14, 20_000, 20_001, 20_002, 20_003, 10**6 - 3])
+    def test_bulk_pass_equals_per_n_loop(self, hi):
+        (report,) = hypothesis_scans([4], 1, hi)
+        assert all(isinstance(level, array) for level in report.levels)
+        assert list(report.levels) == per_n_levels(hi)
+
+    @pytest.mark.parametrize("hi", [2_001, 20_000])
+    def test_primes_past_the_lanes_go_to_the_per_n_loop(self, monkeypatch, hi):
+        """With the lanes stopped at 100, level 2's first terms past 100
+        come from _first_term, and the arrays and CSV bytes stay."""
+        csv = {}
+        for stop in (1 << 16, 100):
+            monkeypatch.setattr(ratdecomp, "_LANE_STOP", stop)
+            reports = hypothesis_scans([1, 2, 3, 4], 1, hi)
+            assert list(reports[3].levels) == per_n_levels(hi)
+            buf = io.StringIO()
+            HypothesisReports(tuple(reports)).write(buf, "csv")
+            csv[stop] = buf.getvalue()
+        assert max(reports[3].levels[0]) > 100
+        assert csv[100] == csv[1 << 16]
 
 
 class TestResidue34Chain:
