@@ -215,8 +215,9 @@ def cmd_scan(args) -> int:
         min_max_component=args.min_max_component,
     )
     _emit(args, report)
-    _summary(f"targets: {len(report.rows)}, exceptions: {len(report.exceptions)}")
-    return 1 if report.exceptions else 0
+    missing = [row[3] for row in report.int_rows].count(None)
+    _summary(f"targets: {len(report.int_rows)}, exceptions: {missing}")
+    return 1 if missing else 0
 
 
 def cmd_obstruction(args) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from math import log
-from operator import add
 
 from .primes import _Pool, _pool_for, gaussian_prime_pool, is_gaussian_prime
 from .report import Report
@@ -21,6 +20,7 @@ from .zcore import (
     Parity,
     Region,
     Unit,
+    _text,
     in_region,
     sector_form,
 )
@@ -28,7 +28,7 @@ from .zcore import parity as parity_of
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterator, Sequence
+    from collections.abc import Iterator, Sequence
 
 
 class NormPolicy(Enum):
@@ -144,12 +144,14 @@ def _term_cap(cone, re: int, im: int, terms: int) -> tuple[int, int, int] | None
     return u, v, best // (a1 * b2 - a2 * b1) ** 2
 
 
-def _bounds(targets: Sequence[GaussianInt], region: Region, policy: NormPolicy) -> list[tuple]:
-    """(i, re, im, u, v, cap) for the targets z = re + im*i = targets[i]
-    that two or more region primes might sum to: every term p of such a
-    sum has n1.p <= u and n2.p <= v, as in _term_cap, and the policy keeps
-    its norm below cap > 2 (every prime has norm at least 2). Each row's
-    c is at least 0, so more terms only shrink the parallelogram of two.
+def _bounds(targets: Sequence[tuple], region: Region, policy: NormPolicy) -> tuple[list, tuple]:
+    """(live, extent) for targets (norm, re, im): live lists (i, re, im,
+    cap) for the targets z = re + im*i = targets[i] that two or more region
+    primes might sum to: every term p of such a sum has n1.p <= u and n2.p
+    <= v, as in _term_cap, and the policy keeps its norm below cap > 2
+    (every prime has norm at least 2). Each row's c is at least 0, so more
+    terms only shrink the parallelogram of two. extent holds the least and
+    largest re and im, the largest u, v, u + v and cap (2 at least) of live.
 
     These are _term_cap's two-term corners, inline: (c1, c2) is fixed,
     and (u, v) is z times det less that fixed corner.
@@ -159,8 +161,10 @@ def _bounds(targets: Sequence[GaussianInt], region: Region, policy: NormPolicy) 
     x0, y0 = b2 * c1 - b1 * c2, a1 * c2 - a2 * c1
     strict = policy is NormPolicy.STRICT_LESS
     out = []
-    for i, z in enumerate(targets):
-        re, im = z.re, z.im
+    re_lo = im_lo = 1 << 40  # past every component and every u, v (see COMPONENT_BOUND)
+    re_hi = im_hi = u_hi = v_hi = uv_hi = -re_lo
+    top = 2
+    for i, (n, re, im) in enumerate(targets):
         u = a1 * re + b1 * im - c1
         v = a2 * re + b2 * im - c2
         if u < c1 or v < c2:
@@ -170,11 +174,19 @@ def _bounds(targets: Sequence[GaussianInt], region: Region, policy: NormPolicy) 
         x3, y3 = re * det - x0, im * det - y0
         cap = max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3)
         cap = cap // (det * det) + 1
-        if strict and cap > re * re + im * im:
-            cap = re * re + im * im
+        if strict and cap > n:
+            cap = n
         if cap > 2:
-            out.append((i, re, im, u, v, cap))
-    return out
+            out.append((i, re, im, cap))
+            re_lo = re if re < re_lo else re_lo
+            re_hi = re if re > re_hi else re_hi
+            im_lo = im if im < im_lo else im_lo
+            im_hi = im if im > im_hi else im_hi
+            u_hi = u if u > u_hi else u_hi
+            v_hi = v if v > v_hi else v_hi
+            uv_hi = u + v if u + v > uv_hi else uv_hi
+            top = cap if cap > top else top
+    return out, (re_lo, re_hi, im_lo, im_hi, u_hi, v_hi, uv_hi, top)
 
 
 def _dfs(
@@ -316,10 +328,10 @@ def find_decomposition(
     if include_single and policy is NormPolicy.NONE and _pool_for(region).member(z.re, z.im):
         terms = (sector_form(z),)
     else:
-        live = _bounds([z], region, policy)
+        live, _ = _bounds([z.key()], region, policy)
         if max_terms == 1 or not live:
             return None
-        cap = live[0][5]
+        cap = live[0][3]
         found = _search(z.re, z.im, 2, max_terms, cap, _pool_for(region, cap))
         if found is None:
             return None
@@ -338,6 +350,25 @@ def _bits(n: int) -> Iterator[int]:
         i = s.find("1", i + 1)
 
 
+def _box_keys(region: Region, re_range: tuple, im_range: tuple, floor: int) -> list[tuple]:
+    """box_targets' targets as keys (norm, re, im), floor its min_max_component."""
+    re_lo, re_hi = re_range
+    im_lo, im_hi = im_range
+    if re_lo > re_hi or im_lo > im_hi:
+        raise ValueError("empty component range")
+    out: list[tuple[int, int, int]] = []
+    for re in range(re_lo, re_hi + 1):
+        lo, hi = region.im_span(re, im_lo, im_hi)
+        if re < floor:
+            lo = max(lo, floor)
+        rr = re * re
+        out += [(rr + im * im, re, im) for im in range(lo, hi + 1)]
+    out.sort()
+    if out and not out[0][0]:  # zero, the least key
+        del out[0]
+    return out
+
+
 def box_targets(
     region: Region,
     re_range: tuple[int, int],
@@ -350,19 +381,8 @@ def box_targets(
     closed component ranges, and have max(re, im) at or above
     min_max_component. Zero is never a target.
     """
-    re_lo, re_hi = re_range
-    im_lo, im_hi = im_range
-    if re_lo > re_hi or im_lo > im_hi:
-        raise ValueError("empty component range")
-    out: list[tuple[int, int, int]] = []
-    for re in range(re_lo, re_hi + 1):
-        lo, hi = region.im_span(re, im_lo, im_hi)
-        if re < min_max_component:
-            lo = max(lo, min_max_component)
-        rr = re * re
-        out += [(rr + im * im, re, im) for im in range(lo, hi + 1)]
-    out.sort()
-    return [GaussianInt(re, im) for n, re, im in out if n]
+    keys = _box_keys(region, re_range, im_range, min_max_component)
+    return [GaussianInt(re, im) for _, re, im in keys]
 
 
 class ScanReport(Report):
@@ -371,23 +391,40 @@ class ScanReport(Report):
 
     term_region constrains the primes used as summands; target_desc
     records how the target set was enumerated so reports from
-    different runs compare apples to apples.
+    different runs compare apples to apples. int_rows holds a row (norm,
+    re, im, k, witness) per target re + im*i, witness being the pool
+    entries (re, im, norm) of its k terms, largest first, or None. The
+    writers read these ints; rows and exceptions build GaussianInts.
     """
 
     term_region: Region
     target_desc: str
     max_terms: int
     policy: NormPolicy
-    rows: tuple[tuple[GaussianInt, int | None, tuple[GaussianInt, ...] | None], ...]
+    int_rows: tuple[tuple[int, int, int, int | None, tuple | None], ...]
+
+    @property
+    def rows(self) -> tuple[tuple[GaussianInt, int | None, tuple[GaussianInt, ...] | None], ...]:
+        """(z, k, witness) per target, one GaussianInt per distinct term:
+        a one-term row's witness is (z,)."""
+        made: dict[tuple, GaussianInt] = {}
+
+        def gauss(re: int, im: int, *_) -> GaussianInt:
+            return made.get((re, im)) or made.setdefault((re, im), GaussianInt(re, im))
+
+        return tuple(
+            (gauss(re, im), k, None if wit is None else tuple(gauss(*p) for p in wit))
+            for _, re, im, k, wit in self.int_rows
+        )
 
     @property
     def exceptions(self) -> tuple[GaussianInt, ...]:
-        return tuple(z for z, k, _ in self.rows if k is None)
+        return tuple(GaussianInt(re, im) for _, re, im, k, _ in self.int_rows if k is None)
 
     @property
     def term_counts(self) -> dict[int, int]:
         """How many targets resolved at each term count."""
-        return dict(Counter(k for _, k, _ in self.rows if k is not None))
+        return {k: c for k, c in Counter([r[3] for r in self.int_rows]).items() if k is not None}
 
     def to_json_dict(self) -> dict:
         return {
@@ -411,29 +448,30 @@ class ScanReport(Report):
             "exceptions": [str(z) for z in self.exceptions],
         }
 
-    def _texts(self, text: Callable[[GaussianInt], str]) -> Iterator[tuple]:
-        """(z, k, terms) per row, terms being text(s) for each witness term
-        s, or None. Witnesses repeat a few hundred pool entries, so each
-        text is made once, keyed by id, which is cheaper than GaussianInt's
-        hash; the rows keep every term alive while this runs."""
+    def _texts(self, template: str) -> Iterator[tuple]:
+        """(norm, re, im, k, terms) per row, terms being template % the
+        text of each witness term, or None. Witnesses repeat a few hundred
+        pool entries, so each text is made once, keyed by the entry's id;
+        the rows keep every entry alive while this runs."""
         memo: dict[int, str] = {}
-        for z, k, wit in self.rows:
+        for n, re, im, k, wit in self.int_rows:
             if wit is None:
-                yield z, k, None
+                yield n, re, im, k, None
                 continue
             terms = []
-            for s in wit:
-                t = memo.get(id(s))
+            for p in wit:
+                t = memo.get(id(p))
                 if t is None:
-                    t = memo[id(s)] = text(s)
+                    t = memo[id(p)] = template % _text(p[0], p[1])
                 terms.append(t)
-            yield z, k, terms
+            yield n, re, im, k, terms
 
     def json_lines(self) -> Iterator[str]:
         """The bytes json.dump(to_json_dict(), sort_keys=True, indent=2)
         writes, plus a newline, yielded row by row from a template.
         json.dump's indented encoder is pure Python; to_json_dict stays
-        the oracle the tests compare these bytes to."""
+        the oracle the tests compare these bytes to. The text of a
+        Gaussian integer needs no escaping."""
         from json.encoder import encode_basestring_ascii as quote
 
         def block(items: list[str], pad: str, brackets: str = "[]") -> str:
@@ -442,7 +480,7 @@ class ScanReport(Report):
             sep = f",\n{pad}  "
             return f"{brackets[0]}\n{pad}  {sep.join(items)}\n{pad}{brackets[1]}"
 
-        exceptions = [quote(str(z)) for z in self.exceptions]
+        exceptions = [f'"{_text(re, im)}"' for _, re, im, k, _ in self.int_rows if k is None]
         yield (
             f'{{\n  "exceptions": {block(exceptions, "  ")},\n'
             f'  "max_terms": {self.max_terms},\n  "parity": "ODD",\n'
@@ -450,49 +488,50 @@ class ScanReport(Report):
             f'  "primes": {quote(self.term_region.value)},\n  "rows": ['
         )
         sep = "\n"
-        for z, k, terms in self._texts(lambda s: quote(str(s))):
+        for n, re, im, k, terms in self._texts('"%s"'):
             if terms is None:
                 witness = "null"
             else:
                 witness = "[\n        " + ",\n        ".join(terms) + "\n      ]"
             yield (
-                f'{sep}    {{\n      "im": {z.im},\n'
+                f'{sep}    {{\n      "im": {im},\n'
                 f'      "k": {"null" if k is None else k},\n'
-                f'      "norm": {z.norm()},\n      "re": {z.re},\n'
-                f'      "witness": {witness},\n      "z": {quote(str(z))}\n    }}'
+                f'      "norm": {n},\n      "re": {re},\n'
+                f'      "witness": {witness},\n      "z": "{_text(re, im)}"\n    }}'
             )
             sep = ",\n"
         # json sorts the keys as strings: "10" before "2"
         tally = sorted((str(k), c) for k, c in self.term_counts.items())
         counts = block([f"{quote(k)}: {c}" for k, c in tally], "  ", "{}")
-        close = "\n  ]" if self.rows else "]"
+        close = "\n  ]" if self.int_rows else "]"
         yield (
             f'{close},\n  "targets": {quote(self.target_desc)},\n'
             f'  "term_counts": {counts}\n}}\n'
         )
 
     def md_lines(self) -> Iterator[str]:
+        missing = [row[3] for row in self.int_rows].count(None)
         yield (
             f"targets {self.target_desc}, primes {self.term_region.value}, "
             f"max terms {self.max_terms}, policy {self.policy.value}: "
-            f"{len(self.rows)} targets, {len(self.exceptions)} unrepresentable\n"
+            f"{len(self.int_rows)} targets, {missing} unrepresentable\n"
         )
         yield "\n| z | norm | k | witness |\n|---|---|---|---|\n"
-        for z, k, terms in self._texts("({})".format):
+        for n, re, im, k, terms in self._texts("(%s)"):
             cell = "EMPTY" if terms is None else " + ".join(terms)
-            yield f"| {z} | {z.norm()} | {'' if k is None else k} | {cell} |\n"
+            yield f"| {_text(re, im)} | {n} | {'' if k is None else k} | {cell} |\n"
 
     def csv_lines(self) -> Iterator[str]:
         yield "z,norm,k,witness\n"
-        for z, k, terms in self._texts("({})".format):
+        for n, re, im, k, terms in self._texts("(%s)"):
             cell = "EMPTY" if terms is None else "+".join(terms)
-            yield f"{z},{z.norm()},{'' if k is None else k},{cell}\n"
+            yield f"{_text(re, im)},{n},{'' if k is None else k},{cell}\n"
 
 
-def _window(cone, res, ims, u_max, v_max) -> tuple[int, int, int, int]:
+def _window(cone, re_min, re_max, im_min, im_max, u_max, v_max) -> tuple[int, int, int, int]:
     """(re_lo, re_hi, im_lo, im_hi): the least box holding the targets
     re + im*i and their parallelograms c1 <= n1.s <= u, c2 <= n2.s <= v,
-    given the targets' re and im and their largest u and v.
+    given the targets' extreme re and im and their largest u and v.
 
     A corner n1.s = s, n2.s = t sits at (b2 s - b1 t, a1 t - a2 s) / det.
     As u >= c1 and v >= c2, the corners (c1, v) and (u, c2) lie between
@@ -506,8 +545,8 @@ def _window(cone, res, ims, u_max, v_max) -> tuple[int, int, int, int]:
     xs = [b2 * s - b1 * t for s, t in corners]
     ys = [a1 * t - a2 * s for s, t in corners]
     # the targets themselves (d = 0) and their corners (u, v)
-    xs += [r * det - d for r in (min(res), max(res)) for d in (0, xs[0])]
-    ys += [i * det - d for i in (min(ims), max(ims)) for d in (0, ys[0])]
+    xs += [r * det - d for r in (re_min, re_max) for d in (0, xs[0])]
+    ys += [i * det - d for i in (im_min, im_max) for d in (0, ys[0])]
     if det < 0:
         det, xs, ys = -det, [-x for x in xs], [-y for y in ys]
     return -(-min(xs) // det), max(xs) // det, -(-min(ys) // det), max(ys) // det
@@ -531,10 +570,10 @@ def _window(cone, res, ims, u_max, v_max) -> tuple[int, int, int, int]:
 _SUMSET_OPS_PER_TARGET = 1 << 17
 
 
-def _minimal_terms(live: list[tuple], pool: _Pool, max_terms: int, top: int) -> tuple | None:
+def _minimal_terms(live: list[tuple], extent: tuple, pool: _Pool, max_terms: int) -> tuple | None:
     """(width, base, tables) for the targets with these _bounds rows, one
-    or more, of largest cap top; None, leaving the pool list as it is,
-    when the sumsets would cost more than _SUMSET_OPS_PER_TARGET a target.
+    or more, and extent; None, leaving the pool list as it is, when the
+    sumsets would cost more than _SUMSET_OPS_PER_TARGET a target.
 
     With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of a sum
     of two or more region primes equal to z has n1.s >= c1 and n1.(z - s)
@@ -560,21 +599,21 @@ def _minimal_terms(live: list[tuple], pool: _Pool, max_terms: int, top: int) -> 
 
     Position re * width + im - base holds the window point re + im*i, and
     tables[j] lists each position's first term at level j + 1 as (shift,
-    GaussianInt, norm), shift being its position less the origin's: None
-    where the chase reads nothing, () where no pool point explains the
-    level. Level 1 holds every pool point of the window. A target's k is
-    the least j >= 2 whose table has it, and its chase down to level 1,
-    reversed, is the canonical witness whenever its norms are below the
-    target's cap: always under NONE, and under STRICT_LESS when the last
-    one chased is.
+    entry), entry being the pool's own (re, im, norm) and shift its
+    position less the origin's: None where the chase reads nothing, ()
+    where no pool point explains the level. Level 1 holds every pool point
+    of the window. A target's k is the least j >= 2 whose table has it,
+    and its chase down to level 1, reversed, is the canonical witness
+    whenever its norms are below the target's cap: always under NONE, and
+    under STRICT_LESS when the last one chased is.
     """
-    _, res, ims, us, vs, _ = zip(*live)
     region = pool.region
-    re_lo, re_hi, im_lo, im_hi = _window(region.cone, res, ims, max(us), max(vs))
+    re_lo, re_hi, im_lo, im_hi = _window(region.cone, *extent[:6])
     # each level shift-ORs the whole window once per point, and no target
     # z is a sum of more than (n1 + n2).z = u + v + c1 + c2 terms (see _search)
     (_, _, c1), (_, _, c2) = region.cone
-    k_top = max(2, min(max_terms, max(map(add, us, vs)) + c1 + c2))
+    k_top = max(2, min(max_terms, extent[6] + c1 + c2))
+    top = extent[7]
     ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * top / log(top) * (k_top - 1)
     if ops > _SUMSET_OPS_PER_TARGET * len(live):
         return None
@@ -582,9 +621,9 @@ def _minimal_terms(live: list[tuple], pool: _Pool, max_terms: int, top: int) -> 
                if re_lo <= p[0] <= re_hi and im_lo <= p[1] <= im_hi]
     width, levels = _sumsets(entries, region, re_lo, re_hi, im_lo, im_hi, k_top)
     base, size = re_lo * width + im_lo, (re_hi - re_lo + 1) * width
-    points = [(re * width + im, GaussianInt(re, im), n) for re, im, n in entries]
+    points = [(p[0] * width + p[1], p) for p in entries]
     mark = bytearray(b"0") * size
-    for re, im in zip(res, ims):
+    for _, re, im, _ in live:
         mark[re * width + im - base] = 49  # "1"
     rest, least = int(mark[::-1], 2), []  # least[k - 2]: the targets whose least k is k
     for level in levels[1:]:
@@ -639,32 +678,39 @@ def scan_targets(
     """
     if len(targets) > _TARGET_CAP:
         raise ValueError(f"target count {len(targets)} is above the cap of {_TARGET_CAP}")
-    if max_terms < 1:
-        raise ValueError("max_terms must be at least 1")
     if any(z.is_zero() for z in targets):
         raise ValueError("target must be nonzero")
-    live = _bounds(targets, term_region, policy) if max_terms >= 2 else []
-    top = max((t[5] for t in live), default=2)
-    pool = _pool_for(term_region, top)
-    chase = _minimal_terms(live, pool, max_terms, top) if live else None
+    return _scan([z.key() for z in targets], term_region, max_terms, policy, target_desc)
+
+
+def _scan(
+    targets: list[tuple], term_region: Region, max_terms: int, policy: NormPolicy, desc: str
+) -> ScanReport:
+    """scan_targets for nonzero targets given as (norm, re, im), which
+    scan_box hands over as they are listed: rows and witnesses stay ints."""
+    if max_terms < 1:
+        raise ValueError("max_terms must be at least 1")
+    live, extent = _bounds(targets, term_region, policy) if max_terms >= 2 else ([], None)
+    pool = _pool_for(term_region, extent[7] if live else 2)
+    chase = _minimal_terms(live, extent, pool, max_terms) if live else None
     single, member = policy is NormPolicy.NONE, pool.member
 
-    def alone(z: GaussianInt) -> tuple:  # a target with no sum of two or more terms
-        return (z, 1, (z,)) if single and member(z.re, z.im) else (z, None, None)
+    def alone(t: tuple) -> tuple:  # a target with no sum of two or more terms
+        p = single and member(t[1], t[2])
+        return (*t, 1, (p,)) if p else (*t, None, None)
 
     if chase is not None:  # each k >= 2, its level's table and the tables its chase reads
         width, base, tables = chase
         chains = [(k, tables[k - 1], tables[k - 1 :: -1]) for k in range(2, len(tables) + 1)]
-    made: dict = {}  # a searched term's GaussianInt, built once per call
     rows: list = []
     live.reverse()  # popped in target order, freeing each bound as its row is built
     while live:
-        n, re, im, _, _, cap = live.pop()
-        if len(rows) < n:
-            rows += map(alone, targets[len(rows) : n])
-        z = targets[n]
-        if single and (re + im) % 2 and member(re, im):  # an even target is no odd prime
-            rows.append((z, 1, (z,)))
+        i, re, im, cap = live.pop()
+        if len(rows) < i:
+            rows += map(alone, targets[len(rows) : i])
+        n = targets[i][0]
+        if single and (re + im) % 2 and (p := member(re, im)):  # an even target is no odd prime
+            rows.append((n, re, im, 1, (p,)))
             continue
         k = 2
         if chase is not None:
@@ -673,25 +719,23 @@ def scan_targets(
                 if table[at] is not None:
                     break
             else:
-                rows.append((z, None, None))
+                rows.append((n, re, im, None, None))
                 continue
             wit = []
             for table in chain:
                 p = table[at]
                 if not p:
-                    raise ValueError(f"the walk for {z} fails at {k} terms")
+                    raise ValueError(f"the walk for {_text(re, im)} fails at {k} terms")
                 at -= p[0]
                 wit.append(p[1])
-            if p[2] < cap:  # the last term is the largest; a strict cap may rule it out
-                rows.append((z, k, tuple(wit[::-1])))
+            if wit[-1][2] < cap:  # the last term is the largest; a strict cap may rule it out
+                wit.reverse()
+                rows.append((n, re, im, k, tuple(wit)))
                 continue
-        found = _search(re, im, k, max_terms, cap, pool) or ()
-        for p in found:
-            if p not in made:
-                made[p] = GaussianInt(p[0], p[1])
-        rows.append((z, len(found), tuple(map(made.get, found))) if found else (z, None, None))
+        found = _search(re, im, k, max_terms, cap, pool)
+        rows.append((n, re, im, len(found), tuple(found)) if found else (n, re, im, None, None))
     rows += map(alone, targets[len(rows) :])
-    return ScanReport(term_region, target_desc, max_terms, policy, tuple(rows))
+    return ScanReport(term_region, desc, max_terms, policy, tuple(rows))
 
 
 def scan_box(
@@ -710,12 +754,12 @@ def scan_box(
     """
     if re_range[1] - re_range[0] >= 500 or im_range[1] - im_range[0] >= 500:
         raise ValueError("box sides are capped at 500")
-    targets = box_targets(target_region, re_range, im_range, min_max_component)
+    targets = _box_keys(target_region, re_range, im_range, min_max_component)
     desc = (
         f"{target_region.value} re {re_range[0]}..{re_range[1]}"
         f" im {im_range[0]}..{im_range[1]} maxc>={min_max_component}"
     )
-    return scan_targets(targets, term_region, max_terms, policy, desc)
+    return _scan(targets, term_region, max_terms, policy, desc)
 
 
 class ObstructionReport(Report):

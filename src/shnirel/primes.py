@@ -151,13 +151,17 @@ def ensure_table(limit: int, cache_path: str | None = None) -> PrimeTable:
 
 
 def is_gaussian_prime(z: GaussianInt) -> bool:
-    n = z.norm()
+    return _is_gaussian_prime(z.re, z.im)
+
+
+def _is_gaussian_prime(re: int, im: int) -> bool:
+    n = re * re + im * im
     if n <= 1:
         return False
     if is_rational_prime(n):
         return True
-    if z.re == 0 or z.im == 0:
-        m = abs(z.re) + abs(z.im)
+    if re == 0 or im == 0:
+        m = abs(re) + abs(im)
         return m % 4 == 3 and is_rational_prime(m)
     return False
 
@@ -189,7 +193,7 @@ _shared_flags = bytearray()  # every pool's prime-norm flags, grown in place as 
 def _member(region: Region, flags) -> Callable:
     """The region's pool membership test: member(re, im, first, cap) is the
     entry (re, im, norm) when re + im*i is an odd Gaussian prime (read off
-    these prime-norm flags, or past their current end by is_gaussian_prime),
+    these prime-norm flags, or past their current end by _is_gaussian_prime),
     meets both cone rows, has norm below cap, and comes no earlier than the
     entry first in (norm, re, im) order; else None. So member(re, im) says
     whether re + im*i is an odd region prime: its own one-term sum."""
@@ -199,7 +203,7 @@ def _member(region: Region, flags) -> Callable:
         n = re * re + im * im
         if (
             n < cap
-            and (flags[n] if n < len(flags) else (re + im) % 2 and is_gaussian_prime(GaussianInt(re, im)))
+            and (flags[n] if n < len(flags) else (re + im) % 2 and _is_gaussian_prime(re, im))
             and a1 * re + b1 * im >= c1
             and a2 * re + b2 * im >= c2
             and (n, re, im) >= (first[2], first[0], first[1])

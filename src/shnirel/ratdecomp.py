@@ -243,8 +243,10 @@ class HypothesisReport(Report):
     @cached_property  # read by the summary, the exit code and every format
     def exceptions(self) -> tuple[int, ...]:
         ns, top = self._targets, self.levels[-1]
-        firsts = top[ns.start :: 4] if isinstance(top, array) else map(top.__getitem__, ns)
-        return tuple(compress(ns, map(not_, firsts)))
+        if not isinstance(top, array):  # a _Level fills each entry as it is read
+            return tuple(compress(ns, map(not_, map(top.__getitem__, ns))))
+        firsts, at = top[ns.start : ns.stop : 4], -1  # the few zeros, found in C, not per n
+        return tuple(ns[(at := firsts.index(0, at + 1))] for _ in range(firsts.count(0)))
 
     @property
     def max_exception(self) -> int | None:

@@ -112,9 +112,11 @@ def _check_component(v: int) -> int:
 
 
 class GaussianInt(Record):
-    """re + im*i. Built once per target and per pool entry a scan reports,
-    so it has its own constructor, equality and hash; the constructor calls
-    __post_init__, the component check, by name."""
+    """re + im*i, the value type of the public API. Searches and scans
+    work on int components and build these only at that edge, so it keeps
+    Record's equality and hash. The reference tables still build a few
+    thousand, so it has its own constructor, which calls __post_init__,
+    the component check, by name."""
 
     re: int
     im: int
@@ -127,14 +129,6 @@ class GaussianInt(Record):
     def __post_init__(self) -> None:
         _check_component(self.re)
         _check_component(self.im)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
 
     def __add__(self, other: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.re + other.re, self.im + other.im)
@@ -156,18 +150,18 @@ class GaussianInt(Record):
         return self.re == 0 and self.im == 0
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
-                return "i"
-            if self.im == -1:
-                return "-i"
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        mag = abs(self.im)
-        tail = "i" if mag == 1 else f"{mag}i"
-        return f"{self.re}{sign}{tail}"
+        return _text(self.re, self.im)
+
+
+def _text(re: int, im: int) -> str:
+    """re + im*i as text: 5, 2i, -i, 3+i, 3-2i. Scan reports format their
+    int rows through it, so no GaussianInt is built to print one."""
+    if not im:
+        return f"{re}"
+    tail = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    if not re:
+        return tail
+    return f"{re}+{tail}" if im > 0 else f"{re}{tail}"
 
 
 ZERO = GaussianInt(0, 0)

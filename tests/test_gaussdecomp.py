@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import ceil, floor, isqrt
+from operator import add
 
 import pytest
 
@@ -562,9 +563,9 @@ class TestScans:
         box: under max_terms 10^6 it still builds the first-term tables, and
         its rows are those of max_terms 3."""
         targets = box_targets(Region.OPEN_QUADRANT, (1, 40), (1, 40))
-        live = gaussdecomp._bounds(targets, KPI, NormPolicy.NONE)
-        pool = _pool_for(KPI, max(t[5] for t in live))
-        assert gaussdecomp._minimal_terms(live, pool, 10**6, max(t[5] for t in live)) is not None
+        live, extent = gaussdecomp._bounds([z.key() for z in targets], KPI, NormPolicy.NONE)
+        pool = _pool_for(KPI, extent[7])
+        assert gaussdecomp._minimal_terms(live, extent, pool, 10**6) is not None
         report = scan_targets(targets, KPI, 10**6, NormPolicy.NONE)
         assert report.rows == scan_targets(targets, KPI, 3, NormPolicy.NONE).rows
 
@@ -612,11 +613,11 @@ class TestScans:
         term. The box builds the sumsets, where 125+i alone would search,
         and its rows must be the search's with no search run."""
         targets = box_targets(Region.OPEN_QUADRANT, (120, 130), (1, 10))
-        live = gaussdecomp._bounds(targets, KPI, NormPolicy.NONE)
-        lone = gaussdecomp._bounds([GaussianInt(125, 1)], KPI, NormPolicy.NONE)
-        pool = _pool_for(KPI, max(t[5] for t in live))
-        assert gaussdecomp._minimal_terms(live, pool, 3, max(t[5] for t in live)) is not None
-        assert gaussdecomp._minimal_terms(lone, pool, 3, lone[0][5]) is None
+        live = gaussdecomp._bounds([z.key() for z in targets], KPI, NormPolicy.NONE)
+        lone = gaussdecomp._bounds([GaussianInt(125, 1).key()], KPI, NormPolicy.NONE)
+        pool = _pool_for(KPI, live[1][7])
+        assert gaussdecomp._minimal_terms(*live, pool, 3) is not None
+        assert gaussdecomp._minimal_terms(*lone, pool, 3) is None
         assert gaussian_prime_pool(KPI, 962).index((31, 0, 961)) == 167
         searched = scan_rows_by_search(targets, KPI, 3)
         assert (GaussianInt(125, 1), 2, (GaussianInt(94, 1), GaussianInt(31, 0))) in searched
@@ -659,7 +660,7 @@ class TestScans:
         def enumerating(*args):
             raise AssertionError("scan_box started enumerating")
 
-        monkeypatch.setattr(gaussdecomp, "box_targets", enumerating)
+        monkeypatch.setattr(gaussdecomp, "_box_keys", enumerating)
         for re_range, im_range in (((0, 500), (0, 1)), ((0, 1), (-250, 250))):
             with pytest.raises(ValueError, match="box sides are capped at 500"):
                 scan_box(KPI, re_range, im_range, KPI, 3)
@@ -705,9 +706,10 @@ class TestScans:
 
 
 class TestSumsetWindow:
-    """_bounds keeps its own inline copy of _term_cap's two-term corners,
-    and _window reads only the largest u and v of the live targets; both
-    are pinned to the plain definitions here."""
+    """_bounds keeps its own inline copy of _term_cap's two-term corners
+    and finds the extremes _window and the cost gate read in the same
+    loop, and _window reads only the largest u and v of the live targets;
+    all are pinned to the plain definitions here."""
 
     @pytest.mark.parametrize("policy", list(NormPolicy))
     @pytest.mark.parametrize("region", list(Region))
@@ -725,7 +727,13 @@ class TestSumsetWindow:
             if cap > 2:
                 want.append((i, z.re, z.im, u, v, cap))
         assert want
-        assert gaussdecomp._bounds(targets, region, policy) == want
+        _, res, ims, us, vs, caps = zip(*want)
+        extent = (
+            min(res), max(res), min(ims), max(ims),
+            max(us), max(vs), max(map(add, us, vs)), max(caps),
+        )
+        live = [(i, re, im, cap) for i, re, im, _, _, cap in want]
+        assert gaussdecomp._bounds([z.key() for z in targets], region, policy) == (live, extent)
 
     @pytest.mark.parametrize("region", list(Region))
     def test_window_is_the_box_of_every_corner(self, region):
@@ -740,11 +748,15 @@ class TestSumsetWindow:
                 GaussianInt(rng.randint(-60, 60), rng.randint(-60, 60))
                 for _ in range(rng.randint(1, 6))
             ]
-            live = gaussdecomp._bounds(targets, region, rng.choice(list(NormPolicy)))
+            keys = [z.key() for z in targets]
+            live, extent = gaussdecomp._bounds(keys, region, rng.choice(list(NormPolicy)))
             if not live:
                 continue
-            xs, ys = [], []
-            for _, re, im, u, v, _ in live:
+            xs, ys, us, vs = [], [], [], []
+            for _, re, im, _ in live:
+                u, v = a1 * re + b1 * im - c1, a2 * re + b2 * im - c2
+                us.append(u)
+                vs.append(v)
                 xs.append(re)
                 ys.append(im)
                 for s in (c1, u):
@@ -752,10 +764,89 @@ class TestSumsetWindow:
                         xs.append((b2 * s - b1 * t) / det)
                         ys.append((a1 * t - a2 * s) / det)
             want = (ceil(min(xs)), floor(max(xs)), ceil(min(ys)), floor(max(ys)))
-            _, res, ims, us, vs, _ = zip(*live)
-            assert gaussdecomp._window(region.cone, res, ims, max(us), max(vs)) == want
+            _, res, ims, _ = zip(*live)
+            box = (min(res), max(res), min(ims), max(ims), max(us), max(vs))
+            assert extent[:6] == box
+            assert gaussdecomp._window(region.cone, *box) == want
             checked += 1
         assert checked > 100
+
+
+class TestIntRows:
+    """Scans carry targets, rows and witnesses as ints from the box to the
+    writers; a GaussianInt is built only where the API hands one out."""
+
+    @pytest.mark.parametrize(
+        "side, term_region, policy",
+        [(40, KPI, NormPolicy.NONE), (40, KPI, NormPolicy.STRICT_LESS), (30, GPI, NormPolicy.NONE)],
+        ids=["kpi", "kpi_strict", "gammapi"],
+    )
+    def test_scan_and_write_build_no_gaussian_int(self, monkeypatch, side, term_region, policy):
+        """On cold pool lists and flags, so the membership test's fallback
+        past the flags runs too."""
+        built = []
+        real = GaussianInt.__init__
+
+        def counting(self, re, im):
+            built.append((re, im))
+            real(self, re, im)
+
+        monkeypatch.setattr(primes, "_POOL_CACHE", {})
+        monkeypatch.setattr(primes, "_shared_flags", bytearray())
+        monkeypatch.setattr(GaussianInt, "__init__", counting)
+        report = scan_box(Region.OPEN_QUADRANT, (1, side), (1, side), term_region, 3, policy)
+        for fmt in ("md", "csv", "json"):
+            report.write(io.StringIO(), fmt)
+        assert built == []
+        # the counter counts: the API's exceptions are built on demand
+        missing = [(re, im) for _, re, im, k, _ in report.int_rows if k is None]
+        assert len(missing) > (term_region is GPI) * 100
+        assert [z.key()[1:] for z in report.exceptions] == missing == built
+
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    @pytest.mark.parametrize("term_region", list(Region))
+    def test_box_scan_is_the_scan_of_its_targets(self, term_region, policy):
+        box = (Region.SECTOR, (0, 12), (-8, 12))
+        report = scan_box(*box, term_region, 3, policy)
+        assert report == scan_targets(box_targets(*box), term_region, 3, policy, report.target_desc)
+
+    @pytest.mark.parametrize(
+        "box",
+        [
+            (Region.OCTANT, (0, 9), (0, 9), 0),
+            (Region.SECTOR, (-3, 14), (-14, 14), 0),
+            (Region.PRIME_HALF, (-5, 5), (-9, 7), 4),
+            (Region.OPEN_QUADRANT, (3, 3), (8, 8), 9),
+        ],
+    )
+    def test_box_targets_are_the_keys_as_gaussian_ints(self, box):
+        keys = gaussdecomp._box_keys(*box)
+        targets = box_targets(*box)
+        assert targets == [GaussianInt(re, im) for _, re, im in keys]
+        assert [z.key() for z in targets] == keys == sorted(keys)
+
+    def test_rows_build_one_gaussian_int_per_distinct_term(self):
+        """rows reads the int rows back as today's GaussianInt tuples, a
+        one-term row's witness being its target; equal entries share one
+        object, though the int rows hold distinct tuples."""
+        norm = 5  # a name, not a constant, so each entry is a new tuple
+        report = gaussdecomp.ScanReport(
+            KPI, "hand", 3, NormPolicy.NONE,
+            (
+                (5, 1, 2, 1, ((1, 2, norm),)),
+                (17, 4, 1, 2, ((2, 1, norm), (2, 0, 4))),
+                (18, 3, 3, None, None),
+                (37, 6, 1, 3, ((2, 1, norm), (2, 1, norm), (2, -1, norm))),
+            ),
+        )
+        z12, z41, z33, z61 = report.rows
+        assert z12 == (GaussianInt(1, 2), 1, (GaussianInt(1, 2),)) and z12[2][0] is z12[0]
+        assert z33 == (GaussianInt(3, 3), None, None)
+        assert z41[1:] == (2, (GaussianInt(2, 1), GaussianInt(2, 0)))
+        assert z61[1:] == (3, (GaussianInt(2, 1),) * 2 + (GaussianInt(2, -1),))
+        assert z41[2][0] is z61[2][0] is z61[2][1]
+        assert report.exceptions == (GaussianInt(3, 3),)
+        assert report.term_counts == {1: 1, 2: 1, 3: 1}
 
 
 class TestDiagonalObstruction:
@@ -998,7 +1089,8 @@ class TestPoolCache:
         monkeypatch.setattr(primes, "_shared_flags", bytearray())
         dec = find_decomposition(GaussianInt(598, 226), GPI, 3)
         assert summand_strs(dec) == ["592+227i", "6-i"]
-        assert gaussdecomp._bounds([dec.target], GPI, NormPolicy.STRICT_LESS)[0][5] == 407857
+        live, _ = gaussdecomp._bounds([dec.target.key()], GPI, NormPolicy.STRICT_LESS)
+        assert live[0][3] == 407857
         got = primes._POOL_CACHE[GPI]
         entries, flags = got.entries, primes._shared_flags
         assert len(entries) < 1000
@@ -1025,8 +1117,8 @@ class TestPoolCache:
         monkeypatch.setattr(primes, "_POOL_CACHE", {})
         monkeypatch.setattr(primes, "_shared_flags", bytearray())
         targets = box_targets(Region.OPEN_QUADRANT, (re_lo, re_lo + 1), (1, 2))
-        live = gaussdecomp._bounds(targets, region, NormPolicy.NONE)
-        assert max(t[5] for t in live) > 4 * 10**6
+        _, extent = gaussdecomp._bounds([z.key() for z in targets], region, NormPolicy.NONE)
+        assert extent[7] > 4 * 10**6
         report = scan_targets(targets, region, 3, NormPolicy.NONE)
         got = primes._POOL_CACHE[region]
         assert len(primes._shared_flags) == got.swept < 10**5
@@ -1092,11 +1184,11 @@ class TestPoolCache:
             monkeypatch.setattr(primes, "_POOL_CACHE", {})
             cold = find_decomposition(*args)
             assert n >= 4 or cold is None
-            live = gaussdecomp._bounds([z], region, policy)
+            live, _ = gaussdecomp._bounds([z.key()], region, policy)
             if not live:
                 assert cold is None or cold.k == 1
                 continue
-            cap = live[0][5]
+            cap = live[0][3]
             read = primes._POOL_CACHE.get(region)
             monkeypatch.setattr(primes, "_POOL_CACHE", {})
             full = swept_pool(region, cap)
@@ -1145,10 +1237,10 @@ class TestPoolCache:
                 z = GaussianInt(rng.randint(-40, 90), rng.randint(-60, 90))
                 region = rng.choice([KPI, GPI, SPI])
                 policy = rng.choice(list(NormPolicy))
-            live = gaussdecomp._bounds([z], region, policy) if z.re or z.im else []
+            live = gaussdecomp._bounds([z.key()], region, policy)[0] if z.re or z.im else []
             if not live:
                 continue
-            cap = live[0][5]
+            cap = live[0][3]
             full = swept_pool(region, cap)
             for k in (3, 4):
                 args = (z.re, z.im, 2, k, cap)

@@ -4,6 +4,8 @@ the three-to-six-term chain, cross-checked against plain enumeration."""
 import io
 import json
 from array import array
+from itertools import compress
+from operator import not_
 
 import pytest
 from hypothesis import given, settings
@@ -334,6 +336,21 @@ class TestFirstTermArrays:
             assert buf.getvalue() == "n,residue,k,witness\n" + "".join(
                 f"{n},{spec.residue},{spec.k},{cell}\n" for (n, _), cell in zip(want, cells)
             ), (index, lo, hi)
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["arrays", "lazy"])
+    @pytest.mark.parametrize("lo,hi", [(1, 3), (1, 50), (7, 2001), (1, 20_000), (9_990, 20_000)])
+    def test_exceptions_are_the_zeros_of_the_top_level(self, monkeypatch, lazy, lo, hi):
+        """exceptions finds the zeros of the top array's class slice with
+        array.index, and reads a lazy top level n by n; both agree with a
+        not_ call per n over the same level."""
+        # a lazy level costs its entry cost per n in the range, so 0 forces one
+        monkeypatch.setattr(ratdecomp, "_LAZY_ENTRY_COST", 0 if lazy else hi + 1)
+        for report in hypothesis_scans([1, 2, 3, 4], lo, hi):
+            ns, top = report._targets, report.levels[-1]
+            assert isinstance(top, array) is not lazy
+            firsts = map(top.__getitem__, ns) if lazy else top[ns.start :: 4]
+            assert report.exceptions == tuple(compress(ns, map(not_, firsts)))
+            assert report.exceptions == tuple(n for n, w in report.rows if w is None)
 
     def test_a_lone_top_scan_builds_its_own_levels(self):
         """H_4 alone fills levels 2 to 5 with no other scan asked for."""

@@ -37,13 +37,14 @@ def _hand_built_counts() -> ScanReport:
     """term_counts keys 2 and 10, so "10" sorts before "2"; equal
     witness terms that are distinct objects; a description that needs
     escaping."""
-    ten = tuple(GaussianInt(2, 1) for _ in range(10))
+    norm = 5  # a name, not a constant, so each of the ten equal terms is a new tuple
+    ten = tuple((2, 1, norm) for _ in range(10))
     return ScanReport(
         KPI, 'hand "built" é\\', 10, STRICT,
         (
-            (GaussianInt(3, 2), 2, (GaussianInt(2, 1), GaussianInt(1, 1))),
-            (GaussianInt(20, 10), 10, ten),
-            (GaussianInt(1, 1), None, None),
+            (13, 3, 2, 2, ((2, 1, 5), (1, 1, 2))),
+            (500, 20, 10, 10, ten),
+            (2, 1, 1, None, None),
         ),
     )
 
@@ -120,6 +121,8 @@ def test_cases_cover_what_they_name():
     assert 1 in {k for _, k, _ in reports["prime_lines"].rows}
     assert reports["no_exceptions"].exceptions == ()
     assert reports["counts_2_and_10"].term_counts == {2: 1, 10: 1}
+    ten = reports["counts_2_and_10"].int_rows[1][4]
+    assert len(set(ten)) == 1 and len(set(map(id, ten))) == 10
     assert list(reports["counts_2_and_10"].to_json_dict()["term_counts"]) == ["2", "10"]
 
 
