@@ -279,134 +279,161 @@ def cmd_tables(args) -> int:
     return 0 if validation.ok else 1
 
 
-def _add_output_options(sub) -> None:
-    sub.add_argument("--format", choices=FORMATS, default="md")
-    sub.add_argument("--out", help="write to this file instead of stdout")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="shnirel",
-        description="Additive prime decompositions over the rational and Gaussian integers",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-    region_values = [r.value for r in Region]
-
-    sieve = commands.add_parser("sieve", help="build or refresh the rational prime table")
-    sieve.add_argument("--limit", type=int, required=True)
-    sieve.add_argument(
+def _sieve_options(sub) -> None:
+    sub.add_argument("--limit", type=int, required=True)
+    sub.add_argument(
         "--cache",
         default=os.environ.get(CACHE_ENV),
         help=f"prime cache file (default from ${CACHE_ENV})",
     )
-    sieve.add_argument("--mod4", type=int, choices=(1, 3), default=None)
-    sieve.add_argument("--list", action="store_true", help="print the primes themselves")
-    _add_output_options(sieve)
-    sieve.set_defaults(func=cmd_sieve)
+    sub.add_argument("--mod4", type=int, choices=(1, 3), default=None)
+    sub.add_argument("--list", action="store_true", help="print the primes themselves")
 
-    dec = commands.add_parser("decompose", help="decompose a Gaussian integer into region primes")
-    dec.add_argument("--z", required=True, help="Gaussian integer as RE,IM or a bare integer")
-    dec.add_argument("--primes", choices=PRIME_REGIONS, default=Region.PRIME_SECTOR.value)
-    dec.add_argument("--max-terms", type=int, default=3)
-    dec.add_argument(
+
+def _decompose_options(sub) -> None:
+    sub.add_argument("--z", required=True, help="Gaussian integer as RE,IM or a bare integer")
+    sub.add_argument("--primes", choices=PRIME_REGIONS, default=Region.PRIME_SECTOR.value)
+    sub.add_argument("--max-terms", type=int, default=3)
+    sub.add_argument(
         "--strict-norm",
         action="store_true",
         help="every summand norm must stay below the target norm",
     )
-    dec.add_argument(
+    sub.add_argument(
         "--no-single",
         action="store_true",
         help="do not report a prime target as its own one-term sum",
     )
-    dec.add_argument(
+    sub.add_argument(
         "--chain",
         action="store_true",
         help="use the shift-by-an-inert-prime route for even targets",
     )
-    _add_output_options(dec)
-    dec.set_defaults(func=cmd_decompose)
 
-    thm1 = commands.add_parser("solve-thm1", help="four prime columns with row sums a, b")
-    thm1.add_argument("--a", type=int, required=True)
-    thm1.add_argument("--b", type=int, required=True)
-    _add_output_options(thm1)
-    thm1.set_defaults(func=cmd_solve_thm1)
 
-    thm2 = commands.add_parser("solve-thm2", help="fewest prime columns with row sums a, b")
-    thm2.add_argument("--a", type=int, required=True)
-    thm2.add_argument("--b", type=int, required=True)
-    thm2.add_argument("--kmax", type=int, default=8)
-    _add_output_options(thm2)
-    thm2.set_defaults(func=cmd_solve_thm2)
+def _row_sum_options(kmax: int | None):
+    """The solvers' options: row sums a and b, and --kmax unless None."""
 
-    conj1 = commands.add_parser(
-        "solve-conj1", help="Gaussian prime columns with square targets and row sums a, b"
-    )
-    conj1.add_argument("--a", type=int, required=True)
-    conj1.add_argument("--b", type=int, required=True)
-    conj1.add_argument("--kmax", type=int, default=6)
-    _add_output_options(conj1)
-    conj1.set_defaults(func=cmd_solve_conj1)
+    def options(sub) -> None:
+        sub.add_argument("--a", type=int, required=True)
+        sub.add_argument("--b", type=int, required=True)
+        if kmax is not None:
+            sub.add_argument("--kmax", type=int, default=kmax)
 
-    scan = commands.add_parser("scan", help="decompose every target in a component box")
-    scan.add_argument("--targets", choices=region_values, required=True)
-    scan.add_argument("--re", required=True, help="real part range as LO..HI")
-    scan.add_argument("--im", required=True, help="imaginary part range as LO..HI")
-    scan.add_argument("--primes", choices=PRIME_REGIONS, required=True)
-    scan.add_argument("--max-terms", type=int, default=3)
-    scan.add_argument("--strict-norm", action="store_true")
-    scan.add_argument(
+    return options
+
+
+def _scan_options(sub) -> None:
+    sub.add_argument("--targets", choices=[r.value for r in Region], required=True)
+    sub.add_argument("--re", required=True, help="real part range as LO..HI")
+    sub.add_argument("--im", required=True, help="imaginary part range as LO..HI")
+    sub.add_argument("--primes", choices=PRIME_REGIONS, required=True)
+    sub.add_argument("--max-terms", type=int, default=3)
+    sub.add_argument("--strict-norm", action="store_true")
+    sub.add_argument(
         "--min-max-component",
         type=int,
         default=0,
         help="skip targets whose larger component is below this",
     )
-    scan.add_argument(
+    sub.add_argument(
         "--jobs", type=int, default=1, help="at least 1; unused, scans run in one process"
     )
-    _add_output_options(scan)
-    scan.set_defaults(func=cmd_scan)
 
-    obs = commands.add_parser(
-        "obstruction", help="exhaustively confirm the diagonal gap of sector prime sums"
-    )
-    obs.add_argument(
+
+def _obstruction_options(sub) -> None:
+    sub.add_argument(
         "--bound", type=int, required=True, help="largest real part to sweep, at most 500"
     )
-    obs.add_argument("--max-terms", type=int, default=6)
-    _add_output_options(obs)
-    obs.set_defaults(func=cmd_obstruction)
+    sub.add_argument("--max-terms", type=int, default=6)
 
-    hyp = commands.add_parser(
-        "hypotheses", help="scan the residue-class splits into primes of the form 4t+3"
-    )
-    hyp.add_argument("--index", type=int, choices=HYPOTHESIS_INDICES, default=None)
-    hyp.add_argument("--upper", type=int, required=True, help="scan n from 1 to this bound")
-    _add_output_options(hyp)
-    hyp.set_defaults(func=cmd_hypotheses)
 
-    chain = commands.add_parser(
-        "thm130", help="write n as three to six primes of the form 4t+3"
-    )
-    chain.add_argument("--n", type=int, required=True)
-    chain.add_argument(
+def _hypotheses_options(sub) -> None:
+    sub.add_argument("--index", type=int, choices=HYPOTHESIS_INDICES, default=None)
+    sub.add_argument("--upper", type=int, required=True, help="scan n from 1 to this bound")
+
+
+def _thm130_options(sub) -> None:
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument(
         "--c0", type=int, default=9, help="empirical threshold, at least 9; n must reach c0+9"
     )
-    _add_output_options(chain)
-    chain.set_defaults(func=cmd_thm130)
 
-    tables = commands.add_parser("tables", help="validate or regenerate the reference tables")
-    mode = tables.add_mutually_exclusive_group()
+
+def _tables_options(sub) -> None:
+    mode = sub.add_mutually_exclusive_group()
     mode.add_argument("--validate", action="store_true", help="check every stored row")
     mode.add_argument("--regenerate", action="store_true", help="re-derive every row")
-    _add_output_options(tables)
-    tables.set_defaults(func=cmd_tables)
 
+
+def _commands() -> dict:
+    """name -> (help, handler, options adder) of each subcommand, in the
+    order the help lists them. Made per call, so that the handlers are
+    looked up when a parser is built."""
+    return {
+        "sieve": ("build or refresh the rational prime table", cmd_sieve, _sieve_options),
+        "decompose": (
+            "decompose a Gaussian integer into region primes", cmd_decompose, _decompose_options,
+        ),
+        "solve-thm1": (
+            "four prime columns with row sums a, b", cmd_solve_thm1, _row_sum_options(None),
+        ),
+        "solve-thm2": (
+            "fewest prime columns with row sums a, b", cmd_solve_thm2, _row_sum_options(8),
+        ),
+        "solve-conj1": (
+            "Gaussian prime columns with square targets and row sums a, b",
+            cmd_solve_conj1,
+            _row_sum_options(6),
+        ),
+        "scan": ("decompose every target in a component box", cmd_scan, _scan_options),
+        "obstruction": (
+            "exhaustively confirm the diagonal gap of sector prime sums",
+            cmd_obstruction,
+            _obstruction_options,
+        ),
+        "hypotheses": (
+            "scan the residue-class splits into primes of the form 4t+3",
+            cmd_hypotheses,
+            _hypotheses_options,
+        ),
+        "thm130": (
+            "write n as three to six primes of the form 4t+3", cmd_thm130, _thm130_options,
+        ),
+        "tables": (
+            "validate or regenerate the reference tables", cmd_tables, _tables_options,
+        ),
+    }
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command's alone when it names
+    one: a run parses with only the subparser it invokes. Either way each
+    subparser's prog is "shnirel NAME", and the top-level usage lists every
+    name, so help, usage and error text come out the same."""
+    parser = argparse.ArgumentParser(
+        prog="shnirel",
+        description="Additive prime decompositions over the rational and Gaussian integers",
+    )
+    table = _commands()
+    names = [command] if command in table else list(table)
+    # a lone subparser's usage still lists every name. The full parser
+    # leaves metavar unset: argparse would name a missing command by it
+    metavar = "{" + ",".join(table) + "}" if len(names) == 1 else None
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, options = table[name]
+        sub = commands.add_parser(name, help=help_text)
+        options(sub)
+        sub.add_argument("--format", choices=FORMATS, default="md")
+        sub.add_argument("--out", help="write to this file instead of stdout")
+        sub.set_defaults(func=handler)
     return parser
 
 
 def entry(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.out:
             _check_out(args.out)

@@ -13,7 +13,7 @@ from enum import Enum
 from math import log
 
 from .primes import _Pool, _pool_for, gaussian_prime_pool, is_gaussian_prime
-from .report import Report
+from .report import Report, _quote
 from .zcore import (
     ZERO,
     GaussianInt,
@@ -472,7 +472,6 @@ class ScanReport(Report):
         json.dump's indented encoder is pure Python; to_json_dict stays
         the oracle the tests compare these bytes to. The text of a
         Gaussian integer needs no escaping."""
-        from json.encoder import encode_basestring_ascii as quote
 
         def block(items: list[str], pad: str, brackets: str = "[]") -> str:
             if not items:
@@ -484,8 +483,8 @@ class ScanReport(Report):
         yield (
             f'{{\n  "exceptions": {block(exceptions, "  ")},\n'
             f'  "max_terms": {self.max_terms},\n  "parity": "ODD",\n'
-            f'  "policy": {quote(self.policy.value)},\n'
-            f'  "primes": {quote(self.term_region.value)},\n  "rows": ['
+            f'  "policy": {_quote(self.policy.value)},\n'
+            f'  "primes": {_quote(self.term_region.value)},\n  "rows": ['
         )
         sep = "\n"
         for n, re, im, k, terms in self._texts('"%s"'):
@@ -502,10 +501,10 @@ class ScanReport(Report):
             sep = ",\n"
         # json sorts the keys as strings: "10" before "2"
         tally = sorted((str(k), c) for k, c in self.term_counts.items())
-        counts = block([f"{quote(k)}: {c}" for k, c in tally], "  ", "{}")
+        counts = block([f"{_quote(k)}: {c}" for k, c in tally], "  ", "{}")
         close = "\n  ]" if self.int_rows else "]"
         yield (
-            f'{close},\n  "targets": {quote(self.target_desc)},\n'
+            f'{close},\n  "targets": {_quote(self.target_desc)},\n'
             f'  "term_counts": {counts}\n}}\n'
         )
 
@@ -699,9 +698,16 @@ def _scan(
         p = single and member(t[1], t[2])
         return (*t, 1, (p,)) if p else (*t, None, None)
 
+    top = 0  # the one-term check reads level 1's table below this norm
     if chase is not None:  # each k >= 2, its level's table and the tables its chase reads
         width, base, tables = chase
         chains = [(k, tables[k - 1], tables[k - 1 :: -1]) for k in range(2, len(tables) + 1)]
+        # The window holds every live target, and its pool cut holds every
+        # odd region prime of norm below top = extent[7] that lies in the
+        # window. So a live target of norm below top is such a prime exactly
+        # when level 1's table has an entry at its position, and that entry
+        # is the target's own; member is left the rest.
+        level1, top = tables[0], extent[7]
     rows: list = []
     live.reverse()  # popped in target order, freeing each bound as its row is built
     while live:
@@ -709,12 +715,15 @@ def _scan(
         if len(rows) < i:
             rows += map(alone, targets[len(rows) : i])
         n = targets[i][0]
-        if single and (re + im) % 2 and (p := member(re, im)):  # an even target is no odd prime
-            rows.append((n, re, im, 1, (p,)))
-            continue
-        k = 2
         if chase is not None:
             at = re * width + im - base
+        if single and (re + im) % 2:  # an even target is no odd prime
+            p = level1[at] and level1[at][1] if n < top else member(re, im)
+            if p:
+                rows.append((n, re, im, 1, (p,)))
+                continue
+        k = 2
+        if chase is not None:
             for k, table, chain in chains:
                 if table[at] is not None:
                     break

@@ -114,6 +114,62 @@ class TestStartup:
         assert out.read_text() == "102 rows, 0 failures\n"
         assert "shnirel.golden" in loaded
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--z=600,250", "--primes", "gammapi"],
+            ["scan", "--targets", "a", "--re", "1..12", "--im", "1..12", "--primes", "kpi"],
+            ["tables", "--validate"],
+        ],
+    )
+    def test_json_reports_load_no_json_module(self, tmp_path, argv):
+        """Reports write JSON with report's own writer; json's escaper is
+        imported only for text outside printable ASCII, which these lack."""
+        out = tmp_path / "out.json"
+        loaded = loaded_after(
+            f"from shnirel.cli import entry; "
+            f"entry({argv + ['--format', 'json', '--out', str(out)]!r})"
+        )
+        assert json.loads(out.read_text())
+        assert {m for m in loaded if m == "json" or m.startswith("json.")} == set()
+
+    def test_a_named_command_builds_only_its_subparser(self):
+        parser = cli.build_parser("decompose")
+        (commands,) = (a for a in parser._actions if a.dest == "command")
+        assert list(commands.choices) == ["decompose"]
+        assert commands.choices["decompose"].prog == "shnirel decompose"
+        full = cli.build_parser()
+        (every,) = (a for a in full._actions if a.dest == "command")
+        assert len(every.choices) == 10
+        assert parser.format_usage() == full.format_usage()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-h"],
+            [],
+            ["frobnicate"],
+            ["decompose"],
+            ["decompose", "--z", "1", "stray"],
+            ["decompose", "-h"],
+            ["tables", "--validate", "--regenerate"],
+            ["hypotheses", "--index", "9"],
+        ],
+    )
+    def test_text_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        """entry builds one subparser when argv[0] names a command and every
+        one otherwise; help, usage, errors and exit codes stay those of
+        the parser with all ten."""
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as full:
+            cli.build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as lean:
+            entry(argv)
+        got = capsys.readouterr()
+        assert (got.out, got.err, lean.value.code) == (want.out, want.err, full.value.code)
+        assert want.out or want.err
+
 
 class TestParsers:
     def test_index_choices_are_the_hypotheses(self, capsys):

@@ -1406,6 +1406,29 @@ class TestSingle:
         assert report.term_counts[1] > 0
         assert calls == []
 
+    def test_scan_reads_live_primes_off_level_one(self, monkeypatch):
+        """A NONE scan that built its sumsets answers the one-term question
+        for a live target below the largest cap from level 1's table: on
+        kpi 40 x 40 every target is live and below it, so the membership
+        test never runs, where it used to run for all 800 odd targets."""
+        targets = box_targets(Region.OPEN_QUADRANT, (1, 40), (1, 40))
+        live, extent = gaussdecomp._bounds([z.key() for z in targets], KPI, NormPolicy.NONE)
+        assert len(live) == len(targets)
+        assert max(z.norm() for z in targets) < extent[7]
+        pool, calls = _pool_for(KPI), []
+        real = pool.member
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pool, "member", counting)
+        report = scan_targets(targets, KPI, 3, NormPolicy.NONE)
+        assert calls == []
+        monkeypatch.undo()
+        assert report.term_counts[1] > 0
+        assert report.rows == scan_rows_by_search(targets, KPI, 3)
+
     @pytest.mark.parametrize("region", list(Region))
     def test_empty_flags_reject_every_even_point(self, region):
         """Past the flags' end primality comes from is_gaussian_prime,

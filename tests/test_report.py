@@ -11,6 +11,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import trial_prime
 from shnirel.cli import RoutedDecomposition, SieveReport
@@ -26,6 +28,7 @@ from shnirel.gaussdecomp import (
 )
 from shnirel.golden import load_golden, regenerate_tables, validate_golden
 from shnirel.ratdecomp import HypothesisReports, hypothesis_scans, residue34_chain
+from shnirel.report import _json_chunks
 from shnirel.zcore import GaussianInt, Region
 
 A, SECTOR = Region.OPEN_QUADRANT, Region.SECTOR
@@ -87,6 +90,8 @@ OTHERS = {
     "sieve_summary": lambda: SieveReport(100, _primes(100), None, None, False),
     "sieve_listing": lambda: SieveReport(100, _primes(100, 3), None, 3, True),
     "sieve_empty_class": lambda: SieveReport(2, (), "cache.bin", 1, False),
+    # a payload string that takes json's escaper: non-ASCII, quote, backslash
+    "sieve_escaped_cache": lambda: SieveReport(10, _primes(10), 'caché "x"\\', None, False),
 }
 REPORTS = {**SCANS, **OTHERS}
 
@@ -135,3 +140,41 @@ def test_default_json_is_streamed_in_chunks():
     """A large report is written in pieces, never held as one string."""
     report = OTHERS["sieve_listing"]()
     assert len(list(report.json_lines())) > len(report.primes)
+
+
+# text from every plane, with the characters JSON escapes weighted in
+TEXT = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from('"\\\x00\x1f\x7f\n\t é\u2028\U0001f600'),
+    )
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=-(10**20)),
+    TEXT,
+)
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(TEXT, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@given(PAYLOADS)
+def test_writer_is_json_dumps(payload):
+    assert "".join(_json_chunks(payload, "\n")) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("payload", [1.5, [0, {"a": 2.0}], {1: "one"}, {"a": {("t",): 1}}, {3}])
+def test_writer_refuses_what_reports_never_hold(payload):
+    """Floats, sets and dict keys that are no str raise TypeError, where
+    json.dumps would write or convert some of them."""
+    with pytest.raises(TypeError):
+        "".join(_json_chunks(payload, "\n"))
