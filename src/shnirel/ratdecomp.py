@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from array import array
 from functools import cached_property
-from itertools import chain, compress
-from operator import not_, sub
+from itertools import chain, compress, count, groupby, islice, repeat
+from operator import add, not_, sub
 from struct import unpack
 
 from . import primes
@@ -210,11 +210,92 @@ HYPOTHESES = {i: HypothesisSpec(i, 3 * (i + 1) % 4, i + 1) for i in range(1, 5)}
 _HYPOTHESIS_CSV_HEAD = "n,residue,k,witness\n"
 
 
+def _numerals(ns: range) -> Iterator[str]:
+    """str(n) for each n of ns, a range of step 4 from 0 up, streamed: each
+    block of 1000 joins str(n // 1000) to a table of 3-digit suffixes, in C,
+    at about a third of the cost of str() per n."""
+    low, pad, r = [str(j) for j in range(1000)], ["%03d" % j for j in range(1000)], ns.start % 4
+    blocks = (map(add, repeat(str(b)), pad[r::4]) if b else low[r::4] for b in count(ns.start // 1000))
+    skip = ns.start % 1000 // 4
+    return islice(chain.from_iterable(blocks), skip, skip + len(ns))
+
+
+def _csv_blocks(reports: Sequence[HypothesisReport]) -> Iterator[Iterable[str]]:
+    """The CSV lines of the reports: the header, then the rows of each
+    report in order, a block per report, which chain.from_iterable joins
+    with no bytecode per row.
+
+    Level k's witness text at n is level k - 1's at n - p plus "+p", p the
+    first term of n (level 1's is n itself). So each level's texts are made
+    once, as a list over a window of its class, by C-level gathers off the
+    list below, and shared by every report that reads the level; each row
+    joins n, the report's residue and k, and its top level's text. A run of
+    reports sharing level 2 comes from one hypothesis_scans call and shares
+    every level. A level's window covers its reports' targets and what the
+    level above reads: from the least n there less the largest first term,
+    clamped at 0. An n with no sum (p = 0) gathers some neighbour's text or
+    the spare "" that ends each list, and then reads EMPTY; no n with a sum
+    reads it, as n - p then has one. A list is dropped once no later report
+    builds on it.
+    """
+    yield [_HYPOTHESIS_CSV_HEAD]
+    for _, run in groupby(reports, lambda r: id(r.levels[0])):
+        run = list(run)
+        levels = (None, None, *max((r.levels for r in run), key=len))  # level k at k
+        bounds: list[list[tuple[int, int]]] = [[] for _ in levels]
+        for r in run:
+            if t := r._targets:
+                bounds[r.spec.k].append((t[0], t[-1]))
+        windows, cols = {}, {}
+        for k in range(len(levels) - 1, 0, -1):
+            lo = max(0, min((a for a, _ in bounds[k]), default=0))
+            hi = max((b for _, b in bounds[k]), default=-1)
+            windows[k] = ns = range(lo + (3 * k - lo) % 4, hi + 1, 4)
+            if ns and k > 1:
+                level = levels[k]
+                if isinstance(level, array):
+                    cols[k] = col = level[ns.start : ns.stop : 4]
+                else:  # a _Level fills each entry as it is read
+                    cols[k] = col = list(map(level.__getitem__, ns))
+                bounds[k - 1].append((ns[0] - max(col), ns[-1]))
+        texts: dict[int, list[str]] = {}
+        tops = [r.spec.k for r in run]
+
+        def prune(tops: list[int]) -> None:
+            """Drop each list that none of tops reads or builds on."""
+            for b in set(texts) - {max(b for b in texts if b <= t) for t in tops}:
+                del texts[b]
+
+        for j, r in enumerate(run):
+            k = r.spec.k
+            built = max((b for b in texts if b <= k), default=0)
+            if not built:
+                texts[built := 1] = [*_numerals(windows[1]), ""]
+            for q in range(built + 1, k + 1):
+                col, below = cols.get(q, ()), texts[q - 1]
+                shift = windows[q].start - windows[q - 1].start
+                off = [(shift - p) // 4 for p in range(max(col, default=0) + 1)]
+                plus = ["+%d" % p for p in range(len(off))]
+                offs = map(add, count(), map(off.__getitem__, col))
+                texts[q] = got = list(map(add, map(below.__getitem__, offs), map(plus.__getitem__, col)))
+                at = -1
+                for _ in range(col.count(0)):
+                    got[at := col.index(0, at + 1)] = "EMPTY"
+                got.append("")
+                prune(tops[j:])
+            ns, mid = r._targets, f",{r.spec.residue},{k},"
+            i = (ns.start - windows[k].start) // 4
+            wits = islice(texts[k], i, i + len(ns))  # holds the list while the rows are read
+            prune(tops[j + 1 :])
+            yield map("".join, zip(_numerals(ns), repeat(mid), wits, repeat("\n")))
+
+
 class HypothesisReport(Report):
     """Scan outcome for one residue-class claim over [lo, hi]. levels holds
     levels 2 to k, first terms indexed by n, 0 for no sum (see _first_term):
-    arrays, or _Level dicts for a narrow range. Every row is chased off them
-    when read, so the rows, not the levels, fix a report."""
+    arrays, or _Level dicts for a narrow range. rows are chased off them when
+    read and the CSV is written off texts made from them (_csv_blocks), so
+    the rows, not the levels, fix a report."""
 
     spec: HypothesisSpec
     lo: int
@@ -287,39 +368,7 @@ class HypothesisReport(Report):
         ]
 
     def csv_lines(self) -> Iterable[str]:
-        return chain([_HYPOTHESIS_CSV_HEAD], self._csv_rows())
-
-    def _csv_rows(self) -> Iterator[str]:
-        """The CSV rows without the header, which HypothesisReports writes
-        once over several scans: one % template per k, and _chase unrolled
-        per k (k runs 2 to 5), so no witness tuple is built."""
-        k, ns = self.spec.k, self._targets
-        prefix = f"%d,{self.spec.residue},{k},"
-        row = prefix + "+".join(["%d"] * k) + "\n"
-        empty = prefix + "EMPTY\n"
-        F2, F3, F4, F5 = self.levels + (None,) * (5 - k)
-        if k == 2:
-            for n in ns:
-                p = F2[n]
-                yield row % (n, n - p, p) if p else empty % n
-        elif k == 3:
-            for n in ns:
-                p = F3[n]
-                q = F2[m := n - p]
-                yield row % (n, m - q, q, p) if p else empty % n
-        elif k == 4:
-            for n in ns:
-                p = F4[n]
-                q = F3[m := n - p]
-                s = F2[m := m - q]
-                yield row % (n, m - s, s, q, p) if p else empty % n
-        else:
-            for n in ns:
-                p = F5[n]
-                q = F4[m := n - p]
-                s = F3[m := m - q]
-                t = F2[m := m - s]
-                yield row % (n, m - t, t, s, q, p) if p else empty % n
+        return chain.from_iterable(_csv_blocks([self]))
 
 
 class HypothesisReports(Report):
@@ -335,19 +384,22 @@ class HypothesisReports(Report):
         return chain.from_iterable(r.md_lines() for r in self.reports)
 
     def csv_lines(self) -> Iterable[str]:
-        return chain([_HYPOTHESIS_CSV_HEAD], *(r._csv_rows() for r in self.reports))
+        return chain.from_iterable(_csv_blocks(self.reports))
 
 
 # The largest hi a hypothesis scan takes. The scans keep a 4-byte first term
-# per integer and level (built through 2-byte lanes) and chase their rows as
-# they are written: all four to 10^6 peak near 38 MiB in CSV, near 415 MiB
-# in JSON, whose encoder holds every row (CPython 3.11, x86-64).
+# per integer and level (built through 2-byte lanes); the CSV writer holds at
+# most two levels of witness texts at once, a list entry and a str per n of a
+# class. The op's own peak in CSV is near 68 MiB at 10^6, all four scans or H_4
+# alone, and near 30 MiB at 300 064; in JSON, whose payload holds every row,
+# near 418 MiB at 10^6 (CPython 3.11, x86-64).
 _HYPOTHESIS_CAP = 10**6
 
 # What an entry of a _Level costs in entries of an array. A scan reads each
 # level at about one n of its class per n in [lo, hi], where a _Level makes
-# its entries; an array makes one per n of its class up to hi. Scans of [hi -
-# hi/14, hi] and their CSV rows ran about as fast either way (hi 10^5 to 10^6).
+# its entries; an array makes one per n of its class up to hi. All four scans
+# of [hi - hi/w, hi] and their CSV ran about as fast either way at w = 12, and
+# 14-26% faster on _Level dicts at w = 14 (hi 10^5 to 10^6).
 _LAZY_ENTRY_COST = 14
 
 

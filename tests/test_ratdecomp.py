@@ -3,6 +3,7 @@ the three-to-six-term chain, cross-checked against plain enumeration."""
 
 import io
 import json
+import random
 from array import array
 from itertools import compress
 from operator import not_
@@ -317,9 +318,9 @@ def oracle_rows(index, lo, hi):
 
 
 class TestFirstTermArrays:
-    """A scan keeps one array of first terms per level, indexed by n, and
-    chases its rows off them: generically for rows, unrolled per k for the
-    CSV. Both must give the enumerated canonical witnesses."""
+    """A scan keeps one array of first terms per level, indexed by n; its
+    rows are chased off them, and its CSV is written off each level's
+    witness texts. Both must give the enumerated canonical witnesses."""
 
     # lo > 1; hi off some classes (601 = 1, 702 = 2 mod 4); hi < 3k for
     # the larger k (14 < 15, 9 < 12, 3 < 6); a one-number range
@@ -542,6 +543,86 @@ class TestBulkLevels:
             csv[stop] = buf.getvalue()
         assert max(reports[3].levels[0]) > 100
         assert csv[100] == csv[1 << 16]
+
+
+def csv_from_rows(reports):
+    """The CSV of the reports formatted line by line from their rows, which
+    _chase reads off the levels target by target."""
+    lines = ["n,residue,k,witness\n"]
+    for r in reports:
+        for n, wit in r.rows:
+            cell = "EMPTY" if wit is None else "+".join(map(str, wit))
+            lines.append(f"{n},{r.spec.residue},{r.spec.k},{cell}\n")
+    return "".join(lines)
+
+
+def csv_of(reports):
+    buf = io.StringIO()
+    HypothesisReports(tuple(reports)).write(buf, "csv")
+    return buf.getvalue()
+
+
+class TestCsvWriter:
+    """The CSV writer makes each level's witness texts once, over a window
+    of its class, off the texts of the level below; its bytes must be those
+    formatted from the rows."""
+
+    INDICES = ([2, 1], [4, 1], [3], [1, 2, 3, 4])
+
+    def sweep(self):
+        """(indices, lo, hi) over small hi, hi at every residue near 20 000,
+        and empty classes, each with lo = 1 and a seeded lo above 1."""
+        rng = random.Random(29)
+        for hi in [*range(1, 15), *range(20_000, 20_004)]:
+            for indices in self.INDICES:
+                yield indices, 1, hi
+                yield indices, rng.randint(min(hi, 2), hi), hi
+        yield [2], 5, 5  # a lone target with no sum
+        yield [2], 6, 8  # no target in H_2's class
+        yield [1, 2, 3, 4], 6, 6  # one class of four holds a target
+
+    def test_bytes_are_those_of_the_rows(self):
+        for indices, lo, hi in self.sweep():
+            reports = hypothesis_scans(indices, lo, hi)
+            assert csv_of(reports) == csv_from_rows(reports), (indices, lo, hi)
+
+    @pytest.mark.parametrize("cost", [0, 10**9], ids=["lazy", "arrays"])
+    def test_narrow_ranges_at_the_cap(self, monkeypatch, cost):
+        monkeypatch.setattr(ratdecomp, "_LAZY_ENTRY_COST", cost)
+        rng = random.Random(cost)
+        lo = 10**6 - rng.randint(0, 40)
+        for indices in self.INDICES:
+            reports = hypothesis_scans(indices, lo, 10**6)
+            assert csv_of(reports) == csv_from_rows(reports), (indices, lo)
+
+    def test_primes_past_the_lanes(self, monkeypatch):
+        monkeypatch.setattr(ratdecomp, "_LANE_STOP", 100)
+        for lo in (1, 1_234):
+            reports = hypothesis_scans([1, 2, 3, 4], lo, 20_001)
+            assert max(reports[0].levels[0]) > 100
+            assert csv_of(reports) == csv_from_rows(reports), lo
+
+    def test_reports_of_several_scans(self):
+        """Reports from separate calls hold separate levels; each run of
+        them is written off its own."""
+        reports = [
+            *hypothesis_scans([1], 1, 50),
+            *hypothesis_scans([3, 1], 20, 90),
+            *hypothesis_scans([4], 7, 30),
+            *hypothesis_scans([2, 4], 1, 61),
+        ]
+        assert csv_of(reports) == csv_from_rows(reports)
+
+    def test_the_csv_fills_no_more_lazy_entries_than_the_rows(self):
+        """Targets below the cap read a few entries per _Level, so no
+        writer may fill a whole class through _Level.__missing__."""
+        filled = {}
+        for name, read in (("rows", lambda rs: [r.rows for r in rs]), ("csv", csv_of)):
+            reports = hypothesis_scans([1, 2, 3, 4], 10**6 - 20, 10**6)
+            assert all(isinstance(level, ratdecomp._Level) for level in reports[3].levels)
+            read(reports)
+            filled[name] = sum(map(len, reports[3].levels))
+        assert filled["csv"] <= filled["rows"] == 24
 
 
 class TestResidue34Chain:
