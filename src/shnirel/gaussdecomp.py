@@ -20,6 +20,7 @@ from .zcore import (
     Parity,
     Region,
     Unit,
+    _check_component,
     _text,
     in_region,
     sector_form,
@@ -351,11 +352,14 @@ def _bits(n: int) -> Iterator[int]:
 
 
 def _box_keys(region: Region, re_range: tuple, im_range: tuple, floor: int) -> list[tuple]:
-    """box_targets' targets as keys (norm, re, im), floor its min_max_component."""
+    """box_targets' targets as keys (norm, re, im), floor its min_max_component.
+    The range ends get GaussianInt's component check, so every key's do."""
     re_lo, re_hi = re_range
     im_lo, im_hi = im_range
     if re_lo > re_hi or im_lo > im_hi:
         raise ValueError("empty component range")
+    for v in (re_lo, re_hi, im_lo, im_hi):
+        _check_component(v)
     out: list[tuple[int, int, int]] = []
     for re in range(re_lo, re_hi + 1):
         lo, hi = region.im_span(re, im_lo, im_hi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from array import array
 from functools import cached_property
 from itertools import chain, compress, count, groupby, islice, repeat
-from operator import add, not_, sub
+from operator import add, sub
 from struct import unpack
 
 from . import primes
@@ -134,18 +134,20 @@ def _chase(levels: Sequence, ns: Sequence[int]) -> list[list[int]]:
     return cols[::-1]
 
 
-def _lazy_levels(top: int, pool: _Pool) -> list:
-    """Levels 1 to top: the flags, then _Level dicts that fill as read."""
-    levels = [_flags]
-    for k in range(2, top + 1):
-        levels.append(_Level(k, pool, levels[-1]))
-    return levels
+# The most terms a single split takes. Each term nests one _Level read in
+# the last, two Python frames deep, so under the default recursion limit of
+# 1000 a split of 300 terms ran and one of 400 raised RecursionError.
+_SPLIT_TERMS_CAP = 100
 
 
 def _split(n: int, k: int, pool: _Pool) -> tuple[int, ...] | None:
     """n's canonical k-term sum from the pool, largest term first, or None."""
+    if k > _SPLIT_TERMS_CAP:
+        raise ValueError(f"{k} terms are above the split cap of {_SPLIT_TERMS_CAP}")
     _sieve(n)
-    levels = _lazy_levels(k, pool)
+    levels = [_flags]
+    for j in range(2, k + 1):
+        levels.append(_Level(j, pool, levels[-1]))
     if not levels[-1][n]:
         return None
     return next(zip(*_chase(levels[1:], [n])))
@@ -184,10 +186,11 @@ def four_odd_primes(n: int) -> tuple[int, int, int, int]:
 
 
 def min_odd_prime_terms(n: int, max_terms: int = 8) -> tuple[int, tuple[int, ...]]:
-    """Fewest odd primes summing to n, with the canonical witness."""
+    """Fewest odd primes summing to n, with the canonical witness. Odd
+    primes are at least 3, so no k past n // 3 is tried."""
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    for k in range(1, max_terms + 1):
+    for k in range(1, min(max_terms, n // 3) + 1):
         got = split_into_odd_primes(n, k)
         if got is not None:
             return (k, got)
@@ -233,8 +236,9 @@ def _csv_blocks(reports: Sequence[HypothesisReport]) -> Iterator[Iterable[str]]:
     reports sharing level 2 comes from one hypothesis_scans call and shares
     every level. A level's window covers its reports' targets and what the
     level above reads: from the least n there less the largest first term,
-    clamped at 0. An n with no sum (p = 0) gathers some neighbour's text or
-    the spare "" that ends each list, and then reads EMPTY; no n with a sum
+    clamped at 0, so a whole class for lo = 1, and one slice of the level's
+    array. An n with no sum (p = 0) gathers some neighbour's text or the
+    spare "" that ends each list, and then reads EMPTY; no n with a sum
     reads it, as n - p then has one. A list is dropped once no later report
     builds on it.
     """
@@ -252,11 +256,7 @@ def _csv_blocks(reports: Sequence[HypothesisReport]) -> Iterator[Iterable[str]]:
             hi = max((b for _, b in bounds[k]), default=-1)
             windows[k] = ns = range(lo + (3 * k - lo) % 4, hi + 1, 4)
             if ns and k > 1:
-                level = levels[k]
-                if isinstance(level, array):
-                    cols[k] = col = level[ns.start : ns.stop : 4]
-                else:  # a _Level fills each entry as it is read
-                    cols[k] = col = list(map(level.__getitem__, ns))
+                cols[k] = col = levels[k][ns.start : ns.stop : 4]
                 bounds[k - 1].append((ns[0] - max(col), ns[-1]))
         texts: dict[int, list[str]] = {}
         tops = [r.spec.k for r in run]
@@ -292,10 +292,10 @@ def _csv_blocks(reports: Sequence[HypothesisReport]) -> Iterator[Iterable[str]]:
 
 class HypothesisReport(Report):
     """Scan outcome for one residue-class claim over [lo, hi]. levels holds
-    levels 2 to k, first terms indexed by n, 0 for no sum (see _first_term):
-    arrays, or _Level dicts for a narrow range. rows are chased off them when
-    read and the CSV is written off texts made from them (_csv_blocks), so
-    the rows, not the levels, fix a report."""
+    levels 2 to k, arrays of first terms indexed by n up to hi, 0 for no sum
+    (see _first_term). rows are chased off them when read and the CSV is
+    written off texts made from them (_csv_blocks), so the rows, not the
+    levels, fix a report."""
 
     spec: HypothesisSpec
     lo: int
@@ -323,10 +323,8 @@ class HypothesisReport(Report):
 
     @cached_property  # read by the summary, the exit code and every format
     def exceptions(self) -> tuple[int, ...]:
-        ns, top = self._targets, self.levels[-1]
-        if not isinstance(top, array):  # a _Level fills each entry as it is read
-            return tuple(compress(ns, map(not_, map(top.__getitem__, ns))))
-        firsts, at = top[ns.start : ns.stop : 4], -1  # the few zeros, found in C, not per n
+        ns, at = self._targets, -1
+        firsts = self.levels[-1][ns.start : ns.stop : 4]  # the few zeros, found in C, not per n
         return tuple(ns[(at := firsts.index(0, at + 1))] for _ in range(firsts.count(0)))
 
     @property
@@ -395,13 +393,6 @@ class HypothesisReports(Report):
 # near 418 MiB at 10^6 (CPython 3.11, x86-64).
 _HYPOTHESIS_CAP = 10**6
 
-# What an entry of a _Level costs in entries of an array. A scan reads each
-# level at about one n of its class per n in [lo, hi], where a _Level makes
-# its entries; an array makes one per n of its class up to hi. All four scans
-# of [hi - hi/w, hi] and their CSV ran about as fast either way at w = 12, and
-# 14-26% faster on _Level dicts at w = 14 (hi 10^5 to 10^6).
-_LAZY_ENTRY_COST = 14
-
 
 def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[HypothesisReport]:
     """One HypothesisReport per listed index, in order, over [lo, hi].
@@ -409,7 +400,7 @@ def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[Hypothesi
     H_k covers n = 3k mod 4 and a 3 mod 4 prime off n lands in H_(k-1)'s
     class, so the scans share one array per level, each filled over its
     whole class up to hi by one bulk pass off the level below (_fill_class),
-    or _Level dicts where the arrays would cost more (see _LAZY_ENTRY_COST).
+    whatever lo is.
     """
     if any(index not in HYPOTHESES for index in indices):
         raise ValueError(f"hypothesis index must be one of {sorted(HYPOTHESES)}")
@@ -419,14 +410,12 @@ def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[Hypothesi
         raise ValueError(f"scan bound {hi} is above the cap of {_HYPOTHESIS_CAP}")
     _sieve(hi)
     top = max((HYPOTHESES[index].k for index in indices), default=1)
-    if _LAZY_ENTRY_COST * (hi - lo) < hi:
-        levels = _lazy_levels(top, _r34_pool)
-    else:  # level 1's members over n = 3 + 4i, one 16-bit lane per i
-        lanes = _flags[3 : hi + 1 : 4].replace(b"\0", b"\0\0").replace(b"\1", b"\1\0")
-        levels, lanes = [_flags], int.from_bytes(lanes, "little")
-        for k in range(2, top + 1):
-            levels.append(array("I", [0]) * (hi + 1))
-            lanes = _fill_class(levels[-1], levels[-2], lanes, k, _r34_pool, hi)
+    # level 1's members over n = 3 + 4i, one 16-bit lane per i
+    lanes = _flags[3 : hi + 1 : 4].replace(b"\0", b"\0\0").replace(b"\1", b"\1\0")
+    levels, lanes = [_flags], int.from_bytes(lanes, "little")
+    for k in range(2, top + 1):
+        levels.append(array("I", [0]) * (hi + 1))
+        lanes = _fill_class(levels[-1], levels[-2], lanes, k, _r34_pool, hi)
     return [
         HypothesisReport(HYPOTHESES[index], lo, hi, tuple(levels[1 : HYPOTHESES[index].k]))
         for index in indices

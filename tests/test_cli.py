@@ -397,6 +397,15 @@ class TestSolvers:
         code, _, _ = run(capsys, "solve-thm2", "--a", "1", "--b", "1")
         assert code == 1
 
+    def test_thm2_huge_kmax_exits_one_at_once(self, capsys):
+        """No more than (a + b) // 3 odd primes sum to a + b, so the search
+        stops there however large --kmax is."""
+        code, out, err = run(
+            capsys, "solve-thm2", "--a", "2", "--b", "2", "--kmax", str(10**18)
+        )
+        assert (code, out) == (1, "")
+        assert err == f"4 is not a sum of up to {10**18} odd primes"
+
     @pytest.mark.parametrize("kmax", ["0", "-1"])
     def test_thm2_kmax_below_one_exits_two(self, capsys, kmax):
         code, out, err = run(
@@ -454,6 +463,17 @@ class TestScan:
         )
         assert code == 0
         assert err == "targets: 28, exceptions: 0"
+
+    @pytest.mark.parametrize("re", ["2147483648..2147483649", f"{10**30}..{10**30 + 1}"])
+    def test_components_past_2_31_exit_two(self, capsys, re):
+        """A box end past +/-2^31 is refused as decompose refuses such a z,
+        before any prime test runs on norms past Miller-Rabin's proven range."""
+        code, out, err = run(
+            capsys, "scan", "--targets", "a", "--re", re, "--im", "1..2",
+            "--primes", "kpi", "--max-terms", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"component {re.partition('..')[0]} outside +/-2^31"
 
     def test_jobs_below_one_exit_two(self, capsys):
         code, out, err = run(

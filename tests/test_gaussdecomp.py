@@ -437,6 +437,22 @@ class TestScans:
         )
         assert all(max(z.re, z.im) >= 5 for z, _, _ in report.rows)
 
+    @pytest.mark.parametrize(
+        "re_range,im_range", [((2**31, 2**31 + 1), (1, 2)), ((1, 2), (-(2**31), 2 - 2**31))]
+    )
+    def test_box_ends_past_2_31_overflow(self, re_range, im_range):
+        """Box ends get GaussianInt's component check, in scan_box and
+        box_targets alike."""
+        with pytest.raises(OverflowError, match="outside"):
+            scan_box(KPI, re_range, im_range, KPI, 1)
+        with pytest.raises(OverflowError, match="outside"):
+            box_targets(KPI, re_range, im_range)
+
+    def test_box_ends_inside_2_31_scan(self):
+        edge = (2**31 - 2, 2**31 - 1)
+        assert len(scan_box(KPI, (1, 2), edge, KPI, 1).rows) == 4
+        assert len(box_targets(KPI, edge, edge)) == 4
+
     def test_box_side_guard(self):
         with pytest.raises(ValueError, match="capped at 500"):
             scan_box(KPI, (1, 501), (1, 10), KPI, 3)

@@ -96,6 +96,29 @@ class TestSplitIntoResidue34Primes:
             assert all(p % 4 == 3 and trial_prime(p) for p in got)
 
 
+class TestSplitTermsCap:
+    """Each term of a single split nests one more level read, so a split of
+    more terms than the cap is refused before any sieve, not left to raise
+    RecursionError; at the cap it runs."""
+
+    @pytest.mark.parametrize(
+        "split,n", [(split_into_odd_primes, 1200), (split_into_residue34_primes, 1240)]
+    )
+    def test_a_deep_split_is_a_bad_argument(self, monkeypatch, split, n):
+        def sieving(limit):
+            raise AssertionError("a split past the cap sieved")
+
+        monkeypatch.setattr(ratdecomp, "_sieve", sieving)
+        with pytest.raises(ValueError, match="400 terms are above the split cap of 100"):
+            split(n, 400)
+
+    def test_at_the_cap(self):
+        assert split_into_odd_primes(300, 100) == (3,) * 100
+        assert split_into_odd_primes(302, 100) == (5,) + (3,) * 99
+        # 1006 = 983 + 23 is the least-first-term split of what 98 threes leave
+        assert split_into_residue34_primes(1300, 100) == (983, 23) + (3,) * 98
+
+
 class TestFourOddPrimes:
     def test_smallest_case(self):
         assert four_odd_primes(14) == (5, 3, 3, 3)
@@ -139,6 +162,13 @@ class TestMinOddPrimeTerms:
             min_odd_prime_terms(4)
         with pytest.raises(SearchExhausted):
             min_odd_prime_terms(1)
+
+    @pytest.mark.parametrize("n", [4, 2])
+    def test_a_huge_bound_stops_at_a_third_of_n(self, n):
+        """No k past n // 3 odd primes sums to n, so the search ends there
+        however large max_terms is, and keeps its message."""
+        with pytest.raises(SearchExhausted, match=f"^{n} is not a sum of up to {10**18} odd"):
+            min_odd_prime_terms(n, 10**18)
 
     def test_no_terms_allowed_is_a_bad_argument(self):
         # an unusable bound is not the data saying no
@@ -338,19 +368,14 @@ class TestFirstTermArrays:
                 f"{n},{spec.residue},{spec.k},{cell}\n" for (n, _), cell in zip(want, cells)
             ), (index, lo, hi)
 
-    @pytest.mark.parametrize("lazy", [False, True], ids=["arrays", "lazy"])
     @pytest.mark.parametrize("lo,hi", [(1, 3), (1, 50), (7, 2001), (1, 20_000), (9_990, 20_000)])
-    def test_exceptions_are_the_zeros_of_the_top_level(self, monkeypatch, lazy, lo, hi):
+    def test_exceptions_are_the_zeros_of_the_top_level(self, lo, hi):
         """exceptions finds the zeros of the top array's class slice with
-        array.index, and reads a lazy top level n by n; both agree with a
-        not_ call per n over the same level."""
-        # a lazy level costs its entry cost per n in the range, so 0 forces one
-        monkeypatch.setattr(ratdecomp, "_LAZY_ENTRY_COST", 0 if lazy else hi + 1)
+        array.index; it agrees with a not_ call per n over the same level."""
         for report in hypothesis_scans([1, 2, 3, 4], lo, hi):
             ns, top = report._targets, report.levels[-1]
-            assert isinstance(top, array) is not lazy
-            firsts = map(top.__getitem__, ns) if lazy else top[ns.start :: 4]
-            assert report.exceptions == tuple(compress(ns, map(not_, firsts)))
+            assert isinstance(top, array)
+            assert report.exceptions == tuple(compress(ns, map(not_, top[ns.start :: 4])))
             assert report.exceptions == tuple(n for n, w in report.rows if w is None)
 
     def test_a_lone_top_scan_builds_its_own_levels(self):
@@ -477,36 +502,6 @@ class TestGrowingPools:
         assert ratdecomp._r34_pool[-1] < 2000
 
 
-class TestNarrowScans:
-    """A scan over a range much narrower than hi reads its levels through
-    _Level dicts, filled only where its rows read them, instead of arrays
-    over each whole class up to hi."""
-
-    @pytest.mark.parametrize("lo,hi", [(10**6 - 20, 10**6), (150, 702)])
-    def test_lazy_levels_give_the_array_rows(self, monkeypatch, lo, hi):
-        got = {}
-        # a cost of 0 reads any range lazily, a huge one fills arrays
-        for cost, kind in ((0, ratdecomp._Level), (10**9, ratdecomp.array)):
-            monkeypatch.setattr(ratdecomp, "_LAZY_ENTRY_COST", cost)
-            reports = hypothesis_scans([1, 2, 3, 4], lo, hi)
-            assert all(isinstance(level, kind) for r in reports for level in r.levels)
-            buf = io.StringIO()
-            HypothesisReports(tuple(reports)).write(buf, "csv")
-            got[kind] = (reports, [(r.rows, r.exceptions) for r in reports], buf.getvalue())
-        # reports compare by their rows, whichever levels they hold
-        assert got[ratdecomp._Level] == got[ratdecomp.array]
-
-    @pytest.mark.parametrize("lo,hi,lazy", [(10**6 - 20, 10**6, True), (150, 702, False)])
-    def test_the_fill_follows_the_entries_it_makes(self, lo, hi, lazy):
-        """Five targets below 10^6 read a few entries per level, not the
-        250 000 of an array; [150, 702] reads most of each array's class."""
-        (report,) = hypothesis_scans([4], lo, hi)
-        assert isinstance(report.levels[0], ratdecomp._Level) == lazy
-        assert report.rows
-        if lazy:
-            assert sum(map(len, report.levels)) < 100
-
-
 def per_n_levels(hi):
     """Levels 2 to 5 up to hi, filled n by n through _first_term."""
     levels = [ratdecomp._flags]
@@ -586,11 +581,9 @@ class TestCsvWriter:
             reports = hypothesis_scans(indices, lo, hi)
             assert csv_of(reports) == csv_from_rows(reports), (indices, lo, hi)
 
-    @pytest.mark.parametrize("cost", [0, 10**9], ids=["lazy", "arrays"])
-    def test_narrow_ranges_at_the_cap(self, monkeypatch, cost):
-        monkeypatch.setattr(ratdecomp, "_LAZY_ENTRY_COST", cost)
-        rng = random.Random(cost)
-        lo = 10**6 - rng.randint(0, 40)
+    def test_narrow_ranges_at_the_cap(self):
+        """Narrow windows over the arrays of whole classes up to 10^6."""
+        lo = 10**6 - random.Random(10**9).randint(0, 40)
         for indices in self.INDICES:
             reports = hypothesis_scans(indices, lo, 10**6)
             assert csv_of(reports) == csv_from_rows(reports), (indices, lo)
@@ -612,17 +605,6 @@ class TestCsvWriter:
             *hypothesis_scans([2, 4], 1, 61),
         ]
         assert csv_of(reports) == csv_from_rows(reports)
-
-    def test_the_csv_fills_no_more_lazy_entries_than_the_rows(self):
-        """Targets below the cap read a few entries per _Level, so no
-        writer may fill a whole class through _Level.__missing__."""
-        filled = {}
-        for name, read in (("rows", lambda rs: [r.rows for r in rs]), ("csv", csv_of)):
-            reports = hypothesis_scans([1, 2, 3, 4], 10**6 - 20, 10**6)
-            assert all(isinstance(level, ratdecomp._Level) for level in reports[3].levels)
-            read(reports)
-            filled[name] = sum(map(len, reports[3].levels))
-        assert filled["csv"] <= filled["rows"] == 24
 
 
 class TestResidue34Chain:
