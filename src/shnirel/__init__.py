@@ -25,7 +25,6 @@ _EXPORTS = {
         "NormPolicy",
         "ObstructionReport",
         "ScanReport",
-        "box_targets",
         "find_decomposition",
         "four_term_decompose",
         "obstruction_line_report",

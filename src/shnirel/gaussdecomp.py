@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from enum import Enum
 from math import log
+from operator import add
 
 from .primes import _Pool, _pool_for, gaussian_prime_pool, is_gaussian_prime
 from .report import Report, _quote
@@ -145,49 +146,57 @@ def _term_cap(cone, re: int, im: int, terms: int) -> tuple[int, int, int] | None
     return u, v, best // (a1 * b2 - a2 * b1) ** 2
 
 
-def _bounds(targets: Sequence[tuple], region: Region, policy: NormPolicy) -> tuple[list, tuple]:
-    """(live, extent) for targets (norm, re, im): live lists (i, re, im,
-    cap) for the targets z = re + im*i = targets[i] that two or more region
-    primes might sum to: every term p of such a sum has n1.p <= u and n2.p
-    <= v, as in _term_cap, and the policy keeps its norm below cap > 2
-    (every prime has norm at least 2). Each row's c is at least 0, so more
-    terms only shrink the parallelogram of two. extent holds the least and
-    largest re and im, the largest u, v, u + v and cap (2 at least) of live.
+def _cap(cone, re: int, im: int, n: int, strict: bool) -> int:
+    """The norm below which lies every term of a sum of two or more cone
+    members equal to re + im*i, of norm n: one past _term_cap's two-term
+    cap (each c is 0 at least, so more terms only shrink it), n if less
+    under the strict policy, 0 for none. Above 2 the target is live."""
+    got = _term_cap(cone, re, im, 2)
+    if got is None:
+        return 0
+    return min(got[2] + 1, n) if strict else got[2] + 1
 
-    These are _term_cap's two-term corners, inline: (c1, c2) is fixed,
-    and (u, v) is z times det less that fixed corner.
-    """
-    (a1, b1, c1), (a2, b2, c2) = region.cone
-    det = a1 * b2 - a2 * b1
-    x0, y0 = b2 * c1 - b1 * c2, a1 * c2 - a2 * c1
-    strict = policy is NormPolicy.STRICT_LESS
-    out = []
-    re_lo = im_lo = 1 << 40  # past every component and every u, v (see COMPONENT_BOUND)
-    re_hi = im_hi = u_hi = v_hi = uv_hi = -re_lo
-    top = 2
-    for i, (n, re, im) in enumerate(targets):
-        u = a1 * re + b1 * im - c1
-        v = a2 * re + b2 * im - c2
-        if u < c1 or v < c2:
-            continue
-        x1, y1 = b2 * c1 - b1 * v, a1 * v - a2 * c1
-        x2, y2 = b2 * u - b1 * c2, a1 * c2 - a2 * u
-        x3, y3 = re * det - x0, im * det - y0
-        cap = max(x0 * x0 + y0 * y0, x1 * x1 + y1 * y1, x2 * x2 + y2 * y2, x3 * x3 + y3 * y3)
-        cap = cap // (det * det) + 1
-        if strict and cap > n:
-            cap = n
-        if cap > 2:
-            out.append((i, re, im, cap))
-            re_lo = re if re < re_lo else re_lo
-            re_hi = re if re > re_hi else re_hi
-            im_lo = im if im < im_lo else im_lo
-            im_hi = im if im > im_hi else im_hi
-            u_hi = u if u > u_hi else u_hi
-            v_hi = v if v > v_hi else v_hi
-            uv_hi = u + v if u + v > uv_hi else uv_hi
-            top = cap if cap > top else top
-    return out, (re_lo, re_hi, im_lo, im_hi, u_hi, v_hi, uv_hi, top)
+
+def _extent(runs: list[tuple], region: Region, strict: bool) -> tuple:
+    """(live, extent) for the targets of the runs (re, lo, hi), the points
+    re + im*i with lo <= im <= hi: live the runs cut to their live targets
+    (see _cap), extent their least and largest re and im, their largest u,
+    v and u + v (as in _term_cap) and cap, or None. The cut is to the
+    two-term cone, where the rows reach 2c; as every cone's fixed corner
+    has norm at most 2 and the corner (u, v) is z less it, only a target
+    below norm 8 can have a cap below 3. Along a row u, v and the corners
+    move linearly, so the extremes, and the cap with no strict cut (the
+    corner norms being convex), lie at a run's ends. The strict cap
+    min(n, cap) is read off each run from its larger norms inward."""
+    (a1, b1, c1), (a2, b2, c2) = cone = region.cone
+    live = []
+    for re, lo, hi in runs:
+        lo, hi = region.im_span(re, lo, hi, 2)
+        for im in range(max(lo, -2), min(hi, 2) + 1):
+            n = re * re + im * im
+            if n < 8 and _cap(cone, re, im, n, strict) < 3:
+                if lo < im:
+                    live.append((re, lo, im - 1))
+                lo = im + 1
+        if lo <= hi:
+            live.append((re, lo, hi))
+    if not live:
+        return live, None
+    ends = [(re, im) for re, lo, hi in live for im in (lo, hi)]
+    us = [a1 * re + b1 * im - c1 for re, im in ends]
+    vs = [a2 * re + b2 * im - c2 for re, im in ends]
+    if strict:
+        top = 2
+        for re, lo, hi in reversed(live):  # a box right of the origin has its largest norms last
+            while lo <= hi and re * re + max(lo * lo, hi * hi) > top:
+                im = lo if lo * lo > hi * hi else hi
+                top = max(top, _cap(cone, re, im, re * re + im * im, True))
+                lo, hi = (lo + 1, hi) if im == lo else (lo, hi - 1)
+    else:
+        top = max(_cap(cone, re, im, 0, False) for re, im in ends)
+    res, los, his = zip(*live)
+    uv = max(map(add, us, vs))
+    return live, (min(res), max(res), min(los), max(his), max(us), max(vs), uv, top)
 
 
 def _dfs(
@@ -329,12 +338,11 @@ def find_decomposition(
     if include_single and policy is NormPolicy.NONE and _pool_for(region).member(z.re, z.im):
         terms = (sector_form(z),)
     else:
-        live, _ = _bounds([z.key()], region, policy)
-        if max_terms == 1 or not live:
-            return None
-        cap = live[0][3]
-        found = _search(z.re, z.im, 2, max_terms, cap, _pool_for(region, cap))
-        if found is None:
+        cap = _cap(region.cone, z.re, z.im, z.norm(), policy is NormPolicy.STRICT_LESS)
+        found = max_terms > 1 and cap > 2 and _search(
+            z.re, z.im, 2, max_terms, cap, _pool_for(region, cap)
+        )
+        if not found:
             return None
         terms = tuple(sector_form(GaussianInt(re, im)) for re, im, _ in found)
     dec = Decomposition(z, terms, region, policy)
@@ -351,9 +359,10 @@ def _bits(n: int) -> Iterator[int]:
         i = s.find("1", i + 1)
 
 
-def _box_keys(region: Region, re_range: tuple, im_range: tuple, floor: int) -> list[tuple]:
-    """box_targets' targets as keys (norm, re, im), floor its min_max_component.
-    The range ends get GaussianInt's component check, so every key's do."""
+def _box_keys(region: Region, re_range: tuple, im_range: tuple, floor: int) -> tuple[list, list]:
+    """(keys, runs): the region's nonzero points in a box with max(re, im) >=
+    floor as ascending keys (norm, re, im), and each row's run (re, lo, hi),
+    zero too. The range ends get GaussianInt's component check, so every key's do."""
     re_lo, re_hi = re_range
     im_lo, im_hi = im_range
     if re_lo > re_hi or im_lo > im_hi:
@@ -361,32 +370,18 @@ def _box_keys(region: Region, re_range: tuple, im_range: tuple, floor: int) -> l
     for v in (re_lo, re_hi, im_lo, im_hi):
         _check_component(v)
     out: list[tuple[int, int, int]] = []
+    runs = []
     for re in range(re_lo, re_hi + 1):
         lo, hi = region.im_span(re, im_lo, im_hi)
         if re < floor:
             lo = max(lo, floor)
+        runs.append((re, lo, hi))
         rr = re * re
         out += [(rr + im * im, re, im) for im in range(lo, hi + 1)]
     out.sort()
     if out and not out[0][0]:  # zero, the least key
         del out[0]
-    return out
-
-
-def box_targets(
-    region: Region,
-    re_range: tuple[int, int],
-    im_range: tuple[int, int],
-    min_max_component: int = 0,
-) -> list[GaussianInt]:
-    """Region members inside a component box, canonical order.
-
-    A target must satisfy the region predicate, fall inside both
-    closed component ranges, and have max(re, im) at or above
-    min_max_component. Zero is never a target.
-    """
-    keys = _box_keys(region, re_range, im_range, min_max_component)
-    return [GaussianInt(re, im) for _, re, im in keys]
+    return out, runs
 
 
 class ScanReport(Report):
@@ -574,9 +569,10 @@ _SUMSET_OPS_PER_TARGET = 1 << 17
 
 
 def _minimal_terms(live: list[tuple], extent: tuple, pool: _Pool, max_terms: int) -> tuple | None:
-    """(width, base, tables) for the targets with these _bounds rows, one
-    or more, and extent; None, leaving the pool list as it is, when the
-    sumsets would cost more than _SUMSET_OPS_PER_TARGET a target.
+    """(width, base, tables) for the targets of these live runs, one or
+    more, and their extent, both from _extent; None, leaving the pool list
+    as it is, when the sumsets would cost more than _SUMSET_OPS_PER_TARGET
+    a target.
 
     With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of a sum
     of two or more region primes equal to z has n1.s >= c1 and n1.(z - s)
@@ -606,9 +602,10 @@ def _minimal_terms(live: list[tuple], extent: tuple, pool: _Pool, max_terms: int
     position less the origin's: None where the chase reads nothing, ()
     where no pool point explains the level. Level 1 holds every pool point
     of the window. A target's k is the least j >= 2 whose table has it,
-    and its chase down to level 1, reversed, is the canonical witness
-    whenever its norms are below the target's cap: always under NONE, and
-    under STRICT_LESS when the last one chased is.
+    and its chase down to level 1, reversed, is a sum equal to it, so its
+    terms lie in its parallelogram, below its cap with no strict cut: the
+    canonical witness under NONE, and under STRICT_LESS when the last one
+    chased has norm below the target's.
     """
     region = pool.region
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, *extent[:6])
@@ -618,17 +615,16 @@ def _minimal_terms(live: list[tuple], extent: tuple, pool: _Pool, max_terms: int
     k_top = max(2, min(max_terms, extent[6] + c1 + c2))
     top = extent[7]
     ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * top / log(top) * (k_top - 1)
-    if ops > _SUMSET_OPS_PER_TARGET * len(live):
+    if ops > _SUMSET_OPS_PER_TARGET * sum(hi - lo + 1 for _, lo, hi in live):
         return None
     entries = [p for p in gaussian_prime_pool(region, top)
                if re_lo <= p[0] <= re_hi and im_lo <= p[1] <= im_hi]
     width, levels = _sumsets(entries, region, re_lo, re_hi, im_lo, im_hi, k_top)
     base, size = re_lo * width + im_lo, (re_hi - re_lo + 1) * width
     points = [(p[0] * width + p[1], p) for p in entries]
-    mark = bytearray(b"0") * size
-    for _, re, im, _ in live:
-        mark[re * width + im - base] = 49  # "1"
-    rest, least = int(mark[::-1], 2), []  # least[k - 2]: the targets whose least k is k
+    rest, least = 0, []  # least[k - 2]: the targets whose least k is k
+    for re, lo, hi in live:
+        rest |= ((1 << (hi - lo + 1)) - 1) << (re * width + lo - base)
     for level in levels[1:]:
         least.append(rest & level)
         rest ^= least[-1]
@@ -683,25 +679,30 @@ def scan_targets(
         raise ValueError(f"target count {len(targets)} is above the cap of {_TARGET_CAP}")
     if any(z.is_zero() for z in targets):
         raise ValueError("target must be nonzero")
-    return _scan([z.key() for z in targets], term_region, max_terms, policy, target_desc)
+    keys = [z.key() for z in targets]
+    runs: list[tuple] = []  # a row's consecutive targets make one run, a repeat its own
+    for re, im in sorted(key[1:] for key in keys):
+        if runs and runs[-1][0] == re and runs[-1][2] == im - 1:
+            runs[-1] = (re, runs[-1][1], im)
+        else:
+            runs.append((re, im, im))
+    return _scan(keys, runs, term_region, max_terms, policy, target_desc)
 
 
 def _scan(
-    targets: list[tuple], term_region: Region, max_terms: int, policy: NormPolicy, desc: str
+    targets: list, runs: list, term_region: Region, max_terms: int, policy: NormPolicy, desc: str
 ) -> ScanReport:
     """scan_targets for nonzero targets given as (norm, re, im), which
-    scan_box hands over as they are listed: rows and witnesses stay ints."""
+    scan_box hands over as it lists them, and as _extent's runs: rows and
+    witnesses stay ints. The row loop tests liveness as _extent does."""
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
-    live, extent = _bounds(targets, term_region, policy) if max_terms >= 2 else ([], None)
+    (a1, b1, c1), (a2, b2, c2) = cone = term_region.cone
+    strict, u0, v0 = policy is NormPolicy.STRICT_LESS, 2 * c1, 2 * c2
+    live, extent = _extent(runs, term_region, strict) if max_terms >= 2 else ([], None)
     pool = _pool_for(term_region, extent[7] if live else 2)
     chase = _minimal_terms(live, extent, pool, max_terms) if live else None
-    single, member = policy is NormPolicy.NONE, pool.member
-
-    def alone(t: tuple) -> tuple:  # a target with no sum of two or more terms
-        p = single and member(t[1], t[2])
-        return (*t, 1, (p,)) if p else (*t, None, None)
-
+    member = pool.member
     top = 0  # the one-term check reads level 1's table below this norm
     if chase is not None:  # each k >= 2, its level's table and the tables its chase reads
         width, base, tables = chase
@@ -713,15 +714,16 @@ def _scan(
         # is the target's own; member is left the rest.
         level1, top = tables[0], extent[7]
     rows: list = []
-    live.reverse()  # popped in target order, freeing each bound as its row is built
-    while live:
-        i, re, im, cap = live.pop()
-        if len(rows) < i:
-            rows += map(alone, targets[len(rows) : i])
-        n = targets[i][0]
+    for n, re, im in targets:
+        if not live or a1 * re + b1 * im < u0 or a2 * re + b2 * im < v0 or (
+            n < 8 and _cap(cone, re, im, n, strict) < 3
+        ):  # no sum of two or more terms
+            p = not strict and member(re, im)
+            rows.append((n, re, im, 1, (p,)) if p else (n, re, im, None, None))
+            continue
         if chase is not None:
             at = re * width + im - base
-        if single and (re + im) % 2:  # an even target is no odd prime
+        if not strict and (re + im) % 2:  # an even target is no odd prime
             p = level1[at] and level1[at][1] if n < top else member(re, im)
             if p:
                 rows.append((n, re, im, 1, (p,)))
@@ -741,13 +743,12 @@ def _scan(
                     raise ValueError(f"the walk for {_text(re, im)} fails at {k} terms")
                 at -= p[0]
                 wit.append(p[1])
-            if wit[-1][2] < cap:  # the last term is the largest; a strict cap may rule it out
+            if not strict or wit[-1][2] < n:  # the last term is the largest
                 wit.reverse()
                 rows.append((n, re, im, k, tuple(wit)))
                 continue
-        found = _search(re, im, k, max_terms, cap, pool)
+        found = _search(re, im, k, max_terms, _cap(cone, re, im, n, strict), pool)
         rows.append((n, re, im, len(found), tuple(found)) if found else (n, re, im, None, None))
-    rows += map(alone, targets[len(rows) :])
     return ScanReport(term_region, desc, max_terms, policy, tuple(rows))
 
 
@@ -767,12 +768,12 @@ def scan_box(
     """
     if re_range[1] - re_range[0] >= 500 or im_range[1] - im_range[0] >= 500:
         raise ValueError("box sides are capped at 500")
-    targets = _box_keys(target_region, re_range, im_range, min_max_component)
+    targets, runs = _box_keys(target_region, re_range, im_range, min_max_component)
     desc = (
         f"{target_region.value} re {re_range[0]}..{re_range[1]}"
         f" im {im_range[0]}..{im_range[1]} maxc>={min_max_component}"
     )
-    return _scan(targets, term_region, max_terms, policy, desc)
+    return _scan(targets, runs, term_region, max_terms, policy, desc)
 
 
 class ObstructionReport(Report):
@@ -924,7 +925,6 @@ __all__ = [
     "NormPolicy",
     "ObstructionReport",
     "ScanReport",
-    "box_targets",
     "find_decomposition",
     "four_term_decompose",
     "obstruction_line_report",

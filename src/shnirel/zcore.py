@@ -202,11 +202,12 @@ class Region(Enum):
         member.cone = (row1, row2)
         return member
 
-    def im_span(self, re: int, lo: int, hi: int) -> tuple[int, int]:
+    def im_span(self, re: int, lo: int, hi: int, terms: int = 1) -> tuple[int, int]:
         """The part of the lattice row re, lo <= im <= hi, inside the
-        region, as (lowest im, highest im); empty when lowest > highest."""
+        region, or where its rows reach terms * c, as every sum of that
+        many members does: (lowest im, highest im), empty when lowest > highest."""
         for a, b, c in self.cone:
-            rest = c - a * re  # the row reads b*im >= rest
+            rest = terms * c - a * re  # the row reads b*im >= rest
             if b > 0:
                 lo = max(lo, -(-rest // b))
             elif b < 0:

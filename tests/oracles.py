@@ -3,12 +3,14 @@
 Everything here is deliberately naive: trial division, full divisor
 sweeps, tuple enumeration. Slow but obviously correct, so library
 outputs can be judged against them. Only the matrix type the solvers
-return is taken from the library.
+return, and GaussianInt to hand targets to the scans, are taken from
+the library.
 """
 
 from math import isqrt
 
 from shnirel.diophantine import SolutionMatrix, SystemKind
+from shnirel.zcore import GaussianInt
 
 
 def trial_prime(n: int) -> bool:
@@ -101,6 +103,20 @@ REGION_PREDICATES = {
     "kpi": lambda re, im: re >= 0 and im >= 0,
     "spi": lambda re, im: re >= 0 and im > -re,
 }
+
+
+def box_targets(region, re_range, im_range, min_max_component: int = 0) -> list:
+    """The nonzero points of the region in a closed component box with
+    max(re, im) at or above min_max_component, as GaussianInts in (norm,
+    re, im) order: every point of the box tested by the predicate."""
+    inside = REGION_PREDICATES[region.value]
+    keys = sorted(
+        (re * re + im * im, re, im)
+        for re in range(re_range[0], re_range[1] + 1)
+        for im in range(im_range[0], im_range[1] + 1)
+        if (re or im) and inside(re, im) and max(re, im) >= min_max_component
+    )
+    return [GaussianInt(re, im) for _, re, im in keys]
 
 
 def associates(re: int, im: int) -> list[tuple[int, int]]:

@@ -1029,6 +1029,21 @@ class TestOutputPlumbing:
         assert str(out_path) in err
         assert "Traceback" not in err
 
+    def test_scan_into_a_directory_exits_two_before_scanning(self, capsys, monkeypatch, tmp_path):
+        """The real cmd_scan runs only when --out can be written: a
+        directory exits 2 before the box is listed or scanned."""
+
+        def never(*args):
+            raise AssertionError("the scan ran before --out was checked")
+
+        monkeypatch.setattr(gaussdecomp, "_box_keys", never)
+        monkeypatch.setattr(gaussdecomp, "_scan", never)
+        argv = ["scan", "--targets", "a", "--re", "1..150", "--im", "1..150", "--primes", "kpi"]
+        code, out, err = run(capsys, *argv, "--format", "json", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert str(tmp_path) in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_command_leaves_out_as_it_was(self, capsys, tmp_path):
         """--out is checked without truncating it; a command that fails
         leaves an existing file's bytes alone and creates no new file."""

@@ -14,6 +14,7 @@ import pytest
 
 from oracles import (
     REGION_PREDICATES,
+    box_targets,
     congruent_mod_one_plus_i,
     gaussian_prime_by_division,
     obstruction_sweep,
@@ -26,7 +27,6 @@ from shnirel import (
     NormPolicy,
     Region,
     Unit,
-    box_targets,
     find_decomposition,
     four_term_decompose,
     gaussian_prime_pool,
@@ -376,9 +376,19 @@ class TestVerifyDecomposition:
             verify_decomposition(bad)
 
 
+def box_texts(*box):
+    """_box_keys' targets as text, once its runs are checked to hold the
+    same points, zero too where the box holds it, one run per row."""
+    keys, runs = gaussdecomp._box_keys(*box)
+    assert [run[0] for run in runs] == list(range(box[1][0], box[1][1] + 1))
+    points = sorted((re * re + im * im, re, im) for re, lo, hi in runs for im in range(lo, hi + 1))
+    assert [key for key in points if key[0]] == keys
+    return [str(GaussianInt(re, im)) for _, re, im in keys]
+
+
 class TestTargetEnumeration:
     @pytest.mark.parametrize("region", list(Region))
-    def test_box_targets_match_the_predicate(self, region):
+    def test_box_keys_match_the_predicate(self, region):
         """Every nonzero point of the region in the box, both parities, in
         (norm, re, im) order."""
         member = REGION_PREDICATES[region.value]
@@ -387,28 +397,27 @@ class TestTargetEnumeration:
              if (re, im) != (0, 0) and member(re, im)),
             key=GaussianInt.key,
         )
-        assert box_targets(region, (-15, 15), (-15, 15)) == want
+        assert box_texts(region, (-15, 15), (-15, 15), 0) == [str(z) for z in want]
 
-    def test_box_targets_with_component_floor(self):
-        got = box_targets(Region.OPEN_QUADRANT, (1, 3), (1, 3), 3)
-        assert [str(z) for z in got] == ["1+3i", "3+i", "2+3i", "3+2i", "3+3i"]
+    def test_box_keys_with_component_floor(self):
+        got = box_texts(Region.OPEN_QUADRANT, (1, 3), (1, 3), 3)
+        assert got == ["1+3i", "3+i", "2+3i", "3+2i", "3+3i"]
 
-    def test_box_targets_clip_to_region(self):
-        got = box_targets(Region.SECTOR, (1, 3), (-3, 3))
-        assert len(got) == 12
-        assert [str(z) for z in got] == [
+    def test_box_keys_clip_to_region(self):
+        got = box_texts(Region.SECTOR, (1, 3), (-3, 3), 0)
+        assert got == [
             "1", "1+i", "2", "2-i", "2+i", "2+2i",
             "3", "3-i", "3+i", "3-2i", "3+2i", "3+3i",
         ]
 
-    def test_box_targets_skip_zero(self):
-        got = box_targets(Region.OCTANT, (0, 2), (0, 2))
-        assert GaussianInt(0, 0) not in got
+    def test_box_keys_skip_zero(self):
+        got = box_texts(Region.OCTANT, (0, 2), (0, 2), 0)
+        assert "0" not in got
         assert len(got) == 5
 
-    def test_box_targets_empty_range(self):
+    def test_box_keys_empty_range(self):
         with pytest.raises(ValueError):
-            box_targets(KPI, (3, 1), (0, 5))
+            gaussdecomp._box_keys(KPI, (3, 1), (0, 5), 0)
 
 
 class TestScans:
@@ -442,16 +451,16 @@ class TestScans:
     )
     def test_box_ends_past_2_31_overflow(self, re_range, im_range):
         """Box ends get GaussianInt's component check, in scan_box and
-        box_targets alike."""
+        _box_keys alike."""
         with pytest.raises(OverflowError, match="outside"):
             scan_box(KPI, re_range, im_range, KPI, 1)
         with pytest.raises(OverflowError, match="outside"):
-            box_targets(KPI, re_range, im_range)
+            gaussdecomp._box_keys(KPI, re_range, im_range, 0)
 
     def test_box_ends_inside_2_31_scan(self):
         edge = (2**31 - 2, 2**31 - 1)
         assert len(scan_box(KPI, (1, 2), edge, KPI, 1).rows) == 4
-        assert len(box_targets(KPI, edge, edge)) == 4
+        assert len(box_texts(KPI, edge, edge, 0)) == 4
 
     def test_box_side_guard(self):
         with pytest.raises(ValueError, match="capped at 500"):
@@ -543,6 +552,18 @@ class TestScans:
         assert report.rows == scan_rows_by_search(targets, GPI, 1)
         assert set(report.term_counts) == {1}
 
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    def test_a_dead_target_off_the_window_reads_no_table(self, policy):
+        """1 lies in kpi's two-term cone, but every point of its
+        parallelogram has norm 1 or less, so its cap is 2 and it is not
+        live; the window of 10i alone spans re = 0 only. The row loop
+        tests the cap below norm 8, so 1 never reads a table position."""
+        targets = [GaussianInt(1, 0), GaussianInt(0, 10)]
+        assert gaussdecomp._cap(KPI.cone, 1, 0, 1, False) == 2
+        report = scan_targets(targets, KPI, 3, policy)
+        assert report.rows == scan_rows_by_search(targets, KPI, 3, policy)
+        assert report.rows[0] == (GaussianInt(1, 0), None, None)
+
     def test_far_box_searches_each_target(self, monkeypatch):
         """The window reaches from the cone's corner to the targets, so a
         narrow box far out would fill little of it: the scan searches
@@ -579,7 +600,8 @@ class TestScans:
         box: under max_terms 10^6 it still builds the first-term tables, and
         its rows are those of max_terms 3."""
         targets = box_targets(Region.OPEN_QUADRANT, (1, 40), (1, 40))
-        live, extent = gaussdecomp._bounds([z.key() for z in targets], KPI, NormPolicy.NONE)
+        _, runs = gaussdecomp._box_keys(Region.OPEN_QUADRANT, (1, 40), (1, 40), 0)
+        live, extent = gaussdecomp._extent(runs, KPI, False)
         pool = _pool_for(KPI, extent[7])
         assert gaussdecomp._minimal_terms(live, extent, pool, 10**6) is not None
         report = scan_targets(targets, KPI, 10**6, NormPolicy.NONE)
@@ -629,8 +651,9 @@ class TestScans:
         term. The box builds the sumsets, where 125+i alone would search,
         and its rows must be the search's with no search run."""
         targets = box_targets(Region.OPEN_QUADRANT, (120, 130), (1, 10))
-        live = gaussdecomp._bounds([z.key() for z in targets], KPI, NormPolicy.NONE)
-        lone = gaussdecomp._bounds([GaussianInt(125, 1).key()], KPI, NormPolicy.NONE)
+        _, runs = gaussdecomp._box_keys(Region.OPEN_QUADRANT, (120, 130), (1, 10), 0)
+        live = gaussdecomp._extent(runs, KPI, False)
+        lone = gaussdecomp._extent([(125, 1, 1)], KPI, False)
         pool = _pool_for(KPI, live[1][7])
         assert gaussdecomp._minimal_terms(*live, pool, 3) is not None
         assert gaussdecomp._minimal_terms(*lone, pool, 3) is None
@@ -721,35 +744,110 @@ class TestScans:
         assert data["exceptions"][0] == "1+i"
 
 
+def plain_extent(keys, region, policy):
+    """(live, extent) one target at a time, by the plain definition: live
+    the sorted (re, im) of the targets whose two-term _term_cap cap plus
+    one, cut to the target's norm under the strict policy, is above 2;
+    extent their least and largest re and im and their largest u, v,
+    u + v and cap, or None."""
+    want = []
+    for n, re, im in keys:
+        got = gaussdecomp._term_cap(region.cone, re, im, 2)
+        if got is None:
+            continue
+        u, v, cap = got
+        cap += 1
+        if policy is NormPolicy.STRICT_LESS:
+            cap = min(cap, n)
+        if cap > 2:
+            want.append((re, im, u, v, cap))
+    if not want:
+        return [], None
+    res, ims, us, vs, caps = zip(*want)
+    extent = (
+        min(res), max(res), min(ims), max(ims),
+        max(us), max(vs), max(map(add, us, vs)), max(caps),
+    )
+    return sorted(zip(res, ims)), extent
+
+
+def run_points(runs):
+    """The points (re, im) of runs (re, lo, hi), sorted, repeats kept."""
+    return sorted((re, im) for re, lo, hi in runs for im in range(lo, hi + 1))
+
+
 class TestSumsetWindow:
-    """_bounds keeps its own inline copy of _term_cap's two-term corners
-    and finds the extremes _window and the cost gate read in the same
-    loop, and _window reads only the largest u and v of the live targets;
-    all are pinned to the plain definitions here."""
+    """_extent reads the live targets, and the extremes _window and the
+    cost gate read, off the ends of each run, checking targets one by one
+    only below norm 8; all are pinned here to the plain per-target
+    definition, and _window to the box of every corner."""
+
+    @staticmethod
+    def check(keys, runs, region, policy):
+        live, extent = gaussdecomp._extent(runs, region, policy is NormPolicy.STRICT_LESS)
+        want = plain_extent(keys, region, policy)
+        assert (run_points(live), extent) == want
+        assert all(lo <= hi for _, lo, hi in live)
+        return want[0]
 
     @pytest.mark.parametrize("policy", list(NormPolicy))
     @pytest.mark.parametrize("region", list(Region))
-    def test_bounds_rows_are_the_two_term_caps(self, region, policy):
-        targets = [GaussianInt(re, im) for re in range(-15, 16) for im in range(-15, 16)]
-        want = []
-        for i, z in enumerate(targets):
-            got = gaussdecomp._term_cap(region.cone, z.re, z.im, 2)
-            if got is None:
+    def test_extent_is_the_two_term_caps(self, region, policy):
+        """Every point of a box about the origin, zero included."""
+        runs = [(re, -15, 15) for re in range(-15, 16)]
+        keys = [(re * re + im * im, re, im) for re, im in run_points(runs)]
+        assert self.check(keys, runs, region, policy)
+
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    def test_box_runs_near_the_origin_and_under_floors(self, policy):
+        """_box_keys' runs for boxes of every region that reach the targets
+        below norm 8, some cut by a min_max_component floor, against every
+        term region. Some targets that the two-term cone keeps have a cap
+        of 2 or less, and the runs drop them."""
+        rng = random.Random(f"extent {policy.value}")
+        dropped = 0
+        for target_region in Region:
+            for term_region in Region:
+                (a1, b1, c1), (a2, b2, c2) = term_region.cone
+                for _ in range(6):
+                    re0, im0 = rng.randint(-4, 2), rng.randint(-4, 2)
+                    floor = rng.choice([0, 0, rng.randint(1, 4)])
+                    box = ((re0, re0 + rng.randint(0, 7)), (im0, im0 + rng.randint(0, 7)))
+                    keys, runs = gaussdecomp._box_keys(target_region, *box, floor)
+                    live = self.check(keys, runs, term_region, policy)
+                    cone = [(re, im) for _, re, im in keys
+                            if a1 * re + b1 * im >= 2 * c1 and a2 * re + b2 * im >= 2 * c2]
+                    dropped += len(cone) - len(live)
+        assert dropped > 50
+
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    def test_explicit_targets_make_runs_of_their_rows(self, monkeypatch, policy):
+        """scan_targets hands _extent runs that hold its targets, repeats
+        included, whatever their order: parts of rows and single points,
+        near the origin and away from it. The extent is the plain one."""
+        seen = []
+        real = gaussdecomp._extent
+
+        def spying(runs, region, strict):
+            seen.append(runs)
+            return real(runs, region, strict)
+
+        monkeypatch.setattr(gaussdecomp, "_extent", spying)
+        rng = random.Random(f"explicit {policy.value}")
+        for _ in range(80):
+            re0, im0 = rng.randint(-6, 20), rng.randint(-10, 10)
+            box = [(re, im) for re in range(re0, re0 + 5) for im in range(im0, im0 + 9)]
+            points = rng.sample(box, rng.randint(1, 30))
+            points += rng.choices(points, k=rng.randint(0, 3))
+            targets = [GaussianInt(re, im) for re, im in points if re or im]
+            if not targets:
                 continue
-            u, v, cap = got
-            cap += 1
-            if policy is NormPolicy.STRICT_LESS:
-                cap = min(cap, z.norm())
-            if cap > 2:
-                want.append((i, z.re, z.im, u, v, cap))
-        assert want
-        _, res, ims, us, vs, caps = zip(*want)
-        extent = (
-            min(res), max(res), min(ims), max(ims),
-            max(us), max(vs), max(map(add, us, vs)), max(caps),
-        )
-        live = [(i, re, im, cap) for i, re, im, _, _, cap in want]
-        assert gaussdecomp._bounds([z.key() for z in targets], region, policy) == (live, extent)
+            region = rng.choice(list(Region))
+            seen.clear()
+            scan_targets(targets, region, 2, policy)
+            (runs,) = seen
+            assert run_points(runs) == sorted(z.key()[1:] for z in targets)
+            self.check([z.key() for z in targets], runs, region, policy)
 
     @pytest.mark.parametrize("region", list(Region))
     def test_window_is_the_box_of_every_corner(self, region):
@@ -764,12 +862,12 @@ class TestSumsetWindow:
                 GaussianInt(rng.randint(-60, 60), rng.randint(-60, 60))
                 for _ in range(rng.randint(1, 6))
             ]
-            keys = [z.key() for z in targets]
-            live, extent = gaussdecomp._bounds(keys, region, rng.choice(list(NormPolicy)))
+            runs = [(z.re, z.im, z.im) for z in targets]
+            live, extent = gaussdecomp._extent(runs, region, rng.random() < 0.5)
             if not live:
                 continue
             xs, ys, us, vs = [], [], [], []
-            for _, re, im, _ in live:
+            for re, im in run_points(live):
                 u, v = a1 * re + b1 * im - c1, a2 * re + b2 * im - c2
                 us.append(u)
                 vs.append(v)
@@ -780,12 +878,59 @@ class TestSumsetWindow:
                         xs.append((b2 * s - b1 * t) / det)
                         ys.append((a1 * t - a2 * s) / det)
             want = (ceil(min(xs)), floor(max(xs)), ceil(min(ys)), floor(max(ys)))
-            _, res, ims, _ = zip(*live)
+            res, ims = zip(*run_points(live))
             box = (min(res), max(res), min(ims), max(ims), max(us), max(vs))
             assert extent[:6] == box
             assert gaussdecomp._window(region.cone, *box) == want
             checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize("region", list(Region))
+    def test_every_fixed_corner_has_norm_at_most_2(self, region):
+        """So |z - F|^2 >= 2 above norm 8, as _extent assumes: the corner
+        n1.p = c1, n2.p = c2 is (b2 c1 - b1 c2, a1 c2 - a2 c1) / det."""
+        (a1, b1, c1), (a2, b2, c2) = region.cone
+        det = a1 * b2 - a2 * b1
+        x, y = b2 * c1 - b1 * c2, a1 * c2 - a2 * c1
+        assert x * x + y * y <= 2 * det * det
+
+
+class TestChasedWitnesses:
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    def test_every_chased_term_is_below_the_two_term_cap(self, policy):
+        """A chased witness sums to its target, so its terms lie in the
+        target's two-term parallelogram, and its largest norm is below the
+        parallelogram's cap: a NONE scan takes every chased witness as it
+        is, and a strict one tests only the target's norm. Seeded boxes for
+        each of the 7 x 7 region pairs, max_terms 3."""
+        rng = random.Random(f"chased {policy.value}")
+        strict = policy is NormPolicy.STRICT_LESS
+        chased = 0
+        for target_region in Region:
+            for term_region in Region:
+                re0, im0 = rng.randint(-3, 3), rng.randint(-8, 3)
+                box = ((re0, re0 + rng.randint(8, 16)), (im0, im0 + rng.randint(8, 16)))
+                keys, runs = gaussdecomp._box_keys(target_region, *box, 0)
+                live, extent = gaussdecomp._extent(runs, term_region, strict)
+                if not live:
+                    continue
+                chase = gaussdecomp._minimal_terms(live, extent, _pool_for(term_region), 3)
+                width, base, tables = chase
+                for re, im in run_points(live):
+                    at = re * width + im - base
+                    ks = [k for k in range(2, len(tables) + 1) if tables[k - 1][at] is not None]
+                    if not ks:
+                        continue
+                    wit = []
+                    for table in tables[ks[0] - 1 :: -1]:
+                        p = table[at]
+                        at -= p[0]
+                        wit.append(p[1])
+                    assert (sum(p[0] for p in wit), sum(p[1] for p in wit)) == (re, im)
+                    cap = gaussdecomp._term_cap(term_region.cone, re, im, 2)[2] + 1
+                    assert max(p[2] for p in wit) < cap, (re, im, wit)
+                    chased += 1
+        assert chased > 2000
 
 
 class TestIntRows:
@@ -835,11 +980,8 @@ class TestIntRows:
             (Region.OPEN_QUADRANT, (3, 3), (8, 8), 9),
         ],
     )
-    def test_box_targets_are_the_keys_as_gaussian_ints(self, box):
-        keys = gaussdecomp._box_keys(*box)
-        targets = box_targets(*box)
-        assert targets == [GaussianInt(re, im) for _, re, im in keys]
-        assert [z.key() for z in targets] == keys == sorted(keys)
+    def test_box_keys_are_the_oracles_targets(self, box):
+        assert box_texts(*box) == [str(z) for z in box_targets(*box)]
 
     def test_rows_build_one_gaussian_int_per_distinct_term(self):
         """rows reads the int rows back as today's GaussianInt tuples, a
@@ -1105,8 +1247,7 @@ class TestPoolCache:
         monkeypatch.setattr(primes, "_shared_flags", bytearray())
         dec = find_decomposition(GaussianInt(598, 226), GPI, 3)
         assert summand_strs(dec) == ["592+227i", "6-i"]
-        live, _ = gaussdecomp._bounds([dec.target.key()], GPI, NormPolicy.STRICT_LESS)
-        assert live[0][3] == 407857
+        assert gaussdecomp._cap(GPI.cone, 598, 226, dec.target.norm(), True) == 407857
         got = primes._POOL_CACHE[GPI]
         entries, flags = got.entries, primes._shared_flags
         assert len(entries) < 1000
@@ -1133,7 +1274,8 @@ class TestPoolCache:
         monkeypatch.setattr(primes, "_POOL_CACHE", {})
         monkeypatch.setattr(primes, "_shared_flags", bytearray())
         targets = box_targets(Region.OPEN_QUADRANT, (re_lo, re_lo + 1), (1, 2))
-        _, extent = gaussdecomp._bounds([z.key() for z in targets], region, NormPolicy.NONE)
+        _, runs = gaussdecomp._box_keys(Region.OPEN_QUADRANT, (re_lo, re_lo + 1), (1, 2), 0)
+        _, extent = gaussdecomp._extent(runs, region, False)
         assert extent[7] > 4 * 10**6
         report = scan_targets(targets, region, 3, NormPolicy.NONE)
         got = primes._POOL_CACHE[region]
@@ -1200,11 +1342,11 @@ class TestPoolCache:
             monkeypatch.setattr(primes, "_POOL_CACHE", {})
             cold = find_decomposition(*args)
             assert n >= 4 or cold is None
-            live, _ = gaussdecomp._bounds([z.key()], region, policy)
-            if not live:
+            strict = policy is NormPolicy.STRICT_LESS
+            cap = gaussdecomp._cap(region.cone, z.re, z.im, z.norm(), strict)
+            if cap < 3:
                 assert cold is None or cold.k == 1
                 continue
-            cap = live[0][3]
             read = primes._POOL_CACHE.get(region)
             monkeypatch.setattr(primes, "_POOL_CACHE", {})
             full = swept_pool(region, cap)
@@ -1253,10 +1395,10 @@ class TestPoolCache:
                 z = GaussianInt(rng.randint(-40, 90), rng.randint(-60, 90))
                 region = rng.choice([KPI, GPI, SPI])
                 policy = rng.choice(list(NormPolicy))
-            live = gaussdecomp._bounds([z.key()], region, policy)[0] if z.re or z.im else []
-            if not live:
+            strict = policy is NormPolicy.STRICT_LESS
+            cap = gaussdecomp._cap(region.cone, z.re, z.im, z.norm(), strict)
+            if cap < 3:
                 continue
-            cap = live[0][3]
             full = swept_pool(region, cap)
             for k in (3, 4):
                 args = (z.re, z.im, 2, k, cap)
@@ -1428,8 +1570,9 @@ class TestSingle:
         kpi 40 x 40 every target is live and below it, so the membership
         test never runs, where it used to run for all 800 odd targets."""
         targets = box_targets(Region.OPEN_QUADRANT, (1, 40), (1, 40))
-        live, extent = gaussdecomp._bounds([z.key() for z in targets], KPI, NormPolicy.NONE)
-        assert len(live) == len(targets)
+        _, runs = gaussdecomp._box_keys(Region.OPEN_QUADRANT, (1, 40), (1, 40), 0)
+        live, extent = gaussdecomp._extent(runs, KPI, False)
+        assert sum(hi - lo + 1 for _, lo, hi in live) == len(targets)
         assert max(z.norm() for z in targets) < extent[7]
         pool, calls = _pool_for(KPI), []
         real = pool.member
