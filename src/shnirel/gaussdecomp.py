@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from itertools import accumulate, count, repeat
 from math import log
-from operator import add
+from operator import add, itemgetter, sub
 
 from .primes import _Pool, _pool_for, gaussian_prime_pool, is_gaussian_prime
 from .report import Report, _quote
@@ -268,6 +269,19 @@ def _search(
     return None
 
 
+def _halves(n: int) -> list[int]:
+    """n's bits at even and at odd positions, each at half its position."""
+    s = bin(n)[:1:-1]
+    return [int(s[q::2][::-1] or "0", 2) for q in (0, 1)]
+
+
+def _bitset(positions: list[int]) -> int:
+    """The int with these bits set, parsed from a byte per bit in C."""
+    text = bytearray(b"0") * (max(positions, default=0) + 1)
+    list(map(text.__setitem__, positions, repeat(49)))  # "1"
+    return int(text[::-1], 2)
+
+
 def _sumsets(
     points,
     region: Region,
@@ -283,33 +297,40 @@ def _sumsets(
 
     Sums that leave the window are dropped, so a sum is kept exactly when
     some order of its terms keeps every partial sum inside; callers pick
-    windows that hold every partial sum they ask about. Level k is one
-    int holding re + im*i at bit (re - re_lo) * width + im - im_lo, and
-    level k + 1 ORs level k shifted by re * width + im for every point.
-    Each row carries pad spare bits past im_hi, pad being the largest
-    |im| of a point: a shift by a point with im >= 0 lands in the row's
-    own spare bits at worst, one with im < 0 in the spare bits of the
-    row below, and the mask clears both. Returns (width, levels); the
-    levels stop at the first empty one.
+    windows that hold every partial sum they ask about. re + im*i has
+    position L = (re - re_lo) * width + im - im_lo, width odd, so a sum of
+    k odd points has L = k + base (mod 2), base = re_lo * width + im_lo:
+    level k is one int holding each sum at bit h of L = 2h + (k + base) %
+    2, on its own coset. Level k + 1 ORs level k, of parity q, shifted by
+    (re * width + im + q) >> 1 for every point. Each row carries pad spare
+    positions past im_hi (or one more), pad being the largest |im| of a
+    point: a shift by a point with im >= 0 lands in the row's own spare
+    positions at worst, one with im < 0 in those of the row below, and the
+    coset's mask clears both. Returns (width, levels); the levels stop at
+    the first empty one.
     """
-    width = im_hi - im_lo + 1 + max((abs(p[1]) for p in points), default=0)
-    mask = level = 0
+    width = (im_hi - im_lo + 1 + max((abs(p[1]) for p in points), default=0)) | 1
+    base, mask = re_lo * width + im_lo, 0
     for re in range(re_lo, re_hi + 1):
         lo, hi = region.im_span(re, im_lo, im_hi)
         if lo <= hi:
             mask |= ((1 << (hi - lo + 1)) - 1) << ((re - re_lo) * width + lo - im_lo)
-    for re, im, *_ in points:
-        level |= 1 << ((re - re_lo) * width + im - im_lo)
+    masks = _halves(mask)
     shifts = [re * width + im for re, im, *_ in points]
+    if not all(map((1).__and__, shifts)):  # width is odd: s has the parity of re + im
+        raise ValueError("every point must be odd")
+    level, q = _bitset([(s - base) >> 1 for s in shifts]), (1 + base) & 1
     levels: list[int] = []
     while level:
         levels.append(level)
         if len(levels) == max_terms:
             break
         nxt = 0
-        for sh in shifts:
+        for s in shifts:
+            sh = (s + q) >> 1
             nxt |= level << sh if sh >= 0 else level >> -sh
-        level = nxt & mask
+        q ^= 1
+        level = nxt & masks[q]
     return width, levels
 
 
@@ -350,15 +371,6 @@ def find_decomposition(
     return dec
 
 
-def _bits(n: int) -> Iterator[int]:
-    """The positions of n's set bits, lowest first."""
-    s = bin(n)[:1:-1]
-    i = s.find("1")
-    while i >= 0:
-        yield i
-        i = s.find("1", i + 1)
-
-
 def _box_keys(region: Region, re_range: tuple, im_range: tuple, floor: int) -> tuple[list, list]:
     """(keys, runs): the region's nonzero points in a box with max(re, im) >=
     floor as ascending keys (norm, re, im), and each row's run (re, lo, hi),
@@ -384,23 +396,71 @@ def _box_keys(region: Region, re_range: tuple, im_range: tuple, floor: int) -> t
     return out, runs
 
 
+class _Chased(dict):
+    """One level of _chased: a bit it lacks lost its first term."""
+
+    def __missing__(self, at: int):
+        raise ValueError(f"a chased witness reads bit {at}, which no first term explains")
+
+
+def _chased(chase: tuple, one, more=None) -> list[dict]:
+    """Per level k (at index k) of a chase from _minimal_terms, a dict from
+    each bit read there to a value made bottom-up: one(p) at level 1's
+    pool points p, and at level k the value at the bit less shift one level
+    down, plus more(p) of the first term p unless more is None. A hit's
+    bits are the running sums of its zero runs' lengths, made in C."""
+    points, firsts = chase
+    made = [None, _Chased((h, one(p)) for h, p in points)]
+    for records in firsts:
+        below, level = made[-1], _Chased()
+        for sh, p, hit in records:
+            ats = list(map(add, accumulate(map(len, bin(hit)[:1:-1].split("1")[:-1])), count()))
+            got = map(below.__getitem__, map(sub, ats, repeat(sh)))
+            level.update(zip(ats, got if more is None else map(add, got, repeat(more(p)))))
+        made.append(level)
+    return made
+
+
 class ScanReport(Report):
     """Representability of every target in some enumerated set as a sum
     of odd primes.
 
-    term_region constrains the primes used as summands; target_desc
-    records how the target set was enumerated so reports from
-    different runs compare apples to apples. int_rows holds a row (norm,
-    re, im, k, witness) per target re + im*i, witness being the pool
-    entries (re, im, norm) of its k terms, largest first, or None. The
-    writers read these ints; rows and exceptions build GaussianInts.
+    term_region constrains the primes used as summands; target_desc records
+    how the target set was enumerated so reports from different runs
+    compare apples to apples. int_rows holds a row (norm, re, im, k,
+    witness) per target re + im*i, witness being None, the pool entries
+    (re, im, norm) of its k terms, largest first, or the target's window
+    position (an int) at level k of chase (see _minimal_terms), whose texts
+    the writers make once per level. rows and exceptions build
+    GaussianInts, and the rows, not the chase, fix a report.
     """
 
     term_region: Region
     target_desc: str
     max_terms: int
     policy: NormPolicy
-    int_rows: tuple[tuple[int, int, int, int | None, tuple | None], ...]
+    int_rows: tuple[tuple[int, int, int, int | None, tuple | int | None], ...]
+    chase: tuple | None = None
+
+    def _values(self) -> tuple:
+        return (self.term_region, self.target_desc, self.max_terms, self.policy, self.rows)
+
+    def _witnesses(self, one, more, whole) -> list:
+        """Each row's witness, None for none: a chased one made by
+        _chased(chase, one, more), an entry tuple by whole."""
+        levels = self.chase and _chased(self.chase, one, more)
+        return [
+            None if w is None else levels[k][w >> 1] if w.__class__ is int else whole(w)
+            for _, _, _, k, w in self.int_rows
+        ]
+
+    def _texts(self, template: str, sep: str) -> list:
+        """Each row's witness text, its terms in template joined by sep."""
+
+        def one(p: tuple) -> str:
+            return template % _text(p[0], p[1])
+
+        return self._witnesses(one, lambda p: sep + one(p), lambda w: sep.join(map(one, w)))
 
     @property
     def rows(self) -> tuple[tuple[GaussianInt, int | None, tuple[GaussianInt, ...] | None], ...]:
@@ -411,10 +471,11 @@ class ScanReport(Report):
         def gauss(re: int, im: int, *_) -> GaussianInt:
             return made.get((re, im)) or made.setdefault((re, im), GaussianInt(re, im))
 
-        return tuple(
-            (gauss(re, im), k, None if wit is None else tuple(gauss(*p) for p in wit))
-            for _, re, im, k, wit in self.int_rows
-        )
+        def one(p: tuple) -> tuple:
+            return (gauss(*p),)
+
+        wits = self._witnesses(one, one, lambda w: tuple(gauss(*p) for p in w))
+        return tuple((gauss(re, im), k, wit) for (_, re, im, k, _), wit in zip(self.int_rows, wits))
 
     @property
     def exceptions(self) -> tuple[GaussianInt, ...]:
@@ -447,24 +508,6 @@ class ScanReport(Report):
             "exceptions": [str(z) for z in self.exceptions],
         }
 
-    def _texts(self, template: str) -> Iterator[tuple]:
-        """(norm, re, im, k, terms) per row, terms being template % the
-        text of each witness term, or None. Witnesses repeat a few hundred
-        pool entries, so each text is made once, keyed by the entry's id;
-        the rows keep every entry alive while this runs."""
-        memo: dict[int, str] = {}
-        for n, re, im, k, wit in self.int_rows:
-            if wit is None:
-                yield n, re, im, k, None
-                continue
-            terms = []
-            for p in wit:
-                t = memo.get(id(p))
-                if t is None:
-                    t = memo[id(p)] = template % _text(p[0], p[1])
-                terms.append(t)
-            yield n, re, im, k, terms
-
     def json_lines(self) -> Iterator[str]:
         """The bytes json.dump(to_json_dict(), sort_keys=True, indent=2)
         writes, plus a newline, yielded row by row from a template.
@@ -478,6 +521,7 @@ class ScanReport(Report):
             sep = f",\n{pad}  "
             return f"{brackets[0]}\n{pad}  {sep.join(items)}\n{pad}{brackets[1]}"
 
+        wits = self._texts('"%s"', ",\n        ")  # before a byte is written
         exceptions = [f'"{_text(re, im)}"' for _, re, im, k, _ in self.int_rows if k is None]
         yield (
             f'{{\n  "exceptions": {block(exceptions, "  ")},\n'
@@ -486,11 +530,8 @@ class ScanReport(Report):
             f'  "primes": {_quote(self.term_region.value)},\n  "rows": ['
         )
         sep = "\n"
-        for n, re, im, k, terms in self._texts('"%s"'):
-            if terms is None:
-                witness = "null"
-            else:
-                witness = "[\n        " + ",\n        ".join(terms) + "\n      ]"
+        for (n, re, im, k, _), wit in zip(self.int_rows, wits):
+            witness = "null" if wit is None else f"[\n        {wit}\n      ]"
             yield (
                 f'{sep}    {{\n      "im": {im},\n'
                 f'      "k": {"null" if k is None else k},\n'
@@ -508,22 +549,21 @@ class ScanReport(Report):
         )
 
     def md_lines(self) -> Iterator[str]:
-        missing = [row[3] for row in self.int_rows].count(None)
+        missing, wits = [row[3] for row in self.int_rows].count(None), self._texts("(%s)", " + ")
         yield (
             f"targets {self.target_desc}, primes {self.term_region.value}, "
             f"max terms {self.max_terms}, policy {self.policy.value}: "
             f"{len(self.int_rows)} targets, {missing} unrepresentable\n"
         )
         yield "\n| z | norm | k | witness |\n|---|---|---|---|\n"
-        for n, re, im, k, terms in self._texts("(%s)"):
-            cell = "EMPTY" if terms is None else " + ".join(terms)
-            yield f"| {_text(re, im)} | {n} | {'' if k is None else k} | {cell} |\n"
+        for (n, re, im, k, _), wit in zip(self.int_rows, wits):
+            yield f"| {_text(re, im)} | {n} | {'' if k is None else k} | {wit or 'EMPTY'} |\n"
 
     def csv_lines(self) -> Iterator[str]:
+        wits = self._texts("(%s)", "+")
         yield "z,norm,k,witness\n"
-        for n, re, im, k, terms in self._texts("(%s)"):
-            cell = "EMPTY" if terms is None else "+".join(terms)
-            yield f"{_text(re, im)},{n},{'' if k is None else k},{cell}\n"
+        for (n, re, im, k, _), wit in zip(self.int_rows, wits):
+            yield f"{_text(re, im)},{n},{'' if k is None else k},{wit or 'EMPTY'}\n"
 
 
 def _window(cone, re_min, re_max, im_min, im_max, u_max, v_max) -> tuple[int, int, int, int]:
@@ -555,10 +595,11 @@ def _window(cone, re_min, re_max, im_min, im_max, u_max, v_max) -> tuple[int, in
 # target's sum can have, with no sieve: the points are top / ln(top)
 # for the largest cap top, 0.89-0.93 of the prime norms below it for top
 # from 2.9 * 10^4 to 10^7, about the pool's size in a quarter plane and
-# 2/3 of it in spi's cone. A shift-OR costs about 4 ns per 64-bit word
-# (2-core x86, Python 3.11), so this is about 8 us a target, near the
-# 6-15 us a target's _search takes on a warm pool (a strict spi box at the
-# origin, gammapi boxes at re 200 and 2000). The property the sumsets need
+# 2/3 of it in spi's cone. A shift-OR costs about 3-4 ns per 64-bit word
+# (2-core x86, Python 3.11), and a level holds half the window's bits, one
+# coset, so this is about 4 us a target, below the 6-15 us a target's
+# _search takes on a warm pool (a strict spi box at the origin, gammapi
+# boxes at re 200 and 2000). The property the sumsets need
 # is targets that fill the window, which reaches from the cone's corner to
 # the targets: gammapi and kpi boxes of side 120-150 at the origin come in
 # at 0.06 of this, a 10 x 10 gammapi box at re 200 at 28 times and a 2 x 2
@@ -568,11 +609,11 @@ def _window(cone, re_min, re_max, im_min, im_max, u_max, v_max) -> tuple[int, in
 _SUMSET_OPS_PER_TARGET = 1 << 17
 
 
-def _minimal_terms(live: list[tuple], extent: tuple, pool: _Pool, max_terms: int) -> tuple | None:
-    """(width, base, tables) for the targets of these live runs, one or
+def _minimal_terms(live: list, extent: tuple, pool: _Pool, max_terms: int, one_term=False):
+    """(width, base, ks, chase) for the targets of these live runs, one or
     more, and their extent, both from _extent; None, leaving the pool list
     as it is, when the sumsets would cost more than _SUMSET_OPS_PER_TARGET
-    a target.
+    a target or reach past 255 terms.
 
     With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of a sum
     of two or more region primes equal to z has n1.s >= c1 and n1.(z - s)
@@ -594,18 +635,19 @@ def _minimal_terms(live: list[tuple], extent: tuple, pool: _Pool, max_terms: int
     the chase reads there, from the top level down: the targets at their
     least k and the residuals the level above leaves. hit = need & (level
     k - 1 shifted by p) leaves need and, shifted back, joins the need of
-    level k - 1; need ends empty unless the levels disagree with the pool.
+    level k - 1; level 1 explains only its pool points. Any position left
+    raises ValueError, naming the target whose walk reads it.
 
-    Position re * width + im - base holds the window point re + im*i, and
-    tables[j] lists each position's first term at level j + 1 as (shift,
-    entry), entry being the pool's own (re, im, norm) and shift its
-    position less the origin's: None where the chase reads nothing, ()
-    where no pool point explains the level. Level 1 holds every pool point
-    of the window. A target's k is the least j >= 2 whose table has it,
-    and its chase down to level 1, reversed, is a sum equal to it, so its
+    Position re * width + im - base holds re + im*i, at bit position >> 1
+    of each level (see _sumsets). ks holds each live target's least k at
+    its position, 0 for none, or with one_term 1 for a pool point, then not
+    chased. chase is (points, firsts): each pool point's (bit on level 1,
+    entry), entry the pool's own (re, im, norm), and per level from 2 up
+    its first terms (shift, entry, hit), hit the bits they explain, less
+    shift one level down. A target's chase, reversed, sums to it, so its
     terms lie in its parallelogram, below its cap with no strict cut: the
-    canonical witness under NONE, and under STRICT_LESS when the last one
-    chased has norm below the target's.
+    canonical witness under NONE, and under STRICT_LESS when its level-1
+    term, the largest, has norm below the target's.
     """
     region = pool.region
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, *extent[:6])
@@ -615,40 +657,53 @@ def _minimal_terms(live: list[tuple], extent: tuple, pool: _Pool, max_terms: int
     k_top = max(2, min(max_terms, extent[6] + c1 + c2))
     top = extent[7]
     ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * top / log(top) * (k_top - 1)
-    if ops > _SUMSET_OPS_PER_TARGET * sum(hi - lo + 1 for _, lo, hi in live):
+    if k_top > 255 or ops > _SUMSET_OPS_PER_TARGET * sum(hi - lo + 1 for _, lo, hi in live):
         return None
     entries = [p for p in gaussian_prime_pool(region, top)
                if re_lo <= p[0] <= re_hi and im_lo <= p[1] <= im_hi]
     width, levels = _sumsets(entries, region, re_lo, re_hi, im_lo, im_hi, k_top)
-    base, size = re_lo * width + im_lo, (re_hi - re_lo + 1) * width
+    base = re_lo * width + im_lo
     points = [(p[0] * width + p[1], p) for p in entries]
-    rest, least = 0, []  # least[k - 2]: the targets whose least k is k
+    rest, least = 0, {}  # least[k]: the targets whose least k is k
     for re, lo, hi in live:
         rest |= ((1 << (hi - lo + 1)) - 1) << (re * width + lo - base)
-    for level in levels[1:]:
-        least.append(rest & level)
-        rest ^= least[-1]
-    tables, carried = [], 0
-    for below, need in zip(levels[-2::-1], least[::-1]):
-        need |= carried
-        table, carried = [None] * size, 0
-        for p in points:
-            sh = p[0]
+    rest = _halves(rest)  # on each coset
+    for k, level in enumerate(levels[1 - one_term :], 2 - one_term):
+        least[k] = rest[(k + base) & 1] & level
+        rest[(k + base) & 1] ^= least[k]
+
+    def fail(k: int, bits: int):
+        at = (bits & -bits).bit_length() - 1
+        while not least.get(k, 0) >> at & 1:  # a residual: up to the target it came from
+            k += 1
+            at += next(sh for sh, _, hit in firsts[k] if hit >> (at + sh) & 1)
+        re, im = divmod(2 * at + ((k + base) & 1), width)
+        raise ValueError(f"the walk for {_text(re + re_lo, im + im_lo)} fails at {k} terms")
+
+    firsts, carried = {}, 0
+    for k in range(len(levels), 1, -1):
+        below, q = levels[k - 2], (k - 1 + base) & 1
+        need, carried, firsts[k] = least[k] | carried, 0, []
+        for s, p in points:
+            if not need:
+                break
+            sh = (s + q) >> 1
             hit = need & (below << sh if sh >= 0 else below >> -sh)
             if hit:
                 need ^= hit
                 carried |= hit >> sh if sh >= 0 else hit << -sh
-                for at in _bits(hit):
-                    table[at] = p
-                if not need:
-                    break
-        for at in _bits(need):
-            table[at] = ()
-        tables.append(table)
-    tables.append([None] * size)
-    for p in points:
-        tables[-1][p[0] - base] = p
-    return width, base, tables[::-1]
+                firsts[k].append((sh, p, hit))
+        if need:
+            fail(k, need)
+    points = [((s - base) >> 1, p) for s, p in points]
+    if carried := carried & ~_bitset([h for h, _ in points]):
+        fail(1, carried)
+    lanes, ks = bytes.maketrans(b"01", b"\0\1"), 0
+    for k, bits in least.items():  # to every other position, then a byte each
+        spread = int(bin(bits)[2:], 4) << ((k + base) & 1)
+        ks += k * int.from_bytes(bin(spread)[:1:-1].encode().translate(lanes), "little")
+    ks = ks.to_bytes((re_hi - re_lo + 1) * width, "little")
+    return width, base, ks, (points, [firsts[k] for k in range(2, len(levels) + 1)])
 
 
 # The most targets one scan takes: a full box at scan_box's side cap.
@@ -665,8 +720,8 @@ def scan_targets(
     """Attempt a decomposition for every listed target.
 
     The sumsets of the pool give each target its least possible term
-    count k, and its witness is chased from level k down through the
-    first-term tables built off them. Under NormPolicy.NONE that k and
+    count k, and its witness is chased from level k down through the first
+    terms of each level, found off them. Under NormPolicy.NONE that k and
     witness are exact. Under STRICT_LESS k is a lower bound; the chased
     witness is the canonical strict one when its largest norm is below the
     target's, and otherwise the search starts at k. A scan whose sumsets
@@ -694,25 +749,20 @@ def _scan(
 ) -> ScanReport:
     """scan_targets for nonzero targets given as (norm, re, im), which
     scan_box hands over as it lists them, and as _extent's runs: rows and
-    witnesses stay ints. The row loop tests liveness as _extent does."""
+    witnesses stay ints. The row loop tests liveness as _extent does and
+    keeps a chased witness as the target's window position."""
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     (a1, b1, c1), (a2, b2, c2) = cone = term_region.cone
     strict, u0, v0 = policy is NormPolicy.STRICT_LESS, 2 * c1, 2 * c2
     live, extent = _extent(runs, term_region, strict) if max_terms >= 2 else ([], None)
     pool = _pool_for(term_region, extent[7] if live else 2)
-    chase = _minimal_terms(live, extent, pool, max_terms) if live else None
-    member = pool.member
-    top = 0  # the one-term check reads level 1's table below this norm
-    if chase is not None:  # each k >= 2, its level's table and the tables its chase reads
-        width, base, tables = chase
-        chains = [(k, tables[k - 1], tables[k - 1 :: -1]) for k in range(2, len(tables) + 1)]
-        # The window holds every live target, and its pool cut holds every
-        # odd region prime of norm below top = extent[7] that lies in the
-        # window. So a live target of norm below top is such a prime exactly
-        # when level 1's table has an entry at its position, and that entry
-        # is the target's own; member is left the rest.
-        level1, top = tables[0], extent[7]
+    got = _minimal_terms(live, extent, pool, max_terms, not strict) if live else None
+    member, top, chase = pool.member, 0, None  # member decides a one-term row from norm top up
+    if got is not None:
+        # under NONE ks marks 1 the live targets that are pool points, below top
+        (width, base, ks, chase), top = got, extent[7]
+        largest = strict and _chased(chase, itemgetter(2))  # its level-1 term's norm
     rows: list = []
     for n, re, im in targets:
         if not live or a1 * re + b1 * im < u0 or a2 * re + b2 * im < v0 or (
@@ -721,35 +771,15 @@ def _scan(
             p = not strict and member(re, im)
             rows.append((n, re, im, 1, (p,)) if p else (n, re, im, None, None))
             continue
-        if chase is not None:
-            at = re * width + im - base
-        if not strict and (re + im) % 2:  # an even target is no odd prime
-            p = level1[at] and level1[at][1] if n < top else member(re, im)
-            if p:
-                rows.append((n, re, im, 1, (p,)))
-                continue
-        k = 2
-        if chase is not None:
-            for k, table, chain in chains:
-                if table[at] is not None:
-                    break
-            else:
-                rows.append((n, re, im, None, None))
-                continue
-            wit = []
-            for table in chain:
-                p = table[at]
-                if not p:
-                    raise ValueError(f"the walk for {_text(re, im)} fails at {k} terms")
-                at -= p[0]
-                wit.append(p[1])
-            if not strict or wit[-1][2] < n:  # the last term is the largest
-                wit.reverse()
-                rows.append((n, re, im, k, tuple(wit)))
-                continue
-        found = _search(re, im, k, max_terms, _cap(cone, re, im, n, strict), pool)
-        rows.append((n, re, im, len(found), tuple(found)) if found else (n, re, im, None, None))
-    return ScanReport(term_region, desc, max_terms, policy, tuple(rows))
+        k = ks[at := re * width + im - base] if chase is not None else 2  # else search from 2
+        if not strict and n >= top and (re + im) % 2 and (p := member(re, im)):
+            rows.append((n, re, im, 1, (p,)))
+        elif chase is not None and (not k or not strict or largest[k][at >> 1] < n):
+            rows.append((n, re, im, k, at) if k else (n, re, im, None, None))
+        else:
+            found = _search(re, im, k, max_terms, _cap(cone, re, im, n, strict), pool)
+            rows.append((n, re, im, len(found), tuple(found)) if found else (n, re, im, None, None))
+    return ScanReport(term_region, desc, max_terms, policy, tuple(rows), chase)
 
 
 def scan_box(
@@ -844,7 +874,7 @@ def verify_diagonal_obstruction(bound: int, max_terms: int = 6) -> ObstructionRe
     levels: list[tuple[int, int, int]] = []
     violations: list[tuple[int, GaussianInt]] = []
     for k, level in enumerate(sums, 1):
-        bits = format(level, "b")[::-1]
+        bits = format(int(format(level, "b"), 4) << ((k + width + im_lo) & 1), "b")[::-1]
         gap = None
         for re in range(1, bound + 1):
             start = (re - 1) * width
@@ -868,13 +898,13 @@ def obstruction_line_report(bound: int, max_terms: int = 6) -> ScanReport:
     of odd sector primes, no norm bound. Rows with k = 1 are targets
     that happen to be primes themselves; every other row must come back
     empty, which is the searching counterpart of the re - im >= k
-    invariant that verify_diagonal_obstruction checks by exhaustion. The
-    bound is capped at 500, as there.
+    invariant that verify_diagonal_obstruction checks by exhaustion. Each
+    target is searched, so the bound is capped at 150 (about 0.5 s).
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if bound > 500:
-        raise ValueError("bound is capped at 500")
+    if bound > 150:
+        raise ValueError("bound is capped at 150")
     targets = [GaussianInt(re, re - d) for re in range(1, bound + 1) for d in (0, 1)]
     targets.sort(key=GaussianInt.key)
     desc = f"gammapi lines im=re and im=re-1, re 1..{bound}"

@@ -546,13 +546,13 @@ class TestScan:
 
     def test_walk_fault_exits_two_and_writes_nothing(self, capsys, monkeypatch, tmp_path):
         """A level 2 that claims 9+9i, which no two gammapi primes sum to,
-        leaves the walk no first term: the scan exits 2 with a message,
+        leaves its first-term pass no term for it: the scan exits 2 with a message,
         not a traceback, and writes no report."""
         real = gaussdecomp._sumsets
 
         def corrupted(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
             width, levels = real(points, region, re_lo, re_hi, im_lo, im_hi, max_terms)
-            levels[1] |= 1 << ((9 - re_lo) * width + 9 - im_lo)
+            levels[1] |= 1 << (((9 - re_lo) * width + 9 - im_lo) >> 1)
             return width, levels
 
         monkeypatch.setattr(gaussdecomp, "_sumsets", corrupted)
@@ -573,7 +573,7 @@ class TestScan:
 
         def corrupted(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
             width, levels = real(points, region, re_lo, re_hi, im_lo, im_hi, max_terms)
-            levels[0] |= 1 << ((4 - re_lo) * width + 3 - im_lo)
+            levels[0] |= 1 << (((4 - re_lo) * width + 3 - im_lo) >> 1)
             return width, levels
 
         monkeypatch.setattr(gaussdecomp, "_sumsets", corrupted)
@@ -584,6 +584,52 @@ class TestScan:
         )
         assert (code, out, err) == (2, "", "the walk for 5+5i fails at 2 terms")
         assert not path.exists()
+
+    def test_a_level_missing_a_sum_exits_two_and_writes_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """A level 2 that drops 6 = 3 + 3 leaves 9 = 3 + 3 + 3, kpi's only
+        three-term sum of 9, no first term on level 3: the scan exits 2
+        before it opens the report."""
+        real = gaussdecomp._sumsets
+
+        def dropped(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
+            width, levels = real(points, region, re_lo, re_hi, im_lo, im_hi, max_terms)
+            levels[1] &= ~(1 << (((6 - re_lo) * width - im_lo) >> 1))
+            return width, levels
+
+        monkeypatch.setattr(gaussdecomp, "_sumsets", dropped)
+        path = tmp_path / "scan.md"
+        code, out, err = run(
+            capsys, "scan", "--targets", "quadrant", "--re", "9..9", "--im", "0..0",
+            "--primes", "kpi", "--format", "md", "--out", str(path),
+        )
+        assert (code, out, err) == (2, "", "the walk for 9 fails at 3 terms")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_a_lost_first_term_exits_two_with_an_empty_out(
+        self, capsys, monkeypatch, tmp_path, fmt
+    ):
+        """A chase that lost one of level 2's first terms still scans, but
+        each writer makes its witness texts before its first line: the
+        scan exits 2 with a message, and --out stays empty."""
+        real = gaussdecomp._minimal_terms
+
+        def losing(*args):
+            got = real(*args)
+            del got[3][1][0][0]
+            return got
+
+        monkeypatch.setattr(gaussdecomp, "_minimal_terms", losing)
+        path = tmp_path / f"scan.{fmt}"
+        code, out, err = run(
+            capsys, "scan", "--targets", "a", "--re", "1..20", "--im", "1..20",
+            "--primes", "kpi", "--format", fmt, "--out", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert "which no first term explains" in err and "Traceback" not in err
+        assert path.read_bytes() == b""
 
     def test_box_cap_exits_two(self, capsys):
         code, _, err = run(

@@ -609,15 +609,15 @@ class TestScans:
 
     def test_levels_that_disagree_with_the_pool_raise(self, monkeypatch):
         """9+9i sits on the blocked diagonal, so no two gammapi primes sum
-        to it. A level 2 that claims otherwise leaves the walk no first
-        term, and the scan raises instead of reporting k = 2."""
+        to it. A level 2 that claims otherwise leaves its first-term pass
+        no term for it, and the scan raises instead of reporting k = 2."""
         z = GaussianInt(9, 9)
         assert scan_targets([z], GPI, 3, NormPolicy.NONE).rows == ((z, None, None),)
         real = gaussdecomp._sumsets
 
         def corrupted(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
             width, levels = real(points, region, re_lo, re_hi, im_lo, im_hi, max_terms)
-            levels[1] |= 1 << ((z.re - re_lo) * width + z.im - im_lo)
+            levels[1] |= 1 << (((z.re - re_lo) * width + z.im - im_lo) >> 1)
             return width, levels
 
         monkeypatch.setattr(gaussdecomp, "_sumsets", corrupted)
@@ -627,8 +627,8 @@ class TestScans:
     def test_a_composite_residual_one_level_down_raises(self, monkeypatch):
         """5+5i = (5+2i) + 3i, and 5+5i - (1+2i) = 4+3i = (2+i)^2 is composite,
         though 1+2i is the first kpi pool entry. A level 1 that claims 4+3i
-        gives 5+5i the first term 1+2i, and the chase down to level 1 finds
-        no pool point at 4+3i: the scan raises, naming the target."""
+        gives 5+5i the first term 1+2i, and level 1 explains the residual
+        4+3i with no pool point: the scan raises, naming the target."""
         z = GaussianInt(5, 5)
         assert gaussian_prime_pool(KPI, 6)[0] == (1, 2, 5)
         want = ((z, 2, (GaussianInt(5, 2), GaussianInt(0, 3))),)
@@ -637,7 +637,7 @@ class TestScans:
 
         def corrupted(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
             width, levels = real(points, region, re_lo, re_hi, im_lo, im_hi, max_terms)
-            levels[0] |= 1 << ((4 - re_lo) * width + 3 - im_lo)
+            levels[0] |= 1 << (((4 - re_lo) * width + 3 - im_lo) >> 1)
             return width, levels
 
         monkeypatch.setattr(gaussdecomp, "_sumsets", corrupted)
@@ -914,23 +914,128 @@ class TestChasedWitnesses:
                 live, extent = gaussdecomp._extent(runs, term_region, strict)
                 if not live:
                     continue
-                chase = gaussdecomp._minimal_terms(live, extent, _pool_for(term_region), 3)
-                width, base, tables = chase
+                got = gaussdecomp._minimal_terms(live, extent, _pool_for(term_region), 3)
+                width, base, ks, chase = got
+                witnesses = gaussdecomp._chased(chase, lambda p: (p,), lambda p: (p,))
                 for re, im in run_points(live):
                     at = re * width + im - base
-                    ks = [k for k in range(2, len(tables) + 1) if tables[k - 1][at] is not None]
-                    if not ks:
+                    if not ks[at]:
                         continue
-                    wit = []
-                    for table in tables[ks[0] - 1 :: -1]:
-                        p = table[at]
-                        at -= p[0]
-                        wit.append(p[1])
+                    wit = witnesses[ks[at]][at >> 1]
                     assert (sum(p[0] for p in wit), sum(p[1] for p in wit)) == (re, im)
                     cap = gaussdecomp._term_cap(term_region.cone, re, im, 2)[2] + 1
                     assert max(p[2] for p in wit) < cap, (re, im, wit)
                     chased += 1
         assert chased > 2000
+
+
+def drop_a_first_term(monkeypatch, level=2):
+    """Patch _minimal_terms to lose the first record of a level's first
+    terms: the positions it explains keep their k but no longer their term."""
+    real = gaussdecomp._minimal_terms
+
+    def losing(*args):
+        got = real(*args)
+        if got is not None:
+            del got[3][1][level - 2][0]
+        return got
+
+    monkeypatch.setattr(gaussdecomp, "_minimal_terms", losing)
+
+
+class TestChaseFaults:
+    """A chase that disagrees with the pool raises ValueError before a
+    row is written, and a wrong largest norm cannot pass for a strict one."""
+
+    def test_a_level_missing_a_sum_raises(self, monkeypatch):
+        """9 = 3 + 3 + 3 is 9's only kpi sum of three, as every term keeps
+        im = 0: a level 2 that drops 6 = 3 + 3 leaves 9, still on level 3,
+        no first term, and the scan raises, naming it."""
+        z = GaussianInt(9, 0)
+        three = GaussianInt(3, 0)
+        assert scan_targets([z], KPI, 3, NormPolicy.NONE).rows == ((z, 3, (three,) * 3),)
+        real = gaussdecomp._sumsets
+
+        def dropped(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
+            width, levels = real(points, region, re_lo, re_hi, im_lo, im_hi, max_terms)
+            bit = 1 << (((6 - re_lo) * width - im_lo) >> 1)
+            assert levels[1] & bit
+            levels[1] ^= bit
+            return width, levels
+
+        monkeypatch.setattr(gaussdecomp, "_sumsets", dropped)
+        for policy in NormPolicy:
+            with pytest.raises(ValueError, match=r"the walk for 9 fails at 3 terms"):
+                scan_targets([z], KPI, 3, policy)
+
+    @pytest.mark.parametrize("level", [2, 3])
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    def test_a_lost_first_term_writes_nothing(self, monkeypatch, policy, level):
+        """A strict scan reads the chase for its largest norms and raises;
+        under NONE the scan ends, but its rows and every writer raise
+        before a byte is written."""
+        drop_a_first_term(monkeypatch, level)
+        box = (Region.OPEN_QUADRANT, (1, 20), (1, 20), KPI, 3, policy)
+        if policy is NormPolicy.STRICT_LESS:
+            with pytest.raises(ValueError, match="no first term explains"):
+                scan_box(*box)
+            return
+        report = scan_box(*box)
+        with pytest.raises(ValueError, match="no first term explains"):
+            report.rows
+        for fmt in ("md", "csv", "json"):
+            buf = io.StringIO()
+            with pytest.raises(ValueError, match="no first term explains"):
+                report.write(buf, fmt)
+            assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("shift", [1, 10**9])
+    def test_a_larger_carried_norm_sends_the_row_to_the_search(self, monkeypatch, shift):
+        """Each chased witness's largest norm read as larger than it is
+        fails the strict test where it reaches the target's norm: that
+        target searches from its least k, and the rows are those of the
+        true norms. Read as 10^9 larger, every target searches."""
+        box = (Region.SECTOR, (1, 14), (-13, 14), SPI, 3, NormPolicy.STRICT_LESS)
+        want = scan_box(*box).rows
+        real_chased, real_search = gaussdecomp._chased, gaussdecomp._search
+        searched = []
+
+        def heavier(chase, one, more=None):
+            levels = real_chased(chase, one, more)
+            if more is None:  # the strict scan's largest norms
+                for level in levels[1:]:
+                    level.update((at, n + shift) for at, n in level.items())
+            return levels
+
+        def counting(re, im, *args):
+            searched.append((re, im))
+            return real_search(re, im, *args)
+
+        monkeypatch.setattr(gaussdecomp, "_chased", heavier)
+        monkeypatch.setattr(gaussdecomp, "_search", counting)
+        report = scan_box(*box)
+        assert report.rows == want
+        if shift > 1:  # no chased witness passes: each searches
+            assert all(w.__class__ is not int for *_, w in report.int_rows)
+            assert {(z.re, z.im) for z, k, _ in want if k and k > 1} <= set(searched)
+
+    def test_a_smaller_carried_norm_fails_the_search_oracle(self, monkeypatch):
+        """Read as 0, every chased witness passes the strict test, and the
+        rows leave the search's: the oracle comparisons catch it."""
+        targets = box_targets(Region.SECTOR, (1, 14), (-13, 14))
+        want = scan_rows_by_search(targets, SPI, 3, NormPolicy.STRICT_LESS)
+        assert scan_targets(targets, SPI, 3, NormPolicy.STRICT_LESS).rows == want
+        real = gaussdecomp._chased
+
+        def lighter(chase, one, more=None):
+            levels = real(chase, one, more)
+            if more is None:
+                for level in levels[1:]:
+                    level.update((at, 0) for at in level)
+            return levels
+
+        monkeypatch.setattr(gaussdecomp, "_chased", lighter)
+        assert scan_targets(targets, SPI, 3, NormPolicy.STRICT_LESS).rows != want
 
 
 class TestIntRows:
@@ -1057,26 +1162,44 @@ class TestDiagonalObstruction:
                 assert got == [v for v in violations if v[0] <= m], (bound, m)
 
     def test_violations_match_the_oracle(self, monkeypatch):
-        """Primes never reach re - im < k, so feed the sweep diagonal
-        points (re - im = 0) and one with re - im = 1 as well."""
-        extra = [(1, 1, 2), (3, 3, 18), (7, 6, 85)]
+        """Primes never reach re - im < k, and a level holds only sums of
+        its own parity of re + im, so give the sweep's levels sums that
+        break the inequality on their own parities: 1+2i at k = 1, the
+        diagonal points 3+3i and 5+5i at k = 2, and 4+3i at k = 3. The
+        report counts them next to the oracle's sums of the true pool and
+        lists exactly them as violations."""
+        extra = {1: [(1, 2)], 2: [(3, 3), (5, 5)], 3: [(4, 3)]}
+        real = gaussdecomp._sumsets
 
-        def with_diagonal(region, norm_bound):
-            return gaussian_prime_pool(region, norm_bound) + extra
+        def with_violations(points, region, re_lo, re_hi, im_lo, im_hi, max_terms):
+            width, levels = real(points, region, re_lo, re_hi, im_lo, im_hi, max_terms)
+            for k, level in enumerate(levels, 1):
+                for re, im in extra.get(k, ()):
+                    level |= 1 << (((re - re_lo) * width + im - im_lo) >> 1)
+                levels[k - 1] = level
+            return width, levels
 
-        monkeypatch.setattr(gaussdecomp, "gaussian_prime_pool", with_diagonal)
-        for bound in (2, 7, 12, 20):
-            points = [
-                (re, im)
-                for re, im, _ in with_diagonal(GPI, 2 * bound * bound + 1)
-            ]
+        monkeypatch.setattr(gaussdecomp, "_sumsets", with_violations)
+        for bound in (7, 12, 20):
+            points = [(re, im) for re, im, _ in gaussian_prime_pool(GPI, 2 * bound * bound + 1)]
             for m in (1, 3, 5):
                 report = verify_diagonal_obstruction(bound, m)
                 levels, violations = obstruction_sweep(points, bound, m)
-                assert list(report.levels) == levels, (bound, m)
+                assert violations == []
+                want = [
+                    (k, c + len(extra.get(k, [])), min([g] + [re - im for re, im in extra.get(k, [])]))
+                    for k, c, g in levels
+                ]
+                assert list(report.levels) == want, (bound, m)
                 got = [(k, (z.re, z.im)) for k, z in report.violations]
-                assert got == violations, (bound, m)
-                assert got and not report.holds
+                assert got == [(k, z) for k in sorted(extra) if k <= m for z in extra[k]], (bound, m)
+                assert not report.holds
+
+    def test_sumsets_take_odd_points_only(self):
+        """Each level keeps one parity of re + im, as sums of odd points do:
+        an even point raises instead of landing on the wrong parity."""
+        with pytest.raises(ValueError, match="every point must be odd"):
+            gaussdecomp._sumsets([(2, 1, 5), (1, 1, 2)], GPI, 1, 4, -3, 4, 3)
 
     def test_writers(self):
         report = verify_diagonal_obstruction(20, 3)
@@ -1111,12 +1234,12 @@ class TestDiagonalObstruction:
             raise AssertionError("obstruction_line_report started building")
 
         monkeypatch.setattr(gaussdecomp, "GaussianInt", allocating)
-        for bound in (501, 10**30):
-            with pytest.raises(ValueError, match="bound is capped at 500"):
+        for bound in (151, 10**30):
+            with pytest.raises(ValueError, match="bound is capped at 150"):
                 obstruction_line_report(bound)
         # at the cap itself the targets get built
         with pytest.raises(AssertionError, match="started building"):
-            obstruction_line_report(500)
+            obstruction_line_report(150)
 
     def test_diagonal_targets_all_fail_strict_sector_sums(self):
         targets = [GaussianInt(t, t) for t in range(1, 21)]

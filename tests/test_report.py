@@ -9,6 +9,7 @@ newline.
 
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from shnirel.gaussdecomp import (
     four_term_decompose,
     obstruction_line_report,
     scan_box,
+    scan_targets,
     verify_diagonal_obstruction,
 )
 from shnirel.golden import load_golden, regenerate_tables, validate_golden
@@ -129,6 +131,77 @@ def test_cases_cover_what_they_name():
     ten = reports["counts_2_and_10"].int_rows[1][4]
     assert len(set(ten)) == 1 and len(set(map(id, ten))) == 10
     assert list(reports["counts_2_and_10"].to_json_dict()["term_counts"]) == ["2", "10"]
+
+
+def _scan_csv(report: ScanReport) -> str:
+    """The CSV of a scan, written from its rows alone."""
+    lines = ["z,norm,k,witness\n"]
+    for z, k, wit in report.rows:
+        cell = "EMPTY" if wit is None else "+".join(f"({s})" for s in wit)
+        lines.append(f"{z},{z.norm()},{'' if k is None else k},{cell}\n")
+    return "".join(lines)
+
+
+def _scan_md(report: ScanReport) -> str:
+    """The md of a scan, written from its fields and rows alone."""
+    rows = report.rows
+    lines = [
+        f"targets {report.target_desc}, primes {report.term_region.value}, "
+        f"max terms {report.max_terms}, policy {report.policy.value}: {len(rows)} "
+        f"targets, {sum(k is None for _, k, _ in rows)} unrepresentable\n",
+        "\n| z | norm | k | witness |\n|---|---|---|---|\n",
+    ]
+    for z, k, wit in rows:
+        cell = "EMPTY" if wit is None else " + ".join(f"({s})" for s in wit)
+        lines.append(f"| {z} | {z.norm()} | {'' if k is None else k} | {cell} |\n")
+    return "".join(lines)
+
+
+def _swept_scans():
+    """Seeded scans: a box for each of the 7 x 7 region pairs under both
+    policies, max_terms 1 to 5, some under a min_max_component floor; an
+    unsorted explicit list with repeats for each term region; a far box
+    the cost gate sends to the search; a strict spi box whose chased
+    witnesses often reach the target's norm; and kpi's real axis, where every
+    sum keeps im = 0 and k reaches 5 (15 = 3 + 3 + 3 + 3 + 3, whose level 4
+    residual 12 is a level 4 target itself)."""
+    rng = random.Random("scan writers")
+    for term_region in Region:
+        for target_region in Region:
+            for policy in (NONE, STRICT):
+                re0, im0 = rng.randint(-6, 6), rng.randint(-12, 6)
+                box = ((re0, re0 + rng.randint(0, 16)), (im0, im0 + rng.randint(0, 16)))
+                floor = rng.choice([0, 0, 5])
+                yield scan_box(target_region, *box, term_region, rng.randint(1, 5), policy, floor)
+        targets = [GaussianInt(rng.randint(-8, 24), rng.randint(-8, 24)) for _ in range(40)]
+        targets = [z for z in targets if not z.is_zero()]
+        targets += rng.sample(targets, 6)
+        rng.shuffle(targets)
+        yield scan_targets(targets, term_region, rng.randint(1, 5), rng.choice([NONE, STRICT]))
+    for policy in (NONE, STRICT):
+        yield scan_box(A, (300, 303), (1, 2), GPI, 3, policy)
+        yield scan_box(Region.QUADRANT, (1, 40), (0, 2), KPI, 5, policy)
+    yield scan_box(SECTOR, (1, 24), (-23, 24), SPI, 3, STRICT)  # many searches
+
+
+def test_every_format_is_its_oracle_in_a_seeded_sweep():
+    """Each report, written in md, csv and json and then in all three
+    again, gives the bytes of writers built here from its rows and from
+    to_json_dict, every time."""
+    seen, chased, searched = set(), 0, 0
+    for report in _swept_scans():
+        want = {
+            "md": _scan_md(report),
+            "csv": _scan_csv(report),
+            "json": json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n",
+        }
+        for fmt in ("md", "csv", "json") * 2:
+            assert _written(report, fmt) == want[fmt], (report.target_desc, fmt)
+        seen |= set(report.term_counts)
+        chased += sum(w.__class__ is int for *_, w in report.int_rows)
+        searched += sum(k is not None and k > 1 and w.__class__ is tuple for *_, k, w in report.int_rows)
+    assert seen == {1, 2, 3, 4, 5}
+    assert chased > 1000 and searched > 50
 
 
 def test_scan_json_is_yielded_row_by_row():
