@@ -15,6 +15,7 @@ import os
 import sys
 from bisect import bisect_right
 from itertools import chain
+from operator import countOf, itemgetter
 
 from .primes import CACHE_ENV
 from .report import FORMATS, HypothesisViolation, Report, SearchExhausted
@@ -215,7 +216,7 @@ def cmd_scan(args) -> int:
         min_max_component=args.min_max_component,
     )
     _emit(args, report)
-    missing = [row[3] for row in report.int_rows].count(None)
+    missing = countOf(map(itemgetter(3), report.int_rows), None)
     _summary(f"targets: {len(report.int_rows)}, exceptions: {missing}")
     return 1 if missing else 0
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from itertools import accumulate, count, repeat
+from itertools import accumulate, compress, count, repeat
 from math import log
-from operator import add, itemgetter, sub
+from operator import add, countOf, is_, itemgetter, sub
 
 from .primes import _Pool, _pool_for, gaussian_prime_pool, is_gaussian_prime
 from .report import Report, _quote
@@ -408,15 +408,21 @@ def _chased(chase: tuple, one, more=None) -> list[dict]:
     each bit read there to a value made bottom-up: one(p) at level 1's
     pool points p, and at level k the value at the bit less shift one level
     down, plus more(p) of the first term p unless more is None. A hit's
-    bits are the running sums of its zero runs' lengths, made in C."""
-    points, firsts = chase
+    bits are the running sums of its zero runs' lengths, made in C. A
+    target of a level that none of its hits covers raises ValueError,
+    naming it, so a writer fails before its first line."""
+    points, firsts, least, name = chase
     made = [None, _Chased((h, one(p)) for h, p in points)]
-    for records in firsts:
-        below, level = made[-1], _Chased()
+    for k, records in enumerate(firsts, 2):
+        below, level, covered = made[-1], _Chased(), 0
         for sh, p, hit in records:
+            covered |= hit
             ats = list(map(add, accumulate(map(len, bin(hit)[:1:-1].split("1")[:-1])), count()))
             got = map(below.__getitem__, map(sub, ats, repeat(sh)))
             level.update(zip(ats, got if more is None else map(add, got, repeat(more(p)))))
+        if lost := least[k] & ~covered:
+            at = (lost & -lost).bit_length() - 1
+            raise ValueError(f"the chase of {name(k, at)} reads bit {at}, which no first term explains")
         made.append(level)
     return made
 
@@ -445,22 +451,17 @@ class ScanReport(Report):
     def _values(self) -> tuple:
         return (self.term_region, self.target_desc, self.max_terms, self.policy, self.rows)
 
-    def _witnesses(self, one, more, whole) -> list:
-        """Each row's witness, None for none: a chased one made by
-        _chased(chase, one, more), an entry tuple by whole."""
-        levels = self.chase and _chased(self.chase, one, more)
-        return [
-            None if w is None else levels[k][w >> 1] if w.__class__ is int else whole(w)
-            for _, _, _, k, w in self.int_rows
-        ]
-
-    def _texts(self, template: str, sep: str) -> list:
-        """Each row's witness text, its terms in template joined by sep."""
+    def _level_texts(self, template: str, sep: str) -> tuple:
+        """(levels, whole): per level the chased witness texts, from _chased,
+        and the text of an entry tuple: terms in template, joined by sep. A
+        writer makes each row in one f-string, the target's text inline for
+        re != 0 and |im| >= 2."""
 
         def one(p: tuple) -> str:
             return template % _text(p[0], p[1])
 
-        return self._witnesses(one, lambda p: sep + one(p), lambda w: sep.join(map(one, w)))
+        levels = self.chase and _chased(self.chase, one, lambda p: sep + one(p))
+        return levels, lambda w: sep.join(map(one, w))
 
     @property
     def rows(self) -> tuple[tuple[GaussianInt, int | None, tuple[GaussianInt, ...] | None], ...]:
@@ -474,8 +475,9 @@ class ScanReport(Report):
         def one(p: tuple) -> tuple:
             return (gauss(*p),)
 
-        wits = self._witnesses(one, one, lambda w: tuple(gauss(*p) for p in w))
-        return tuple((gauss(re, im), k, wit) for (_, re, im, k, _), wit in zip(self.int_rows, wits))
+        levels = self.chase and _chased(self.chase, one, one)
+        return tuple((gauss(re, im), k, None if w is None else levels[k][w >> 1] if w.__class__ is int
+                      else tuple(gauss(*p) for p in w)) for _, re, im, k, w in self.int_rows)
 
     @property
     def exceptions(self) -> tuple[GaussianInt, ...]:
@@ -513,57 +515,61 @@ class ScanReport(Report):
         writes, plus a newline, yielded row by row from a template.
         json.dump's indented encoder is pure Python; to_json_dict stays
         the oracle the tests compare these bytes to. The text of a
-        Gaussian integer needs no escaping."""
-
-        def block(items: list[str], pad: str, brackets: str = "[]") -> str:
-            if not items:
-                return brackets
-            sep = f",\n{pad}  "
-            return f"{brackets[0]}\n{pad}  {sep.join(items)}\n{pad}{brackets[1]}"
-
-        wits = self._texts('"%s"', ",\n        ")  # before a byte is written
-        exceptions = [f'"{_text(re, im)}"' for _, re, im, k, _ in self.int_rows if k is None]
+        Gaussian integer needs no escaping. An exception's text is made
+        once, for the list and its row."""
+        levels, whole = self._level_texts('"%s"', ",\n        ")
+        rows, ks = self.int_rows, Counter(map(itemgetter(3), self.int_rows))
+        gone = compress(rows, map(is_, map(itemgetter(3), rows), repeat(None)))
+        exceptions = [f'"{re}+{im}i"' if im > 1 and re else f'"{re}{im}i"' if im < -1 and re
+                      else f'"{_text(re, im)}"' for _, re, im, _, _ in gone]
+        listed = "[\n    " + ",\n    ".join(exceptions) + "\n  ]" if exceptions else "[]"
         yield (
-            f'{{\n  "exceptions": {block(exceptions, "  ")},\n'
+            f'{{\n  "exceptions": {listed},\n'
             f'  "max_terms": {self.max_terms},\n  "parity": "ODD",\n'
             f'  "policy": {_quote(self.policy.value)},\n'
             f'  "primes": {_quote(self.term_region.value)},\n  "rows": ['
         )
-        sep = "\n"
-        for (n, re, im, k, _), wit in zip(self.int_rows, wits):
-            witness = "null" if wit is None else f"[\n        {wit}\n      ]"
-            yield (
-                f'{sep}    {{\n      "im": {im},\n'
-                f'      "k": {"null" if k is None else k},\n'
-                f'      "norm": {n},\n      "re": {re},\n'
-                f'      "witness": {witness},\n      "z": "{_text(re, im)}"\n    }}'
-            )
+        sep, texts = "\n", iter(exceptions)
+        for n, re, im, k, w in rows:
+            if w is None:
+                yield (f'{sep}    {{\n      "im": {im},\n      "k": null,\n      "norm": {n},\n'
+                       f'      "re": {re},\n      "witness": null,\n      "z": {next(texts)}\n    }}')
+            else:
+                z = f"{re}+{im}i" if im > 1 and re else f"{re}{im}i" if im < -1 and re else _text(re, im)
+                yield (f'{sep}    {{\n      "im": {im},\n      "k": {k},\n      "norm": {n},\n'
+                       f'      "re": {re},\n      "witness": [\n        '
+                       f'{levels[k][w >> 1] if w.__class__ is int else whole(w)}\n      ],\n'
+                       f'      "z": "{z}"\n    }}')
             sep = ",\n"
         # json sorts the keys as strings: "10" before "2"
-        tally = sorted((str(k), c) for k, c in self.term_counts.items())
-        counts = block([f"{_quote(k)}: {c}" for k, c in tally], "  ", "{}")
-        close = "\n  ]" if self.int_rows else "]"
+        tally = sorted((str(k), c) for k, c in ks.items() if k is not None)
+        counts = "{\n    " + ",\n    ".join(f'"{k}": {c}' for k, c in tally) + "\n  }" if tally else "{}"
+        close = "\n  ]" if rows else "]"
         yield (
             f'{close},\n  "targets": {_quote(self.target_desc)},\n'
             f'  "term_counts": {counts}\n}}\n'
         )
 
     def md_lines(self) -> Iterator[str]:
-        missing, wits = [row[3] for row in self.int_rows].count(None), self._texts("(%s)", " + ")
+        levels, whole = self._level_texts("(%s)", " + ")
         yield (
             f"targets {self.target_desc}, primes {self.term_region.value}, "
-            f"max terms {self.max_terms}, policy {self.policy.value}: "
-            f"{len(self.int_rows)} targets, {missing} unrepresentable\n"
+            f"max terms {self.max_terms}, policy {self.policy.value}: {len(self.int_rows)} "
+            f"targets, {countOf(map(itemgetter(3), self.int_rows), None)} unrepresentable\n"
         )
         yield "\n| z | norm | k | witness |\n|---|---|---|---|\n"
-        for (n, re, im, k, _), wit in zip(self.int_rows, wits):
-            yield f"| {_text(re, im)} | {n} | {'' if k is None else k} | {wit or 'EMPTY'} |\n"
+        for n, re, im, k, w in self.int_rows:
+            z = f"{re}+{im}i" if im > 1 and re else f"{re}{im}i" if im < -1 and re else _text(re, im)
+            yield (f"| {z} | {n} |  | EMPTY |\n" if w is None else
+                   f"| {z} | {n} | {k} | {levels[k][w >> 1] if w.__class__ is int else whole(w)} |\n")
 
     def csv_lines(self) -> Iterator[str]:
-        wits = self._texts("(%s)", "+")
+        levels, whole = self._level_texts("(%s)", "+")
         yield "z,norm,k,witness\n"
-        for (n, re, im, k, _), wit in zip(self.int_rows, wits):
-            yield f"{_text(re, im)},{n},{'' if k is None else k},{wit or 'EMPTY'}\n"
+        for n, re, im, k, w in self.int_rows:
+            z = f"{re}+{im}i" if im > 1 and re else f"{re}{im}i" if im < -1 and re else _text(re, im)
+            yield (f"{z},{n},,EMPTY\n" if w is None else
+                   f"{z},{n},{k},{levels[k][w >> 1] if w.__class__ is int else whole(w)}\n")
 
 
 def _window(cone, re_min, re_max, im_min, im_max, u_max, v_max) -> tuple[int, int, int, int]:
@@ -641,13 +647,15 @@ def _minimal_terms(live: list, extent: tuple, pool: _Pool, max_terms: int, one_t
     Position re * width + im - base holds re + im*i, at bit position >> 1
     of each level (see _sumsets). ks holds each live target's least k at
     its position, 0 for none, or with one_term 1 for a pool point, then not
-    chased. chase is (points, firsts): each pool point's (bit on level 1,
-    entry), entry the pool's own (re, im, norm), and per level from 2 up
-    its first terms (shift, entry, hit), hit the bits they explain, less
-    shift one level down. A target's chase, reversed, sums to it, so its
-    terms lie in its parallelogram, below its cap with no strict cut: the
-    canonical witness under NONE, and under STRICT_LESS when its level-1
-    term, the largest, has norm below the target's.
+    chased. chase is (points, firsts, least, name): each pool point's (bit
+    on level 1, entry), entry the pool's own (re, im, norm); per level from
+    2 up its first terms (shift, entry, hit), hit the bits they explain,
+    less shift one level down; least, the bits of the targets whose least
+    term count is k, by k; and the text name(k, bit) of a target. A
+    target's chase, reversed, sums to it, so its terms lie in its
+    parallelogram, below its cap with no strict cut: the canonical witness
+    under NONE, and under STRICT_LESS when its level-1 term, the largest,
+    has norm below the target's.
     """
     region = pool.region
     re_lo, re_hi, im_lo, im_hi = _window(region.cone, *extent[:6])
@@ -672,13 +680,16 @@ def _minimal_terms(live: list, extent: tuple, pool: _Pool, max_terms: int, one_t
         least[k] = rest[(k + base) & 1] & level
         rest[(k + base) & 1] ^= least[k]
 
+    def name(k: int, at: int) -> str:  # the target at bit `at` of level k
+        re, im = divmod(2 * at + ((k + base) & 1), width)
+        return _text(re + re_lo, im + im_lo)
+
     def fail(k: int, bits: int):
         at = (bits & -bits).bit_length() - 1
         while not least.get(k, 0) >> at & 1:  # a residual: up to the target it came from
             k += 1
             at += next(sh for sh, _, hit in firsts[k] if hit >> (at + sh) & 1)
-        re, im = divmod(2 * at + ((k + base) & 1), width)
-        raise ValueError(f"the walk for {_text(re + re_lo, im + im_lo)} fails at {k} terms")
+        raise ValueError(f"the walk for {name(k, at)} fails at {k} terms")
 
     firsts, carried = {}, 0
     for k in range(len(levels), 1, -1):
@@ -703,7 +714,7 @@ def _minimal_terms(live: list, extent: tuple, pool: _Pool, max_terms: int, one_t
         spread = int(bin(bits)[2:], 4) << ((k + base) & 1)
         ks += k * int.from_bytes(bin(spread)[:1:-1].encode().translate(lanes), "little")
     ks = ks.to_bytes((re_hi - re_lo + 1) * width, "little")
-    return width, base, ks, (points, [firsts[k] for k in range(2, len(levels) + 1)])
+    return width, base, ks, (points, [firsts[k] for k in range(2, len(levels) + 1)], least, name)
 
 
 # The most targets one scan takes: a full box at scan_box's side cap.
@@ -767,8 +778,8 @@ def _scan(
     for n, re, im in targets:
         if not live or a1 * re + b1 * im < u0 or a2 * re + b2 * im < v0 or (
             n < 8 and _cap(cone, re, im, n, strict) < 3
-        ):  # no sum of two or more terms
-            p = not strict and member(re, im)
+        ):  # no sum of two or more terms, and one only in the cone
+            p = not strict and a1 * re + b1 * im >= c1 and a2 * re + b2 * im >= c2 and member(re, im)
             rows.append((n, re, im, 1, (p,)) if p else (n, re, im, None, None))
             continue
         k = ks[at := re * width + im - base] if chase is not None else 2  # else search from 2

@@ -631,6 +631,32 @@ class TestScan:
         assert "which no first term explains" in err and "Traceback" not in err
         assert path.read_bytes() == b""
 
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    def test_a_lost_top_level_first_term_exits_two_with_an_empty_out(
+        self, capsys, monkeypatch, tmp_path, fmt
+    ):
+        """With two terms at most, level 2 is the top level, and the last
+        of its first-term records, 19, explains only targets late in norm
+        order: the first of them is row 2317, past the first report._BLOCK
+        lines. Each writer looks its chased rows up as it writes them, so
+        the chase is checked before the first line: losing that record, the
+        scan exits 2 with a message, and --out stays empty."""
+        real = gaussdecomp._minimal_terms
+
+        def losing(*args):
+            got = real(*args)
+            del got[3][1][-1][-1]
+            return got
+
+        monkeypatch.setattr(gaussdecomp, "_minimal_terms", losing)
+        path = tmp_path / f"scan.{fmt}"
+        code, out, err = run(
+            capsys, "scan", "--targets", "a", "--re", "1..60", "--im", "1..60",
+            "--primes", "kpi", "--max-terms", "2", "--format", fmt, "--out", str(path),
+        )
+        assert (code, out, path.read_bytes()) == (2, "", b"")
+        assert err.startswith("the chase of ") and err.endswith("which no first term explains")
+
     def test_box_cap_exits_two(self, capsys):
         code, _, err = run(
             capsys, "scan", "--targets", "a", "--re", "0..500", "--im", "1..5",
@@ -826,6 +852,11 @@ COMMAND_DIGESTS = {
     # parallelogram corners. Exit 1: the box holds exceptions.
     ("obstruction --bound 90", "json"): (0, "4c9136b0436c35f10a9aa4f52ac5a516bfb0aa5ba0afdcb66978e5b1a494e611"),
     ("scan --targets a --re 1..120 --im 1..120 --primes gammapi", "json"): (1, "34ea59d6c6fc4cd49378fcb955a1df844162babc954823ac96d7851b545580d2"),
+    # the same box in the two other formats, over half its rows exceptions;
+    # recorded while each writer still made every row's witness text before
+    # its first line, and wrote each exception's text twice
+    ("scan --targets a --re 1..120 --im 1..120 --primes gammapi", "md"): (1, "0a24395e214def4292e58dd0d402e3a9b579d38effd068ba324ba49085b3b6fb"),
+    ("scan --targets a --re 1..120 --im 1..120 --primes gammapi", "csv"): (1, "b6a17a968c36915784c91edbbb97b87780f69a76f93226c44bc43e3f609dfffd"),
 }
 
 

@@ -1711,6 +1711,28 @@ class TestSingle:
         assert report.term_counts[1] > 0
         assert report.rows == scan_rows_by_search(targets, KPI, 3)
 
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    def test_no_membership_test_off_the_cone(self, monkeypatch, policy):
+        """A target outside the term cone is no region prime, so the row
+        loop decides it without the membership test: on a gammapi box over
+        `a` targets, those with im > re. The search's last-term tests read
+        only residuals inside the cone, so no call at all reads a point
+        off it, and the rows stay the search oracle's."""
+        targets = box_targets(Region.OPEN_QUADRANT, (1, 24), (1, 24))
+        inside, pool, calls = REGION_PREDICATES["gammapi"], _pool_for(GPI), []
+        real = pool.member
+
+        def counting(re, im, *args):
+            calls.append((re, im))
+            return real(re, im, *args)
+
+        monkeypatch.setattr(pool, "member", counting)
+        report = scan_targets(targets, GPI, 3, policy)
+        monkeypatch.undo()
+        assert [(re, im) for re, im in calls if not inside(re, im)] == []
+        assert sum(z.im > z.re for z in report.exceptions) == 24 * 23 // 2
+        assert report.rows == scan_rows_by_search(targets, GPI, 3, policy)
+
     @pytest.mark.parametrize("region", list(Region))
     def test_empty_flags_reject_every_even_point(self, region):
         """Past the flags' end primality comes from is_gaussian_prime,

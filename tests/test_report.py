@@ -162,9 +162,11 @@ def _swept_scans():
     policies, max_terms 1 to 5, some under a min_max_component floor; an
     unsorted explicit list with repeats for each term region; a far box
     the cost gate sends to the search; a strict spi box whose chased
-    witnesses often reach the target's norm; and kpi's real axis, where every
+    witnesses often reach the target's norm; kpi's real axis, where every
     sum keeps im = 0 and k reaches 5 (15 = 3 + 3 + 3 + 3 + 3, whose level 4
-    residual 12 is a level 4 target itself)."""
+    residual 12 is a level 4 target itself); a grid around the origin,
+    whose targets reach every branch of the target's text; and a gammapi
+    box of mostly exceptions, its targets with im > re outside the cone."""
     rng = random.Random("scan writers")
     for term_region in Region:
         for target_region in Region:
@@ -182,13 +184,26 @@ def _swept_scans():
         yield scan_box(A, (300, 303), (1, 2), GPI, 3, policy)
         yield scan_box(Region.QUADRANT, (1, 40), (0, 2), KPI, 5, policy)
     yield scan_box(SECTOR, (1, 24), (-23, 24), SPI, 3, STRICT)  # many searches
+    grid = [GaussianInt(re, im) for re in range(-5, 6) for im in range(-5, 6) if re or im]
+    for term_region in (GPI, KPI, SPI):
+        for policy in (NONE, STRICT):
+            yield scan_targets(grid, term_region, 3, policy)
+    yield scan_box(A, (1, 30), (1, 60), GPI, 3, NONE)
+
+
+def _text_branch(re: int, im: int) -> str:
+    """Which case of a target's text re + im*i takes."""
+    if not re:
+        return "re = 0"
+    return f"im = {im}" if -1 <= im <= 1 else "im >= 2" if im > 1 else "im <= -2"
 
 
 def test_every_format_is_its_oracle_in_a_seeded_sweep():
     """Each report, written in md, csv and json and then in all three
     again, gives the bytes of writers built here from its rows and from
-    to_json_dict, every time."""
-    seen, chased, searched = set(), 0, 0
+    to_json_dict, every time. Rows with and without a witness reach every
+    case of the target's text."""
+    seen, chased, searched, branches = set(), 0, 0, set()
     for report in _swept_scans():
         want = {
             "md": _scan_md(report),
@@ -200,8 +215,11 @@ def test_every_format_is_its_oracle_in_a_seeded_sweep():
         seen |= set(report.term_counts)
         chased += sum(w.__class__ is int for *_, w in report.int_rows)
         searched += sum(k is not None and k > 1 and w.__class__ is tuple for *_, k, w in report.int_rows)
+        branches |= {(k is None, _text_branch(re, im)) for _, re, im, k, _ in report.int_rows}
     assert seen == {1, 2, 3, 4, 5}
     assert chased > 1000 and searched > 50
+    cases = {"re = 0", "im = -1", "im = 0", "im = 1", "im >= 2", "im <= -2"}
+    assert branches == {(gone, case) for gone in (True, False) for case in cases}
 
 
 def test_scan_json_is_yielded_row_by_row():
