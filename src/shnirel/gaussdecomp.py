@@ -151,7 +151,7 @@ def _cap(cone, re: int, im: int, n: int, strict: bool) -> int:
     """The norm below which lies every term of a sum of two or more cone
     members equal to re + im*i, of norm n: one past _term_cap's two-term
     cap (each c is 0 at least, so more terms only shrink it), n if less
-    under the strict policy, 0 for none. Above 2 the target is live."""
+    under the strict policy, 0 for none."""
     got = _term_cap(cone, re, im, 2)
     if got is None:
         return 0
@@ -160,32 +160,35 @@ def _cap(cone, re: int, im: int, n: int, strict: bool) -> int:
 
 def _extent(runs: list[tuple], region: Region, strict: bool) -> tuple:
     """(live, extent) for the targets of the runs (re, lo, hi), the points
-    re + im*i with lo <= im <= hi: live the runs cut to their live targets
-    (see _cap), extent their least and largest re and im, their largest u,
-    v and u + v (as in _term_cap) and cap, or None. The cut is to the
-    two-term cone, where the rows reach 2c; as every cone's fixed corner
-    has norm at most 2 and the corner (u, v) is z less it, only a target
-    below norm 8 can have a cap below 3. Along a row u, v and the corners
-    move linearly, so the extremes, and the cap with no strict cut (the
-    corner norms being convex), lie at a run's ends. The strict cap
-    min(n, cap) is read off each run from its larger norms inward."""
+    re + im*i with lo <= im <= hi: live the runs cut to the two-term cone,
+    where the rows reach 2c, as every sum of two or more members does;
+    extent (re_lo, re_hi, im_lo, im_hi, reach, top), or None: the least box
+    holding each live target and the four corners n1.s in {c1, u}, n2.s in
+    {c2, v} of its parallelogram (as in _term_cap), the largest (n1 + n2).z
+    and the largest cap (see _cap). Along a row u, v and the corners move
+    linearly, so the box, the reach and the cap with no strict cut (the
+    corner norms being convex) are read off the ends of each run. The
+    strict cap min(n, cap) is read off each run from its larger norms
+    inward."""
     (a1, b1, c1), (a2, b2, c2) = cone = region.cone
     live = []
     for re, lo, hi in runs:
         lo, hi = region.im_span(re, lo, hi, 2)
-        for im in range(max(lo, -2), min(hi, 2) + 1):
-            n = re * re + im * im
-            if n < 8 and _cap(cone, re, im, n, strict) < 3:
-                if lo < im:
-                    live.append((re, lo, im - 1))
-                lo = im + 1
         if lo <= hi:
             live.append((re, lo, hi))
     if not live:
         return live, None
-    ends = [(re, im) for re, lo, hi in live for im in (lo, hi)]
-    us = [a1 * re + b1 * im - c1 for re, im in ends]
-    vs = [a2 * re + b2 * im - c2 for re, im in ends]
+    det, xs, ys, reach, best = a1 * b2 - a2 * b1, [], [], 0, 0
+    for re, lo, hi in live:
+        for im in (lo, hi):
+            u, v = a1 * re + b1 * im - c1, a2 * re + b2 * im - c2
+            reach = max(reach, u + v + c1 + c2)
+            xs.append(re * det)  # the target itself, then its corners, each det times
+            ys.append(im * det)
+            for s, t in ((c1, c2), (c1, v), (u, c2), (u, v)):
+                xs.append(b2 * s - b1 * t)
+                ys.append(a1 * t - a2 * s)
+                best = max(best, xs[-1] ** 2 + ys[-1] ** 2)
     if strict:
         top = 2
         for re, lo, hi in reversed(live):  # a box right of the origin has its largest norms last
@@ -194,10 +197,10 @@ def _extent(runs: list[tuple], region: Region, strict: bool) -> tuple:
                 top = max(top, _cap(cone, re, im, re * re + im * im, True))
                 lo, hi = (lo + 1, hi) if im == lo else (lo, hi - 1)
     else:
-        top = max(_cap(cone, re, im, 0, False) for re, im in ends)
-    res, los, his = zip(*live)
-    uv = max(map(add, us, vs))
-    return live, (min(res), max(res), min(los), max(his), max(us), max(vs), uv, top)
+        top = best // det**2 + 1
+    if det < 0:
+        det, xs, ys = -det, [-x for x in xs], [-y for y in ys]
+    return live, (-(-min(xs) // det), max(xs) // det, -(-min(ys) // det), max(ys) // det, reach, top)
 
 
 def _dfs(
@@ -572,30 +575,6 @@ class ScanReport(Report):
                    f"{z},{n},{k},{levels[k][w >> 1] if w.__class__ is int else whole(w)}\n")
 
 
-def _window(cone, re_min, re_max, im_min, im_max, u_max, v_max) -> tuple[int, int, int, int]:
-    """(re_lo, re_hi, im_lo, im_hi): the least box holding the targets
-    re + im*i and their parallelograms c1 <= n1.s <= u, c2 <= n2.s <= v,
-    given the targets' extreme re and im and their largest u and v.
-
-    A corner n1.s = s, n2.s = t sits at (b2 s - b1 t, a1 t - a2 s) / det.
-    As u >= c1 and v >= c2, the corners (c1, v) and (u, c2) lie between
-    the fixed corner (c1, c2) and those of the largest v and u, and the
-    corner (u, v) is z minus the fixed corner, so the extreme u, v, re
-    and im give the extreme corners.
-    """
-    (a1, b1, c1), (a2, b2, c2) = cone
-    det = a1 * b2 - a2 * b1
-    corners = [(c1, c2), (c1, v_max), (u_max, c2)]
-    xs = [b2 * s - b1 * t for s, t in corners]
-    ys = [a1 * t - a2 * s for s, t in corners]
-    # the targets themselves (d = 0) and their corners (u, v)
-    xs += [r * det - d for r in (re_min, re_max) for d in (0, xs[0])]
-    ys += [i * det - d for i in (im_min, im_max) for d in (0, ys[0])]
-    if det < 0:
-        det, xs, ys = -det, [-x for x in xs], [-y for y in ys]
-    return -(-min(xs) // det), max(xs) // det, -(-min(ys) // det), max(ys) // det
-
-
 # Bit-ops the sumsets may spend per target, estimated as window bits x
 # pool points x (k - 1), k the fewer of max_terms and the most terms any
 # target's sum can have, with no sieve: the points are top / ln(top)
@@ -615,11 +594,13 @@ def _window(cone, re_min, re_max, im_min, im_max, u_max, v_max) -> tuple[int, in
 _SUMSET_OPS_PER_TARGET = 1 << 17
 
 
-def _minimal_terms(live: list, extent: tuple, pool: _Pool, max_terms: int, one_term=False):
+def _minimal_terms(live: list, extent: tuple, region: Region, max_terms: int, one_term=False):
     """(width, base, ks, chase) for the targets of these live runs, one or
-    more, and their extent, both from _extent; None, leaving the pool list
-    as it is, when the sumsets would cost more than _SUMSET_OPS_PER_TARGET
-    a target or reach past 255 terms.
+    more, and their extent (re_lo, re_hi, im_lo, im_hi, reach, top), both
+    from _extent; None, leaving the pool list as it is, when top is below 3
+    (no odd prime has a norm below it, so no target is a sum: the caller
+    searches, and finds none), or the sumsets would cost more than
+    _SUMSET_OPS_PER_TARGET a target or reach past 255 terms.
 
     With cone rows n1.p >= c1 and n2.p >= c2, each partial sum s of a sum
     of two or more region primes equal to z has n1.s >= c1 and n1.(z - s)
@@ -657,13 +638,12 @@ def _minimal_terms(live: list, extent: tuple, pool: _Pool, max_terms: int, one_t
     under NONE, and under STRICT_LESS when its level-1 term, the largest,
     has norm below the target's.
     """
-    region = pool.region
-    re_lo, re_hi, im_lo, im_hi = _window(region.cone, *extent[:6])
+    re_lo, re_hi, im_lo, im_hi, reach, top = extent
+    if top < 3:
+        return None
     # each level shift-ORs the whole window once per point, and no target
-    # z is a sum of more than (n1 + n2).z = u + v + c1 + c2 terms (see _search)
-    (_, _, c1), (_, _, c2) = region.cone
-    k_top = max(2, min(max_terms, extent[6] + c1 + c2))
-    top = extent[7]
+    # z is a sum of more than (n1 + n2).z terms (see _search)
+    k_top = max(2, min(max_terms, reach))
     ops = (re_hi - re_lo + 1) * (im_hi - im_lo + 1) * top / log(top) * (k_top - 1)
     if k_top > 255 or ops > _SUMSET_OPS_PER_TARGET * sum(hi - lo + 1 for _, lo, hi in live):
         return None
@@ -760,25 +740,24 @@ def _scan(
 ) -> ScanReport:
     """scan_targets for nonzero targets given as (norm, re, im), which
     scan_box hands over as it lists them, and as _extent's runs: rows and
-    witnesses stay ints. The row loop tests liveness as _extent does and
-    keeps a chased witness as the target's window position."""
+    witnesses stay ints. The row loop keeps a chased witness as the
+    target's window position."""
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
     (a1, b1, c1), (a2, b2, c2) = cone = term_region.cone
     strict, u0, v0 = policy is NormPolicy.STRICT_LESS, 2 * c1, 2 * c2
     live, extent = _extent(runs, term_region, strict) if max_terms >= 2 else ([], None)
-    pool = _pool_for(term_region, extent[7] if live else 2)
-    got = _minimal_terms(live, extent, pool, max_terms, not strict) if live else None
+    pool = _pool_for(term_region, extent[5] if live else 2)
+    got = _minimal_terms(live, extent, term_region, max_terms, not strict) if live else None
     member, top, chase = pool.member, 0, None  # member decides a one-term row from norm top up
     if got is not None:
         # under NONE ks marks 1 the live targets that are pool points, below top
-        (width, base, ks, chase), top = got, extent[7]
+        (width, base, ks, chase), top = got, extent[5]
         largest = strict and _chased(chase, itemgetter(2))  # its level-1 term's norm
     rows: list = []
     for n, re, im in targets:
-        if not live or a1 * re + b1 * im < u0 or a2 * re + b2 * im < v0 or (
-            n < 8 and _cap(cone, re, im, n, strict) < 3
-        ):  # no sum of two or more terms, and one only in the cone
+        if not live or a1 * re + b1 * im < u0 or a2 * re + b2 * im < v0:
+            # off the two-term cone: no sum of two or more terms, and one only in the cone
             p = not strict and a1 * re + b1 * im >= c1 and a2 * re + b2 * im >= c2 and member(re, im)
             rows.append((n, re, im, 1, (p,)) if p else (n, re, im, None, None))
             continue

@@ -857,6 +857,12 @@ COMMAND_DIGESTS = {
     # its first line, and wrote each exception's text twice
     ("scan --targets a --re 1..120 --im 1..120 --primes gammapi", "md"): (1, "0a24395e214def4292e58dd0d402e3a9b579d38effd068ba324ba49085b3b6fb"),
     ("scan --targets a --re 1..120 --im 1..120 --primes gammapi", "csv"): (1, "b6a17a968c36915784c91edbbb97b87780f69a76f93226c44bc43e3f609dfffd"),
+    # tiny boxes by the cone's corner, every target an exception: 1+i alone
+    # into gammapi, whose largest cap is 1, and a strict kpi box of targets
+    # below norm 8; recorded while a second rule still cut targets below
+    # norm 8 from the live runs
+    ("scan --targets a --re 1..1 --im 1..1 --primes gammapi", "json"): (1, "2057b74b6722e648cfe2559dfb5b65d81019f00760bdc9967be9b8132c507533"),
+    ("scan --targets quadrant --re 1..2 --im 0..1 --primes kpi --strict-norm", "csv"): (1, "140376d8e4025d95f41b0b8a4991a05ed27ed87ddd693b6b3908b3c3fbe27f64"),
 }
 
 

@@ -8,7 +8,6 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import ceil, floor, isqrt
-from operator import add
 
 import pytest
 
@@ -554,15 +553,59 @@ class TestScans:
 
     @pytest.mark.parametrize("policy", list(NormPolicy))
     def test_a_dead_target_off_the_window_reads_no_table(self, policy):
-        """1 lies in kpi's two-term cone, but every point of its
-        parallelogram has norm 1 or less, so its cap is 2 and it is not
-        live; the window of 10i alone spans re = 0 only. The row loop
-        tests the cap below norm 8, so 1 never reads a table position."""
+        """1 lies in kpi's two-term cone, so it is live, though every point
+        of its parallelogram has norm 1 or less and its cap is 2: it sits
+        inside the window of 1 and 10i and reads k = 0 there, an EMPTY row."""
         targets = [GaussianInt(1, 0), GaussianInt(0, 10)]
         assert gaussdecomp._cap(KPI.cone, 1, 0, 1, False) == 2
         report = scan_targets(targets, KPI, 3, policy)
         assert report.rows == scan_rows_by_search(targets, KPI, 3, policy)
         assert report.rows[0] == (GaussianInt(1, 0), None, None)
+
+    @pytest.mark.parametrize("policy", list(NormPolicy))
+    def test_a_lone_target_with_a_cap_below_3_builds_no_sumsets(self, monkeypatch, policy):
+        """1+i lies in gammapi's two-term cone, so it is live, but its
+        parallelogram holds only points of norm 1 or less: the largest cap
+        is 1, or 2 under the strict walk, and no odd prime lies below it.
+        _minimal_terms declines, with no log(1) or pool of bound 1, and the
+        row loop searches, finding no sum."""
+        z = GaussianInt(1, 1)
+        live, extent = gaussdecomp._extent([(1, 1, 1)], GPI, policy is NormPolicy.STRICT_LESS)
+        assert live == [(1, 1, 1)]
+        assert extent[5] == (2 if policy is NormPolicy.STRICT_LESS else 1)
+
+        def no_sumsets(*args):
+            raise AssertionError("sumsets built under a cap below 3")
+
+        monkeypatch.setattr(gaussdecomp, "_sumsets", no_sumsets)
+        report = scan_targets([z], GPI, 3, policy)
+        assert report.rows == ((z, None, None),)
+        assert report.exceptions == (z,)
+
+    @pytest.mark.parametrize(
+        "targets, policy",
+        [
+            ([GaussianInt(1, 0), GaussianInt(0, 10)], NormPolicy.NONE),
+            ([GaussianInt(1, 0), GaussianInt(0, 10)], NormPolicy.STRICT_LESS),
+            (box_targets(Region.QUADRANT, (1, 2), (0, 1)), NormPolicy.STRICT_LESS),
+        ],
+        ids=["1-and-10i-none", "1-and-10i-strict", "quadrant-box-strict"],
+    )
+    def test_tiny_targets_are_live_and_read_k_0_off_the_window(self, targets, policy):
+        """The two-term cone is the only liveness rule: kpi keeps the
+        targets below norm 8 live, 1, 1+i and 2 among them, though their
+        caps leave no odd prime below. Each sits inside the window and reads
+        k = 0 there, so its row is EMPTY, as the search finds."""
+        strict = policy is NormPolicy.STRICT_LESS
+        runs = [(z.re, z.im, z.im) for z in targets]
+        live, extent = gaussdecomp._extent(runs, KPI, strict)
+        tiny = [z for z in targets if z.norm() < 8]
+        assert run_points(live) == sorted(z.key()[1:] for z in targets)
+        width, base, ks, _ = gaussdecomp._minimal_terms(live, extent, KPI, 3, not strict)
+        assert [ks[z.re * width + z.im - base] for z in tiny] == [0] * len(tiny)
+        report = scan_targets(targets, KPI, 3, policy)
+        assert report.rows == scan_rows_by_search(targets, KPI, 3, policy)
+        assert set(report.exceptions) >= set(tiny)
 
     def test_far_box_searches_each_target(self, monkeypatch):
         """The window reaches from the cone's corner to the targets, so a
@@ -602,8 +645,7 @@ class TestScans:
         targets = box_targets(Region.OPEN_QUADRANT, (1, 40), (1, 40))
         _, runs = gaussdecomp._box_keys(Region.OPEN_QUADRANT, (1, 40), (1, 40), 0)
         live, extent = gaussdecomp._extent(runs, KPI, False)
-        pool = _pool_for(KPI, extent[7])
-        assert gaussdecomp._minimal_terms(live, extent, pool, 10**6) is not None
+        assert gaussdecomp._minimal_terms(live, extent, KPI, 10**6) is not None
         report = scan_targets(targets, KPI, 10**6, NormPolicy.NONE)
         assert report.rows == scan_targets(targets, KPI, 3, NormPolicy.NONE).rows
 
@@ -654,9 +696,8 @@ class TestScans:
         _, runs = gaussdecomp._box_keys(Region.OPEN_QUADRANT, (120, 130), (1, 10), 0)
         live = gaussdecomp._extent(runs, KPI, False)
         lone = gaussdecomp._extent([(125, 1, 1)], KPI, False)
-        pool = _pool_for(KPI, live[1][7])
-        assert gaussdecomp._minimal_terms(*live, pool, 3) is not None
-        assert gaussdecomp._minimal_terms(*lone, pool, 3) is None
+        assert gaussdecomp._minimal_terms(*live, KPI, 3) is not None
+        assert gaussdecomp._minimal_terms(*lone, KPI, 3) is None
         assert gaussian_prime_pool(KPI, 962).index((31, 0, 961)) == 167
         searched = scan_rows_by_search(targets, KPI, 3)
         assert (GaussianInt(125, 1), 2, (GaussianInt(94, 1), GaussianInt(31, 0))) in searched
@@ -746,29 +787,34 @@ class TestScans:
 
 def plain_extent(keys, region, policy):
     """(live, extent) one target at a time, by the plain definition: live
-    the sorted (re, im) of the targets whose two-term _term_cap cap plus
-    one, cut to the target's norm under the strict policy, is above 2;
-    extent their least and largest re and im and their largest u, v,
-    u + v and cap, or None."""
-    want = []
+    the sorted (re, im) of the targets in the two-term cone, those that
+    have a two-term _term_cap; extent the least integer box holding every
+    live target and the four corners n1.s in {c1, u}, n2.s in {c2, v} of
+    its parallelogram, their largest (n1 + n2).z and their largest cap plus
+    one, cut to the target's norm under the strict policy, whose walk
+    starts at 2; or None."""
+    (a1, b1, c1), (a2, b2, c2) = region.cone
+    det = Fraction(a1 * b2 - a2 * b1)
+    strict = policy is NormPolicy.STRICT_LESS
+    live, xs, ys, reach, caps = [], [], [], [], [2] if strict else []
     for n, re, im in keys:
         got = gaussdecomp._term_cap(region.cone, re, im, 2)
         if got is None:
             continue
         u, v, cap = got
-        cap += 1
-        if policy is NormPolicy.STRICT_LESS:
-            cap = min(cap, n)
-        if cap > 2:
-            want.append((re, im, u, v, cap))
-    if not want:
+        live.append((re, im))
+        xs.append(re)
+        ys.append(im)
+        for s in (c1, u):
+            for t in (c2, v):
+                xs.append((b2 * s - b1 * t) / det)
+                ys.append((a1 * t - a2 * s) / det)
+        reach.append((a1 + a2) * re + (b1 + b2) * im)
+        caps.append(min(cap + 1, n) if strict else cap + 1)
+    if not live:
         return [], None
-    res, ims, us, vs, caps = zip(*want)
-    extent = (
-        min(res), max(res), min(ims), max(ims),
-        max(us), max(vs), max(map(add, us, vs)), max(caps),
-    )
-    return sorted(zip(res, ims)), extent
+    box = (ceil(min(xs)), floor(max(xs)), ceil(min(ys)), floor(max(ys)))
+    return sorted(live), (*box, max(reach), max(caps))
 
 
 def run_points(runs):
@@ -777,10 +823,9 @@ def run_points(runs):
 
 
 class TestSumsetWindow:
-    """_extent reads the live targets, and the extremes _window and the
-    cost gate read, off the ends of each run, checking targets one by one
-    only below norm 8; all are pinned here to the plain per-target
-    definition, and _window to the box of every corner."""
+    """_extent cuts the runs to the two-term cone and reads the window, the
+    reach and the largest cap off the ends of each run; all are pinned here
+    to the plain per-target definition."""
 
     @staticmethod
     def check(keys, runs, region, policy):
@@ -802,10 +847,9 @@ class TestSumsetWindow:
     def test_box_runs_near_the_origin_and_under_floors(self, policy):
         """_box_keys' runs for boxes of every region that reach the targets
         below norm 8, some cut by a min_max_component floor, against every
-        term region. Some targets that the two-term cone keeps have a cap
-        of 2 or less, and the runs drop them."""
+        term region: the live runs keep exactly the targets in the two-term
+        cone, those whose cap is 2 or less among them."""
         rng = random.Random(f"extent {policy.value}")
-        dropped = 0
         for target_region in Region:
             for term_region in Region:
                 (a1, b1, c1), (a2, b2, c2) = term_region.cone
@@ -813,12 +857,12 @@ class TestSumsetWindow:
                     re0, im0 = rng.randint(-4, 2), rng.randint(-4, 2)
                     floor = rng.choice([0, 0, rng.randint(1, 4)])
                     box = ((re0, re0 + rng.randint(0, 7)), (im0, im0 + rng.randint(0, 7)))
-                    keys, runs = gaussdecomp._box_keys(target_region, *box, floor)
+                    _, runs = gaussdecomp._box_keys(target_region, *box, floor)
+                    points = run_points(runs)  # zero too, which is no target
+                    keys = [(re * re + im * im, re, im) for re, im in points]
                     live = self.check(keys, runs, term_region, policy)
-                    cone = [(re, im) for _, re, im in keys
-                            if a1 * re + b1 * im >= 2 * c1 and a2 * re + b2 * im >= 2 * c2]
-                    dropped += len(cone) - len(live)
-        assert dropped > 50
+                    assert live == [(re, im) for re, im in points
+                                    if a1 * re + b1 * im >= 2 * c1 and a2 * re + b2 * im >= 2 * c2]
 
     @pytest.mark.parametrize("policy", list(NormPolicy))
     def test_explicit_targets_make_runs_of_their_rows(self, monkeypatch, policy):
@@ -849,12 +893,35 @@ class TestSumsetWindow:
             assert run_points(runs) == sorted(z.key()[1:] for z in targets)
             self.check([z.key() for z in targets], runs, region, policy)
 
+    @pytest.mark.parametrize(
+        "target_region, re_range, im_range, term_region, strict, count, extent",
+        [
+            (Region.OPEN_QUADRANT, (1, 150), (1, 150), KPI, False, 22500,
+             (0, 150, 0, 150, 300, 45001)),
+            (Region.SECTOR, (1, 120), (-119, 120), SPI, True, 14400,
+             (0, 120, -119, 239, 360, 28800)),
+            (Region.OPEN_QUADRANT, (1, 120), (1, 120), GPI, False, 7260,
+             (1, 120, -59, 120, 240, 28561)),
+        ],
+        ids=["kpi", "spi-strict", "gammapi"],
+    )
+    def test_the_benchmark_boxes_keep_their_extent(
+        self, target_region, re_range, im_range, term_region, strict, count, extent
+    ):
+        """perfbench's three scan boxes, origins unshifted: the window, the
+        reach and the largest cap were recorded while _extent still cut the
+        targets below norm 8 by their caps and a separate _window read the
+        extremes. Each live target count is the two-term cone's, 1+i of
+        the strict spi box and of the gammapi box included."""
+        _, runs = gaussdecomp._box_keys(target_region, re_range, im_range, 0)
+        live, got = gaussdecomp._extent(runs, term_region, strict)
+        assert (sum(hi - lo + 1 for _, lo, hi in live), got) == (count, extent)
+
     @pytest.mark.parametrize("region", list(Region))
     def test_window_is_the_box_of_every_corner(self, region):
-        """The least integer box holding every live target and the four
-        corners n1.s in {c1, u}, n2.s in {c2, v} of its parallelogram."""
-        (a1, b1, c1), (a2, b2, c2) = region.cone
-        det = Fraction(a1 * b2 - a2 * b1)
+        """Scattered single targets out to 60 from the origin: the window
+        is the least integer box holding every live target and the four
+        corners of its parallelogram (see plain_extent)."""
         rng = random.Random(f"window {region.value}")
         checked = 0
         for _ in range(300):
@@ -863,36 +930,10 @@ class TestSumsetWindow:
                 for _ in range(rng.randint(1, 6))
             ]
             runs = [(z.re, z.im, z.im) for z in targets]
-            live, extent = gaussdecomp._extent(runs, region, rng.random() < 0.5)
-            if not live:
-                continue
-            xs, ys, us, vs = [], [], [], []
-            for re, im in run_points(live):
-                u, v = a1 * re + b1 * im - c1, a2 * re + b2 * im - c2
-                us.append(u)
-                vs.append(v)
-                xs.append(re)
-                ys.append(im)
-                for s in (c1, u):
-                    for t in (c2, v):
-                        xs.append((b2 * s - b1 * t) / det)
-                        ys.append((a1 * t - a2 * s) / det)
-            want = (ceil(min(xs)), floor(max(xs)), ceil(min(ys)), floor(max(ys)))
-            res, ims = zip(*run_points(live))
-            box = (min(res), max(res), min(ims), max(ims), max(us), max(vs))
-            assert extent[:6] == box
-            assert gaussdecomp._window(region.cone, *box) == want
-            checked += 1
+            policy = NormPolicy.STRICT_LESS if rng.random() < 0.5 else NormPolicy.NONE
+            if self.check([z.key() for z in targets], runs, region, policy):
+                checked += 1
         assert checked > 100
-
-    @pytest.mark.parametrize("region", list(Region))
-    def test_every_fixed_corner_has_norm_at_most_2(self, region):
-        """So |z - F|^2 >= 2 above norm 8, as _extent assumes: the corner
-        n1.p = c1, n2.p = c2 is (b2 c1 - b1 c2, a1 c2 - a2 c1) / det."""
-        (a1, b1, c1), (a2, b2, c2) = region.cone
-        det = a1 * b2 - a2 * b1
-        x, y = b2 * c1 - b1 * c2, a1 * c2 - a2 * c1
-        assert x * x + y * y <= 2 * det * det
 
 
 class TestChasedWitnesses:
@@ -914,7 +955,7 @@ class TestChasedWitnesses:
                 live, extent = gaussdecomp._extent(runs, term_region, strict)
                 if not live:
                     continue
-                got = gaussdecomp._minimal_terms(live, extent, _pool_for(term_region), 3)
+                got = gaussdecomp._minimal_terms(live, extent, term_region, 3)
                 width, base, ks, chase = got
                 witnesses = gaussdecomp._chased(chase, lambda p: (p,), lambda p: (p,))
                 for re, im in run_points(live):
@@ -1399,7 +1440,7 @@ class TestPoolCache:
         targets = box_targets(Region.OPEN_QUADRANT, (re_lo, re_lo + 1), (1, 2))
         _, runs = gaussdecomp._box_keys(Region.OPEN_QUADRANT, (re_lo, re_lo + 1), (1, 2), 0)
         _, extent = gaussdecomp._extent(runs, region, False)
-        assert extent[7] > 4 * 10**6
+        assert extent[5] > 4 * 10**6
         report = scan_targets(targets, region, 3, NormPolicy.NONE)
         got = primes._POOL_CACHE[region]
         assert len(primes._shared_flags) == got.swept < 10**5
@@ -1696,7 +1737,7 @@ class TestSingle:
         _, runs = gaussdecomp._box_keys(Region.OPEN_QUADRANT, (1, 40), (1, 40), 0)
         live, extent = gaussdecomp._extent(runs, KPI, False)
         assert sum(hi - lo + 1 for _, lo, hi in live) == len(targets)
-        assert max(z.norm() for z in targets) < extent[7]
+        assert max(z.norm() for z in targets) < extent[5]
         pool, calls = _pool_for(KPI), []
         real = pool.member
 
