@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from functools import cache
 from itertools import accumulate, compress, count, repeat
 from math import log
 from operator import add, countOf, is_, itemgetter, sub
@@ -376,8 +377,8 @@ def find_decomposition(
 
 def _box_keys(region: Region, re_range: tuple, im_range: tuple, floor: int) -> tuple[list, list]:
     """(keys, runs): the region's nonzero points in a box with max(re, im) >=
-    floor as ascending keys (norm, re, im), and each row's run (re, lo, hi),
-    zero too. The range ends get GaussianInt's component check, so every key's do."""
+    floor as ascending keys (norm, re, im), and each row's run (re, lo, hi)
+    of them. The range ends get GaussianInt's component check, so every key's do."""
     re_lo, re_hi = re_range
     im_lo, im_hi = im_range
     if re_lo > re_hi or im_lo > im_hi:
@@ -390,12 +391,12 @@ def _box_keys(region: Region, re_range: tuple, im_range: tuple, floor: int) -> t
         lo, hi = region.im_span(re, im_lo, im_hi)
         if re < floor:
             lo = max(lo, floor)
+        elif not re and not lo:  # zero starts row 0 where a region holds it (kpi, octant)
+            lo = 1
         runs.append((re, lo, hi))
         rr = re * re
         out += [(rr + im * im, re, im) for im in range(lo, hi + 1)]
     out.sort()
-    if out and not out[0][0]:  # zero, the least key
-        del out[0]
     return out, runs
 
 
@@ -464,7 +465,8 @@ class ScanReport(Report):
             return template % _text(p[0], p[1])
 
         levels = self.chase and _chased(self.chase, one, lambda p: sep + one(p))
-        return levels, lambda w: sep.join(map(one, w))
+        made = cache(one)  # searched rows repeat their terms: one text per distinct entry
+        return levels, lambda w: sep.join(map(made, w))
 
     @property
     def rows(self) -> tuple[tuple[GaussianInt, int | None, tuple[GaussianInt, ...] | None], ...]:

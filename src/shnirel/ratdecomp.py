@@ -224,78 +224,75 @@ def _numerals(ns: range) -> Iterator[str]:
 
 
 def _csv_blocks(reports: Sequence[HypothesisReport]) -> Iterator[Iterable[str]]:
-    """The CSV lines of the reports: the header, then the rows of each
-    report in order, a block per report, which chain.from_iterable joins
-    with no bytecode per row.
+    """The CSV lines of the reports, in blocks that chain.from_iterable
+    joins with no bytecode per row: the header, then each report's rows.
 
     Level k's witness text at n is level k - 1's at n - p plus "+p", p the
-    first term of n (level 1's is n itself). So each level's texts are made
-    once, as a list over a window of its class, by C-level gathers off the
-    list below, and shared by every report that reads the level; each row
-    joins n, the report's residue and k, and its top level's text. A run of
-    reports sharing level 2 comes from one hypothesis_scans call and shares
-    every level. A level's window covers its reports' targets and what the
-    level above reads: from the least n there less the largest first term,
-    clamped at 0, so a whole class for lo = 1, and one slice of the level's
-    array. An n with no sum (p = 0) gathers some neighbour's text or the
-    spare "" that ends each list, and then reads EMPTY; no n with a sum
-    reads it, as n - p then has one. A list is dropped once no later report
-    builds on it.
+    first term of n (level 1's is n). A level's texts are a triple (list,
+    start, suffix), the text of n being list[(n - start) // 4] + suffix, over
+    a window of its class: its reports' targets and what the level above
+    reads, from the least n there less the largest first term, clamped at 0.
+    Level 1 lists the numerals, which H_4's rows, in its class, take too. A
+    level whose first terms there are one prime p, or 0, reads through the
+    level below with start + p and suffix + "+p": levels 3 to 5 do, as every
+    n = 2 mod 4 from 6 up is a two-term sum. Any other level lists its texts
+    by C-level gathers off the level below. Reports sharing level 2 share
+    every level: up to 10^6 only levels 1 and 2 make lists. A row joins
+    n, its residue and k, and its top level's text; an n with no sum would
+    read a neighbour's, so the rows between exceptions go out as one block
+    and each exception as an EMPTY line.
     """
     yield [_HYPOTHESIS_CSV_HEAD]
     for _, run in groupby(reports, lambda r: id(r.levels[0])):
         run = list(run)
         levels = (None, None, *max((r.levels for r in run), key=len))  # level k at k
         bounds: list[list[tuple[int, int]]] = [[] for _ in levels]
+        stops = [(*r.exceptions, r.hi + 1) for r in run]  # their column slices precede the lists
         for r in run:
             if t := r._targets:
                 bounds[r.spec.k].append((t[0], t[-1]))
+                if r.spec.k == 5:
+                    bounds[1].append((t[0], t[-1]))
         windows, cols = {}, {}
         for k in range(len(levels) - 1, 0, -1):
             lo = max(0, min((a for a, _ in bounds[k]), default=0))
             hi = max((b for _, b in bounds[k]), default=-1)
             windows[k] = ns = range(lo + (3 * k - lo) % 4, hi + 1, 4)
-            if ns and k > 1:
-                cols[k] = col = levels[k][ns.start : ns.stop : 4]
-                bounds[k - 1].append((ns[0] - max(col), ns[-1]))
-        texts: dict[int, list[str]] = {}
-        tops = [r.spec.k for r in run]
-
-        def prune(tops: list[int]) -> None:
-            """Drop each list that none of tops reads or builds on."""
-            for b in set(texts) - {max(b for b in texts if b <= t) for t in tops}:
-                del texts[b]
-
-        for j, r in enumerate(run):
-            k = r.spec.k
-            built = max((b for b in texts if b <= k), default=0)
-            if not built:
-                texts[built := 1] = [*_numerals(windows[1]), ""]
-            for q in range(built + 1, k + 1):
-                col, below = cols.get(q, ()), texts[q - 1]
-                shift = windows[q].start - windows[q - 1].start
-                off = [(shift - p) // 4 for p in range(max(col, default=0) + 1)]
-                plus = ["+%d" % p for p in range(len(off))]
+            if ns and k > 1:  # a level of one first term keeps no column
+                col = levels[k][ns.start : ns.stop : 4]
+                bounds[k - 1].append((ns[0] - (top := max(col)), ns[-1]))
+                cols[k] = top, None if not top or col.count(top) + col.count(0) == len(col) else col
+        texts = [None, (list(_numerals(windows[1])), windows[1].start, "")]  # level k at k
+        for q in range(2, len(levels)):
+            (top, col), (below, start, suffix) = cols.pop(q, (0, None)), texts[-1]
+            if col is None:
+                texts.append((below, start + top, f"{suffix}+{top}"))
+            else:
+                off = [(windows[q].start - start - p) // 4 for p in range(top + 1)]
+                plus = [f"{suffix}+{p}" for p in range(top + 1)]
                 offs = map(add, count(), map(off.__getitem__, col))
-                texts[q] = got = list(map(add, map(below.__getitem__, offs), map(plus.__getitem__, col)))
-                at = -1
-                for _ in range(col.count(0)):
-                    got[at := col.index(0, at + 1)] = "EMPTY"
-                got.append("")
-                prune(tops[j:])
-            ns, mid = r._targets, f",{r.spec.residue},{k},"
-            i = (ns.start - windows[k].start) // 4
-            wits = islice(texts[k], i, i + len(ns))  # holds the list while the rows are read
-            prune(tops[j + 1 :])
-            yield map("".join, zip(_numerals(ns), repeat(mid), wits, repeat("\n")))
+                made = map(add, map(below.__getitem__, offs), map(plus.__getitem__, col))
+                texts.append((list(made), windows[q].start, ""))
+        for r, stop in zip(run, stops):
+            k = r.spec.k
+            (wits, start, suffix), names = texts[k], texts[1] if k == 5 else None
+            mid, end, at = f",{r.spec.residue},{k},", suffix + "\n", r._targets.start
+            for n in stop:
+                if ns := range(at, n, 4):
+                    nums = islice(names[0], (at - names[1]) // 4, None) if names else _numerals(ns)
+                    i = (at - start) // 4
+                    yield map("".join, zip(nums, repeat(mid), islice(wits, i, i + len(ns)), repeat(end)))
+                if n <= r.hi:
+                    yield (f"{n}{mid}EMPTY\n",)
+                at = n + 4
 
 
 class HypothesisReport(Report):
     """Scan outcome for one residue-class claim over [lo, hi]. levels holds
     levels 2 to k, arrays of first terms indexed by n up to hi, 0 for no sum
     (see _first_term). rows are chased off them when read and the CSV is
-    written off texts made from them (_csv_blocks), so the rows, not the
-    levels, fix a report."""
+    written off each level's texts, listed or read through the level below
+    (_csv_blocks), so the rows, not the levels, fix a report."""
 
     spec: HypothesisSpec
     lo: int
@@ -386,11 +383,11 @@ class HypothesisReports(Report):
 
 
 # The largest hi a hypothesis scan takes. The scans keep a 4-byte first term
-# per integer and level (built through 2-byte lanes); the CSV writer holds at
-# most two levels of witness texts at once, a list entry and a str per n of a
-# class. The op's own peak in CSV is near 68 MiB at 10^6, all four scans or H_4
-# alone, and near 30 MiB at 300 064; in JSON, whose payload holds every row,
-# near 418 MiB at 10^6 (CPython 3.11, x86-64).
+# per integer and level (built through 2-byte lanes); the CSV writer lists the
+# texts of levels 1 and 2 alone, a list entry and a str per n of a class each,
+# as levels 3 to 5 read through level 2's. The op's peak in CSV is near 68 MiB
+# at 10^6, all four scans or H_4 alone, and near 31 MiB at 300 064; in JSON,
+# whose payload holds every row, near 418 MiB at 10^6 (CPython 3.11, x86-64).
 _HYPOTHESIS_CAP = 10**6
 
 

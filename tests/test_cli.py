@@ -754,8 +754,9 @@ HYPOTHESIS_DIGESTS = {
 HYPOTHESIS_SCALE_DIGEST = "8c42080ef35a0e0848d53bbc6aca2ae53e7915c8e86f132b56d7949b93659d5d"
 
 # sha256 of hypotheses --index 4 --upper 300064 --format csv: a lone H_4
-# scan writes off witness texts of levels 1 to 5 that no other scan shares;
-# recorded while every CSV row was chased off the arrays as it was written.
+# scan lists the texts of levels 1 and 2 by itself and reads levels 3 to 5
+# through level 2's; recorded while every CSV row was chased off the arrays
+# as it was written.
 HYPOTHESIS_INDEX4_SCALE_DIGEST = "75e629e421744a4f38a3ff5c56fba6563b576d0e6f383795202bc982761a5699"
 
 

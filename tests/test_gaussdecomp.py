@@ -858,7 +858,8 @@ class TestSumsetWindow:
                     floor = rng.choice([0, 0, rng.randint(1, 4)])
                     box = ((re0, re0 + rng.randint(0, 7)), (im0, im0 + rng.randint(0, 7)))
                     _, runs = gaussdecomp._box_keys(target_region, *box, floor)
-                    points = run_points(runs)  # zero too, which is no target
+                    points = run_points(runs)
+                    assert (0, 0) not in points  # zero is no target
                     keys = [(re * re + im * im, re, im) for re, im in points]
                     live = self.check(keys, runs, term_region, policy)
                     assert live == [(re, im) for re, im in points

@@ -1,6 +1,7 @@
 """Fixed-length and minimal odd-prime splits, residue-class scans, and
 the three-to-six-term chain, cross-checked against plain enumeration."""
 
+import builtins
 import io
 import json
 import random
@@ -25,7 +26,7 @@ from shnirel import (
     split_into_residue34_primes,
 )
 from shnirel import ratdecomp
-from shnirel.ratdecomp import CHAIN_THRESHOLD, HypothesisReports
+from shnirel.ratdecomp import CHAIN_THRESHOLD, HypothesisReport, HypothesisReports
 
 
 class TestSplitIntoOddPrimes:
@@ -605,6 +606,48 @@ class TestCsvWriter:
             *hypothesis_scans([2, 4], 1, 61),
         ]
         assert csv_of(reports) == csv_from_rows(reports)
+
+    def test_hand_made_levels(self):
+        """First terms no scan makes, over levels shared as one scan's are:
+        level 3 all 3 but for a 0 mid-range, so H_2's rows read through
+        level 2 in two runs around an EMPTY row; level 4 mixed above it, so
+        H_3's texts are listed off level 3's; level 5 all 3 above that, as
+        H_4 reads it. Every nonzero first term leaves n - p a sum below."""
+        rng, hi = random.Random(35), 300
+        levels = {k: array("I", [0]) * (hi + 1) for k in range(2, 6)}
+        for n in range(6, hi + 1, 4):
+            levels[2][n] = rng.choice([p for p in (3, 7, 11, 19, 23) if p <= n - 3])
+        for n in range(9, hi + 1, 4):
+            levels[3][n] = 3 * (n != 101)
+        for n in range(12, hi + 1, 4):
+            levels[4][n] = rng.choice([p for p in (3, 7, 11) if levels[3][n - p]] or [0])
+        for n in range(15, hi + 1, 4):
+            levels[5][n] = 3 * (levels[4][n - 3] > 0)
+        assert len(set(levels[4][12::4])) > 1  # mixed
+        shared = tuple(levels.values())
+        for lo in (1, 50, 101, 102):
+            reports = [HypothesisReport(HYPOTHESES[i], lo, hi, shared[:i]) for i in (2, 3, 1, 4)]
+            assert 101 in reports[0].exceptions or lo > 101
+            assert csv_of(reports) == csv_from_rows(reports), lo
+
+    @pytest.mark.parametrize("indices", [None, 4])
+    def test_only_levels_1_and_2_make_lists(self, monkeypatch, indices):
+        """At 20 000 the levels above 2 hold one first term and read through
+        level 2, so the writer lists the texts of levels 1 and 2 alone."""
+        made = []
+
+        def spy(items=()):
+            got = builtins.list(items)
+            if got and isinstance(got[0], str):
+                made.append(got)
+            return got
+
+        reports = hypothesis_scans([indices] if indices else [1, 2, 3, 4], 1, 20_000)
+        monkeypatch.setattr(ratdecomp, "list", spy, raising=False)
+        text = csv_of(reports)
+        monkeypatch.undo()
+        assert text == csv_from_rows(reports)
+        assert [texts[-1].count("+") for texts in made] == [0, 1]  # numerals, then level 2
 
 
 class TestResidue34Chain:
