@@ -166,42 +166,35 @@ def _extent(runs: list[tuple], region: Region, strict: bool) -> tuple:
     extent (re_lo, re_hi, im_lo, im_hi, reach, top), or None: the least box
     holding each live target and the four corners n1.s in {c1, u}, n2.s in
     {c2, v} of its parallelogram (as in _term_cap), the largest (n1 + n2).z
-    and the largest cap (see _cap). Along a row u, v and the corners move
-    linearly, so the box, the reach and the cap with no strict cut (the
-    corner norms being convex) are read off the ends of each run. The
-    strict cap min(n, cap) is read off each run from its larger norms
-    inward."""
-    (a1, b1, c1), (a2, b2, c2) = cone = region.cone
-    live = []
+    and the largest cap (see _cap), cut under the strict policy to the
+    largest norm, which leaves it at least each target's min(cap, norm),
+    the bound on its strict terms. Along a row u, v and the corners move
+    linearly, and the norms of the corners and of the target are convex,
+    so all of these are read off the ends of each live run."""
+    (a1, b1, c1), (a2, b2, c2) = region.cone
+    det, live, xs, ys, reach, best, most = a1 * b2 - a2 * b1, [], [], [], 0, 0, 0
     for re, lo, hi in runs:
         lo, hi = region.im_span(re, lo, hi, 2)
-        if lo <= hi:
-            live.append((re, lo, hi))
-    if not live:
-        return live, None
-    det, xs, ys, reach, best = a1 * b2 - a2 * b1, [], [], 0, 0
-    for re, lo, hi in live:
+        if lo > hi:
+            continue
+        live.append((re, lo, hi))
         for im in (lo, hi):
             u, v = a1 * re + b1 * im - c1, a2 * re + b2 * im - c2
             reach = max(reach, u + v + c1 + c2)
+            most = max(most, re * re + im * im)
             xs.append(re * det)  # the target itself, then its corners, each det times
             ys.append(im * det)
             for s, t in ((c1, c2), (c1, v), (u, c2), (u, v)):
                 xs.append(b2 * s - b1 * t)
                 ys.append(a1 * t - a2 * s)
                 best = max(best, xs[-1] ** 2 + ys[-1] ** 2)
-    if strict:
-        top = 2
-        for re, lo, hi in reversed(live):  # a box right of the origin has its largest norms last
-            while lo <= hi and re * re + max(lo * lo, hi * hi) > top:
-                im = lo if lo * lo > hi * hi else hi
-                top = max(top, _cap(cone, re, im, re * re + im * im, True))
-                lo, hi = (lo + 1, hi) if im == lo else (lo, hi - 1)
-    else:
-        top = best // det**2 + 1
+    if not live:
+        return live, None
+    top = best // det**2 + 1
     if det < 0:
         det, xs, ys = -det, [-x for x in xs], [-y for y in ys]
-    return live, (-(-min(xs) // det), max(xs) // det, -(-min(ys) // det), max(ys) // det, reach, top)
+    return live, (-(-min(xs) // det), max(xs) // det, -(-min(ys) // det), max(ys) // det, reach,
+                  min(top, most) if strict else top)
 
 
 def _dfs(
@@ -491,7 +484,7 @@ class ScanReport(Report):
     @property
     def term_counts(self) -> dict[int, int]:
         """How many targets resolved at each term count."""
-        return {k: c for k, c in Counter([r[3] for r in self.int_rows]).items() if k is not None}
+        return {k: c for k, c in Counter(map(itemgetter(3), self.int_rows)).items() if k is not None}
 
     def to_json_dict(self) -> dict:
         return {
@@ -523,7 +516,7 @@ class ScanReport(Report):
         Gaussian integer needs no escaping. An exception's text is made
         once, for the list and its row."""
         levels, whole = self._level_texts('"%s"', ",\n        ")
-        rows, ks = self.int_rows, Counter(map(itemgetter(3), self.int_rows))
+        rows = self.int_rows
         gone = compress(rows, map(is_, map(itemgetter(3), rows), repeat(None)))
         exceptions = [f'"{re}+{im}i"' if im > 1 and re else f'"{re}{im}i"' if im < -1 and re
                       else f'"{_text(re, im)}"' for _, re, im, _, _ in gone]
@@ -547,7 +540,7 @@ class ScanReport(Report):
                        f'      "z": "{z}"\n    }}')
             sep = ",\n"
         # json sorts the keys as strings: "10" before "2"
-        tally = sorted((str(k), c) for k, c in ks.items() if k is not None)
+        tally = sorted((str(k), c) for k, c in self.term_counts.items())
         counts = "{\n    " + ",\n    ".join(f'"{k}": {c}' for k, c in tally) + "\n  }" if tally else "{}"
         close = "\n  ]" if rows else "]"
         yield (
@@ -555,26 +548,28 @@ class ScanReport(Report):
             f'  "term_counts": {counts}\n}}\n'
         )
 
+    def _table(self, head: str, pre: str, mid: str, end: str, sep: str) -> Iterator[str]:
+        """The md and csv lines: head, then a row pre z mid norm mid k mid
+        witness end per target, its terms in parentheses joined by sep, k
+        and witness empty and EMPTY for an exception."""
+        levels, whole = self._level_texts("(%s)", sep)
+        yield head
+        for n, re, im, k, w in self.int_rows:
+            z = f"{re}+{im}i" if im > 1 and re else f"{re}{im}i" if im < -1 and re else _text(re, im)
+            yield (f"{pre}{z}{mid}{n}{mid}{mid}EMPTY{end}" if w is None else
+                   f"{pre}{z}{mid}{n}{mid}{k}{mid}{levels[k][w >> 1] if w.__class__ is int else whole(w)}{end}")
+
     def md_lines(self) -> Iterator[str]:
-        levels, whole = self._level_texts("(%s)", " + ")
-        yield (
+        return self._table(
             f"targets {self.target_desc}, primes {self.term_region.value}, "
             f"max terms {self.max_terms}, policy {self.policy.value}: {len(self.int_rows)} "
             f"targets, {countOf(map(itemgetter(3), self.int_rows), None)} unrepresentable\n"
+            "\n| z | norm | k | witness |\n|---|---|---|---|\n",
+            "| ", " | ", " |\n", " + ",
         )
-        yield "\n| z | norm | k | witness |\n|---|---|---|---|\n"
-        for n, re, im, k, w in self.int_rows:
-            z = f"{re}+{im}i" if im > 1 and re else f"{re}{im}i" if im < -1 and re else _text(re, im)
-            yield (f"| {z} | {n} |  | EMPTY |\n" if w is None else
-                   f"| {z} | {n} | {k} | {levels[k][w >> 1] if w.__class__ is int else whole(w)} |\n")
 
     def csv_lines(self) -> Iterator[str]:
-        levels, whole = self._level_texts("(%s)", "+")
-        yield "z,norm,k,witness\n"
-        for n, re, im, k, w in self.int_rows:
-            z = f"{re}+{im}i" if im > 1 and re else f"{re}{im}i" if im < -1 and re else _text(re, im)
-            yield (f"{z},{n},,EMPTY\n" if w is None else
-                   f"{z},{n},{k},{levels[k][w >> 1] if w.__class__ is int else whole(w)}\n")
+        return self._table("z,norm,k,witness\n", "", ",", "\n", "+")
 
 
 # Bit-ops the sumsets may spend per target, estimated as window bits x
@@ -612,8 +607,9 @@ def _minimal_terms(live: list, extent: tuple, region: Region, max_terms: int, on
     each target and its parallelogram, put each target at the fewest terms
     k of any sum with no norm cap of its own. Under NormPolicy.NONE every
     term of such a sum has norm below the target's cap already, so k is
-    exact. Under STRICT_LESS every strict sum is also such a sum, so k is a
-    lower bound, and a target in no level has no strict sum.
+    exact. Under STRICT_LESS the cut may be lower, at the largest norm, but
+    every strict sum's terms lie below it too, so k is a lower bound, and a
+    target in no level has no strict sum.
 
     First-term lemma: let p be the first pool entry leaving z - p in level
     k - 1. Each term q of a k-term sum of z leaves z - q there, so no such

@@ -419,10 +419,6 @@ def hypothesis_scans(indices: Sequence[int], lo: int, hi: int) -> list[Hypothesi
     ]
 
 
-# How many copies of 3 shift n down to the residue the three-term split
-# covers, keyed by n mod 4.
-_EXTRA_THREES = {1: 0, 0: 1, 3: 2, 2: 3}
-
 CHAIN_THRESHOLD = 18
 
 
@@ -472,7 +468,7 @@ def residue34_chain(n: int, threshold: int = CHAIN_THRESHOLD) -> ChainResult:
     """
     if n < threshold:
         raise ValueError(f"chain construction starts at {threshold}")
-    count = _EXTRA_THREES[n % 4]
+    count = (1 - n) % 4  # the copies of 3 that move n onto 1 mod 4
     rest = n - 3 * count
     base = split_into_residue34_primes(rest, 3)
     if base is None:

@@ -864,6 +864,12 @@ COMMAND_DIGESTS = {
     # norm 8 from the live runs
     ("scan --targets a --re 1..1 --im 1..1 --primes gammapi", "json"): (1, "2057b74b6722e648cfe2559dfb5b65d81019f00760bdc9967be9b8132c507533"),
     ("scan --targets quadrant --re 1..2 --im 0..1 --primes kpi --strict-norm", "csv"): (1, "140376d8e4025d95f41b0b8a4991a05ed27ed87ddd693b6b3908b3c3fbe27f64"),
+    # a strict spi box whose targets sit on both sides of the norm cut: the
+    # imaginary axis, where caps fall below the norm, next to targets whose
+    # caps pass it; recorded while the strict cut was still walked target
+    # by target and md and csv each had a row loop of its own
+    ("scan --targets spi --re 0..30 --im=-29..30 --primes spi --strict-norm", "md"): (1, "bf3f10b4d0dd4c77241b660d21b779e67f406c217045dcd11c35186e8fafa4a1"),
+    ("scan --targets spi --re 0..30 --im=-29..30 --primes spi --strict-norm", "csv"): (1, "664cd201e57d2da4aea2499035dbf2c0df59ed281f44600746af94d8fdd29f1d"),
 }
 
 

@@ -566,13 +566,13 @@ class TestScans:
     def test_a_lone_target_with_a_cap_below_3_builds_no_sumsets(self, monkeypatch, policy):
         """1+i lies in gammapi's two-term cone, so it is live, but its
         parallelogram holds only points of norm 1 or less: the largest cap
-        is 1, or 2 under the strict walk, and no odd prime lies below it.
-        _minimal_terms declines, with no log(1) or pool of bound 1, and the
-        row loop searches, finding no sum."""
+        is 1 under both policies (its norm, 2, is no lower cut), and no odd
+        prime lies below it. _minimal_terms declines, with no log(1) or pool
+        of bound 1, and the row loop searches, finding no sum."""
         z = GaussianInt(1, 1)
         live, extent = gaussdecomp._extent([(1, 1, 1)], GPI, policy is NormPolicy.STRICT_LESS)
         assert live == [(1, 1, 1)]
-        assert extent[5] == (2 if policy is NormPolicy.STRICT_LESS else 1)
+        assert extent[5] == 1
 
         def no_sumsets(*args):
             raise AssertionError("sumsets built under a cap below 3")
@@ -791,12 +791,11 @@ def plain_extent(keys, region, policy):
     have a two-term _term_cap; extent the least integer box holding every
     live target and the four corners n1.s in {c1, u}, n2.s in {c2, v} of
     its parallelogram, their largest (n1 + n2).z and their largest cap plus
-    one, cut to the target's norm under the strict policy, whose walk
-    starts at 2; or None."""
+    one, cut under the strict policy to their largest norm; or None."""
     (a1, b1, c1), (a2, b2, c2) = region.cone
     det = Fraction(a1 * b2 - a2 * b1)
     strict = policy is NormPolicy.STRICT_LESS
-    live, xs, ys, reach, caps = [], [], [], [], [2] if strict else []
+    live, xs, ys, reach, caps, norms = [], [], [], [], [], []
     for n, re, im in keys:
         got = gaussdecomp._term_cap(region.cone, re, im, 2)
         if got is None:
@@ -810,16 +809,57 @@ def plain_extent(keys, region, policy):
                 xs.append((b2 * s - b1 * t) / det)
                 ys.append((a1 * t - a2 * s) / det)
         reach.append((a1 + a2) * re + (b1 + b2) * im)
-        caps.append(min(cap + 1, n) if strict else cap + 1)
+        caps.append(cap + 1)
+        norms.append(n)
     if not live:
         return [], None
     box = (ceil(min(xs)), floor(max(xs)), ceil(min(ys)), floor(max(ys)))
-    return sorted(live), (*box, max(reach), max(caps))
+    return sorted(live), (*box, max(reach), min(max(caps), max(norms)) if strict else max(caps))
 
 
 def run_points(runs):
     """The points (re, im) of runs (re, lo, hi), sorted, repeats kept."""
     return sorted((re, im) for re, lo, hi in runs for im in range(lo, hi + 1))
+
+
+def near_origin_box_runs(policy):
+    """(term_region, runs): _box_keys' runs for seeded boxes of every region
+    that reach the targets below norm 8, some cut by a min_max_component
+    floor, each against every term region."""
+    rng = random.Random(f"extent {policy.value}")
+    for target_region in Region:
+        for term_region in Region:
+            for _ in range(6):
+                re0, im0 = rng.randint(-4, 2), rng.randint(-4, 2)
+                floor = rng.choice([0, 0, rng.randint(1, 4)])
+                box = ((re0, re0 + rng.randint(0, 7)), (im0, im0 + rng.randint(0, 7)))
+                yield term_region, gaussdecomp._box_keys(target_region, *box, floor)[1]
+
+
+def explicit_target_sets(policy):
+    """(targets, region): seeded explicit targets in any order, parts of
+    rows and single points, repeats included, near the origin and away."""
+    rng = random.Random(f"explicit {policy.value}")
+    for _ in range(80):
+        re0, im0 = rng.randint(-6, 20), rng.randint(-10, 10)
+        box = [(re, im) for re in range(re0, re0 + 5) for im in range(im0, im0 + 9)]
+        points = rng.sample(box, rng.randint(1, 30))
+        points += rng.choices(points, k=rng.randint(0, 3))
+        targets = [GaussianInt(re, im) for re, im in points if re or im]
+        if targets:
+            yield targets, rng.choice(list(Region))
+
+
+def scattered_target_sets(region):
+    """(targets, policy): seeded sets of single targets out to 60 from the
+    origin."""
+    rng = random.Random(f"window {region.value}")
+    for _ in range(300):
+        targets = [
+            GaussianInt(rng.randint(-60, 60), rng.randint(-60, 60))
+            for _ in range(rng.randint(1, 6))
+        ]
+        yield targets, NormPolicy.STRICT_LESS if rng.random() < 0.5 else NormPolicy.NONE
 
 
 class TestSumsetWindow:
@@ -849,21 +889,14 @@ class TestSumsetWindow:
         below norm 8, some cut by a min_max_component floor, against every
         term region: the live runs keep exactly the targets in the two-term
         cone, those whose cap is 2 or less among them."""
-        rng = random.Random(f"extent {policy.value}")
-        for target_region in Region:
-            for term_region in Region:
-                (a1, b1, c1), (a2, b2, c2) = term_region.cone
-                for _ in range(6):
-                    re0, im0 = rng.randint(-4, 2), rng.randint(-4, 2)
-                    floor = rng.choice([0, 0, rng.randint(1, 4)])
-                    box = ((re0, re0 + rng.randint(0, 7)), (im0, im0 + rng.randint(0, 7)))
-                    _, runs = gaussdecomp._box_keys(target_region, *box, floor)
-                    points = run_points(runs)
-                    assert (0, 0) not in points  # zero is no target
-                    keys = [(re * re + im * im, re, im) for re, im in points]
-                    live = self.check(keys, runs, term_region, policy)
-                    assert live == [(re, im) for re, im in points
-                                    if a1 * re + b1 * im >= 2 * c1 and a2 * re + b2 * im >= 2 * c2]
+        for term_region, runs in near_origin_box_runs(policy):
+            (a1, b1, c1), (a2, b2, c2) = term_region.cone
+            points = run_points(runs)
+            assert (0, 0) not in points  # zero is no target
+            keys = [(re * re + im * im, re, im) for re, im in points]
+            live = self.check(keys, runs, term_region, policy)
+            assert live == [(re, im) for re, im in points
+                            if a1 * re + b1 * im >= 2 * c1 and a2 * re + b2 * im >= 2 * c2]
 
     @pytest.mark.parametrize("policy", list(NormPolicy))
     def test_explicit_targets_make_runs_of_their_rows(self, monkeypatch, policy):
@@ -878,16 +911,7 @@ class TestSumsetWindow:
             return real(runs, region, strict)
 
         monkeypatch.setattr(gaussdecomp, "_extent", spying)
-        rng = random.Random(f"explicit {policy.value}")
-        for _ in range(80):
-            re0, im0 = rng.randint(-6, 20), rng.randint(-10, 10)
-            box = [(re, im) for re in range(re0, re0 + 5) for im in range(im0, im0 + 9)]
-            points = rng.sample(box, rng.randint(1, 30))
-            points += rng.choices(points, k=rng.randint(0, 3))
-            targets = [GaussianInt(re, im) for re, im in points if re or im]
-            if not targets:
-                continue
-            region = rng.choice(list(Region))
+        for targets, region in explicit_target_sets(policy):
             seen.clear()
             scan_targets(targets, region, 2, policy)
             (runs,) = seen
@@ -923,18 +947,57 @@ class TestSumsetWindow:
         """Scattered single targets out to 60 from the origin: the window
         is the least integer box holding every live target and the four
         corners of its parallelogram (see plain_extent)."""
-        rng = random.Random(f"window {region.value}")
         checked = 0
-        for _ in range(300):
-            targets = [
-                GaussianInt(rng.randint(-60, 60), rng.randint(-60, 60))
-                for _ in range(rng.randint(1, 6))
-            ]
+        for targets, policy in scattered_target_sets(region):
             runs = [(z.re, z.im, z.im) for z in targets]
-            policy = NormPolicy.STRICT_LESS if rng.random() < 0.5 else NormPolicy.NONE
             if self.check([z.key() for z in targets], runs, region, policy):
                 checked += 1
         assert checked > 100
+
+    def test_the_strict_cut_bounds_every_live_targets_strict_terms(self):
+        """Every strict term of a live target has a norm below _cap's strict
+        value for it, min(cap, norm): over the seeded boxes and the explicit
+        and scattered sets above, the strict cut, min(largest cap, largest
+        norm), is never below it, so the sumsets hold every strict sum."""
+        strict = NormPolicy.STRICT_LESS
+        cases = [(runs, region) for region, runs in near_origin_box_runs(strict)]
+        sets = [*explicit_target_sets(strict)]
+        sets += [(targets, region) for region in Region for targets, _ in scattered_target_sets(region)]
+        cases += [([(z.re, z.im, z.im) for z in targets], region) for targets, region in sets]
+        checked = 0
+        for runs, region in cases:
+            live, extent = gaussdecomp._extent(runs, region, True)
+            for re, lo, hi in live:
+                for im in range(lo, hi + 1):
+                    assert gaussdecomp._cap(region.cone, re, im, re * re + im * im, True) <= extent[5]
+                    checked += 1
+        assert checked > 4000
+
+    @pytest.mark.parametrize(
+        "targets, region, box, cut",
+        [
+            ([GaussianInt(43, -31), GaussianInt(0, 60)], SPI, None, 3600),
+            ([GaussianInt(re, im) for re, im in [(0, 3), (0, 5), (0, 7), (0, 8), (0, 9), (1, 1), (1, 2),
+              (1, 7), (2, 3), (2, 4), (2, 7), (3, 4), (4, 2), (4, 6)]], SPI, None, 81),
+            (box_targets(Region.SECTOR, (-1, 1), (0, 1)), Region.SECTOR, ((-1, 1), (0, 1)), 1),
+        ],
+        ids=["43-31i-and-60i", "up-to-9i", "sector-box-at-the-origin"],
+    )
+    def test_rows_hold_where_the_strict_cut_passes_the_walk(self, targets, region, box, cut):
+        """Targets whose largest norm sits where caps fall below the norm
+        (the imaginary axis into spi, and 1+i, the one live target of a
+        sector box by the origin), so the cut differs from the largest
+        min(cap, norm) of a target: 3600 against 3482, 81 against 65 with
+        the sumsets built, and 1 against a walk that started at 2. The
+        scan's rows are find_decomposition's."""
+        runs = [(z.re, z.im, z.im) for z in targets]
+        assert gaussdecomp._extent(runs, region, True)[1][5] == cut
+        if box is None:
+            report = scan_targets(targets, region, 3, NormPolicy.STRICT_LESS)
+        else:
+            report = scan_box(Region.SECTOR, *box, region, 3, NormPolicy.STRICT_LESS)
+        assert (report.chase is not None) == (cut == 81)  # the others search
+        assert report.rows == scan_rows_by_search(targets, region, 3, NormPolicy.STRICT_LESS)
 
 
 class TestChasedWitnesses:
