@@ -1,11 +1,13 @@
 """Command line interface.
 
 Subcommands: sieve, decompose, solve-thm1, solve-thm2, solve-conj1,
-scan, obstruction, hypotheses, thm130, tables. Every reporting command
-takes --format csv|json|md and --out FILE, writes the payload there,
-and prints a one-line summary on stderr. Exit codes: 0 on success, 1
-when the data says no (no decomposition, exceptions found, validation
-failures), 2 for unusable arguments.
+scan, obstruction, hypotheses, thm130, tables. Every command takes
+--format csv|json|md and --out FILE. Each cmd_* only computes: it
+returns (report, summary line, exit code), report None when there is
+nothing to write. entry is the one writer: it puts the report in
+--format on --out or stdout, then the summary line on stderr. Exit
+codes: 0 on success, 1 when the data says no (no decomposition,
+exceptions found, validation failures), 2 for unusable arguments.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ def parse_range(text: str) -> tuple[int, int]:
     if not sep:
         raise ValueError(f"range must look like LO..HI, got {text!r}")
     return int(lo), int(hi)
-
-
-def _summary(line: str) -> None:
-    print(line, file=sys.stderr)
 
 
 def _check_out(path: str) -> None:
@@ -131,76 +129,67 @@ class RoutedDecomposition(Report):
         return self.dec.csv_lines()
 
 
-def cmd_sieve(args) -> int:
+def cmd_sieve(args) -> tuple:
     from .primes import ensure_table
 
     table = ensure_table(args.limit, args.cache)
     primes = table.primes if args.mod4 is None else table.residue_class(args.mod4)
     primes = tuple(primes[: bisect_right(primes, args.limit)])
-    _emit(args, SieveReport(args.limit, primes, args.cache, args.mod4, args.list))
-    _summary(f"primes: {len(primes)} up to {args.limit}")
-    return 0
+    report = SieveReport(args.limit, primes, args.cache, args.mod4, args.list)
+    return report, f"primes: {len(primes)} up to {args.limit}", 0
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple:
     from .gaussdecomp import NormPolicy, find_decomposition, four_term_decompose
 
     z = parse_gaussian(args.z)
     region = Region(args.primes)
     policy = NormPolicy.STRICT_LESS if args.strict_norm else NormPolicy.NONE
     if args.chain:
+        if args.max_terms is not None or args.no_single:
+            raise ValueError("--chain takes no --max-terms or --no-single")
         got = four_term_decompose(z, region, policy)
         if got is None:
             if in_region(z, region):
-                _summary(f"{z}: no split into at most four primes; counterexample candidate")
-            else:
-                _summary(
-                    f"{z}: outside the {region.value} cone, which holds every sum of "
-                    f"its primes; geometric obstruction"
-                )
-            return 1
+                return None, f"{z}: no split into at most four primes; counterexample candidate", 1
+            return None, (
+                f"{z}: outside the {region.value} cone, which holds every sum of "
+                f"its primes; geometric obstruction"
+            ), 1
         dec, route = got
-        _emit(args, RoutedDecomposition(dec, route))
-        _summary(f"terms: {dec.k}, route: {route}")
-        return 0
-    dec = find_decomposition(
-        z, region, args.max_terms, policy, include_single=not args.no_single
-    )
+        return RoutedDecomposition(dec, route), f"terms: {dec.k}, route: {route}", 0
+    max_terms = 3 if args.max_terms is None else args.max_terms
+    dec = find_decomposition(z, region, max_terms, policy, include_single=not args.no_single)
     if dec is None:
-        _summary(f"{z}: no decomposition into at most {args.max_terms} terms")
-        return 1
-    _emit(args, dec)
+        return None, f"{z}: no decomposition into at most {max_terms} terms", 1
     note = " (single: the target itself is prime)" if dec.k == 1 else ""
-    _summary(f"terms: {dec.k}{note}")
-    return 0
+    return dec, f"terms: {dec.k}{note}", 0
 
 
-def _emit_matrix(args, matrix) -> int:
-    _emit(args, matrix)
+def _matrix(matrix) -> tuple:
     case = "" if matrix.case is None else f", case {matrix.case}"
-    _summary(f"columns: {matrix.k}{case}")
-    return 0
+    return matrix, f"columns: {matrix.k}{case}", 0
 
 
-def cmd_solve_thm1(args) -> int:
+def cmd_solve_thm1(args) -> tuple:
     from .diophantine import solve_four_columns
 
-    return _emit_matrix(args, solve_four_columns(args.a, args.b))
+    return _matrix(solve_four_columns(args.a, args.b))
 
 
-def cmd_solve_thm2(args) -> int:
+def cmd_solve_thm2(args) -> tuple:
     from .diophantine import solve_min_columns
 
-    return _emit_matrix(args, solve_min_columns(args.a, args.b, args.kmax))
+    return _matrix(solve_min_columns(args.a, args.b, args.kmax))
 
 
-def cmd_solve_conj1(args) -> int:
+def cmd_solve_conj1(args) -> tuple:
     from .diophantine import solve_square_columns
 
-    return _emit_matrix(args, solve_square_columns(args.a, args.b, args.kmax))
+    return _matrix(solve_square_columns(args.a, args.b, args.kmax))
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> tuple:
     from .gaussdecomp import NormPolicy, scan_box
 
     if args.jobs < 1:
@@ -215,69 +204,51 @@ def cmd_scan(args) -> int:
         policy,
         min_max_component=args.min_max_component,
     )
-    _emit(args, report)
     missing = countOf(map(itemgetter(3), report.int_rows), None)
-    _summary(f"targets: {len(report.int_rows)}, exceptions: {missing}")
-    return 1 if missing else 0
+    return report, f"targets: {len(report.int_rows)}, exceptions: {missing}", 1 if missing else 0
 
 
-def cmd_obstruction(args) -> int:
+def cmd_obstruction(args) -> tuple:
     from .gaussdecomp import verify_diagonal_obstruction
 
     report = verify_diagonal_obstruction(args.bound, args.max_terms)
-    _emit(args, report)
-    _summary(
-        f"bound {report.bound}: "
-        + ("inequality holds" if report.holds else f"{len(report.violations)} violations")
-    )
-    return 0 if report.holds else 1
+    verdict = "inequality holds" if report.holds else f"{len(report.violations)} violations"
+    return report, f"bound {report.bound}: {verdict}", 0 if report.holds else 1
 
 
-def cmd_hypotheses(args) -> int:
+def cmd_hypotheses(args) -> tuple:
     from .ratdecomp import HypothesisReports, hypothesis_scans
 
     indices = [args.index] if args.index is not None else HYPOTHESIS_INDICES
     reports = hypothesis_scans(indices, 1, args.upper)
-    _emit(args, HypothesisReports(tuple(reports)))
-    _summary(
-        "; ".join(
-            f"hypothesis {r.spec.index}: c0 candidate {r.c0_candidate}" for r in reports
-        )
+    line = "; ".join(
+        f"hypothesis {r.spec.index}: c0 candidate {r.c0_candidate}" for r in reports
     )
-    return 1 if any(r.exceptions for r in reports) else 0
+    return HypothesisReports(tuple(reports)), line, 1 if any(r.exceptions for r in reports) else 0
 
 
-def cmd_thm130(args) -> int:
+def cmd_thm130(args) -> tuple:
     if args.c0 < 9:  # n - 9, after three 3s, must stay at least 9
         raise ValueError(f"c0 must be at least 9, got {args.c0}")
     from .ratdecomp import residue34_chain
 
     result = residue34_chain(args.n, args.c0 + 9)
-    _emit(args, result)
-    _summary(f"{result.n}: {result.m} primes of the form 4t+3")
-    return 0
+    return result, f"{result.n}: {result.m} primes of the form 4t+3", 0
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> tuple:
     from . import golden as golden_mod
 
     rows = golden_mod.load_golden()
     if args.regenerate:
         report = golden_mod.regenerate_tables(rows)
-        _emit(args, report)
-        _summary(
-            f"rows: {report.total}, regenerated: {report.total - len(report.failures)}, "
-            f"failures: {len(report.failures)}"
-        )
-        return 0 if report.ok else 1
-    validation = golden_mod.validate_golden(rows)
-    typos = sum(1 for row in rows if row.note)
-    _emit(args, validation)
-    _summary(
-        f"rows: {validation.total - len(validation.failures)} passed, "
-        f"{len(validation.failures)} failed, {typos} annotated typos"
-    )
-    return 0 if validation.ok else 1
+        failed = len(report.failures)
+        line = f"rows: {report.total}, regenerated: {report.total - failed}, failures: {failed}"
+    else:
+        report = golden_mod.validate_golden(rows)
+        failed, typos = len(report.failures), sum(1 for row in rows if row.note)
+        line = f"rows: {report.total - failed} passed, {failed} failed, {typos} annotated typos"
+    return report, line, 0 if report.ok else 1
 
 
 def _sieve_options(sub) -> None:
@@ -294,7 +265,7 @@ def _sieve_options(sub) -> None:
 def _decompose_options(sub) -> None:
     sub.add_argument("--z", required=True, help="Gaussian integer as RE,IM or a bare integer")
     sub.add_argument("--primes", choices=PRIME_REGIONS, default=Region.PRIME_SECTOR.value)
-    sub.add_argument("--max-terms", type=int, default=3)
+    sub.add_argument("--max-terms", type=int, default=None)
     sub.add_argument(
         "--strict-norm",
         action="store_true",
@@ -438,7 +409,11 @@ def entry(argv: list[str] | None = None) -> int:
     try:
         if args.out:
             _check_out(args.out)
-        return args.func(args)
+        report, line, code = args.func(args)
+        if report is not None:
+            _emit(args, report)
+        print(line, file=sys.stderr)
+        return code
     except (SearchExhausted, HypothesisViolation) as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -881,7 +881,7 @@ def verify_diagonal_obstruction(bound: int, max_terms: int = 6) -> ObstructionRe
     return ObstructionReport(bound, max_terms, tuple(levels), tuple(violations))
 
 
-def obstruction_line_report(bound: int, max_terms: int = 6) -> ScanReport:
+def obstruction_line_report(bound: int) -> ScanReport:
     """Scan the two blocked diagonals im = re and im = re - 1 for sums
     of odd sector primes, no norm bound. Rows with k = 1 are targets
     that happen to be primes themselves; every other row must come back
@@ -896,7 +896,7 @@ def obstruction_line_report(bound: int, max_terms: int = 6) -> ScanReport:
     targets = [GaussianInt(re, re - d) for re in range(1, bound + 1) for d in (0, 1)]
     targets.sort(key=GaussianInt.key)
     desc = f"gammapi lines im=re and im=re-1, re 1..{bound}"
-    return scan_targets(targets, Region.PRIME_SECTOR, max_terms, NormPolicy.NONE, desc)
+    return scan_targets(targets, Region.PRIME_SECTOR, 6, NormPolicy.NONE, desc)
 
 
 def four_term_decompose(

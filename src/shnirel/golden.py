@@ -110,10 +110,8 @@ class GoldenValidation(Report):
             yield f"{i},{reason}\n"
 
 
-def validate_golden(rows: tuple[GoldenRow, ...] | None = None) -> GoldenValidation:
+def validate_golden(rows: tuple[GoldenRow, ...]) -> GoldenValidation:
     """Re-check every stored fact about every row."""
-    if rows is None:
-        rows = load_golden()
     failures: list[tuple[int, str]] = []
     for i, row in enumerate(rows):
         try:
@@ -190,13 +188,11 @@ class RegenReport(Report):
             yield f"{row.target},{stored},{regen}\n"
 
 
-def regenerate_tables(rows: tuple[GoldenRow, ...] | None = None) -> RegenReport:
+def regenerate_tables(rows: tuple[GoldenRow, ...]) -> RegenReport:
     """Re-derive every row's decomposition under the same constraints:
     half-region primes, norms strictly below the target, at most as many
     terms as the stored row. Witnesses may differ from the stored ones;
     what matters is that each target still decomposes."""
-    if rows is None:
-        rows = load_golden()
     results = []
     for row in rows:
         dec = find_decomposition(

@@ -136,9 +136,6 @@ class GaussianInt(Record):
     def __sub__(self, other: "GaussianInt") -> "GaussianInt":
         return GaussianInt(self.re - other.re, self.im - other.im)
 
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
-
     def norm(self) -> int:
         return self.re * self.re + self.im * self.im
 

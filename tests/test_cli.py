@@ -331,6 +331,33 @@ class TestDecompose:
         assert "geometric obstruction" in err
         assert "counterexample" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--z", "28,6", "--max-terms", "1"),
+            ("--z", "28,6", "--max-terms", "4"),
+            ("--z", "9,4", "--primes", "kpi", "--no-single"),
+        ],
+    )
+    def test_chain_takes_neither_max_terms_nor_no_single(self, capsys, argv):
+        """--chain writes up to four terms and may answer with a prime
+        target itself, so a bound on the terms or a ban on one-term
+        answers is refused with exit 2 rather than ignored."""
+        code, out, err = run(capsys, "decompose", *argv, "--chain")
+        assert (code, out) == (2, "")
+        assert err == "--chain takes no --max-terms or --no-single"
+
+    @pytest.mark.parametrize(
+        "terms, want",
+        [
+            ("5", (1, "", "2+2i: no decomposition into at most 5 terms")),
+            ("0", (2, "", "max_terms must be at least 1")),
+        ],
+    )
+    def test_max_terms_is_the_bound_given(self, capsys, terms, want):
+        argv = ("decompose", "--z", "2,2", "--primes", "gammapi", "--max-terms", terms)
+        assert run(capsys, *argv) == want
+
     def test_chain_gate_exits_two(self, capsys):
         code, _, err = run(capsys, "decompose", "--z", "3", "--chain")
         assert code == 2
@@ -1135,18 +1162,55 @@ class TestOutputPlumbing:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_command_leaves_out_as_it_was(self, capsys, tmp_path):
-        """--out is checked without truncating it; a command that fails
-        leaves an existing file's bytes alone and creates no new file."""
-        kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
-        kept.write_text("old bytes\n")
-        for path in (kept, fresh):
-            code, out, err = run(
-                capsys, "decompose", "--z", "9999,1", "--primes", "kpi", "--out", str(path)
-            )
-            assert code == 2
-            assert "above the cap" in err
-        assert kept.read_text() == "old bytes\n"
-        assert not fresh.exists()
+        """--out is checked without truncating it; a command that fails,
+        or that finds nothing to report, leaves an existing file's bytes
+        alone and creates no new file."""
+        failures = [
+            (("decompose", "--z", "9999,1", "--primes", "kpi"), 2, "above the cap"),
+            (("decompose", "--z", "2,2", "--primes", "gammapi"), 1, "no decomposition"),
+        ]
+        for argv, want_code, want_err in failures:
+            kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+            kept.write_text("old bytes\n")
+            for path in (kept, fresh):
+                code, out, err = run(capsys, *argv, "--out", str(path))
+                assert (code, out) == (want_code, "")
+                assert want_err in err
+            assert kept.read_text() == "old bytes\n"
+            assert not fresh.exists()
+
+    @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sieve --limit 100",
+            "decompose --z 13,4 --primes kpi",
+            "solve-thm1 --a 11 --b 3",
+            "solve-thm2 --a 9 --b 5",
+            "solve-conj1 --a 7 --b 4 --kmax 3",
+            "scan --targets a --re 1..6 --im 1..6 --primes kpi",
+            "obstruction --bound 20 --max-terms 3",
+            "hypotheses --upper 60",
+            "thm130 --n 30",
+            "tables --validate",
+        ],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, monkeypatch, argv, fmt):
+        """One writer for every command: --out gets exactly the bytes that
+        stdout would, and stderr gets one summary line either way."""
+        monkeypatch.delenv("SHNIREL_CACHE", raising=False)
+        argv = [*argv.split(), "--format", fmt]
+        code = entry(argv)
+        shown = capsys.readouterr()
+        path = tmp_path / "report"
+        assert entry([*argv, "--out", str(path)]) == code
+        written = capsys.readouterr()
+        assert written.out == ""
+        assert path.read_bytes() == shown.out.encode()
+        assert shown.out
+        for err in (shown.err, written.err):
+            assert err.endswith("\n") and err.count("\n") == 1
+        assert written.err == shown.err
 
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -25,11 +25,10 @@ def gi(t):
 
 
 class TestArithmetic:
-    def test_sum_difference_negation(self):
+    def test_sum_and_difference(self):
         a, b = GaussianInt(5, -2), GaussianInt(-1, 4)
         assert a + b == GaussianInt(4, 2)
         assert a - b == GaussianInt(6, -6)
-        assert -a == GaussianInt(-5, 2)
 
     def test_component_bound_enforced(self):
         with pytest.raises(OverflowError):
