@@ -13,7 +13,6 @@ from array import array
 from functools import cached_property
 from itertools import chain, compress, count, groupby, islice, repeat
 from operator import add, sub
-from struct import unpack
 
 from . import primes
 from .primes import is_rational_prime
@@ -87,7 +86,10 @@ def _fill_class(level: array, below: array, lanes: int, k: int, pool: _Pool, hi:
     pass over the pool; lanes holds level k - 1's members, a 16-bit lane per i,
     1 for a member, and the return level k's. Each p in pool order is the first
     term of the n left in need with n - p a member (so p * k <= n, see
-    _first_term) until p * k passes them all; _first_term takes any left at _LANE_STOP."""
+    _first_term) until p * k passes them all; _first_term takes any left at _LANE_STOP.
+    The first terms' lanes are written into the level's bytes by two strided
+    C slice copies, each lane's two bytes the low two of n's 4-byte entry (the
+    entries are native, little-endian on x86 and ARM), with no int per n."""
     ns, shift, firsts = range(r := 3 * k % 4, hi + 1, 4), 3 * (k - 1) % 4 - r, 0
     need = start = int.from_bytes(b"\1\0" * len(ns), "little")
     pool.grow(0)  # a fresh pool lists its first primes
@@ -99,7 +101,8 @@ def _fill_class(level: array, below: array, lanes: int, k: int, pool: _Pool, hi:
         firsts |= hit * p
         while p == pool[-1] and pool.grow(hi // k):
             pass
-    level[r::4] = array("I", unpack(f"<{len(ns)}H", firsts.to_bytes(2 * len(ns), "little")))
+    raw, wide = firsts.to_bytes(2 * len(ns), "little"), memoryview(level).cast("B")
+    wide[4 * r :: 16], wide[4 * r + 1 :: 16] = raw[0::2], raw[1::2]  # lane i's 2 bytes to n's low 2
     if need and p >= _LANE_STOP:
         for n in compress(ns, need.to_bytes(2 * len(ns), "little")[::2]):
             level[n] = first = _first_term(below, k, pool, n)
@@ -213,14 +216,17 @@ HYPOTHESES = {i: HypothesisSpec(i, 3 * (i + 1) % 4, i + 1) for i in range(1, 5)}
 _HYPOTHESIS_CSV_HEAD = "n,residue,k,witness\n"
 
 
-def _numerals(ns: range) -> Iterator[str]:
-    """str(n) for each n of ns, a range of step 4 from 0 up, streamed: each
-    block of 1000 joins str(n // 1000) to a table of 3-digit suffixes, in C,
-    at about a third of the cost of str() per n."""
-    low, pad, r = [str(j) for j in range(1000)], ["%03d" % j for j in range(1000)], ns.start % 4
-    blocks = (map(add, repeat(str(b)), pad[r::4]) if b else low[r::4] for b in count(ns.start // 1000))
-    skip = ns.start % 1000 // 4
-    return islice(chain.from_iterable(blocks), skip, skip + len(ns))
+def _heads(ns: range, mid: str) -> Iterator[tuple[str, list[str]]]:
+    """The texts str(n) + mid of the n of ns, a range of step 4, cut at the
+    blocks of 1000 it meets: for each, str(n // 1000) ("" in block 0) and the
+    entries there of a class table of 250 texts, n % 1000 + mid ("%03d" past
+    block 0), so joining the two in C makes no numeral per n."""
+    r, first, last = ns.start % 4, ns.start // 1000, ns[-1] // 1000 if ns else -1
+    low, pad = ([f % j + mid for j in range(r, 1000, 4)] for f in ("%d", "%03d"))
+    for b in range(first, last + 1):
+        i = ns.start % 1000 // 4 if b == first else 0
+        j = ns[-1] % 1000 // 4 + 1 if b == last else 250
+        yield (str(b) if b else ""), (pad if b else low)[i:j]
 
 
 def _csv_blocks(reports: Sequence[HypothesisReport]) -> Iterator[Iterable[str]]:
@@ -232,15 +238,18 @@ def _csv_blocks(reports: Sequence[HypothesisReport]) -> Iterator[Iterable[str]]:
     start, suffix), the text of n being list[(n - start) // 4] + suffix, over
     a window of its class: its reports' targets and what the level above
     reads, from the least n there less the largest first term, clamped at 0.
-    Level 1 lists the numerals, which H_4's rows, in its class, take too. A
-    level whose first terms there are one prime p, or 0, reads through the
-    level below with start + p and suffix + "+p": levels 3 to 5 do, as every
-    n = 2 mod 4 from 6 up is a two-term sum. Any other level lists its texts
-    by C-level gathers off the level below. Reports sharing level 2 share
-    every level: up to 10^6 only levels 1 and 2 make lists. A row joins
-    n, its residue and k, and its top level's text; an n with no sum would
-    read a neighbour's, so the rows between exceptions go out as one block
-    and each exception as an EMPTY line.
+    Level 1 lists the numerals, as level 2's source. A level's top first term
+    and whether its first terms there are one prime p, or 0, are read off the
+    set of its column; such a level reads through the level below with
+    start + p and suffix + "+p": levels 3 to 5 do, as every n = 2 mod 4 from
+    6 up is a two-term sum. Any other level lists its texts by C-level
+    gathers off the level below. Reports sharing level 2 share every level:
+    up to 10^6 only levels 1 and 2 make lists. A row joins str(n // 1000),
+    the class table's text of n % 1000 and ",residue,k," (_heads), its top
+    level's text and the suffix, so no row makes a numeral; an n with no sum
+    would read a neighbour's, so the rows between exceptions go out as one
+    run, a block of rows per block of 1000, and each exception as an EMPTY
+    line.
     """
     yield [_HYPOTHESIS_CSV_HEAD]
     for _, run in groupby(reports, lambda r: id(r.levels[0])):
@@ -251,8 +260,6 @@ def _csv_blocks(reports: Sequence[HypothesisReport]) -> Iterator[Iterable[str]]:
         for r in run:
             if t := r._targets:
                 bounds[r.spec.k].append((t[0], t[-1]))
-                if r.spec.k == 5:
-                    bounds[1].append((t[0], t[-1]))
         windows, cols = {}, {}
         for k in range(len(levels) - 1, 0, -1):
             lo = max(0, min((a for a, _ in bounds[k]), default=0))
@@ -260,9 +267,10 @@ def _csv_blocks(reports: Sequence[HypothesisReport]) -> Iterator[Iterable[str]]:
             windows[k] = ns = range(lo + (3 * k - lo) % 4, hi + 1, 4)
             if ns and k > 1:  # a level of one first term keeps no column
                 col = levels[k][ns.start : ns.stop : 4]
-                bounds[k - 1].append((ns[0] - (top := max(col)), ns[-1]))
-                cols[k] = top, None if not top or col.count(top) + col.count(0) == len(col) else col
-        texts = [None, (list(_numerals(windows[1])), windows[1].start, "")]  # level k at k
+                bounds[k - 1].append((ns[0] - (top := max(firsts := set(col))), ns[-1]))
+                cols[k] = top, None if firsts <= {0, top} else col
+        numerals = chain.from_iterable(map(add, repeat(b), heads) for b, heads in _heads(windows[1], ""))
+        texts = [None, (list(numerals), windows[1].start, "")]  # level k at k
         for q in range(2, len(levels)):
             (top, col), (below, start, suffix) = cols.pop(q, (0, None)), texts[-1]
             if col is None:
@@ -274,14 +282,13 @@ def _csv_blocks(reports: Sequence[HypothesisReport]) -> Iterator[Iterable[str]]:
                 made = map(add, map(below.__getitem__, offs), map(plus.__getitem__, col))
                 texts.append((list(made), windows[q].start, ""))
         for r, stop in zip(run, stops):
-            k = r.spec.k
-            (wits, start, suffix), names = texts[k], texts[1] if k == 5 else None
+            k, (wits, start, suffix) = r.spec.k, texts[r.spec.k]
             mid, end, at = f",{r.spec.residue},{k},", suffix + "\n", r._targets.start
             for n in stop:
                 if ns := range(at, n, 4):
-                    nums = islice(names[0], (at - names[1]) // 4, None) if names else _numerals(ns)
-                    i = (at - start) // 4
-                    yield map("".join, zip(nums, repeat(mid), islice(wits, i, i + len(ns)), repeat(end)))
+                    got = islice(wits, (at - start) // 4, None)  # zip reads it after heads ends
+                    for b, heads in _heads(ns, mid):
+                        yield map("".join, zip(repeat(b), heads, got, repeat(end)))
                 if n <= r.hi:
                     yield (f"{n}{mid}EMPTY\n",)
                 at = n + 4
@@ -385,9 +392,10 @@ class HypothesisReports(Report):
 # The largest hi a hypothesis scan takes. The scans keep a 4-byte first term
 # per integer and level (built through 2-byte lanes); the CSV writer lists the
 # texts of levels 1 and 2 alone, a list entry and a str per n of a class each,
-# as levels 3 to 5 read through level 2's. The op's peak in CSV is near 68 MiB
-# at 10^6, all four scans or H_4 alone, and near 31 MiB at 300 064; in JSON,
-# whose payload holds every row, near 418 MiB at 10^6 (CPython 3.11, x86-64).
+# as levels 3 to 5 read through level 2's, and its rows add two class tables
+# of 250 heads per run. The op's peak in CSV is near 67 MiB at 10^6, all four
+# scans or H_4 alone, and near 30 MiB at 300 064; in JSON, whose payload holds
+# every row, near 414 MiB at 10^6 (CPython 3.11, x86-64).
 _HYPOTHESIS_CAP = 10**6
 
 

@@ -973,7 +973,7 @@ class TestHypotheses:
 
     @pytest.mark.parametrize("upper", ["1000001", "1000000000"])
     def test_upper_cap_exits_two_before_sieving(self, capsys, monkeypatch, upper):
-        """--upper 10^6 peaks near 36 MiB in CSV and 420 MiB in JSON, whose
+        """--upper 10^6 peaks near 67 MiB in CSV and 414 MiB in JSON, whose
         encoder holds every row: a larger bound is refused before any sieve
         is built."""
 

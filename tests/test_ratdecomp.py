@@ -563,16 +563,24 @@ class TestCsvWriter:
     of its class, off the texts of the level below; its bytes must be those
     formatted from the rows."""
 
-    INDICES = ([2, 1], [4, 1], [3], [1, 2, 3, 4])
+    INDICES = ([2, 1], [4, 1], [4], [3], [1, 2, 3, 4])
 
     def sweep(self):
         """(indices, lo, hi) over small hi, hi at every residue near 20 000,
-        and empty classes, each with lo = 1 and a seeded lo above 1."""
+        and empty classes, each with lo = 1 and a seeded lo above 1; then lo
+        just below and hi just above 1000, 10^4 and 10^5, at every residue,
+        where the row heads switch from the short table to the padded one and
+        the text of n // 1000 gains a digit."""
         rng = random.Random(29)
         for hi in [*range(1, 15), *range(20_000, 20_004)]:
             for indices in self.INDICES:
                 yield indices, 1, hi
                 yield indices, rng.randint(min(hi, 2), hi), hi
+        for edge in (1_000, 10_000, 100_000):
+            for lo in range(edge - 4, edge):
+                for hi in range(edge, edge + 4):
+                    for indices in self.INDICES:
+                        yield indices, lo, hi
         yield [2], 5, 5  # a lone target with no sum
         yield [2], 6, 8  # no target in H_2's class
         yield [1, 2, 3, 4], 6, 6  # one class of four holds a target
