@@ -219,8 +219,8 @@ _HYPOTHESIS_CSV_HEAD = "n,residue,k,witness\n"
 def _heads(ns: range, mid: str) -> Iterator[tuple[str, list[str]]]:
     """The texts str(n) + mid of the n of ns, a range of step 4, cut at the
     blocks of 1000 it meets: for each, str(n // 1000) ("" in block 0) and the
-    entries there of a class table of 250 texts, n % 1000 + mid ("%03d" past
-    block 0), so joining the two in C makes no numeral per n."""
+    entries there of a class table of 250 texts, that of n % 1000 ("%03d" past
+    block 0) followed by mid, so joining the two in C makes no numeral per n."""
     r, first, last = ns.start % 4, ns.start // 1000, ns[-1] // 1000 if ns else -1
     low, pad = ([f % j + mid for j in range(r, 1000, 4)] for f in ("%d", "%03d"))
     for b in range(first, last + 1):
@@ -286,7 +286,7 @@ def _csv_blocks(reports: Sequence[HypothesisReport]) -> Iterator[Iterable[str]]:
             mid, end, at = f",{r.spec.residue},{k},", suffix + "\n", r._targets.start
             for n in stop:
                 if ns := range(at, n, 4):
-                    got = islice(wits, (at - start) // 4, None)  # zip reads it after heads ends
+                    got = islice(wits, (at - start) // 4, None)  # zip ends at heads before reading it
                     for b, heads in _heads(ns, mid):
                         yield map("".join, zip(repeat(b), heads, got, repeat(end)))
                 if n <= r.hi:
